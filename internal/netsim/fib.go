@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"net/netip"
@@ -129,57 +130,143 @@ type Route struct {
 // routes per node, and the per-hop lookup sits on the simulator's
 // hottest path.
 type Table struct {
+	// routes is ordered longest prefix first, insertion order within a
+	// length.
 	routes []*Route
-	// byLen maps prefix length -> masked prefix -> route.
-	byLen map[int]map[netip.Prefix]*Route
-	// lens lists the lengths present in byLen, descending.
-	lens []int
+	// lens holds one index per prefix length in use, longest first,
+	// IPv6 (lens[0]) apart from IPv4 (lens[1]) — a v4 address never
+	// matches a v6 prefix, IPv4-mapped ones included.
+	lens [2][]lenTable
 	// version counts mutations; per-burst route memos key on it so a
 	// route change mid-burst invalidates them immediately.
 	version uint64
 }
 
-// Add inserts a route, keeping longest-prefix-first order in
-// Routes(). Adding a second route with an identical prefix replaces
-// the first.
-func (t *Table) Add(r *Route) {
-	t.version++
-	key := r.Prefix.Masked()
-	if t.byLen == nil {
-		t.byLen = make(map[int]map[netip.Prefix]*Route)
-	}
-	m := t.byLen[key.Bits()]
-	if m == nil {
-		m = make(map[netip.Prefix]*Route)
-		t.byLen[key.Bits()] = m
-		t.lens = append(t.lens, key.Bits())
-		sort.Sort(sort.Reverse(sort.IntSlice(t.lens)))
-	}
-	m[key] = r
+// fibKey is an address as two big-endian words (IPv4 in IPv4-mapped
+// form), so masking is two ANDs. A struct, not an array: two fields
+// stay in registers, an array would be copied through the stack.
+type fibKey struct{ hi, lo uint64 }
 
-	for i, old := range t.routes {
-		if old.Prefix == r.Prefix {
-			t.routes[i] = r
-			return
+func addrKey(a netip.Addr) fibKey {
+	b := a.As16()
+	return fibKey{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+func (k fibKey) and(m fibKey) fibKey { return fibKey{k.hi & m.hi, k.lo & m.lo} }
+
+// family returns a's index into Table.lens and the offset of its
+// prefix lengths within the 128-bit key.
+func family(a netip.Addr) (fam, off int) {
+	if a.Is4() {
+		return 1, 96
+	}
+	return 0, 0
+}
+
+// lenTable indexes the routes of one prefix length by masked address:
+// an open-addressed, linearly probed hash table that only grows (a
+// Table has no delete). A built-in map spends more on hashing 16 bytes
+// and on its generic access path than this whole lookup costs, twice
+// per packet hop on the generated topologies.
+type lenTable struct {
+	bits  int
+	mask  fibKey
+	n     int
+	slots []fibSlot // power-of-two length, at most half full
+}
+
+type fibSlot struct {
+	key   fibKey
+	route *Route // nil: empty slot
+}
+
+// slot returns the slot holding key, or the empty slot where it
+// belongs.
+func (lt *lenTable) slot(key fibKey) *fibSlot {
+	last := uint64(len(lt.slots) - 1)
+	h := (key.hi*0x9e3779b97f4a7c15 ^ key.lo) * 0xff51afd7ed558ccd
+	for i := (h >> 32) & last; ; i = (i + 1) & last {
+		if s := &lt.slots[i]; s.route == nil || s.key == key {
+			return s
 		}
 	}
-	t.routes = append(t.routes, r)
-	sort.SliceStable(t.routes, func(i, j int) bool {
-		return t.routes[i].Prefix.Bits() > t.routes[j].Prefix.Bits()
-	})
+}
+
+// put maps key to r and returns the route it replaces, if any.
+func (lt *lenTable) put(key fibKey, r *Route) (old *Route) {
+	if 2*(lt.n+1) > len(lt.slots) {
+		prev := lt.slots
+		lt.slots = make([]fibSlot, max(8, 2*len(prev)))
+		for _, s := range prev {
+			if s.route != nil {
+				*lt.slot(s.key) = s
+			}
+		}
+	}
+	s := lt.slot(key)
+	if old = s.route; old == nil {
+		lt.n++
+	}
+	*s = fibSlot{key, r}
+	return old
+}
+
+// Add inserts a route, keeping longest-prefix-first order in
+// Routes(). Adding a second route for the same (masked) prefix
+// replaces the first.
+func (t *Table) Add(r *Route) {
+	t.version++
+	bits := r.Prefix.Bits()
+	// Routes of this length end where the first shorter one begins.
+	end := sort.Search(len(t.routes), func(i int) bool { return t.routes[i].Prefix.Bits() < bits })
+	if r.Prefix.IsValid() {
+		lt := t.tableFor(r.Prefix)
+		if old := lt.put(addrKey(r.Prefix.Addr()).and(lt.mask), r); old != nil {
+			for i := end - 1; ; i-- {
+				if t.routes[i] == old {
+					t.routes[i] = r
+					return
+				}
+			}
+		}
+	}
+	t.routes = append(t.routes, nil)
+	copy(t.routes[end+1:], t.routes[end:])
+	t.routes[end] = r
+}
+
+// tableFor returns the index for p's family and length, creating it in
+// longest-first position if p is the first prefix of that length.
+func (t *Table) tableFor(p netip.Prefix) *lenTable {
+	fam, off := family(p.Addr())
+	lens := t.lens[fam]
+	i := sort.Search(len(lens), func(i int) bool { return lens[i].bits <= p.Bits() })
+	if i == len(lens) || lens[i].bits != p.Bits() {
+		var mask fibKey
+		switch n := off + p.Bits(); {
+		case n > 64:
+			mask = fibKey{^uint64(0), ^uint64(0) << (128 - n)}
+		case n > 0:
+			mask = fibKey{^uint64(0) << (64 - n), 0}
+		}
+		lens = append(lens, lenTable{})
+		copy(lens[i+1:], lens[i:])
+		lens[i] = lenTable{bits: p.Bits(), mask: mask}
+		t.lens[fam] = lens
+	}
+	return &lens[i]
 }
 
 // Lookup returns the longest-prefix match for addr.
 func (t *Table) Lookup(addr netip.Addr) *Route {
-	if t == nil {
+	if t == nil || !addr.IsValid() {
 		return nil
 	}
-	for _, bits := range t.lens {
-		p, err := addr.Prefix(bits)
-		if err != nil {
-			continue
-		}
-		if r, ok := t.byLen[bits][p]; ok {
+	fam, _ := family(addr)
+	key := addrKey(addr)
+	lens := t.lens[fam]
+	for i := range lens {
+		if r := lens[i].slot(key.and(lens[i].mask)).route; r != nil {
 			return r
 		}
 	}

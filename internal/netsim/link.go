@@ -148,34 +148,6 @@ func (m *xmsg) same(o *xmsg) bool {
 		m.peer == o.peer && m.epoch == o.epoch && string(m.raw) == string(o.raw)
 }
 
-// event builds the delivery event for a cross-shard message: the
-// packet bytes are shared with the optimistic engine's input log, so
-// the receiver must treat them as immutable. A failure between
-// transmission and delivery cuts the wire under the packet: it is
-// lost even if the link has since been restored. Both ends' epochs
-// advance at the same virtual instants, so the receiving end's epoch
-// stands in for the sender's, keeping the delivery event inside its
-// own shard's state. The event is pure data (evDeliver) — no closure
-// allocation on the packet hot path.
-func (m *xmsg) event() event {
-	return event{
-		at: m.at, schedAt: m.schedAt, src: m.src, k: m.k,
-		kind: evDeliver, peer: m.peer, epoch: m.epoch, raw: m.raw,
-		cross: true,
-	}
-}
-
-// eventLocal builds the delivery event for a same-shard transmission,
-// stamping the shard's current checkpoint count so the receive path
-// can tell whether any retained checkpoint could share the bytes.
-func (m *xmsg) eventLocal(ckptSeq uint64) event {
-	return event{
-		at: m.at, schedAt: m.schedAt, src: m.src, k: m.k,
-		kind: evDeliver, peer: m.peer, epoch: m.epoch, raw: m.raw,
-		ckptSeq: ckptSeq,
-	}
-}
-
 // Transmit serialises raw onto the link; the peer node receives it
 // after serialisation and delay. Drops (queue overflow, loss, link
 // down) are counted on the interface. Transmit runs on the sending
@@ -245,10 +217,10 @@ func (i *Iface) send(raw []byte, deliverAt, now int64, era uint64) {
 		// Stamp the era in which this packet's buffer last became
 		// private (set at drain/Output), NOT the current one: a
 		// checkpoint taken while the packet waited in the pending
-		// commit closure has captured the buffer via the heap copy,
+		// commit closure has captured the buffer via the queue copy,
 		// and the older stamp is what forces the receiving drain to
 		// copy before mutating it.
-		n.shard.heap.push(m.eventLocal(era))
+		n.shard.q.pushDeliver(&m, era)
 		return
 	}
 	if n.Sim.engine == EngineOptimistic {
@@ -258,7 +230,7 @@ func (i *Iface) send(raw []byte, deliverAt, now int64, era uint64) {
 		// receiver reading the delivered packet.
 		m.raw = append([]byte(nil), raw...)
 	}
-	n.shard.sendCross(m)
+	n.shard.sendCross(&m)
 }
 
 // corruptCopy returns a copy of raw with a burst of flipped bits at a

@@ -3,7 +3,10 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"net/netip"
+	"reflect"
+	"sort"
 	"testing"
 
 	"srv6bpf/internal/netem"
@@ -293,6 +296,80 @@ func TestLongestPrefixWins(t *testing.T) {
 	}
 	if r := tbl.Lookup(netip.MustParseAddr("2002::1")); r.Kind != RouteForward {
 		t.Errorf("got %v", r.Kind)
+	}
+}
+
+// TestRouteReplacementMaskedPrefix: a prefix written with host bits
+// set names the same route as its masked form, so Routes() never lists
+// an entry no lookup can reach.
+func TestRouteReplacementMaskedPrefix(t *testing.T) {
+	var tbl Table
+	tbl.Add(&Route{Prefix: pfx("2001:db8::1/48"), Kind: RouteForward})
+	r2 := &Route{Prefix: pfx("2001:db8::/48"), Kind: RouteLocal}
+	tbl.Add(r2)
+	if got := tbl.Routes(); len(got) != 1 || got[0] != r2 {
+		t.Fatalf("Routes() = %d entries, want only the replacement", len(got))
+	}
+	if r := tbl.Lookup(netip.MustParseAddr("2001:db8::5")); r != r2 {
+		t.Fatalf("Lookup = %v, want the replacement", r)
+	}
+}
+
+// TestTableMatchesLinearOracle checks Add/Lookup/Routes against a
+// stable-sorted list scanned with netip.Prefix.Contains, over random
+// IPv4, IPv6 and IPv4-mapped prefixes of every length with host bits
+// set and frequent re-adds.
+func TestTableMatchesLinearOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randAddr := func() netip.Addr {
+		var b [16]byte
+		// Few distinct values per byte, so prefixes nest and collide.
+		for i := range b {
+			b[i] = byte(rng.Intn(2) * 0xa5)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			return netip.AddrFrom4([4]byte(b[12:]))
+		case 1:
+			copy(b[:12], []byte{10: 0xff, 11: 0xff}) // IPv4-mapped, still an IPv6 address
+		}
+		return netip.AddrFrom16(b)
+	}
+	var tbl Table
+	var oracle []*Route
+	for i := 0; i < 400; i++ {
+		a := randAddr()
+		r := &Route{Prefix: netip.PrefixFrom(a, rng.Intn(a.BitLen()+1))}
+		tbl.Add(r)
+		replaced := false
+		for j, old := range oracle {
+			if old.Prefix.Masked() == r.Prefix.Masked() {
+				oracle[j], replaced = r, true
+			}
+		}
+		if !replaced {
+			oracle = append(oracle, r)
+			sort.SliceStable(oracle, func(i, j int) bool { return oracle[i].Prefix.Bits() > oracle[j].Prefix.Bits() })
+		}
+	}
+	if got := tbl.Routes(); !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("Routes() order diverges from the stable-sort oracle (%d vs %d entries)", len(got), len(oracle))
+	}
+	for i := 0; i < 2000; i++ {
+		a := randAddr()
+		var want *Route
+		for _, r := range oracle {
+			if r.Prefix.Contains(a) {
+				want = r
+				break
+			}
+		}
+		if got := tbl.Lookup(a); got != want {
+			t.Fatalf("Lookup(%v) = %v, oracle %v", a, got, want)
+		}
+	}
+	if r := tbl.Lookup(netip.Addr{}); r != nil {
+		t.Fatalf("Lookup of the zero Addr matched %v", r.Prefix)
 	}
 }
 

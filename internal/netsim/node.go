@@ -523,7 +523,7 @@ func (n *Node) Schedule(at int64, fn func()) {
 	}
 	n.dirty = true
 	n.schedK++
-	sh.push(event{at: at, schedAt: sh.now, src: n.idx, k: n.schedK, fn: fn})
+	sh.q.pushFn(at, sh.now, n.idx, n.schedK, fn)
 }
 
 // After runs fn d nanoseconds from the node's now on its shard.
@@ -840,10 +840,7 @@ func (n *Node) scheduleDrainCont(d int64) {
 	sh := n.shard
 	n.dirty = true
 	n.schedK++
-	sh.push(event{
-		at: sh.now + d, schedAt: sh.now, src: n.idx, k: n.schedK,
-		kind: evDrainCont, epoch: n.crashEpoch,
-	})
+	sh.q.pushDrainCont(sh.now+d, sh.now, n.idx, n.schedK, n.crashEpoch)
 }
 
 // drainCont is the drain continuation: apply the previous packet's

@@ -11,11 +11,12 @@ package netsim
 //     rounds apart while it is clean — the checkpoint stride is set
 //     by the adaptive controller in horizon.go) each shard with
 //     runnable work takes a checkpoint — a value copy of its event
-//     heap plus, incrementally, the state of every node dirtied
-//     since its last snapshot (receive rings, counters, interface
-//     and qdisc state, FIB round-robin cursors, per-node RNG
-//     streams, registered ShardState hooks); clean nodes alias the
-//     previous checkpoint's immutable snapshot;
+//     queue (keys, payload slab and free list) plus, incrementally,
+//     the state of every node dirtied since its last snapshot
+//     (receive rings, counters, interface and qdisc state, FIB
+//     round-robin cursors, per-node RNG streams, registered
+//     ShardState hooks); clean nodes alias the previous checkpoint's
+//     immutable snapshot;
 //   - shards then execute the window [GVT, GVT+horizon) concurrently
 //     (the horizon adapts to the observed rollback rate unless
 //     SetHorizon pinned it), buffering cross-shard packets in
@@ -213,9 +214,8 @@ type nodeSnap struct {
 
 // Approximate in-memory sizes for checkpoint-byte accounting (Go
 // struct layouts; exactness is not required, stability across rounds
-// is).
+// is). The event queue's share is exact: see eventQueue.sizeBytes.
 const (
-	eventBytes    = 96  // event value in the heap slice
 	rxItemBytes   = 48  // rxItem excluding the packet bytes
 	nodeSnapBytes = 176 // nodeSnap header: scalars + pendingCommit + slice headers
 	ifaceSnapHdr  = 64  // ifaceSnap excluding the qdisc snapshot
@@ -242,7 +242,7 @@ type checkpoint struct {
 	round uint64
 	time  int64 // execution frontier (execTo) when taken
 	now   int64 // shard clock when taken
-	heap  eventHeap
+	q     eventQueue
 	nodes []nodeSnap
 }
 
@@ -408,14 +408,14 @@ func (n *Node) restoreRouteCounters(vals []uint64) {
 func (sh *shard) takeCheckpoint(round uint64) {
 	sh.ckptSeq++
 	c := &checkpoint{round: round, time: sh.execTo, now: sh.now}
-	c.heap = append(eventHeap(nil), sh.heap...)
+	c.q.copyFrom(&sh.q)
 	c.nodes = make([]nodeSnap, len(sh.nodes))
 	var prev *checkpoint
 	if len(sh.ckpts) > 0 {
 		prev = sh.ckpts[len(sh.ckpts)-1]
 	}
 	var copied, aliased, bytes uint64
-	bytes += eventBytes * uint64(len(c.heap))
+	bytes += c.q.sizeBytes()
 	for i, n := range sh.nodes {
 		if prev != nil && !n.dirty {
 			c.nodes[i] = prev.nodes[i]
@@ -441,67 +441,13 @@ func (sh *shard) takeCheckpoint(round uint64) {
 // node's live state now equals its checkpointed snapshot, so dirty
 // bits clear: the next checkpoint may alias these snapshots again.
 func (sh *shard) restoreCheckpoint(c *checkpoint) {
-	sh.heap = append(sh.heap[:0], c.heap...)
+	sh.q.copyFrom(&c.q)
 	for i, n := range sh.nodes {
 		n.restore(c.nodes[i])
 		n.dirty = false
 	}
 	sh.execTo = c.time
 	sh.now = c.now
-}
-
-// removeKey deletes the event with the given key from the heap,
-// reporting whether it was present.
-func (h *eventHeap) removeKey(key msgKey) bool {
-	s := *h
-	for i := range s {
-		if s[i].at == key.at && s[i].schedAt == key.schedAt &&
-			s[i].src == key.src && s[i].k == key.k {
-			n := len(s) - 1
-			s[i] = s[n]
-			s[n] = event{}
-			*h = s[:n]
-			if i < n {
-				h.fix(i)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// fix restores the heap invariant around index i after its element
-// was replaced.
-func (h *eventHeap) fix(i int) {
-	s := *h
-	j := i
-	for j > 0 {
-		p := (j - 1) / 2
-		if !s.less(j, p) {
-			break
-		}
-		s[j], s[p] = s[p], s[j]
-		j = p
-	}
-	if j != i {
-		return
-	}
-	n := len(s)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
 }
 
 // pendingMsg is one cross-shard message in flight at a barrier.
@@ -557,7 +503,7 @@ func (s *Sim) runOptimistic(limit int64) {
 		s.running = true
 		for _, sh := range s.shards {
 			sh := sh
-			if len(sh.heap) == 0 || sh.heap[0].at >= end {
+			if sh.q.len() == 0 || sh.q.minAt() >= end {
 				continue
 			}
 			wg.Add(1)
@@ -661,7 +607,7 @@ func (s *Sim) exchangeOptimistic() {
 				s.rollbackShard(dst, pm.m.at)
 				continue // drain fresh anti-messages, then re-examine pm
 			}
-			dst.heap.push(pm.m.event())
+			dst.q.pushCross(&pm.m)
 			dst.inLog = append(dst.inLog, inputRec{round: s.round, m: pm.m})
 			sender.sentLog = append(sender.sentLog, sentRec{dst: pm.dst, m: pm.m})
 			i++
@@ -686,13 +632,13 @@ func (s *Sim) exchangeOptimistic() {
 			// or below it, all three staleness conditions fail for
 			// every entry.
 			if tm := sh.tentMinSchedAt(); sh.execTo <= tm &&
-				len(sh.heap) > 0 && sh.heap[0].at <= tm {
+				sh.q.len() > 0 && sh.q.minAt() <= tm {
 				continue
 			}
 			keep := sh.tentative[:0]
 			newMin := int64(math.MaxInt64)
 			for _, t := range sh.tentative {
-				if t.m.schedAt < sh.execTo || len(sh.heap) == 0 || sh.heap[0].at > t.m.schedAt {
+				if t.m.schedAt < sh.execTo || sh.q.len() == 0 || sh.q.minAt() > t.m.schedAt {
 					s.antiq = append(s.antiq, t)
 					stale = true
 				} else {
@@ -778,9 +724,9 @@ func (s *Sim) annihilate(a sentRec) {
 	if key.at < sh.execTo {
 		s.rollbackShard(sh, key.at)
 	}
-	sh.heap.removeKey(key)
+	sh.q.removeKey(key)
 	for _, c := range sh.ckpts {
-		c.heap.removeKey(key)
+		c.q.removeKey(key)
 	}
 	// Cascade: tentative sends the destination emitted while executing
 	// the annihilated event can never be reproduced — their emitter
@@ -840,7 +786,7 @@ func (s *Sim) rollbackShard(sh *shard, t int64) {
 			if in.m.at < c.time {
 				panic("netsim: optimistic input log entry below its restored checkpoint")
 			}
-			sh.heap.push(in.m.event())
+			sh.q.pushCross(&in.m)
 		}
 	}
 	keep := sh.sentLog[:0]

@@ -142,32 +142,6 @@ func TestJournalRollback(t *testing.T) {
 	}
 }
 
-// TestHeapRemoveKey: annihilation's heap surgery preserves the heap
-// property and removes exactly the named event.
-func TestHeapRemoveKey(t *testing.T) {
-	var h eventHeap
-	for i := 0; i < 50; i++ {
-		h.push(event{at: int64((i * 37) % 60), schedAt: int64(i), src: 1, k: uint64(i), fn: func() {}})
-	}
-	if !h.removeKey(msgKey{at: int64((25 * 37) % 60), schedAt: 25, src: 1, k: 25}) {
-		t.Fatal("key not found")
-	}
-	if h.removeKey(msgKey{at: 0, schedAt: 999, src: 9, k: 9}) {
-		t.Fatal("removed a key that was never pushed")
-	}
-	var prev event
-	for i := 0; len(h) > 0; i++ {
-		e := h.pop()
-		if i > 0 && e.before(&prev) {
-			t.Fatalf("heap order violated after removeKey at pop %d", i)
-		}
-		if e.src == 1 && e.k == 25 {
-			t.Fatal("removed event still popped")
-		}
-		prev = e
-	}
-}
-
 // TestForcedStragglerRecovery drives a zero-delay cross-shard
 // request/reply workload — every window ends with messages below the
 // peer's frontier, an adversarial schedule for speculation — and

@@ -8,7 +8,7 @@ import (
 	"srv6bpf/internal/stats"
 )
 
-// shard owns a disjoint set of nodes: their event heap, their clock
+// shard owns a disjoint set of nodes: their event queue, their clock
 // and their outgoing cross-shard message buffers. During a window all
 // shards execute concurrently; a shard touches only its own state
 // (and, read-only, immutable topology such as peer addresses), so no
@@ -21,7 +21,7 @@ type shard struct {
 	// being executed, or the last barrier the shard was synced to.
 	now int64
 
-	heap eventHeap
+	q eventQueue
 
 	// out[d] buffers packet deliveries destined for shard d during a
 	// window; the coordinator drains them at the barrier. Only this
@@ -92,22 +92,18 @@ func newShard(s *Sim, id int) *shard {
 	return &shard{id: id, sim: s, now: 0}
 }
 
-// push inserts a fully-keyed event into this shard's heap. Callers
-// run either on this shard's worker or on the quiescent coordinator.
-func (sh *shard) push(e event) { sh.heap.push(e) }
-
 // sendCross routes a packet delivery produced by this shard to the
 // shard owning the receiving link end. The event key travels with the
 // message, so the destination orders it exactly as a sequential run
 // would. Outside a parallel window (driver code calling Node.Output,
 // setup traffic) only one goroutine is live, so the event goes
-// straight into the destination heap — outboxes exist for the
+// straight into the destination queue — outboxes exist for the
 // concurrent case only.
-func (sh *shard) sendCross(m xmsg) {
+func (sh *shard) sendCross(m *xmsg) {
 	sh.sim.engMsgs.Inc(sh.id)
 	dst := m.peer.Node.shard
 	if !sh.sim.running {
-		dst.heap.push(m.event())
+		dst.q.pushCross(m)
 		return
 	}
 	if sh.sim.engine != EngineOptimistic && m.at < sh.winEnd {
@@ -123,7 +119,7 @@ func (sh *shard) sendCross(m xmsg) {
 			"netsim: cross-shard event at t=%d inside the current window (end %d): a cross-shard link's delay was lowered below the lookahead (%d ns) after SetShards",
 			m.at, sh.winEnd, sh.sim.lookahead))
 	}
-	sh.out[dst.id] = append(sh.out[dst.id], m)
+	sh.out[dst.id] = append(sh.out[dst.id], *m)
 }
 
 // runTo executes this shard's events with at < end in key order. The
@@ -137,8 +133,8 @@ func (sh *shard) runTo(end int64) {
 	// Dirty bits feed only the optimistic engine's incremental
 	// checkpoints; don't tax the conservative hot loop for them.
 	mark := sh.sim.engine == EngineOptimistic
-	for len(sh.heap) > 0 && sh.heap[0].at < end {
-		e := sh.heap.pop()
+	for sh.q.len() > 0 && sh.q.minAt() < end {
+		e := sh.q.pop()
 		sh.now = e.at
 		if e.at >= sh.execTo {
 			sh.execTo = e.at + 1
@@ -164,7 +160,7 @@ func (sh *shard) runTo(end int64) {
 			}
 		}
 		ev.Inc(sh.id)
-		sh.sim.exec(&e)
+		sh.sim.exec(sh, &e)
 	}
 }
 
@@ -302,18 +298,20 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 	// delivery event, which mutates the *receiving* end's state and
 	// must follow the receiver.
 	for _, sh := range old {
-		for _, e := range sh.heap {
-			if e.kind == evClosure && e.fn == nil {
-				continue
-			}
+		for i := range sh.q.keys {
+			e := &sh.q.keys[i]
 			dst := shards[0]
-			switch {
-			case e.kind == evDeliver:
-				dst = e.peer.Node.shard
-			case e.src >= 0:
+			if e.src >= 0 {
 				dst = s.nodes[e.src].shard
 			}
-			dst.heap.push(e)
+			if e.slot != noSlot {
+				if p := &sh.q.slab[e.slot]; p.peer != nil {
+					dst = p.peer.Node.shard
+				} else if p.fn == nil {
+					continue
+				}
+			}
+			dst.q.pushFrom(&sh.q, e)
 		}
 	}
 
@@ -438,7 +436,8 @@ type EngineStats struct {
 	// CkptNodesCopied and CkptNodesAliased split checkpointed node
 	// entries into deep copies (dirty since the last snapshot) and
 	// aliases of the previous round's snapshot; CkptBytes estimates
-	// the bytes actually copied into checkpoints (heap + dirty nodes).
+	// the bytes actually copied into checkpoints (event queue + dirty
+	// nodes).
 	CkptNodesCopied  uint64
 	CkptNodesAliased uint64
 	CkptBytes        uint64
@@ -479,13 +478,13 @@ func (s *Sim) EngineStats() EngineStats {
 }
 
 // minNextAt returns the earliest pending event timestamp across all
-// shards, or MaxInt64 when every heap is empty. Callers run at a
-// barrier, so outboxes are empty and heaps are complete.
+// shards, or MaxInt64 when every queue is empty. Callers run at a
+// barrier, so outboxes are empty and queues are complete.
 func (s *Sim) minNextAt() int64 {
 	next := int64(math.MaxInt64)
 	for _, sh := range s.shards {
-		if len(sh.heap) > 0 && sh.heap[0].at < next {
-			next = sh.heap[0].at
+		if sh.q.len() > 0 && sh.q.minAt() < next {
+			next = sh.q.minAt()
 		}
 	}
 	return next
@@ -541,9 +540,9 @@ func (s *Sim) runWindows(limit int64) {
 }
 
 // flushOutboxes moves every cross-shard message produced during the
-// last window into the destination shard's heap (the conservative
+// last window into the destination shard's queue (the conservative
 // barrier — no straggler is possible). The events carry their full
-// deterministic keys, so a plain heap push lands them in exactly the
+// deterministic keys, so a plain push lands them in exactly the
 // order a sequential run would have executed them.
 func (s *Sim) flushOutboxes() {
 	for _, src := range s.shards {
@@ -553,7 +552,7 @@ func (s *Sim) flushOutboxes() {
 			}
 			dst := s.shards[d]
 			for i := range msgs {
-				dst.heap.push(msgs[i].event())
+				dst.q.pushCross(&msgs[i])
 			}
 			src.out[d] = src.out[d][:0]
 		}

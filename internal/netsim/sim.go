@@ -12,9 +12,9 @@
 //
 // # Sharded parallel execution
 //
-// By default the simulation runs on one event heap on the calling
+// By default the simulation runs on one event queue on the calling
 // goroutine, exactly as it always has. Sim.SetShards(n) partitions
-// the nodes into n shards, each with its own event heap, clock and
+// the nodes into n shards, each with its own event queue, clock and
 // counters, synchronised by one of two engines.
 //
 // The conservative engine (the default) lock-steps shards in windows
@@ -59,140 +59,28 @@ import (
 	"srv6bpf/internal/stats"
 )
 
-// eventKind discriminates the event payload. The two hot event types
-// of the packet path — a link delivery and a node's drain continuation
-// — are stored in data form instead of closures, so the steady-state
-// schedule/execute cycle allocates nothing at all.
-type eventKind uint8
-
-const (
-	// evClosure runs fn; the general-purpose event (driver schedules,
-	// timers, NF callbacks).
-	evClosure eventKind = iota
-	// evDeliver delivers raw to peer (the materialised form of what
-	// used to be xmsg.buildEvent's closure).
-	evDeliver
-	// evDrainCont is a node's drain continuation: commit the pending
-	// packet side effects, then pop the next packet. epoch carries the
-	// node's crash epoch at scheduling time, so a continuation that
-	// outlives a crash/restart cycle dies instead of draining a fresh
-	// ring.
-	evDrainCont
-)
-
-// event is one scheduled callback. Events are stored by value in the
-// heap slice: scheduling one packet hop costs no heap object beyond
-// the callback closure itself (and amortised slice growth) — and the
-// packet-path kinds (evDeliver, evDrainCont) not even that.
-//
-// The (at, schedAt, src, k) tuple is the event's deterministic
-// ordering key. schedAt is the virtual time of the Schedule call, src
-// the index of the scheduling node (-1 for driver-level schedules),
-// and k the per-source schedule counter. Unlike a global sequence
-// number, the key does not depend on how shards interleave, so it
-// orders events identically whether the simulation runs on one heap
-// or sixteen.
-type event struct {
-	at      int64
-	schedAt int64
-	k       uint64
-	// epoch is the iface fail epoch (evDeliver) or the node crash
-	// epoch (evDrainCont).
-	epoch uint64
-	// ckptSeq is the privatisation era of raw for same-shard
-	// deliveries (evDeliver with cross == false).
-	ckptSeq uint64
-	fn      func()
-	peer    *Iface // evDeliver: receiving link end
-	raw     []byte // evDeliver: packet bytes
-	src     int32
-	kind    eventKind
-	cross   bool // evDeliver: crossed a shard boundary
-}
-
-// exec dispatches one popped event.
-func (s *Sim) exec(e *event) {
-	switch e.kind {
-	case evDeliver:
-		peer := e.peer
-		// The event key's src is the sender; the state it mutates
-		// belongs to the receiving end, so mark that node dirty
-		// explicitly for the incremental checkpoints.
-		peer.Node.dirty = true
-		if peer.failEpoch != e.epoch {
-			peer.inFlightKills++
-			return
-		}
-		peer.Node.deliver(e.raw, peer, e.cross, e.ckptSeq)
-	case evDrainCont:
+// exec dispatches one event popped from sh's queue. The payload is
+// read in place in the slab and its slot recycled before the callback
+// runs.
+func (s *Sim) exec(sh *shard, e *evKey) {
+	if e.slot == noSlot {
 		s.nodes[e.src].drainCont(e.epoch)
-	default:
-		e.fn()
+		return
 	}
-}
-
-// before reports the deterministic execution order between events.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+	if sh.q.slab[e.slot].peer == nil {
+		sh.q.takeFn(e.slot)()
+		return
 	}
-	if e.schedAt != o.schedAt {
-		return e.schedAt < o.schedAt
+	peer, raw, ckptSeq, cross := sh.q.takeDeliver(e.slot)
+	// The event key's src is the sender; the state it mutates belongs
+	// to the receiving end, so mark that node dirty explicitly for the
+	// incremental checkpoints.
+	peer.Node.dirty = true
+	if peer.failEpoch != e.epoch {
+		peer.inFlightKills++
+		return
 	}
-	if e.src != o.src {
-		return e.src < o.src
-	}
-	return e.k < o.k
-}
-
-// eventHeap is a hand-rolled binary min-heap over event values,
-// ordered by the event key. Avoiding container/heap avoids both the
-// per-push allocation of the boxed element and the interface-method
-// dispatch per sift step.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release the callback for GC
-	s = s[:n]
-	*h = s
-
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
+	peer.Node.deliver(raw, peer, cross, ckptSeq)
 }
 
 // Sim is the simulation kernel: a virtual clock, one event queue per
@@ -353,7 +241,7 @@ func (s *Sim) Schedule(at int64, fn func()) {
 		at = now
 	}
 	s.simK++
-	sh.heap.push(event{at: at, schedAt: now, src: driverSrc, k: s.simK, fn: fn})
+	sh.q.pushFn(at, now, driverSrc, s.simK, fn)
 }
 
 // After runs fn d nanoseconds from now.
@@ -366,24 +254,24 @@ func (s *Sim) After(d int64, fn func()) { s.Schedule(s.Now()+d, fn) }
 func (s *Sim) Step() bool {
 	if len(s.shards) == 1 {
 		sh := s.shards[0]
-		if len(sh.heap) == 0 {
+		if sh.q.len() == 0 {
 			return false
 		}
-		e := sh.heap.pop()
+		e := sh.q.pop()
 		sh.now = e.at
 		if e.at >= sh.execTo {
 			sh.execTo = e.at + 1
 		}
 		s.engEvents.Inc(0)
-		s.exec(&e)
+		s.exec(sh, &e)
 		return true
 	}
 	best := -1
 	for i, sh := range s.shards {
-		if len(sh.heap) == 0 {
+		if sh.q.len() == 0 {
 			continue
 		}
-		if best < 0 || sh.heap[0].before(&s.shards[best].heap[0]) {
+		if best < 0 || sh.q.min().before(s.shards[best].q.min()) {
 			best = i
 		}
 	}
@@ -391,13 +279,13 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	sh := s.shards[best]
-	e := sh.heap.pop()
+	e := sh.q.pop()
 	sh.now = e.at
 	if e.at >= sh.execTo {
 		sh.execTo = e.at + 1
 	}
 	s.engEvents.Inc(sh.id)
-	s.exec(&e)
+	s.exec(sh, &e)
 	s.flushOutboxes()
 	if e.at > s.now {
 		s.now = e.at
@@ -425,7 +313,7 @@ func (s *Sim) Run() {
 func (s *Sim) RunUntil(t int64) {
 	if len(s.shards) == 1 {
 		sh := s.shards[0]
-		for len(sh.heap) > 0 && sh.heap[0].at <= t {
+		for sh.q.len() > 0 && sh.q.minAt() <= t {
 			s.Step()
 		}
 		if sh.now < t {
@@ -472,10 +360,7 @@ func (s *Sim) scheduleLinkState(at int64, i *Iface, up bool) {
 		}
 		end := end
 		s.simK++
-		end.Node.shard.heap.push(event{
-			at: at, schedAt: now, src: driverSrc, k: s.simK,
-			fn: func() { end.setOneEnd(up) },
-		})
+		end.Node.shard.q.pushFn(at, now, driverSrc, s.simK, func() { end.setOneEnd(up) })
 	}
 }
 
@@ -505,15 +390,12 @@ func (s *Sim) scheduleNodeState(at int64, n *Node, up bool) {
 		at = now
 	}
 	s.simK++
-	n.shard.heap.push(event{
-		at: at, schedAt: now, src: driverSrc, k: s.simK,
-		fn: func() {
-			if up {
-				n.restartNow()
-			} else {
-				n.crashNow()
-			}
-		},
+	n.shard.q.pushFn(at, now, driverSrc, s.simK, func() {
+		if up {
+			n.restartNow()
+		} else {
+			n.crashNow()
+		}
 	})
 	for _, ifc := range n.ifaces {
 		peer := ifc.peer
@@ -521,10 +403,7 @@ func (s *Sim) scheduleNodeState(at int64, n *Node, up bool) {
 			continue
 		}
 		s.simK++
-		peer.Node.shard.heap.push(event{
-			at: at, schedAt: now, src: driverSrc, k: s.simK,
-			fn: func() { peer.setOneEnd(up) },
-		})
+		peer.Node.shard.q.pushFn(at, now, driverSrc, s.simK, func() { peer.setOneEnd(up) })
 	}
 }
 
