@@ -4,7 +4,9 @@
 #                  race smoke + equivalence-fuzz smoke + native
 #                  parser-fuzz smoke (the tier-1 gate)
 #   make fuzz-native [FUZZTIME=5s] — coverage-guided fuzzing of the
-#                  wire parsers (FuzzParseInfo, FuzzValidateSRH)
+#                  wire parsers (FuzzParseInfo, FuzzValidateSRH) and of
+#                  the packet builders against their oracles
+#                  (FuzzBuildPacketMatchesReference, FuzzEncapWire)
 #   make chaos-smoke — chaos-injection determinism gate: chaos unit
 #                  tests, crash/impairment tests, chaos-heavy
 #                  equivalence slice (the CI chaos job)
@@ -96,12 +98,17 @@ race-smoke:
 fuzz-smoke:
 	$(GO) test -run 'TestShardEquivalenceFuzz' -count 2 ./internal/netsim
 
-# Coverage-guided mutation of the wire parsers (native go fuzzing),
-# bounded by FUZZTIME per target — the smoke setting keeps `make
-# check` fast; the nightly CI job runs the same targets longer.
+# Coverage-guided mutation of the wire parsers and of the packet
+# builders (single-buffer BuildPacket against the multi-buffer
+# reference, wire-level encapsulation against its contract and the
+# struct path), native go fuzzing bounded by FUZZTIME per target — the
+# smoke setting keeps `make check` fast; the nightly CI job runs the
+# same targets longer.
 fuzz-native:
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzParseInfo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzValidateSRH -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzBuildPacketMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/seg6 -run '^$$' -fuzz FuzzEncapWire -fuzztime $(FUZZTIME)
 
 # Chaos determinism gate: the chaos package's own tests plus the
 # crash/impairment tests and a chaos-heavy slice of the equivalence

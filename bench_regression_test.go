@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +20,8 @@ import (
 
 	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netsim"
+	"srv6bpf/internal/nf/hybrid"
+	"srv6bpf/internal/tcpsim"
 )
 
 // TestDatapathAllocRegression runs the canonical datapath benchmark
@@ -57,6 +60,71 @@ func TestDatapathAllocRegression(t *testing.T) {
 	}
 	if seen != len(zeroAlloc) {
 		t.Fatalf("datapath bench reported %d of %d zero-alloc rows", seen, len(zeroAlloc))
+	}
+}
+
+// TestHybridTCPAllocsPerSegment is the end-to-end allocation pin of the
+// build → encap → decap path: the §4.2 hybrid-access testbed exactly as
+// the benchmark's hybrid-tcp workload builds it (WRR both ways, End.DM,
+// TWD compensator, four tcpsim transfers), two seconds of model time in
+// steady state, heap objects allocated per data segment delivered to
+// S2. That covers everything a segment costs end to end — the segment
+// and its ACK (one BuildPacket buffer each), their encapsulation at the
+// aggregation box and the CPE (one buffer each), decapsulation (none),
+// the RTO timer and the amortised DM probes. The count is exact and
+// repeats: 4.61 with packets built once into one buffer, 37.08 at the
+// parent commit (6f8da04: multi-buffer BuildPacket, struct-decoding
+// push_encap, cloning decap). The limit is this change's measurement
+// plus one object of slack and must stay under 40 % of the parent's.
+func TestHybridTCPAllocsPerSegment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second hybrid-access run skipped in -short mode")
+	}
+	sim := netsim.New(1)
+	tb, err := hybrid.NewTestbed(sim, hybrid.Params{
+		Link0: hybrid.LinkSpec{RateBps: 50_000_000, OneWayDelay: 15 * netsim.Millisecond, OneWayJitter: 2_500_000, QueueLimit: 300},
+		Link1: hybrid.LinkSpec{RateBps: 30_000_000, OneWayDelay: 2_500_000, OneWayJitter: 1_000_000, QueueLimit: 300},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, enable := range []func() error{tb.EnableWRRDownstream, tb.EnableWRRUpstream, func() error { return tb.DeployEndDM(true) }} {
+		if err := enable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s1, s2 := tcpsim.NewStack(tb.S1), tcpsim.NewStack(tb.S2)
+	var senders []*tcpsim.Sender
+	for i := 0; i < 4; i++ {
+		snd, _, err := tcpsim.NewTransfer(s1, s2, hybrid.S1Addr, hybrid.S2Addr,
+			uint16(41000+i), uint16(5001+i), tcpsim.Config{FlowLabel: uint32(100 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		senders = append(senders, snd)
+	}
+	comp := tb.StartCompensator(100 * netsim.Millisecond)
+	sim.RunUntil(2 * netsim.Second)
+	for _, snd := range senders {
+		snd.Start()
+	}
+	sim.RunUntil(3 * netsim.Second) // slow start and map/queue growth are done
+
+	var before, after runtime.MemStats
+	segs := tb.S2.Counters()["tcp_delivered"]
+	runtime.ReadMemStats(&before)
+	sim.RunUntil(5 * netsim.Second)
+	runtime.ReadMemStats(&after)
+	segs = tb.S2.Counters()["tcp_delivered"] - segs
+	comp.Stop()
+	if segs < 10000 {
+		t.Fatalf("only %d data segments delivered in 2 s of model time", segs)
+	}
+	perSeg := float64(after.Mallocs-before.Mallocs) / float64(segs)
+	t.Logf("%d segments delivered, %.2f allocations per delivered segment", segs, perSeg)
+	const limit, parent = 5.61, 37.08
+	if perSeg > limit || limit >= 0.4*parent {
+		t.Errorf("%.2f allocations per delivered data segment, want <= %.2f (and the limit under 40 %% of the parent's %.2f)", perSeg, limit, parent)
 	}
 }
 

@@ -408,25 +408,7 @@ func TestLWTPushEncapInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insns := asm.Instructions{asm.Mov64Reg(asm.R6, asm.R1)}
-	off := -int16(len(enc))
-	for i, b := range enc {
-		insns = append(insns, asm.StoreImm(asm.RFP, off+int16(i), int32(b), asm.Byte))
-	}
-	insns = append(insns,
-		asm.Mov64Reg(asm.R1, asm.R6),
-		asm.Mov64Imm(asm.R2, core.EncapSeg6Inline),
-		asm.Mov64Reg(asm.R3, asm.RFP),
-		asm.ALU64Imm(asm.Add, asm.R3, int32(off)),
-		asm.Mov64Imm(asm.R4, int32(len(enc))),
-		asm.CallHelper(bpf.HelperLWTPushEncap),
-		asm.JumpImm(asm.JNE, asm.R0, 0, "drop"),
-		asm.Mov64Imm(asm.R0, core.BPFOK),
-		asm.Return(),
-		asm.Mov64Imm(asm.R0, core.BPFDrop).WithSymbol("drop"),
-		asm.Return(),
-	)
-	spec := &bpf.ProgramSpec{Name: "inline_encap", Instructions: insns, License: "GPL"}
+	spec := pushEncapSpec("inline_encap", core.EncapSeg6Inline, enc)
 	prog, err := bpf.LoadProgram(spec, core.LWTOutHook(), nil, bpf.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -452,6 +434,95 @@ func TestLWTPushEncapInline(t *testing.T) {
 	// Inline: no inner IPv6; the UDP payload follows the SRH directly.
 	if g.gotB.L4Proto != packet.ProtoUDP {
 		t.Errorf("l4 = %d after inline encap", g.gotB.L4Proto)
+	}
+}
+
+// pushEncapSpec builds an LWT program that writes enc on its stack,
+// calls bpf_lwt_push_encap with the given mode and returns BPF_OK (or
+// BPF_DROP when the helper refuses).
+func pushEncapSpec(name string, mode int32, enc []byte) *bpf.ProgramSpec {
+	insns := asm.Instructions{asm.Mov64Reg(asm.R6, asm.R1)}
+	off := -int16(len(enc))
+	for i, b := range enc {
+		insns = append(insns, asm.StoreImm(asm.RFP, off+int16(i), int32(b), asm.Byte))
+	}
+	insns = append(insns,
+		asm.Mov64Reg(asm.R1, asm.R6),
+		asm.Mov64Imm(asm.R2, mode),
+		asm.Mov64Reg(asm.R3, asm.RFP),
+		asm.ALU64Imm(asm.Add, asm.R3, int32(off)),
+		asm.Mov64Imm(asm.R4, int32(len(enc))),
+		asm.CallHelper(bpf.HelperLWTPushEncap),
+		asm.JumpImm(asm.JNE, asm.R0, 0, "drop"),
+		asm.Mov64Imm(asm.R0, core.BPFOK),
+		asm.Return(),
+		asm.Mov64Imm(asm.R0, core.BPFDrop).WithSymbol("drop"),
+		asm.Return(),
+	)
+	return &bpf.ProgramSpec{Name: name, Instructions: insns, License: "GPL"}
+}
+
+// TestLWTPushEncapWire pins the wire-level push-encap: the helper
+// copies the program's SRH bytes in front of the packet without
+// decoding them — the output equals the struct-path seg6.Encap, a
+// malformed or over-long SRH is refused, and the whole hook run
+// allocates exactly the one output buffer.
+func TestLWTPushEncapWire(t *testing.T) {
+	srh := packet.NewSRH([]netip.Addr{sid, dstC}, packet.DMTLV{TxTimestampNS: 42})
+	enc, err := srh.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach := func(enc []byte) *core.LWT {
+		prog, err := bpf.LoadProgram(pushEncapSpec("push_encap", core.EncapSeg6, enc), core.LWTOutHook(), nil, bpf.LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lwt, err := core.AttachLWT(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lwt
+	}
+	g := newRig(t, nil)
+	raw, err := packet.BuildPacket(srcA, dstB,
+		packet.WithTCP(packet.TCP{SrcPort: 5001, DstPort: 80, Flags: packet.TCPFlagACK}),
+		packet.WithPayload(make([]byte, 1400)), packet.WithFlowLabel(0x54321))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := seg6.Encap(raw, g.r.PrimaryAddress(), srh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lwt := attach(enc)
+	var meta netsim.PacketMeta
+	out, verdict, _, err := lwt.RunLWTOut(g.r, raw, &meta)
+	if err != nil || verdict != netsim.LWTOK {
+		t.Fatalf("verdict %v, err %v", verdict, err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatalf("push_encap output differs from seg6.Encap\n got  %x\n want %x", out[:120], want[:120])
+	}
+	if got := testing.AllocsPerRun(200, func() { out, _, _, _ = lwt.RunLWTOut(g.r, raw, &meta) }); got != 1 {
+		t.Errorf("%.0f allocs per LWT push_encap run, want 1 (the output buffer)", got)
+	}
+
+	// segments_left past the list, a wrong routing type and bytes
+	// beyond hdr_ext_len are all refused with EINVAL (the program then
+	// returns BPF_DROP).
+	noActive := bytes.Clone(enc)
+	noActive[packet.SRHOffSegmentsLeft] = 2
+	badType := bytes.Clone(enc)
+	badType[packet.SRHOffRoutingType] = 0
+	for name, bad := range map[string][]byte{
+		"segments-left": noActive,
+		"routing-type":  badType,
+		"trailing":      append(bytes.Clone(enc), make([]byte, 8)...),
+	} {
+		if _, verdict, _, err := attach(bad).RunLWTOut(g.r, raw, &meta); err != nil || verdict != netsim.LWTDrop {
+			t.Errorf("%s: verdict %v, err %v, want the helper to refuse", name, verdict, err)
+		}
 	}
 }
 

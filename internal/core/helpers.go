@@ -161,13 +161,9 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 		return 0, nil
 
 	case seg6.ActionEndB6Encap:
-		srh, n, err := packet.DecodeSRH(param)
-		if err != nil || n != plen {
-			return bpf.Errno(bpf.EINVAL), nil
-		}
 		// The SRH was already advanced by End.BPF; encapsulate the
-		// updated packet.
-		out, err := seg6.Encap(e.pkt, e.node.PrimaryAddress(), &srh)
+		// updated packet behind the program's SRH bytes.
+		out, err := seg6.EncapWire(e.pkt, e.node.PrimaryAddress(), param)
 		if err != nil {
 			return bpf.Errno(bpf.EINVAL), nil
 		}
@@ -199,7 +195,11 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 
 // helperLWTPushEncap implements bpf_lwt_push_encap for the transit
 // hook: the program builds an SRH in its own memory and the helper
-// encapsulates (or inlines) it onto the packet.
+// encapsulates (or inlines) it onto the packet. Encapsulation works on
+// the program's bytes as the kernel's seg6_do_srh_encap does —
+// seg6.EncapWire validates them and copies them into the one output
+// buffer — so the SRH is never decoded; only the inline mode, which
+// splices a decoded SRH, still does.
 func helperLWTPushEncap(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 	e, err := env(m)
 	if err != nil {
@@ -214,16 +214,16 @@ func helperLWTPushEncap(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	srh, decoded, err := packet.DecodeSRH(hdr)
-	if err != nil || decoded != n {
-		return bpf.Errno(bpf.EINVAL), nil
-	}
 
 	var out []byte
 	switch mode {
 	case EncapSeg6:
-		out, err = seg6.Encap(e.pkt, e.node.PrimaryAddress(), &srh)
+		out, err = seg6.EncapWire(e.pkt, e.node.PrimaryAddress(), hdr)
 	case EncapSeg6Inline:
+		srh, decoded, derr := packet.DecodeSRH(hdr)
+		if derr != nil || decoded != n {
+			return bpf.Errno(bpf.EINVAL), nil
+		}
 		out, err = seg6.InsertSRH(e.pkt, &srh)
 	default:
 		return bpf.Errno(bpf.EINVAL), nil

@@ -29,6 +29,7 @@ import (
 	"hash/fnv"
 	"net/netip"
 	"sort"
+	"strings"
 
 	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
@@ -154,11 +155,30 @@ func mustAddRoute(n *netsim.Node, r *netsim.Route) error {
 // (End.DT6 at the egress); tenant D sends IPv4 and IPv6 over one
 // End.DT46 SID.
 func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, error) {
+	sim, finish, err := buildL3VPN(burst)
+	if err != nil {
+		return "", 0, err
+	}
+	if err := matrixSetShards(sim, shards, eng); err != nil {
+		return "", 0, err
+	}
+	sim.Run()
+	return finish()
+}
+
+// buildL3VPN wires the scenario and starts its generators, leaving the
+// engine choice and the run to the caller; finish checks delivery and
+// isolation and returns the fingerprint. Every tenant's egress CE
+// journals each delivery as (rx time, hop limit or TTL): the inner
+// packets arrive through the decap behaviours, whose result aliases
+// the outer buffer, so a hop limit decremented twice — bytes shared
+// with rollback state and replayed — would show in the fingerprint.
+func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) {
 	sim := netsim.New(9101)
 	sim.SetBurst(burst)
 	nw, err := topo.FatTree(sim, 4, topo.Opts{})
 	if err != nil {
-		return "", 0, err
+		return nil, nil, err
 	}
 	pe1, pe2, mid := nw.Hosts[0], nw.Hosts[1], nw.Hosts[2]
 	access := netem.Config{RateBps: 10_000_000_000, DelayNs: 5 * netsim.Microsecond}
@@ -218,7 +238,7 @@ func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 		{"D", 204, 114, sidD, seg6.ActionEndDT46, 9004},
 	}
 
-	sinks := make([]*trafgen.Sink, len(tenants))
+	journals := make([]*netsim.Journal, len(tenants))
 	var gens []interface{ Sent() uint64 }
 	for ti := range tenants {
 		tn := &tenants[ti]
@@ -233,17 +253,17 @@ func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 		}
 		ceIn, peInIf, err := attach("ce"+tn.name+"1", pe1, inAddrs...)
 		if err != nil {
-			return "", 0, err
+			return nil, nil, err
 		}
 		ceOut, _, err := attach("ce"+tn.name+"2", pe2, outAddrs...)
 		if err != nil {
-			return "", 0, err
+			return nil, nil, err
 		}
 
 		// Ingress: bind the CE-facing interface to the tenant VRF and
 		// steer the tenant's prefixes onto the SID.
 		if err := pe1.BindIfaceTable(peInIf, tn.ingress); err != nil {
-			return "", 0, err
+			return nil, nil, err
 		}
 		srh := packet.NewSRH([]netip.Addr{tn.sid})
 		mode := netsim.EncapModeEncap
@@ -278,10 +298,15 @@ func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 			Kind:      netsim.RouteSeg6Local,
 			Behaviour: &seg6.Behaviour{Action: tn.action, Table: tn.egress},
 		}); err != nil {
-			return "", 0, err
+			return nil, nil, err
 		}
 
-		sinks[ti] = trafgen.NewSink(ceOut, tn.port)
+		j := netsim.NewJournal(ceOut)
+		journals[ti] = j
+		ceOut.HandleUDP(tn.port, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
+			hl, _ := packet.HopLimit(p.Raw)
+			j.Addf("%d:hl%d", meta.RxTimestamp, hl)
+		})
 
 		const rate = 100_000
 		const until = 1 * netsim.Millisecond
@@ -289,7 +314,7 @@ func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 		case "A", "B":
 			tmpl, err := packet.BuildIPv4UDP(v4Src, v4Dst, 40000, tn.port, make([]byte, 64), 64)
 			if err != nil {
-				return "", 0, err
+				return nil, nil, err
 			}
 			g := &trafgen.RawGen{Node: ceIn, Template: tmpl, RatePPS: rate}
 			g.Start(until)
@@ -297,17 +322,17 @@ func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 		case "C":
 			g := &trafgen.UDPGen{Node: ceIn, Src: c1, Dst: c9, SrcPort: 40000, DstPort: tn.port, PayloadLen: 64, RatePPS: rate}
 			if err := g.Start(until); err != nil {
-				return "", 0, err
+				return nil, nil, err
 			}
 			gens = append(gens, g)
 		case "D":
 			g6 := &trafgen.UDPGen{Node: ceIn, Src: d1, Dst: d9, SrcPort: 40000, DstPort: tn.port, PayloadLen: 64, RatePPS: rate / 2}
 			if err := g6.Start(until); err != nil {
-				return "", 0, err
+				return nil, nil, err
 			}
 			tmpl, err := packet.BuildIPv4UDP(v4Src, v4Dst, 40001, tn.port, make([]byte, 64), 64)
 			if err != nil {
-				return "", 0, err
+				return nil, nil, err
 			}
 			g4 := &trafgen.RawGen{Node: ceIn, Template: tmpl, RatePPS: rate / 2}
 			g4.Start(until)
@@ -321,33 +346,33 @@ func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd},
 	}); err != nil {
-		return "", 0, err
+		return nil, nil, err
 	}
 
-	if err := matrixSetShards(sim, shards, eng); err != nil {
-		return "", 0, err
+	finish := func() (string, uint64, error) {
+		var sent, delivered uint64
+		for _, g := range gens {
+			sent += g.Sent()
+		}
+		extra := make([]string, 0, len(journals))
+		got := make([]uint64, len(journals))
+		for i, j := range journals {
+			got[i] = uint64(len(j.Lines()))
+			delivered += got[i]
+			extra = append(extra, fmt.Sprintf("tenant%s=%d trace=%s", tenants[i].name, got[i], strings.Join(j.Lines(), ",")))
+		}
+		if delivered != sent {
+			return "", 0, fmt.Errorf("l3vpn: delivered %d of %d offered", delivered, sent)
+		}
+		// Isolation: each tenant's egress CE saw exactly its own offered load.
+		// Overlapping tenants leaking across VRFs would skew both counts.
+		if got[0] != gens[0].Sent() || got[1] != gens[1].Sent() {
+			return "", 0, fmt.Errorf("l3vpn: tenant isolation broken: A=%d/%d B=%d/%d",
+				got[0], gens[0].Sent(), got[1], gens[1].Sent())
+		}
+		return matrixFingerprint(sim, extra...), delivered, nil
 	}
-	sim.Run()
-
-	var sent, delivered uint64
-	for _, g := range gens {
-		sent += g.Sent()
-	}
-	extra := make([]string, 0, len(sinks))
-	for i, s := range sinks {
-		delivered += s.Packets
-		extra = append(extra, fmt.Sprintf("tenant%s=%d", tenants[i].name, s.Packets))
-	}
-	if delivered != sent {
-		return "", 0, fmt.Errorf("l3vpn: delivered %d of %d offered", delivered, sent)
-	}
-	// Isolation: each tenant's sink saw exactly its own offered load.
-	// Overlapping tenants leaking across VRFs would skew both counts.
-	if sinks[0].Packets != gens[0].Sent() || sinks[1].Packets != gens[1].Sent() {
-		return "", 0, fmt.Errorf("l3vpn: tenant isolation broken: A=%d/%d B=%d/%d",
-			sinks[0].Packets, gens[0].Sent(), sinks[1].Packets, gens[1].Sent())
-	}
-	return matrixFingerprint(sim, extra...), delivered, nil
+	return sim, finish, nil
 }
 
 // lastIface returns the interface most recently added to n — the

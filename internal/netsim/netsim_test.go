@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -102,6 +104,64 @@ func TestHopLimitExceededGeneratesICMP(t *testing.T) {
 	}
 	if r.Counters()["drop_hop_limit"] != 1 {
 		t.Errorf("drop counter = %d", r.Counters()["drop_hop_limit"])
+	}
+}
+
+// TestICMPErrorWireFormat reads generated Time Exceeded messages with a
+// reader written from RFC 4443 §3.3 rather than with this package's
+// decoder: type (1 byte), code (1), checksum (2), unused (4), then "as
+// much of invoking packet as possible without the ICMPv6 packet
+// exceeding the minimum IPv6 MTU" — so the quote starts at message
+// offset 8 and the whole error is at most 1280 bytes, also for an
+// invoking packet larger than that.
+func TestICMPErrorWireFormat(t *testing.T) {
+	for _, payloadLen := range []int{16, 1232 - 48, 1232 - 47, 1400} {
+		s := New(1)
+		a, r, _ := lineTopo(s)
+		var got []byte
+		a.HandleICMP(func(n *Node, p *packet.Packet, meta *PacketMeta) { got = packet.Clone(p.Raw) })
+		payload := make([]byte, payloadLen)
+		for i := range payload {
+			payload[i] = byte(i + 1)
+		}
+		probe, err := packet.BuildPacket(aAddr, bAddr, packet.WithUDP(1, 7), packet.WithPayload(payload), packet.WithHopLimit(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Output(packet.Clone(probe))
+		s.Run()
+		if got == nil {
+			t.Fatalf("payload %d: no ICMP error came back", payloadLen)
+		}
+		if len(got) > 1280 {
+			t.Errorf("payload %d: error is %d bytes, over the 1280-byte minimum MTU", payloadLen, len(got))
+		}
+		if got[6] != packet.ProtoICMPv6 || int(got[4])<<8|int(got[5]) != len(got)-40 {
+			t.Fatalf("payload %d: next header %d, payload length %d for %d bytes", payloadLen, got[6], int(got[4])<<8|int(got[5]), len(got))
+		}
+		msg := got[40:]
+		if msg[0] != 3 || msg[1] != 0 {
+			t.Errorf("payload %d: type %d code %d, want 3/0 (hop limit exceeded in transit)", payloadLen, msg[0], msg[1])
+		}
+		if unused := msg[4:8]; !bytes.Equal(unused, []byte{0, 0, 0, 0}) {
+			t.Errorf("payload %d: unused word %x, want zero", payloadLen, unused)
+		}
+		quote := msg[8:]
+		wantLen := len(probe)
+		if wantLen > 1280-40-8 {
+			wantLen = 1280 - 40 - 8
+		}
+		if len(quote) != wantLen || !bytes.Equal(quote, probe[:wantLen]) {
+			t.Errorf("payload %d: quote at message offset 8 is %d bytes, want the first %d of the invoking packet\n got  %x\n want %x",
+				payloadLen, len(quote), wantLen, quote[:48], probe[:48])
+		}
+		src, _ := packet.IPv6Src(got)
+		dst, _ := packet.IPv6Dst(got)
+		ck := binary.BigEndian.Uint16(msg[2:])
+		msg[2], msg[3] = 0, 0
+		if want := packet.Checksum(src, dst, packet.ProtoICMPv6, msg); ck != want || src != r.PrimaryAddress() {
+			t.Errorf("payload %d: checksum %#04x want %#04x, source %v", payloadLen, ck, want, src)
+		}
 	}
 }
 

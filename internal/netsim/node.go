@@ -1707,15 +1707,16 @@ func (n *Node) icmpError(raw []byte, meta *PacketMeta, icmpType, code uint8) fun
 	if err != nil || !n.primary.IsValid() {
 		return nil
 	}
-	// Quote as much of the invoking packet as fits in 1232 bytes.
+	// RFC 4443 §3.1/§3.3: after the 8-byte header (ICMPv6HeaderLen
+	// already counts its unused word) comes as much of the invoking
+	// packet as fits without the error exceeding the 1280-byte minimum
+	// IPv6 MTU (§2.4(c)).
 	quote := raw
-	if len(quote) > 1232 {
-		quote = quote[:1232]
+	if max := 1280 - packet.IPv6HeaderLen - packet.ICMPv6HeaderLen; len(quote) > max {
+		quote = quote[:max]
 	}
-	body := make([]byte, 4+len(quote)) // 4 unused bytes, then the packet
-	copy(body[4:], quote)
 	reply, err := packet.BuildPacket(n.primary, src,
-		packet.WithICMPv6(packet.ICMPv6{Type: icmpType, Code: code, Body: body}))
+		packet.WithICMPv6(packet.ICMPv6{Type: icmpType, Code: code, Body: quote}))
 	if err != nil {
 		return nil
 	}

@@ -151,12 +151,13 @@ func (t *Tracer) onICMP(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMet
 		return
 	}
 	m, err := packet.DecodeICMPv6(p.Raw[p.L4Off:])
-	if err != nil || len(m.Body) < 4+packet.IPv6HeaderLen+packet.UDPHeaderLen {
+	if err != nil || len(m.Body) < packet.IPv6HeaderLen+packet.UDPHeaderLen {
 		return
 	}
-	// The body quotes the invoking packet; match it to our probe by
-	// the UDP destination port.
-	quoted := m.Body[4:]
+	// The body (message offset 8, RFC 4443 §3.1/§3.3) quotes the
+	// invoking packet; match it to our probe by the UDP destination
+	// port.
+	quoted := m.Body
 	qp, err := packet.Parse(quoted)
 	if err != nil || qp.L4Proto != packet.ProtoUDP {
 		return

@@ -3,6 +3,7 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -116,12 +117,17 @@ func DecodeTCP(b []byte) (TCP, error) {
 	return t, nil
 }
 
+// wireLen is the encoded header size: 20 bytes, 32 with a SACK block.
+func (t TCP) wireLen() int {
+	if t.HasSACK() {
+		return TCPHeaderLen + tcpSACKOptionLen
+	}
+	return TCPHeaderLen
+}
+
 // Encode appends the header (and SACK option when present) to dst.
 func (t TCP) Encode(dst []byte) []byte {
-	words := 5
-	if t.HasSACK() {
-		words = 5 + tcpSACKOptionLen/4
-	}
+	words := t.wireLen() / 4
 	var b [TCPHeaderLen]byte
 	binary.BigEndian.PutUint16(b[0:], t.SrcPort)
 	binary.BigEndian.PutUint16(b[2:], t.DstPort)
@@ -188,157 +194,240 @@ func (m ICMPv6) Encode(dst []byte) []byte {
 // Checksum computes the Internet checksum over the IPv6 pseudo-header
 // and the upper-layer payload, per RFC 8200 §8.1.
 func Checksum(src, dst netip.Addr, proto uint8, upper []byte) uint16 {
-	var sum uint32
 	a, b := src.As16(), dst.As16()
-	for i := 0; i < 16; i += 2 {
-		sum += uint32(a[i])<<8 | uint32(a[i+1])
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	l := uint32(len(upper))
-	sum += l >> 16
-	sum += l & 0xffff
-	sum += uint32(proto)
-	for i := 0; i+1 < len(upper); i += 2 {
-		sum += uint32(upper[i])<<8 | uint32(upper[i+1])
-	}
-	if len(upper)%2 == 1 {
-		sum += uint32(upper[len(upper)-1]) << 8
-	}
+	// The pseudo-header's upper-layer length and next header are a
+	// 32-bit and a zero-padded 8-bit field, each congruent to its plain
+	// value; they seed the accumulator.
+	sum := onesSum(uint64(len(upper))+uint64(proto), a[:])
+	sum = onesSum(onesSum(sum, b[:]), upper)
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}
-	ck := ^uint16(sum)
-	return ck
+	return ^uint16(sum)
 }
 
-// buildSpec collects the pieces of a packet under construction.
+// onesSum adds the big-endian 16-bit words of b (an odd last byte is
+// padded with zero) to a 64-bit one's-complement accumulator, eight
+// bytes per step with end-around carry: 2^16 ≡ 1 (mod 0xffff), so a
+// 64-bit word is congruent to the sum of its four 16-bit words and
+// folding the accumulator gives the 16-bit sum of RFC 1071.
+func onesSum(sum uint64, b []byte) uint64 {
+	var carry uint64
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), 0)
+		sum += carry
+		b = b[8:]
+	}
+	var tail uint64
+	if len(b) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		tail = tail<<16 | uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		tail = tail<<16 | uint64(b[0])<<8
+	}
+	sum, carry = bits.Add64(sum, tail, 0)
+	return sum + carry
+}
+
+// buildSpec collects the pieces of a packet under construction. It
+// holds values, not pointers to copies, so a BuildPacket call keeps it
+// on its own stack.
 type buildSpec struct {
 	ip       IPv6
 	srh      *SRH
-	udp      *UDP
-	tcp      *TCP
-	icmp     *ICMPv6
+	udp      UDP
+	tcp      TCP
+	icmp     ICMPv6
+	hasUDP   bool
+	hasTCP   bool
+	hasICMP  bool
 	innerPkt []byte
 	innerL2  []byte
 	payload  []byte
 }
 
-// BuildOption configures BuildPacket.
-type BuildOption func(*buildSpec)
+// BuildOption configures BuildPacket. It is a plain value — which
+// piece of the packet it sets, and that piece — so building the option
+// list of a call allocates nothing.
+type BuildOption struct {
+	kind  buildOptKind
+	n     uint32 // flow label, hop limit or traffic class
+	udp   UDP
+	tcp   TCP
+	icmp  ICMPv6
+	srh   *SRH
+	bytes []byte // payload, inner packet or L2 frame
+}
+
+type buildOptKind uint8
+
+const (
+	optSRH buildOptKind = iota + 1
+	optUDP
+	optTCP
+	optICMPv6
+	optInnerPacket
+	optInnerL2
+	optPayload
+	optFlowLabel
+	optHopLimit
+	optTrafficClass
+)
+
+// apply records the option in the spec.
+func (o *BuildOption) apply(b *buildSpec) {
+	switch o.kind {
+	case optSRH:
+		b.srh = o.srh
+	case optUDP:
+		b.udp, b.hasUDP = o.udp, true
+	case optTCP:
+		b.tcp, b.hasTCP = o.tcp, true
+	case optICMPv6:
+		b.icmp, b.hasICMP = o.icmp, true
+	case optInnerPacket:
+		b.innerPkt = o.bytes
+	case optInnerL2:
+		b.innerL2 = o.bytes
+	case optPayload:
+		b.payload = o.bytes
+	case optFlowLabel:
+		b.ip.FlowLabel = o.n & 0xfffff
+	case optHopLimit:
+		b.ip.HopLimit = uint8(o.n)
+	case optTrafficClass:
+		b.ip.TrafficClass = uint8(o.n)
+	}
+}
 
 // WithSRH attaches a segment routing header.
-func WithSRH(s *SRH) BuildOption { return func(b *buildSpec) { b.srh = s } }
+func WithSRH(s *SRH) BuildOption { return BuildOption{kind: optSRH, srh: s} }
 
 // WithUDP attaches a UDP header (length and checksum are computed).
 func WithUDP(src, dst uint16) BuildOption {
-	return func(b *buildSpec) { b.udp = &UDP{SrcPort: src, DstPort: dst} }
+	return BuildOption{kind: optUDP, udp: UDP{SrcPort: src, DstPort: dst}}
 }
 
 // WithTCP attaches a TCP header (checksum is computed).
-func WithTCP(t TCP) BuildOption { return func(b *buildSpec) { b.tcp = &t } }
+func WithTCP(t TCP) BuildOption { return BuildOption{kind: optTCP, tcp: t} }
 
 // WithICMPv6 attaches an ICMPv6 message (checksum is computed).
-func WithICMPv6(m ICMPv6) BuildOption { return func(b *buildSpec) { b.icmp = &m } }
+func WithICMPv6(m ICMPv6) BuildOption { return BuildOption{kind: optICMPv6, icmp: m} }
 
 // WithInnerPacket nests a full IP packet; the next-header value comes
 // from its version nibble (IPv6-in-IPv6 or IPv4-in-IPv6 encap).
 func WithInnerPacket(raw []byte) BuildOption {
-	return func(b *buildSpec) { b.innerPkt = raw }
+	return BuildOption{kind: optInnerPacket, bytes: raw}
 }
 
 // WithInnerL2 nests an Ethernet frame (next-header 143, the L2 tunnel
 // payload of End.DX2 / H.Encaps.L2).
 func WithInnerL2(frame []byte) BuildOption {
-	return func(b *buildSpec) { b.innerL2 = frame }
+	return BuildOption{kind: optInnerL2, bytes: frame}
 }
 
 // WithPayload sets the application payload.
-func WithPayload(p []byte) BuildOption { return func(b *buildSpec) { b.payload = p } }
+func WithPayload(p []byte) BuildOption { return BuildOption{kind: optPayload, bytes: p} }
 
 // WithFlowLabel sets the IPv6 flow label.
-func WithFlowLabel(fl uint32) BuildOption {
-	return func(b *buildSpec) { b.ip.FlowLabel = fl & 0xfffff }
-}
+func WithFlowLabel(fl uint32) BuildOption { return BuildOption{kind: optFlowLabel, n: fl} }
 
 // WithHopLimit overrides the default hop limit of 64.
-func WithHopLimit(hl uint8) BuildOption {
-	return func(b *buildSpec) { b.ip.HopLimit = hl }
-}
+func WithHopLimit(hl uint8) BuildOption { return BuildOption{kind: optHopLimit, n: uint32(hl)} }
 
 // WithTrafficClass sets the IPv6 traffic class.
 func WithTrafficClass(tc uint8) BuildOption {
-	return func(b *buildSpec) { b.ip.TrafficClass = tc }
+	return BuildOption{kind: optTrafficClass, n: uint32(tc)}
 }
 
 // BuildPacket assembles a complete IPv6 packet with correct lengths,
 // next-header chaining and transport checksums.
+//
+// The packet is written once: every layer is sized first, one buffer
+// of exactly IPv6HeaderLen + SRH + upper-layer bytes is allocated, and
+// IPv6 header, SRH, transport header and payload are appended to it in
+// wire order, the transport checksum then computed in place over the
+// tail. That buffer is the call's only allocation.
 func BuildPacket(src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
 	spec := buildSpec{ip: IPv6{Src: src, Dst: dst, HopLimit: 64}}
-	for _, o := range opts {
-		o(&spec)
+	for i := range opts {
+		opts[i].apply(&spec)
 	}
 
-	// Assemble from the innermost layer outward.
-	var upper []byte
-	var upperProto uint8
+	// Size the upper layer: a transport header of hdrLen bytes (none
+	// for a nested packet or a bare payload) followed by body, with the
+	// transport checksum at ckOff in the header.
+	var (
+		proto  uint8
+		hdrLen int
+		ckOff  int
+		body   []byte
+	)
 	switch {
-	case spec.udp != nil:
-		u := *spec.udp
-		u.Length = uint16(UDPHeaderLen + len(spec.payload))
-		raw := u.Encode(nil)
-		raw = append(raw, spec.payload...)
-		binary.BigEndian.PutUint16(raw[6:], 0)
-		ck := Checksum(spec.ip.Src, spec.ip.Dst, ProtoUDP, raw)
-		if ck == 0 {
-			ck = 0xffff
-		}
-		binary.BigEndian.PutUint16(raw[6:], ck)
-		upper, upperProto = raw, ProtoUDP
-	case spec.tcp != nil:
-		raw := spec.tcp.Encode(nil)
-		raw = append(raw, spec.payload...)
-		binary.BigEndian.PutUint16(raw[16:], 0)
-		ck := Checksum(spec.ip.Src, spec.ip.Dst, ProtoTCP, raw)
-		binary.BigEndian.PutUint16(raw[16:], ck)
-		upper, upperProto = raw, ProtoTCP
-	case spec.icmp != nil:
-		raw := spec.icmp.Encode(nil)
-		binary.BigEndian.PutUint16(raw[2:], 0)
-		ck := Checksum(spec.ip.Src, spec.ip.Dst, ProtoICMPv6, raw)
-		binary.BigEndian.PutUint16(raw[2:], ck)
-		upper, upperProto = raw, ProtoICMPv6
+	case spec.hasUDP:
+		proto, hdrLen, ckOff, body = ProtoUDP, UDPHeaderLen, 6, spec.payload
+	case spec.hasTCP:
+		proto, hdrLen, ckOff, body = ProtoTCP, spec.tcp.wireLen(), 16, spec.payload
+	case spec.hasICMP:
+		proto, hdrLen, ckOff, body = ProtoICMPv6, ICMPv6HeaderLen, 2, spec.icmp.Body
 	case spec.innerPkt != nil:
-		upper, upperProto = spec.innerPkt, ProtoIPv6
+		proto, body = ProtoIPv6, spec.innerPkt
 		if IPVersion(spec.innerPkt) == 4 {
-			upperProto = ProtoIPv4
+			proto = ProtoIPv4
 		}
 	case spec.innerL2 != nil:
-		upper, upperProto = spec.innerL2, ProtoEthernet
+		proto, body = ProtoEthernet, spec.innerL2
 	default:
-		upper, upperProto = spec.payload, ProtoNoNext
+		proto, body = ProtoNoNext, spec.payload
 	}
-
-	var mid []byte
+	srhLen := 0
+	spec.ip.NextHeader = proto
 	if spec.srh != nil {
-		srh := *spec.srh
-		srh.NextHeader = upperProto
-		enc, err := srh.Encode(nil)
+		hel, err := spec.srh.HdrExtLen()
 		if err != nil {
 			return nil, err
 		}
-		mid = append(enc, upper...)
+		srhLen = (int(hel) + 1) * 8
 		spec.ip.NextHeader = ProtoRouting
-	} else {
-		mid = upper
-		spec.ip.NextHeader = upperProto
 	}
+	payloadLen := srhLen + hdrLen + len(body)
+	if payloadLen > 0xffff {
+		return nil, fmt.Errorf("packet: payload %d exceeds IPv6 payload length", payloadLen)
+	}
+	spec.ip.PayloadLen = uint16(payloadLen)
 
-	if len(mid) > 0xffff {
-		return nil, fmt.Errorf("packet: payload %d exceeds IPv6 payload length", len(mid))
+	out := spec.ip.Encode(make([]byte, 0, IPv6HeaderLen+payloadLen))
+	if spec.srh != nil {
+		out, _ = spec.srh.Encode(out) // cannot fail: HdrExtLen passed above
+		out[IPv6HeaderLen+SRHOffNextHeader] = proto
 	}
-	spec.ip.PayloadLen = uint16(len(mid))
-	out := spec.ip.Encode(nil)
-	return append(out, mid...), nil
+	l4 := len(out)
+	switch proto {
+	case ProtoUDP:
+		spec.udp.Length, spec.udp.Checksum = uint16(hdrLen+len(body)), 0
+		out = spec.udp.Encode(out)
+	case ProtoTCP:
+		spec.tcp.Checksum = 0
+		out = spec.tcp.Encode(out)
+	case ProtoICMPv6:
+		out = ICMPv6{Type: spec.icmp.Type, Code: spec.icmp.Code}.Encode(out)
+	}
+	out = append(out, body...)
+	if hdrLen > 0 {
+		ck := Checksum(src, dst, proto, out[l4:])
+		if ck == 0 && proto == ProtoUDP {
+			ck = 0xffff
+		}
+		binary.BigEndian.PutUint16(out[l4+ckOff:], ck)
+	}
+	return out, nil
 }
 
 // NewSRH builds an SRH for a path of segments given in travel order

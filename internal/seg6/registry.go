@@ -166,40 +166,6 @@ func endAdvance(b *Behaviour, raw []byte, v Verdict, nh netip.Addr, table int) (
 	return Result{Verdict: v, Pkt: raw, Nexthop: nh, Table: table}, nil
 }
 
-// decapInnerFor is the shared decap step of the End.DX/End.DT
-// families. It enforces the RFC 8986 upper-layer check this PR fixes:
-// a packet whose SRH still has SegmentsLeft > 0 has segments to
-// visit and MUST NOT be decapsulated mid-path — only the USD flavor
-// opts into that. want filters the inner protocol (41, 4, or 143).
-func decapInnerFor(b *Behaviour, raw []byte, want func(uint8) bool) ([]byte, error) {
-	p, err := packet.Parse(raw)
-	if err != nil {
-		return nil, err
-	}
-	if !want(p.L4Proto) {
-		return nil, ErrNotEncapsulated
-	}
-	if p.SRH != nil && p.SRH.SegmentsLeft > 0 && b.Flavors&FlavorUSD == 0 {
-		return nil, ErrSegmentsLeft
-	}
-	inner := packet.Clone(raw[p.L4Off:])
-	switch p.L4Proto {
-	case packet.ProtoIPv6:
-		if _, err := packet.DecodeIPv6(inner); err != nil {
-			return nil, err
-		}
-	case packet.ProtoIPv4:
-		if _, err := packet.DecodeIPv4(inner); err != nil {
-			return nil, err
-		}
-	case packet.ProtoEthernet:
-		if _, err := packet.DecodeEthernet(inner); err != nil {
-			return nil, err
-		}
-	}
-	return inner, nil
-}
-
 func isV6(p uint8) bool  { return p == packet.ProtoIPv6 }
 func isV4(p uint8) bool  { return p == packet.ProtoIPv4 }
 func isV46(p uint8) bool { return p == packet.ProtoIPv6 || p == packet.ProtoIPv4 }
@@ -267,7 +233,7 @@ func init() {
 	Register(Spec{
 		Action: ActionEndDX2, Name: "End.DX2", Flavors: FlavorUSD,
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			frame, err := decapInnerFor(b, raw, isL2)
+			frame, err := decapInner(raw, isL2, b.Flavors)
 			if err != nil {
 				return drop(), err
 			}
@@ -282,7 +248,7 @@ func init() {
 		Action: ActionEndDX6, Name: "End.DX6", Flavors: FlavorUSD,
 		Validate: needNexthop("End.DX6"),
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			inner, err := decapInnerFor(b, raw, isV6)
+			inner, err := decapInner(raw, isV6, b.Flavors)
 			if err != nil {
 				return drop(), err
 			}
@@ -297,7 +263,7 @@ func init() {
 		Action: ActionEndDX4, Name: "End.DX4", Flavors: FlavorUSD,
 		Validate: needNexthop("End.DX4"),
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			inner, err := decapInnerFor(b, raw, isV4)
+			inner, err := decapInner(raw, isV4, b.Flavors)
 			if err != nil {
 				return drop(), err
 			}
@@ -311,7 +277,7 @@ func init() {
 	Register(Spec{
 		Action: ActionEndDT6, Name: "End.DT6", Flavors: FlavorUSD,
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			inner, err := decapInnerFor(b, raw, isV6)
+			inner, err := decapInner(raw, isV6, b.Flavors)
 			if err != nil {
 				return drop(), err
 			}
@@ -322,7 +288,7 @@ func init() {
 	Register(Spec{
 		Action: ActionEndDT4, Name: "End.DT4", Flavors: FlavorUSD,
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			inner, err := decapInnerFor(b, raw, isV4)
+			inner, err := decapInner(raw, isV4, b.Flavors)
 			if err != nil {
 				return drop(), err
 			}
@@ -333,7 +299,7 @@ func init() {
 	Register(Spec{
 		Action: ActionEndDT46, Name: "End.DT46", Flavors: FlavorUSD,
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			inner, err := decapInnerFor(b, raw, isV46)
+			inner, err := decapInner(raw, isV46, b.Flavors)
 			if err != nil {
 				return drop(), err
 			}

@@ -234,18 +234,50 @@ func AdvanceAt(raw []byte, srhOff int) error {
 
 // DecapInner strips the outer IPv6 header and all its extension
 // headers, returning the inner IPv6 packet ("SRv6 decapsulation is
-// natively performed by the kernel", §4.2). It is the raw splice; the
-// decap behaviours add the RFC 8986 SegmentsLeft gate on top.
+// natively performed by the kernel", §4.2). It is the raw splice
+// without the RFC 8986 SegmentsLeft gate the decap behaviours apply.
+// The result aliases raw (see decapInner).
 func DecapInner(raw []byte) ([]byte, error) {
-	p, err := packet.Parse(raw)
+	return decapInner(raw, isV6, FlavorUSD)
+}
+
+// decapInner is the one decapsulation: the raw splice behind
+// DecapInner, the USD flavor and the End.DX/End.DT families. It walks
+// the header chain with packet.ParseInfo (the accept set of
+// packet.Parse, TLV chain included, without allocating), checks the
+// upper layer against want (41, 4 or 143) and enforces the RFC 8986
+// upper-layer rule: a packet whose SRH still has SegmentsLeft > 0 has
+// segments to visit and MUST NOT be decapsulated mid-path unless the
+// behaviour's flavors include USD.
+//
+// Like the kernel's decapsulation — a pointer move past the outer
+// headers — the returned packet is raw[L4Off:], not a copy. That is
+// sound because the hop processing raw owns it: Node.drain has already
+// copied any buffer shared with an optimistic checkpoint or the
+// cross-shard input log, and nothing keeps the outer headers once the
+// behaviour returns. A caller that retains raw itself (the End.AS and
+// End.AM proxies keep bytes for the return leg) must clone instead.
+func decapInner(raw []byte, want func(uint8) bool, flavors Flavor) ([]byte, error) {
+	info, err := packet.ParseInfo(raw)
 	if err != nil {
 		return nil, err
 	}
-	if p.L4Proto != packet.ProtoIPv6 || p.InnerOff == 0 {
+	if !want(info.L4Proto) {
 		return nil, ErrNotEncapsulated
 	}
-	inner := packet.Clone(raw[p.InnerOff:])
-	if _, err := packet.DecodeIPv6(inner); err != nil {
+	if info.HasSRH() && info.SegmentsLeft > 0 && flavors&FlavorUSD == 0 {
+		return nil, ErrSegmentsLeft
+	}
+	inner := raw[info.L4Off:]
+	switch info.L4Proto {
+	case packet.ProtoIPv6:
+		_, err = packet.DecodeIPv6(inner)
+	case packet.ProtoIPv4:
+		_, err = packet.DecodeIPv4(inner)
+	case packet.ProtoEthernet:
+		_, err = packet.DecodeEthernet(inner)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return inner, nil
@@ -321,25 +353,69 @@ func InsertSRH(raw []byte, srh *packet.SRH) ([]byte, error) {
 	return out, nil
 }
 
-// innerMeta reads the fields the encapsulators copy from the packet
-// being wrapped: the hop limit (IPv4 TTL for an IPv4 inner) and the
-// flow label (zero for IPv4).
-func innerMeta(raw []byte) (hl uint8, fl uint32, err error) {
+// innerMeta reads what the encapsulators take from the packet being
+// wrapped: its next-header value in the outer chain (41 or 4), the hop
+// limit (IPv4 TTL for an IPv4 inner) and the flow label (zero for
+// IPv4).
+func innerMeta(raw []byte) (proto, hl uint8, fl uint32, err error) {
 	switch packet.IPVersion(raw) {
 	case 6:
 		h, err := packet.DecodeIPv6(raw)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
-		return h.HopLimit, h.FlowLabel, nil
+		return packet.ProtoIPv6, h.HopLimit, h.FlowLabel, nil
 	case 4:
 		h, err := packet.DecodeIPv4(raw)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
-		return h.TTL, 0, nil
+		return packet.ProtoIPv4, h.TTL, 0, nil
 	}
-	return 0, 0, packet.ErrBadVersion
+	return 0, 0, 0, packet.ErrBadVersion
+}
+
+// encap is the one encapsulation body, the shape of the kernel's
+// seg6_do_srh_encap: size the output, write the outer IPv6 header,
+// put the SRH behind it with its NextHeader patched to proto, append
+// the inner bytes. The SRH comes either decoded (srh, encoded straight
+// into the output) or already in wire format and validated by the
+// caller (wire, copied verbatim); with neither the result is plain
+// IP-in-IPv6. The output buffer is the only allocation.
+func encap(inner []byte, proto, hopLimit uint8, flowLabel uint32, src, dst netip.Addr, srh *packet.SRH, wire []byte) ([]byte, error) {
+	srhLen := len(wire)
+	if srh != nil {
+		hel, err := srh.HdrExtLen()
+		if err != nil {
+			return nil, err
+		}
+		srhLen = (int(hel) + 1) * 8
+	}
+	payloadLen := srhLen + len(inner)
+	if payloadLen > 0xffff {
+		return nil, fmt.Errorf("seg6: encapsulated payload %d exceeds IPv6 payload length", payloadLen)
+	}
+	outer := packet.IPv6{
+		FlowLabel:  flowLabel,
+		PayloadLen: uint16(payloadLen),
+		NextHeader: proto,
+		HopLimit:   hopLimit,
+		Src:        src,
+		Dst:        dst,
+	}
+	if srhLen > 0 {
+		outer.NextHeader = packet.ProtoRouting
+	}
+	out := outer.Encode(make([]byte, 0, packet.IPv6HeaderLen+payloadLen))
+	if srh != nil {
+		out, _ = srh.Encode(out) // cannot fail: HdrExtLen passed above
+	} else {
+		out = append(out, wire...)
+	}
+	if srhLen > 0 {
+		out[packet.IPv6HeaderLen+packet.SRHOffNextHeader] = proto
+	}
+	return append(out, inner...), nil
 }
 
 // Encap wraps raw (IPv6 or IPv4) in a new outer IPv6 header carrying
@@ -348,9 +424,10 @@ func innerMeta(raw []byte) (hl uint8, fl uint32, err error) {
 // copied from the inner packet as the kernel does — the forwarding
 // engine decrements the inner hop limit before encapsulating a
 // transit packet, mirroring ip6_forward running before the lwtunnel
-// output.
+// output. srh is encoded straight into the one output buffer and is
+// not modified.
 func Encap(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
-	hl, fl, err := innerMeta(raw)
+	proto, hl, fl, err := innerMeta(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -358,12 +435,31 @@ func Encap(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return packet.BuildPacket(outerSrc, active,
-		packet.WithSRH(srh),
-		packet.WithInnerPacket(raw),
-		packet.WithHopLimit(hl),
-		packet.WithFlowLabel(fl),
-	)
+	return encap(raw, proto, hl, fl, outerSrc, active, srh, nil)
+}
+
+// EncapWire is Encap for an SRH a program built in wire format (the
+// bpf_lwt_push_encap and End.B6.Encaps helpers). As the kernel does,
+// it validates the bytes (packet.ValidateSRHBytes — the checks of
+// DecodeSRH without building the decoded form — plus the header
+// filling srh exactly and SegmentsLeft naming a listed segment) and
+// copies them in front of the inner packet verbatim, only NextHeader
+// patched.
+func EncapWire(raw []byte, outerSrc netip.Addr, srh []byte) ([]byte, error) {
+	if err := packet.ValidateSRHBytes(srh); err != nil {
+		return nil, err
+	}
+	sl, last := srh[packet.SRHOffSegmentsLeft], srh[packet.SRHOffLastEntry]
+	if (int(srh[packet.SRHOffHdrExtLen])+1)*8 != len(srh) || sl > last {
+		return nil, packet.ErrBadSRH
+	}
+	proto, hl, fl, err := innerMeta(raw)
+	if err != nil {
+		return nil, err
+	}
+	segOff := packet.SRHOffSegments + 16*int(sl)
+	active := netip.AddrFrom16([16]byte(srh[segOff : segOff+16]))
+	return encap(raw, proto, hl, fl, outerSrc, active, nil, srh)
 }
 
 // EncapRed is Encap in the reduced form of RFC 8986 §5.2 (H.Encaps.Red
@@ -372,7 +468,7 @@ func Encap(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
 // then points one past LastEntry. A single-segment policy degenerates
 // to plain IP-in-IPv6 with no SRH at all.
 func EncapRed(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
-	hl, fl, err := innerMeta(raw)
+	proto, hl, fl, err := innerMeta(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -381,23 +477,14 @@ func EncapRed(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) 
 		return nil, err
 	}
 	if len(srh.Segments) <= 1 {
-		return packet.BuildPacket(outerSrc, first,
-			packet.WithInnerPacket(raw),
-			packet.WithHopLimit(hl),
-			packet.WithFlowLabel(fl),
-		)
+		return encap(raw, proto, hl, fl, outerSrc, first, nil, nil)
 	}
 	red := *srh
 	// Wire order is reversed, so the first-travel segment is the last
 	// list entry; dropping 16 bytes keeps the 8-byte TLV alignment.
 	red.Segments = srh.Segments[:len(srh.Segments)-1]
 	red.LastEntry = uint8(len(red.Segments) - 1)
-	return packet.BuildPacket(outerSrc, first,
-		packet.WithSRH(&red),
-		packet.WithInnerPacket(raw),
-		packet.WithHopLimit(hl),
-		packet.WithFlowLabel(fl),
-	)
+	return encap(raw, proto, hl, fl, outerSrc, first, &red, nil)
 }
 
 // EncapL2 wraps an Ethernet frame in an outer IPv6 header carrying
@@ -413,10 +500,7 @@ func EncapL2(frame []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	return packet.BuildPacket(outerSrc, active,
-		packet.WithSRH(srh),
-		packet.WithInnerL2(frame),
-	)
+	return encap(frame, packet.ProtoEthernet, 64, 0, outerSrc, active, srh, nil)
 }
 
 // ApplyStatic executes a non-BPF behaviour on raw through the dispatch

@@ -113,6 +113,10 @@ type Sender struct {
 	dstPort  uint16
 	running  bool
 	stopped  bool
+	// payload is the MSS zero bytes every data segment carries. It is
+	// never written after construction (BuildPacket copies it), so all
+	// segments and checkpoint snapshots share it.
+	payload []byte
 
 	// Sequence state, in absolute bytes (no wraparound handling
 	// needed for simulated volumes).
@@ -200,6 +204,7 @@ func NewTransfer(srcStack, dstStack *Stack, srcAddr, dstAddr netip.Addr, srcPort
 		dst:       dstAddr,
 		srcPort:   srcPort,
 		dstPort:   dstPort,
+		payload:   make([]byte, cfg.MSS),
 		cwnd:      float64(cfg.InitialWindow * cfg.MSS),
 		ssthresh:  1 << 30,
 		rto:       netsim.Second, // RFC 6298 initial RTO
@@ -296,7 +301,6 @@ func (s *Sender) trySend() {
 }
 
 func (s *Sender) sendSegment(seq uint64, isRtx bool) {
-	payload := make([]byte, s.cfg.MSS)
 	hdr := packet.TCP{
 		SrcPort: s.srcPort,
 		DstPort: s.dstPort,
@@ -306,7 +310,7 @@ func (s *Sender) sendSegment(seq uint64, isRtx bool) {
 	}
 	raw, err := packet.BuildPacket(s.src, s.dst,
 		packet.WithTCP(hdr),
-		packet.WithPayload(payload),
+		packet.WithPayload(s.payload),
 		packet.WithFlowLabel(s.cfg.FlowLabel))
 	if err != nil {
 		return

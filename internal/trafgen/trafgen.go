@@ -36,6 +36,9 @@ type UDPGen struct {
 	sent     uint64
 	stopAt   int64
 	running  bool
+	// tickFn is the method value g.tick, bound once in Start: taking it
+	// afresh for every Node.After would allocate a closure per packet.
+	tickFn func()
 }
 
 // Sent reports packets emitted so far.
@@ -86,6 +89,7 @@ func (g *UDPGen) Start(until int64) error {
 	g.template = tmpl
 	g.stopAt = until
 	g.running = true
+	g.tickFn = g.tick
 	g.tick()
 	return nil
 }
@@ -111,7 +115,7 @@ func (g *UDPGen) tick() {
 	if gap < 1 {
 		gap = 1
 	}
-	g.Node.After(gap, g.tick)
+	g.Node.After(gap, g.tickFn)
 }
 
 // WireSize returns the on-the-wire packet size the generator emits.
@@ -128,6 +132,7 @@ type RawGen struct {
 	sent    uint64
 	stopAt  int64
 	running bool
+	tickFn  func() // g.tick, bound once in Start (see UDPGen.tickFn)
 }
 
 // Sent reports packets emitted so far.
@@ -156,6 +161,7 @@ func (g *RawGen) Start(until int64) {
 	g.Node.RegisterState(g)
 	g.stopAt = until
 	g.running = true
+	g.tickFn = g.tick
 	g.tick()
 }
 
@@ -173,7 +179,7 @@ func (g *RawGen) tick() {
 	if gap < 1 {
 		gap = 1
 	}
-	g.Node.After(gap, g.tick)
+	g.Node.After(gap, g.tickFn)
 }
 
 // Sink counts delivered UDP packets on a port and computes rates
