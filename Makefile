@@ -13,12 +13,12 @@
 #   make obs-smoke — observability gate: obs package tests, the
 #                  netsim recorder tests, and a headless serve run
 #                  writing the three artifacts (Prometheus text, JSON
-#                  snapshot, trace_event dump) to OBS_DUMP_DIR on the
-#                  2-shard optimistic engine
+#                  snapshot, trace_event dump) to OBS_DUMP_DIR on two
+#                  shards
 #   make race    — full test suite under the race detector (CI job;
 #                  the parallel simulation engine must be race-clean)
 #   make fuzz-deep — full-depth randomized equivalence fuzzing of the
-#                  conservative and optimistic shard engines (the
+#                  sharded engine against the sequential one (the
 #                  scheduled CI job). FUZZ_SCENARIOS is the single
 #                  depth knob for fuzz-deep and fuzz-deep-race: the
 #                  Makefile translates it to the SRV6BPF_FUZZ_SCENARIOS
@@ -28,8 +28,8 @@
 #                  (shallower FUZZ_SCENARIOS recommended; ~10x slower)
 #   make matrix-smoke — behaviour-matrix engine-equivalence gate: the
 #                  committed L3VPN / SFC-proxy / TI-LFA scenarios run
-#                  under the sequential, conservative and optimistic
-#                  engines and must produce bit-identical fingerprints
+#                  sequentially and on two shards and must produce
+#                  bit-identical fingerprints
 #   make pdr-smoke — SRPerf-style PDR saturation harness, smoke
 #                  depth: a 2-step binary search of the End behavior
 #                  only, proving the offered-load generator, the
@@ -46,15 +46,14 @@
 #   make bench-ci — regenerate the perf report as BENCH_PR999.json and
 #                  diff it (plus every committed BENCH_PR*.json)
 #                  through TestBenchTrajectory: schema, row
-#                  continuity, zero-alloc datapath rows, the
-#                  speculation-overhead budget, the burst-pair
+#                  continuity, zero-alloc datapath rows, the burst-pair
 #                  speedup floor and the PDR row contract (the CI
 #                  bench job)
 #   make bench-multicore [MULTICORE_JSON=path MULTICORE_WINDOW=20ms] —
-#                  the multi-core shard-scaling matrix (both engines,
-#                  1/2/4/8 shards, contiguous vs min-cut on the seeded
-#                  256-node Waxman) at the current GOMAXPROCS; writes
-#                  the report JSON and fails if min-cut does not cut
+#                  the multi-core shard-scaling matrix (1/2/4/8 shards,
+#                  contiguous vs min-cut on the seeded 256-node
+#                  Waxman) at the current GOMAXPROCS; writes the
+#                  report JSON and fails if min-cut does not cut
 #                  cross-shard Messages >= 30% at 4 shards, or (on a
 #                  >= 4-core machine) if no multi-shard min-cut row
 #                  beats the 1-shard baseline (the CI bench-multicore
@@ -92,9 +91,9 @@ test:
 race-smoke:
 	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestCrossShardInFlightFailure' ./internal/netsim
 
-# A second pass of the randomized sequential/conservative/optimistic
-# equivalence fuzzer at smoke depth: -count 2 re-runs the same seeds
-# and catches nondeterminism across process runs.
+# A second pass of the randomized sequential-vs-sharded equivalence
+# fuzzer at smoke depth: -count 2 re-runs the same seeds and catches
+# nondeterminism across process runs.
 fuzz-smoke:
 	$(GO) test -run 'TestShardEquivalenceFuzz' -count 2 ./internal/netsim
 
@@ -119,14 +118,14 @@ chaos-smoke:
 	SRV6BPF_FUZZ_SCENARIOS=16 $(GO) test -count 1 -run 'TestShardEquivalenceFuzz' ./internal/netsim
 
 # Observability gate: the obs package's own tests, the simulator-side
-# recorder tests (rollback equivalence, alloc parity), and a headless
-# serve run on the 2-shard optimistic engine that must produce the
-# three non-empty artifacts (the CI bench job uploads them).
+# recorder tests (shard equivalence, alloc parity), and a headless
+# 2-shard serve run that must produce the three non-empty artifacts
+# (the CI bench job uploads them).
 obs-smoke:
 	$(GO) test -count 1 ./internal/obs
 	$(GO) test -count 1 -run 'TestObs|TestProgStats' ./internal/netsim ./internal/core
 	rm -rf $(OBS_DUMP_DIR)
-	$(GO) run ./cmd/srv6sim -scenario serve -engine optimistic -shards 2 -obs-dump $(OBS_DUMP_DIR)
+	$(GO) run ./cmd/srv6sim -scenario serve -shards 2 -obs-dump $(OBS_DUMP_DIR)
 	test -s $(OBS_DUMP_DIR)/metrics.prom
 	test -s $(OBS_DUMP_DIR)/stats.json
 	test -s $(OBS_DUMP_DIR)/trace.json
@@ -159,8 +158,8 @@ bench-smoke:
 
 # Behaviour-matrix gate: the three committed scenarios (multi-tenant
 # L3VPN over a fat-tree, SFC through End.AS/End.AM proxies, TI-LFA
-# protection behind a binding SID) must be bit-identical under the
-# sequential, conservative and optimistic engines.
+# protection behind a binding SID) must be bit-identical sequentially
+# and on two shards.
 matrix-smoke:
 	$(GO) run ./cmd/srv6bench -matrix
 
@@ -177,9 +176,9 @@ bench-ci:
 	$(GO) run ./cmd/srv6bench -bench-json $(BENCH_CI_JSON) -duration $(BENCH_WINDOW) -burst $(BURST)
 	$(GO) test -count 1 -run 'TestBenchTrajectory' -v .
 
-# The multi-core scaling matrix: both engines, 1/2/4/8 shards,
-# contiguous vs min-cut on the seeded 256-node Waxman scenario, at
-# whatever GOMAXPROCS the machine grants. srv6bench itself enforces
+# The multi-core scaling matrix: 1/2/4/8 shards, contiguous vs
+# min-cut on the seeded 256-node Waxman scenario, at whatever
+# GOMAXPROCS the machine grants. srv6bench itself enforces
 # the partition gates (Messages cut >= 30% at 4 shards; with >= 4
 # cores, speedup_vs_1shard > 1 on some multi-shard min-cut row).
 bench-multicore:

@@ -131,14 +131,13 @@ func TestHybridTCPAllocsPerSegment(t *testing.T) {
 // benchFile is the slice of a BENCH_PR*.json report the trajectory
 // check cares about.
 type benchFile struct {
-	name                   string
-	pr                     int
-	Schema                 string                        `json:"schema"`
-	Host                   *benchHostFile                `json:"host"`
-	Datapath               []experiments.DatapathRow     `json:"datapath"`
-	ShardScaling           []experiments.ShardScalingRow `json:"shard_scaling"`
-	ShardScalingOptimistic []experiments.ShardScalingRow `json:"shard_scaling_optimistic"`
-	PDR                    []experiments.PDRRow          `json:"pdr"`
+	name         string
+	pr           int
+	Schema       string                        `json:"schema"`
+	Host         *benchHostFile                `json:"host"`
+	Datapath     []experiments.DatapathRow     `json:"datapath"`
+	ShardScaling []experiments.ShardScalingRow `json:"shard_scaling"`
+	PDR          []experiments.PDRRow          `json:"pdr"`
 }
 
 // benchHostFile mirrors the report's host record. Reports up to PR 6
@@ -236,16 +235,6 @@ func TestBenchTrajectory(t *testing.T) {
 					f.name, r.Name, r.AllocsPerOp)
 			}
 		}
-		// Speculation-overhead gate, effective from PR 5 (incremental
-		// checkpoints + adaptive horizon): on topologies both engines
-		// run, the optimistic engine must stay within speculationMaxX
-		// of the conservative events/s at the same shard count. The
-		// bound is looser than the ~1.25x engineering target because
-		// wall-clock rates on shared CI runners are noisy; it exists
-		// to catch the pathological regressions (PR 4 shipped at ~2x).
-		if f.pr >= 5 {
-			checkSpeculationOverhead(t, f)
-		}
 		// Observability gates, effective from PR 7 (the PR that added
 		// the plane): the report must fingerprint its host and publish
 		// the sim-level datapath pair, and the full recorder must stay
@@ -275,12 +264,9 @@ func TestBenchTrajectory(t *testing.T) {
 			if f.Host != nil && f.Host.Partition == "" {
 				t.Errorf("%s: PR %d report does not name its shard partition", f.name, f.pr)
 			}
-			for _, rs := range [][]experiments.ShardScalingRow{f.ShardScaling, f.ShardScalingOptimistic} {
-				for _, r := range rs {
-					if r.Partition == "" {
-						t.Errorf("%s: shard-scaling row (engine %s, %d shards) does not name its partition",
-							f.name, r.Engine, r.Shards)
-					}
+			for _, r := range f.ShardScaling {
+				if r.Partition == "" {
+					t.Errorf("%s: shard-scaling row (%d shards) does not name its partition", f.name, r.Shards)
 				}
 			}
 		}
@@ -302,8 +288,7 @@ func TestBenchTrajectory(t *testing.T) {
 // reports from the *same* host fingerprint, each zero-alloc row (and
 // the sim-level obs-off row once both reports publish it) may grow by
 // obsTracingOffMaxX plus a noise allowance. The engineering target is
-// ≤3%, but the enforced bound is looser for the same reason
-// speculationMaxX is looser than its 1.25x target: on the shared
+// ≤3%, but the enforced bound is looser: on the shared
 // 1-core runner, identical code drifts up to ±25% (±55 ns/op) on the
 // sub-µs rows and ~5% on the µs-scale sim rows between consecutive
 // reports, so the gate only attributes regressions clearly above that
@@ -445,34 +430,6 @@ func checkPDRRows(t *testing.T, f benchFile) {
 		if r.DropRate > r.Threshold {
 			t.Errorf("%s: PDR(%s) reports drop rate %.4f above its own threshold %.4f", f.name, name, r.DropRate, r.Threshold)
 		}
-	}
-}
-
-// speculationMaxX bounds conservative/optimistic events-per-second at
-// equal shard counts in committed bench reports from PR 5 on.
-const speculationMaxX = 1.6
-
-func checkSpeculationOverhead(t *testing.T, f benchFile) {
-	cons := make(map[int]float64, len(f.ShardScaling))
-	for _, r := range f.ShardScaling {
-		if r.Shards > 1 {
-			cons[r.Shards] = r.EventsPerSec
-		}
-	}
-	checked := 0
-	for _, r := range f.ShardScalingOptimistic {
-		base, ok := cons[r.Shards]
-		if !ok || base <= 0 || r.EventsPerSec <= 0 {
-			continue
-		}
-		checked++
-		if x := base / r.EventsPerSec; x > speculationMaxX {
-			t.Errorf("%s: optimistic engine at %d shards runs %.2fx slower than conservative (%.0f vs %.0f events/s), budget %.2fx",
-				f.name, r.Shards, x, r.EventsPerSec, base, speculationMaxX)
-		}
-	}
-	if checked == 0 {
-		t.Errorf("%s: no comparable conservative/optimistic shard-scaling rows; the speculation-overhead gate has nothing to bite on", f.name)
 	}
 }
 

@@ -28,12 +28,10 @@ func main() {
 	frr := flag.Bool("frr", false, "run the fast-reroute recovery experiment")
 	flapstorm := flag.Bool("flapstorm", false, "run the flap-storm damping experiment")
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations")
-	obsProf := flag.Bool("obs", false, "run the observability profile (behavior-cost and rollback-depth histograms)")
+	obsProf := flag.Bool("obs", false, "run the observability profile (behavior-cost and queue-delay histograms)")
 	pr := flag.Int("pr", 0, "PR number to stamp into the bench report's host record")
 	shards := flag.Int("shards", 0,
 		"run the shard-scaling experiment up to this many shards (1,2,4,...) on a 208-node fat-tree")
-	engine := flag.String("engine", "conservative",
-		"parallel engine for the shard-scaling experiment: conservative, optimistic or both")
 	topoK := flag.Int("topo-k", 8, "fat-tree arity for the shard-scaling experiment")
 	topology := flag.String("topo", "fattree",
 		"shard-scaling topology: fattree or waxman (the seeded 256-node graph)")
@@ -42,12 +40,12 @@ func main() {
 	shardDuration := flag.Duration("shard-duration", 20*time.Millisecond,
 		"virtual window of the shard-scaling experiment")
 	multicoreJSON := flag.String("multicore-json", "",
-		"run the multi-core scaling matrix (both engines, 1..8 shards, contiguous vs mincut on the Waxman scenario) at the current GOMAXPROCS, write the report JSON to this path, and exit non-zero if min-cut fails to cut the cross-shard message bill")
+		"run the multi-core scaling matrix (1..8 shards, contiguous vs mincut on the Waxman scenario) at the current GOMAXPROCS, write the report JSON to this path, and exit non-zero if min-cut fails to cut the cross-shard message bill")
 	pdr := flag.Bool("pdr", false, "run the SRPerf-style PDR saturation scan (all behaviors)")
 	pdrSmoke := flag.Bool("pdr-smoke", false,
 		"coarse PDR search (2 bisection steps, End only): the CI smoke gate")
 	matrix := flag.Bool("matrix", false,
-		"run the behaviour-matrix scenarios under all three engines and compare fingerprints")
+		"run the behaviour-matrix scenarios sequentially and on two shards and compare fingerprints")
 	burst := flag.Int("burst", 32,
 		"datapath burst setting for the SimUDP-burst bench rows and the PDR scan")
 	all := flag.Bool("all", false, "run everything")
@@ -123,9 +121,7 @@ func main() {
 	}
 	if *shards > 0 {
 		ran = true
-		for _, eng := range enginesFor(*engine) {
-			runShards(eng, *shards, *topoK, *topology, *partitionName, shardDuration.Nanoseconds())
-		}
+		runShards(*shards, *topoK, *topology, *partitionName, shardDuration.Nanoseconds())
 	}
 	if !ran {
 		flag.Usage()
@@ -302,7 +298,7 @@ func runPDR(cfg experiments.PDRConfig) {
 }
 
 func runMatrix() {
-	fmt.Println("== Behaviour matrix: committed scenarios x engines (must be bit-identical) ==")
+	fmt.Println("== Behaviour matrix: committed scenarios, sequential vs 2 shards (must be bit-identical) ==")
 	fmt.Println("   L3VPN (End.DT4/DT6/DT46), SFC proxies (End.AS/End.AM), TI-LFA binding SID")
 	rows, err := experiments.MatrixScan()
 	if err != nil {
@@ -321,14 +317,13 @@ func runMatrix() {
 	}
 	fmt.Println()
 	if bad {
-		fail(fmt.Errorf("behaviour matrix: engines disagree"))
+		fail(fmt.Errorf("behaviour matrix: sequential and sharded runs disagree"))
 	}
 }
 
 func runObs(win int64) {
 	fmt.Println("== Observability profile: what the metrics plane saw ==")
-	fmt.Println("   behavior cost + queue delay from the §3.2 lab (Tag++ End.BPF),")
-	fmt.Println("   rollback depth from a 4-shard optimistic fat-tree (virtual ns)")
+	fmt.Println("   behavior cost + queue delay from the §3.2 lab (Tag++ End.BPF), virtual ns")
 	rows, err := experiments.ObsProfile(win)
 	if err != nil {
 		fail(err)
@@ -351,31 +346,16 @@ func shardCountsUpTo(max int) []int {
 	return append(counts, max)
 }
 
-// enginesFor parses the -engine flag into the engines to measure.
-func enginesFor(name string) []netsim.Engine {
-	switch name {
-	case "conservative":
-		return []netsim.Engine{netsim.EngineConservative}
-	case "optimistic":
-		return []netsim.Engine{netsim.EngineOptimistic}
-	case "both":
-		return []netsim.Engine{netsim.EngineConservative, netsim.EngineOptimistic}
-	default:
-		fail(fmt.Errorf("unknown -engine %q (conservative, optimistic or both)", name))
-		return nil
-	}
-}
-
-func runShards(eng netsim.Engine, max, k int, topology, partitionName string, win int64) {
+func runShards(max, k int, topology, partitionName string, win int64) {
 	label := fmt.Sprintf("k=%d fat-tree", k)
 	if topology == "waxman" {
 		label = fmt.Sprintf("%d-node Waxman", experiments.WaxmanScalingNodes)
 	}
-	fmt.Printf("== Shard scaling (%s): %s permutation mix, %s partition, %s virtual (GOMAXPROCS=%d) ==\n",
-		eng, label, partitionName, time.Duration(win), runtime.GOMAXPROCS(0))
+	fmt.Printf("== Shard scaling: %s permutation mix, %s partition, %s virtual (GOMAXPROCS=%d) ==\n",
+		label, partitionName, time.Duration(win), runtime.GOMAXPROCS(0))
 	fmt.Println("   identical per-node counters are re-verified across shard counts")
 	rows, err := experiments.ShardScalingRun(experiments.ShardScalingSpec{
-		Engine: eng, Shards: shardCountsUpTo(max), Topology: topology, K: k,
+		Shards: shardCountsUpTo(max), Topology: topology, K: k,
 		Partition: partitionName, DurationNs: win,
 	})
 	if err != nil {
@@ -387,26 +367,14 @@ func runShards(eng netsim.Engine, max, k int, topology, partitionName string, wi
 
 func printShardRows(rows []experiments.ShardScalingRow) {
 	for _, r := range rows {
-		fmt.Printf("  shards=%d  %8.1f ms wall  %10.0f events/s  speedup %.2fx  (%d events, %d windows, cut %d links, %d msgs, %d delivered",
+		fmt.Printf("  shards=%d  %8.1f ms wall  %10.0f events/s  speedup %.2fx  (%d events, %d windows, cut %d links, %d msgs, %d delivered)\n",
 			r.Shards, r.WallMs, r.EventsPerSec, r.Speedup, r.Events, r.Windows, r.CutLinks, r.Messages, r.Delivered)
-		if r.Engine == "optimistic" {
-			fmt.Printf(", %d ckpts, %d rollbacks, %d antis", r.Checkpoints, r.Rollbacks, r.AntiMessages)
-			if r.CkptNodesCopied+r.CkptNodesAliased > 0 {
-				fmt.Printf(", %d/%d nodes copied, %.1f MB ckpt",
-					r.CkptNodesCopied, r.CkptNodesCopied+r.CkptNodesAliased,
-					float64(r.CkptBytes)/1e6)
-			}
-			if r.HorizonNs > 0 {
-				fmt.Printf(", horizon %dµs (%d adjusts)", r.HorizonNs/1000, r.HorizonAdjusts)
-			}
-		}
-		fmt.Println(")")
 	}
 }
 
-// multicoreReport is the bench-multicore CI artifact: both engines,
-// shard counts 1..8, contiguous vs min-cut on the seeded Waxman
-// scenario, at whatever GOMAXPROCS the runner granted.
+// multicoreReport is the bench-multicore CI artifact: shard counts
+// 1..8, contiguous vs min-cut on the seeded Waxman scenario, at
+// whatever GOMAXPROCS the runner granted.
 type multicoreReport struct {
 	Schema     string                        `json:"schema"`
 	Host       *benchHost                    `json:"host"`
@@ -418,10 +386,9 @@ type multicoreReport struct {
 
 // runMulticore sweeps the multi-core scaling matrix and writes the
 // report. It fails (exit 1) if the min-cut partition does not cut
-// cross-shard Messages by >= 30% vs contiguous at 4 shards under the
-// conservative engine, or — when the runner actually has >= 4 cores —
-// if no multi-shard conservative min-cut row beats the 1-shard
-// baseline.
+// cross-shard Messages by >= 30% vs contiguous at 4 shards, or — when
+// the runner actually has >= 4 cores — if no multi-shard min-cut row
+// beats the 1-shard baseline.
 func runMulticore(path string, pr int, win int64) {
 	procs := runtime.GOMAXPROCS(0)
 	fmt.Printf("== Multi-core shard scaling: %d-node Waxman, %s virtual, GOMAXPROCS=%d ==\n",
@@ -440,27 +407,23 @@ func runMulticore(path string, pr int, win int64) {
 		Nodes:      experiments.WaxmanScalingNodes,
 		DurationNs: win,
 	}
-	msgs := map[string]uint64{} // "partition@shards" -> Messages (conservative)
+	msgs := map[string]uint64{} // "partition@shards" -> Messages
 	bestSpeedup := 0.0
-	for _, eng := range []netsim.Engine{netsim.EngineConservative, netsim.EngineOptimistic} {
-		for _, part := range []string{"contiguous", "mincut"} {
-			fmt.Printf("-- engine=%s partition=%s\n", eng, part)
-			rows, err := experiments.ShardScalingRun(experiments.ShardScalingSpec{
-				Engine: eng, Shards: shardCountsUpTo(8), Topology: "waxman",
-				Partition: part, DurationNs: win,
-			})
-			if err != nil {
-				fail(err)
-			}
-			printShardRows(rows)
-			rep.Rows = append(rep.Rows, rows...)
-			for _, r := range rows {
-				if eng == netsim.EngineConservative {
-					msgs[fmt.Sprintf("%s@%d", part, r.Shards)] = r.Messages
-					if part == "mincut" && r.Shards > 1 && r.Speedup > bestSpeedup {
-						bestSpeedup = r.Speedup
-					}
-				}
+	for _, part := range []string{"contiguous", "mincut"} {
+		fmt.Printf("-- partition=%s\n", part)
+		rows, err := experiments.ShardScalingRun(experiments.ShardScalingSpec{
+			Shards: shardCountsUpTo(8), Topology: "waxman",
+			Partition: part, DurationNs: win,
+		})
+		if err != nil {
+			fail(err)
+		}
+		printShardRows(rows)
+		rep.Rows = append(rep.Rows, rows...)
+		for _, r := range rows {
+			msgs[fmt.Sprintf("%s@%d", part, r.Shards)] = r.Messages
+			if part == "mincut" && r.Shards > 1 && r.Speedup > bestSpeedup {
+				bestSpeedup = r.Speedup
 			}
 		}
 	}
@@ -475,12 +438,12 @@ func runMulticore(path string, pr int, win int64) {
 	fmt.Printf("wrote multi-core report to %s\n", path)
 
 	cont, minc := msgs["contiguous@4"], msgs["mincut@4"]
-	fmt.Printf("gate: conservative Messages at 4 shards: contiguous=%d mincut=%d\n", cont, minc)
+	fmt.Printf("gate: Messages at 4 shards: contiguous=%d mincut=%d\n", cont, minc)
 	if cont == 0 || 10*minc > 7*cont {
 		fail(fmt.Errorf("min-cut did not cut cross-shard messages by >= 30%% at 4 shards (%d vs %d)", minc, cont))
 	}
 	if procs >= 4 {
-		fmt.Printf("gate: best conservative min-cut speedup_vs_1shard = %.2f (GOMAXPROCS=%d)\n", bestSpeedup, procs)
+		fmt.Printf("gate: best min-cut speedup_vs_1shard = %.2f (GOMAXPROCS=%d)\n", bestSpeedup, procs)
 		if bestSpeedup <= 1 {
 			fail(fmt.Errorf("no multi-shard speedup on a %d-core runner (best %.2fx)", procs, bestSpeedup))
 		}
@@ -509,10 +472,6 @@ type benchReport struct {
 	FlapStorm    []experiments.FlapStormRow    `json:"flap_storm"`
 	Datapath     []experiments.DatapathRow     `json:"datapath"`
 	ShardScaling []experiments.ShardScalingRow `json:"shard_scaling"`
-	// ShardScalingOptimistic measures the Time-Warp engine on the same
-	// scenario (same seed, counters verified identical to the
-	// conservative rows by the experiment itself).
-	ShardScalingOptimistic []experiments.ShardScalingRow `json:"shard_scaling_optimistic"`
 	// Obs is the observability profile (histogram quantiles, virtual ns).
 	Obs []experiments.ObsRow `json:"obs,omitempty"`
 	// PDR is the SRPerf-style saturation table (from PR 8 on).
@@ -577,10 +536,7 @@ func writeBenchJSON(path string, win int64, pr, burst int) {
 	if rep.Datapath, err = experiments.DatapathBench(burst); err != nil {
 		fail(err)
 	}
-	if rep.ShardScaling, err = experiments.ShardScaling(netsim.EngineConservative, shardCountsUpTo(4), 8, 20*netsim.Millisecond); err != nil {
-		fail(err)
-	}
-	if rep.ShardScalingOptimistic, err = experiments.ShardScaling(netsim.EngineOptimistic, shardCountsUpTo(4), 8, 20*netsim.Millisecond); err != nil {
+	if rep.ShardScaling, err = experiments.ShardScaling(shardCountsUpTo(4), 8, 20*netsim.Millisecond); err != nil {
 		fail(err)
 	}
 	if rep.Obs, err = experiments.ObsProfile(win); err != nil {

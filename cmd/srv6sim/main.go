@@ -4,8 +4,7 @@
 // Usage:
 //
 //	srv6sim -scenario endbpf|delay|traceroute [-trace]
-//	srv6sim -scenario serve [-http addr] [-engine conservative|optimistic]
-//	        [-shards N] [-obs-dump dir]
+//	srv6sim -scenario serve [-http addr] [-shards N] [-obs-dump dir]
 //
 // The serve scenario runs a continuous workload and exposes the
 // observability plane over HTTP: /metrics (Prometheus text),
@@ -44,7 +43,6 @@ func main() {
 	scenario := flag.String("scenario", "endbpf", "endbpf | delay | traceroute | serve")
 	trace := flag.Bool("trace", false, "log router events")
 	httpAddr := flag.String("http", "localhost:8080", "listen address for -scenario serve")
-	engine := flag.String("engine", "conservative", "shard engine for -scenario serve (conservative|optimistic)")
 	shards := flag.Int("shards", 1, "shard count for -scenario serve")
 	obsDump := flag.String("obs-dump", "", "write observability artifacts to this directory and exit (serve only)")
 	flag.Parse()
@@ -57,7 +55,7 @@ func main() {
 	case "traceroute":
 		runTraceroute(*trace)
 	case "serve":
-		runServe(*httpAddr, *engine, *shards, *obsDump)
+		runServe(*httpAddr, *shards, *obsDump)
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -38,7 +38,7 @@ type serveLab struct {
 	mu sync.Mutex
 }
 
-func newServeLab(engine string, shards int, sampleShift uint) (*serveLab, error) {
+func newServeLab(shards int, sampleShift uint) (*serveLab, error) {
 	sim, a, r, b := line(false)
 	l := &serveLab{sim: sim, a: a, b: b}
 
@@ -75,15 +75,7 @@ func newServeLab(engine string, shards int, sampleShift uint) (*serveLab, error)
 	snd.Start()
 
 	if shards > 1 {
-		switch engine {
-		case "optimistic":
-			err = sim.SetShards(shards, netsim.EngineOptimistic)
-		case "conservative", "":
-			err = sim.SetShards(shards)
-		default:
-			err = fmt.Errorf("unknown engine %q (conservative|optimistic)", engine)
-		}
-		if err != nil {
+		if err := sim.SetShards(shards); err != nil {
 			return nil, err
 		}
 	}
@@ -148,8 +140,8 @@ func (l *serveLab) handler() http.Handler {
 // runServe drives the lab forever (or until durationNs of virtual
 // time with -obs-dump), pacing virtual chunks against the wall clock
 // so the endpoint shows a live, slowly-evolving system.
-func runServe(httpAddr, engine string, shards int, dump string) {
-	l, err := newServeLab(engine, shards, 2)
+func runServe(httpAddr string, shards int, dump string) {
+	l, err := newServeLab(shards, 2)
 	if err != nil {
 		fatal(err)
 	}

@@ -424,89 +424,6 @@ func (m *Map) Iterate(fn func(key, value []byte) bool) {
 	}
 }
 
-// Snapshot is a value copy of a map's contents and internal layout,
-// taken by rollback-aware components (internal/nf state hooks) at
-// simulation checkpoints. Slot assignments are preserved exactly, so
-// arena offsets handed to programs via LookupSlot stay valid across
-// a Restore.
-type Snapshot struct {
-	arena    []byte
-	index    map[string]int
-	keys     []string
-	free     []int
-	lruOrder []int // most recently used first; nil unless LRUHash
-}
-
-// Snapshot captures the map state. Not supported for PerfEventArray
-// maps (ring contents are a stream to user space, not program state).
-func (m *Map) Snapshot() Snapshot {
-	if m.spec.Type == PerfEventArray {
-		panic("maps: Snapshot is not supported for perf event arrays")
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s := Snapshot{arena: append([]byte(nil), m.arena...)}
-	if m.index != nil {
-		s.index = make(map[string]int, len(m.index))
-		for k, v := range m.index {
-			s.index[k] = v
-		}
-		s.keys = append([]string(nil), m.keys...)
-		s.free = append([]int(nil), m.free...)
-	}
-	if m.lru != nil {
-		for slot := m.lru.head; slot >= 0; slot = m.lru.next[slot] {
-			s.lruOrder = append(s.lruOrder, slot)
-		}
-	}
-	return s
-}
-
-// Restore rewinds the map to a previously captured snapshot. The
-// snapshot stays valid and may be restored again.
-func (m *Map) Restore(s Snapshot) {
-	if m.spec.Type == PerfEventArray {
-		panic("maps: Restore is not supported for perf event arrays")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	copy(m.arena, s.arena)
-	if m.index != nil {
-		for k := range m.index {
-			delete(m.index, k)
-		}
-		for k, v := range s.index {
-			m.index[k] = v
-		}
-		copy(m.keys, s.keys)
-		m.free = append(m.free[:0], s.free...)
-	}
-	if m.lru != nil {
-		m.lru = newLRUList(len(m.keys))
-		for i := len(s.lruOrder) - 1; i >= 0; i-- {
-			m.lru.push(s.lruOrder[i])
-		}
-	}
-	if m.trie != nil {
-		m.trie = &trieNode{}
-		for ks, slot := range m.index {
-			key := []byte(ks)
-			plen := lpmPrefixLen(key)
-			data := lpmData(key)
-			n := m.trie
-			for i := uint32(0); i < plen; i++ {
-				b := bitAt(data, i)
-				if n.children[b] == nil {
-					n.children[b] = &trieNode{}
-				}
-				n = n.children[b]
-			}
-			n.slot = slot
-			n.present = true
-		}
-	}
-}
-
 func (m *Map) slotBytes(slot int) []byte {
 	return m.arena[slot*m.stride : slot*m.stride+int(m.spec.ValueSize)]
 }

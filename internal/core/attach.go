@@ -28,9 +28,7 @@ const DefaultMaxFaults = 3
 // that faults (VM error, not a clean BPF_DROP) maxFaults times on one
 // attachment is quarantined — further packets are dropped and counted
 // without running it, like the kernel detaching a misbehaving program
-// rather than paying its fault path per packet. The state registers
-// with the node's checkpoint machinery on first run, so speculative
-// faults under the optimistic engine roll back with everything else.
+// rather than paying its fault path per packet.
 type progFaults struct {
 	faults      int
 	maxFaults   int // 0 means DefaultMaxFaults
@@ -55,23 +53,6 @@ func (p *progFaults) recordFault() bool {
 	return false
 }
 
-// faultSnap is the checkpointed form of progFaults.
-type faultSnap struct {
-	faults      int
-	quarantined bool
-}
-
-// SnapshotState implements netsim.ShardState.
-func (p *progFaults) SnapshotState() any {
-	return faultSnap{faults: p.faults, quarantined: p.quarantined}
-}
-
-// RestoreState implements netsim.ShardState.
-func (p *progFaults) RestoreState(v any) {
-	s := v.(faultSnap)
-	p.faults, p.quarantined = s.faults, s.quarantined
-}
-
 // EndBPF is a loaded End.BPF attachment: bind it to a SID with a
 // RouteSeg6Local whose Behaviour is seg6.ActionEndBPF and BPF set to
 // this value. Instances are single-threaded, like one softirq context
@@ -85,10 +66,6 @@ type EndBPF struct {
 	env    execEnv
 	faults progFaults
 	stats  progCounters
-	// lastNode/lastSeq memoise the per-packet state registration
-	// within one burst-cache epoch (see bindState).
-	lastNode *netsim.Node
-	lastSeq  uint64
 }
 
 // AttachEndBPF instantiates prog (loaded against Seg6LocalHook) as a
@@ -127,11 +104,6 @@ func (e *EndBPF) Quarantined() bool { return e.faults.quarantined }
 // Faults reports the attachment's fault count.
 func (e *EndBPF) Faults() int { return e.faults.faults }
 
-// FaultState exposes the quarantine state as the netsim.ShardState the
-// datapath registers with the node; tests and tooling checkpoint it
-// explicitly through this.
-func (e *EndBPF) FaultState() netsim.ShardState { return &e.faults }
-
 // installPacket rebinds the packet region in place and fixes the ctx
 // len and data_end after helpers replaced the packet. No allocation:
 // the instance's packet segment is reused.
@@ -156,17 +128,6 @@ func fillCtxLen(ctx []byte, pktLen int) {
 // allocations: one offset-only header walk, an in-place SRH advance,
 // and a reused execution environment.
 func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMeta) (seg6.Result, int64, error) {
-	// Fault-quarantine and run-statistics state checkpoint with the
-	// node (idempotent after the first packet; a rollback past the
-	// registration unhooks and re-registers them on re-execution).
-	// Within one burst-cache epoch the registration scan is skipped:
-	// epochs advance on every crash and rollback restore, so a
-	// matching (node, epoch) pair proves the hooks are still in place.
-	if seq, ok := n.BurstCache(); !ok || e.lastNode != n || e.lastSeq != seq {
-		n.RegisterState(&e.faults)
-		n.RegisterState(&e.stats)
-		e.lastNode, e.lastSeq = n, seq
-	}
 	if e.faults.quarantined {
 		n.Count("drop_prog_quarantined")
 		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, nil
@@ -174,7 +135,7 @@ func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMet
 	// End.BPF behaves as an endpoint: it only accepts SRv6 packets
 	// with a current segment, and advances the SRH before the program
 	// runs (§3). The header walk is served from the node's burst flow
-	// cache when the bytes were already proven this epoch.
+	// cache when it already holds these exact bytes.
 	info, err := n.ParseInfoCached(raw)
 	if err != nil {
 		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, err
@@ -261,10 +222,6 @@ type LWT struct {
 	env    execEnv
 	faults progFaults
 	stats  progCounters
-	// lastNode/lastSeq memoise the per-packet state registration
-	// within one burst-cache epoch (see EndBPF.RunSeg6Local).
-	lastNode *netsim.Node
-	lastSeq  uint64
 }
 
 // AttachLWT instantiates prog (loaded against LWTOutHook) as a
@@ -296,19 +253,10 @@ func (l *LWT) Quarantined() bool { return l.faults.quarantined }
 // Faults reports the attachment's fault count.
 func (l *LWT) Faults() int { return l.faults.faults }
 
-// FaultState exposes the quarantine state as the netsim.ShardState the
-// datapath registers with the node.
-func (l *LWT) FaultState() netsim.ShardState { return &l.faults }
-
 // RunLWTOut implements netsim.LWTProgram. Like RunSeg6Local, a single
 // offset-only walk feeds both the SRH bookkeeping and the flow hash,
 // and the execution environment is reused across packets.
 func (l *LWT) RunLWTOut(n *netsim.Node, raw []byte, meta *netsim.PacketMeta) ([]byte, netsim.LWTVerdict, int64, error) {
-	if seq, ok := n.BurstCache(); !ok || l.lastNode != n || l.lastSeq != seq {
-		n.RegisterState(&l.faults)
-		n.RegisterState(&l.stats)
-		l.lastNode, l.lastSeq = n, seq
-	}
 	if l.faults.quarantined {
 		n.Count("drop_prog_quarantined")
 		return nil, netsim.LWTDrop, 0, nil

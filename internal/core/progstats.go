@@ -6,7 +6,6 @@ import (
 
 	"srv6bpf/internal/bpf"
 	"srv6bpf/internal/bpf/vm"
-	"srv6bpf/internal/netsim"
 )
 
 // Verdict indices for progCounters.verdicts. "error" covers VM faults
@@ -24,11 +23,7 @@ var verdictNames = [verdictCount]string{"ok", "drop", "redirect", "error"}
 
 // progCounters is an attachment's bpftool-style run statistics:
 // run_cnt, retired instructions, helper invocations (aggregate and
-// per helper ID) and a verdict breakdown. Like progFaults it
-// registers with the node's checkpoint machinery on first run, so
-// counts observed after commit are committed-exact under the
-// optimistic engine — speculative runs that roll back are uncounted,
-// matching the kernel's view where a run either happened or didn't.
+// per helper ID) and a verdict breakdown.
 type progCounters struct {
 	runCnt    uint64
 	insns     uint64
@@ -36,12 +31,6 @@ type progCounters struct {
 	verdicts  [verdictCount]uint64
 	helperCnt [vm.MaxHelperID]uint64
 }
-
-// SnapshotState implements netsim.ShardState by value copy.
-func (p *progCounters) SnapshotState() any { return *p }
-
-// RestoreState implements netsim.ShardState.
-func (p *progCounters) RestoreState(v any) { *p = v.(progCounters) }
 
 // record accounts one program run.
 func (p *progCounters) record(insns, helpers uint64, verdict int) {
@@ -174,11 +163,3 @@ func (e *EndBPF) ProgStats() ProgStats {
 func (l *LWT) ProgStats() ProgStats {
 	return buildProgStats(l.inst, l.name, "lwt_out", &l.stats, &l.faults)
 }
-
-// StatsState exposes the run counters as the netsim.ShardState the
-// datapath registers with the node, mirroring FaultState.
-func (e *EndBPF) StatsState() netsim.ShardState { return &e.stats }
-
-// StatsState exposes the run counters as the netsim.ShardState the
-// datapath registers with the node, mirroring FaultState.
-func (l *LWT) StatsState() netsim.ShardState { return &l.stats }

@@ -100,33 +100,6 @@ func TestProgStatsVerdictsAndQuarantine(t *testing.T) {
 	}
 }
 
-// TestProgStatsRollback: the counters are ShardState — restoring a
-// snapshot rewinds speculative runs, keeping committed stats exact
-// under the optimistic engine.
-func TestProgStatsRollback(t *testing.T) {
-	end := attachEnd(t, ktimeSpec())
-	g := newRig(t, nil)
-	g.r.AddRoute(&netsim.Route{
-		Prefix:    netip.PrefixFrom(sid, 128),
-		Kind:      netsim.RouteSeg6Local,
-		Behaviour: end.Behaviour(),
-	})
-	g.send(t, dstB)
-	st := end.StatsState()
-	snap := st.SnapshotState()
-	g.send(t, dstB)
-	g.send(t, dstB)
-	if end.ProgStats().RunCnt != 3 {
-		t.Fatalf("setup: run_cnt = %d", end.ProgStats().RunCnt)
-	}
-	st.RestoreState(snap)
-	s := end.ProgStats()
-	if s.RunCnt != 1 || s.HelperCalls != 2 || s.Verdicts["ok"] != 1 {
-		t.Errorf("restore did not rewind stats: run_cnt=%d helpers=%d verdicts=%v",
-			s.RunCnt, s.HelperCalls, s.Verdicts)
-	}
-}
-
 // TestHelperNameFallback: IDs outside the installed set render as
 // helper_<id> instead of being dropped.
 func TestHelperNameFallback(t *testing.T) {

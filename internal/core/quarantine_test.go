@@ -155,34 +155,3 @@ func TestLWTFaultQuarantine(t *testing.T) {
 			rc["drop_prog_quarantined"], packets-core.DefaultMaxFaults)
 	}
 }
-
-// TestQuarantineStateRollsBack: the fault counter is ShardState — a
-// rollback under the optimistic engine must rewind speculative faults
-// so every engine quarantines at the same virtual time. Exercised
-// end-to-end by the chaos arm of TestShardEquivalenceFuzz; here the
-// snapshot contract is checked directly.
-func TestQuarantineStateRollsBack(t *testing.T) {
-	end := attachEnd(t, wildReadSpec())
-	g := newRig(t, nil)
-	g.r.AddRoute(&netsim.Route{
-		Prefix:    netip.PrefixFrom(sid, 128),
-		Kind:      netsim.RouteSeg6Local,
-		Behaviour: end.Behaviour(),
-	})
-	g.send(t, dstB) // one fault in
-	if end.Faults() != 1 {
-		t.Fatalf("setup: faults = %d", end.Faults())
-	}
-	st := end.FaultState()
-	snap := st.SnapshotState()
-	g.send(t, dstB)
-	g.send(t, dstB)
-	if !end.Quarantined() {
-		t.Fatalf("setup: not quarantined at %d faults", end.Faults())
-	}
-	st.RestoreState(snap)
-	if end.Faults() != 1 || end.Quarantined() {
-		t.Errorf("restore did not rewind quarantine: faults=%d quarantined=%v",
-			end.Faults(), end.Quarantined())
-	}
-}

@@ -210,8 +210,8 @@ func simUDPRow(obsOn bool) (DatapathRow, error) {
 			a.Output(work)
 			sim.Run()
 			// Truncate the journals so the recorder's ring cannot grow
-			// without bound across iterations (same mechanism a rollback
-			// uses; a cheap slice-length reset).
+			// without bound across iterations (a cheap slice-length
+			// reset).
 			for _, tb := range bufs {
 				tb.RestoreState(0)
 			}

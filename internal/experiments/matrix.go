@@ -2,9 +2,8 @@ package experiments
 
 // The behaviour matrix: three committed end-to-end scenarios that
 // exercise the registry-driven SRv6 behaviour set (RFC 8986) on
-// nontrivial topologies, each run under all three simulation engines
-// (sequential, conservative 2-shard, optimistic 2-shard). A scenario
-// passes when the three runs produce bit-identical counter
+// nontrivial topologies, each run sequentially and on two shards. A
+// scenario passes when both runs produce bit-identical counter
 // fingerprints and full delivery — the same property the shard
 // equivalence fuzzer checks, pinned here on curated control-plane
 // configurations instead of random ones:
@@ -39,7 +38,7 @@ import (
 	"srv6bpf/internal/trafgen"
 )
 
-// MatrixRun is one engine's outcome for a scenario.
+// MatrixRun is one engine configuration's outcome for a scenario.
 type MatrixRun struct {
 	Engine      string
 	Fingerprint string
@@ -50,16 +49,16 @@ type MatrixRun struct {
 type MatrixRow struct {
 	Scenario  string
 	Delivered uint64 // packets delivered in the sequential reference run
-	Match     bool   // all engines produced identical fingerprints
+	Match     bool   // all runs produced identical fingerprints
 	Runs      []MatrixRun
 }
 
-// matrixScenario builds and runs one scenario under the given engine
-// configuration and returns a deterministic fingerprint plus the
-// delivered packet count. shards <= 1 means the sequential engine.
+// matrixScenario builds and runs one scenario on the given shard
+// count and returns a deterministic fingerprint plus the delivered
+// packet count. shards <= 1 means the sequential engine.
 type matrixScenario struct {
 	name string
-	run  func(shards int, eng netsim.Engine, burst int) (string, uint64, error)
+	run  func(shards, burst int) (string, uint64, error)
 }
 
 func matrixScenarios() []matrixScenario {
@@ -70,26 +69,23 @@ func matrixScenarios() []matrixScenario {
 	}
 }
 
-// MatrixScan runs every committed scenario under the sequential,
-// conservative and optimistic engines and compares fingerprints. It
-// is the engine-equivalence gate of `srv6bench -matrix` and the
-// matrix-smoke CI target.
+// MatrixScan runs every committed scenario sequentially and on two
+// shards and compares fingerprints. It is the engine-equivalence gate
+// of `srv6bench -matrix` and the matrix-smoke CI target.
 func MatrixScan() ([]MatrixRow, error) {
 	const burst = 4
 	configs := []struct {
 		label  string
 		shards int
-		eng    netsim.Engine
 	}{
-		{"sequential", 1, netsim.EngineConservative},
-		{"conservative-2", 2, netsim.EngineConservative},
-		{"optimistic-2", 2, netsim.EngineOptimistic},
+		{"sequential", 1},
+		{"conservative-2", 2},
 	}
 	var rows []MatrixRow
 	for _, sc := range matrixScenarios() {
 		row := MatrixRow{Scenario: sc.name, Match: true}
 		for i, cfg := range configs {
-			fp, delivered, err := sc.run(cfg.shards, cfg.eng, burst)
+			fp, delivered, err := sc.run(cfg.shards, burst)
 			if err != nil {
 				return rows, fmt.Errorf("%s/%s: %w", sc.name, cfg.label, err)
 			}
@@ -105,19 +101,18 @@ func MatrixScan() ([]MatrixRow, error) {
 	return rows, nil
 }
 
-// matrixSetShards applies the engine configuration; the sequential
-// reference never calls SetShards at all.
-func matrixSetShards(sim *netsim.Sim, shards int, eng netsim.Engine) error {
+// matrixSetShards applies the shard count; the sequential reference
+// never calls SetShards at all.
+func matrixSetShards(sim *netsim.Sim, shards int) error {
 	if shards <= 1 {
 		return nil
 	}
-	return sim.SetShards(shards, eng)
+	return sim.SetShards(shards)
 }
 
 // matrixFingerprint hashes every node's sorted counter set plus any
-// scenario-specific extra lines into a short hex digest. Counters are
-// rollback-aware (the optimistic engine restores them on straggler
-// re-execution), so identical digests mean identical executions.
+// scenario-specific extra lines into a short hex digest: identical
+// digests mean identical executions.
 func matrixFingerprint(sim *netsim.Sim, extra ...string) string {
 	h := fnv.New64a()
 	for _, n := range sim.Nodes() {
@@ -153,32 +148,17 @@ func mustAddRoute(n *netsim.Node, r *netsim.Route) error {
 // decapsulates into its own egress table (End.DT4). Tenant C is IPv6
 // through a 2-segment reduced encapsulation via a mid-point End SID
 // (End.DT6 at the egress); tenant D sends IPv4 and IPv6 over one
-// End.DT46 SID.
-func matrixL3VPN(shards int, eng netsim.Engine, burst int) (string, uint64, error) {
-	sim, finish, err := buildL3VPN(burst)
-	if err != nil {
-		return "", 0, err
-	}
-	if err := matrixSetShards(sim, shards, eng); err != nil {
-		return "", 0, err
-	}
-	sim.Run()
-	return finish()
-}
-
-// buildL3VPN wires the scenario and starts its generators, leaving the
-// engine choice and the run to the caller; finish checks delivery and
-// isolation and returns the fingerprint. Every tenant's egress CE
-// journals each delivery as (rx time, hop limit or TTL): the inner
-// packets arrive through the decap behaviours, whose result aliases
-// the outer buffer, so a hop limit decremented twice — bytes shared
-// with rollback state and replayed — would show in the fingerprint.
-func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) {
+// End.DT46 SID. Every tenant's egress CE journals each delivery as
+// (rx time, hop limit or TTL): the inner packets arrive through the
+// decap behaviours, whose result aliases the outer buffer, so a hop
+// limit decremented twice — bytes shared between two owners — would
+// show in the fingerprint.
+func matrixL3VPN(shards, burst int) (string, uint64, error) {
 	sim := netsim.New(9101)
 	sim.SetBurst(burst)
 	nw, err := topo.FatTree(sim, 4, topo.Opts{})
 	if err != nil {
-		return nil, nil, err
+		return "", 0, err
 	}
 	pe1, pe2, mid := nw.Hosts[0], nw.Hosts[1], nw.Hosts[2]
 	access := netem.Config{RateBps: 10_000_000_000, DelayNs: 5 * netsim.Microsecond}
@@ -253,17 +233,17 @@ func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) 
 		}
 		ceIn, peInIf, err := attach("ce"+tn.name+"1", pe1, inAddrs...)
 		if err != nil {
-			return nil, nil, err
+			return "", 0, err
 		}
 		ceOut, _, err := attach("ce"+tn.name+"2", pe2, outAddrs...)
 		if err != nil {
-			return nil, nil, err
+			return "", 0, err
 		}
 
 		// Ingress: bind the CE-facing interface to the tenant VRF and
 		// steer the tenant's prefixes onto the SID.
 		if err := pe1.BindIfaceTable(peInIf, tn.ingress); err != nil {
-			return nil, nil, err
+			return "", 0, err
 		}
 		srh := packet.NewSRH([]netip.Addr{tn.sid})
 		mode := netsim.EncapModeEncap
@@ -298,10 +278,10 @@ func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) 
 			Kind:      netsim.RouteSeg6Local,
 			Behaviour: &seg6.Behaviour{Action: tn.action, Table: tn.egress},
 		}); err != nil {
-			return nil, nil, err
+			return "", 0, err
 		}
 
-		j := netsim.NewJournal(ceOut)
+		j := netsim.NewJournal()
 		journals[ti] = j
 		ceOut.HandleUDP(tn.port, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 			hl, _ := packet.HopLimit(p.Raw)
@@ -314,7 +294,7 @@ func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) 
 		case "A", "B":
 			tmpl, err := packet.BuildIPv4UDP(v4Src, v4Dst, 40000, tn.port, make([]byte, 64), 64)
 			if err != nil {
-				return nil, nil, err
+				return "", 0, err
 			}
 			g := &trafgen.RawGen{Node: ceIn, Template: tmpl, RatePPS: rate}
 			g.Start(until)
@@ -322,17 +302,17 @@ func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) 
 		case "C":
 			g := &trafgen.UDPGen{Node: ceIn, Src: c1, Dst: c9, SrcPort: 40000, DstPort: tn.port, PayloadLen: 64, RatePPS: rate}
 			if err := g.Start(until); err != nil {
-				return nil, nil, err
+				return "", 0, err
 			}
 			gens = append(gens, g)
 		case "D":
 			g6 := &trafgen.UDPGen{Node: ceIn, Src: d1, Dst: d9, SrcPort: 40000, DstPort: tn.port, PayloadLen: 64, RatePPS: rate / 2}
 			if err := g6.Start(until); err != nil {
-				return nil, nil, err
+				return "", 0, err
 			}
 			tmpl, err := packet.BuildIPv4UDP(v4Src, v4Dst, 40001, tn.port, make([]byte, 64), 64)
 			if err != nil {
-				return nil, nil, err
+				return "", 0, err
 			}
 			g4 := &trafgen.RawGen{Node: ceIn, Template: tmpl, RatePPS: rate / 2}
 			g4.Start(until)
@@ -346,33 +326,35 @@ func buildL3VPN(burst int) (*netsim.Sim, func() (string, uint64, error), error) 
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd},
 	}); err != nil {
-		return nil, nil, err
+		return "", 0, err
 	}
 
-	finish := func() (string, uint64, error) {
-		var sent, delivered uint64
-		for _, g := range gens {
-			sent += g.Sent()
-		}
-		extra := make([]string, 0, len(journals))
-		got := make([]uint64, len(journals))
-		for i, j := range journals {
-			got[i] = uint64(len(j.Lines()))
-			delivered += got[i]
-			extra = append(extra, fmt.Sprintf("tenant%s=%d trace=%s", tenants[i].name, got[i], strings.Join(j.Lines(), ",")))
-		}
-		if delivered != sent {
-			return "", 0, fmt.Errorf("l3vpn: delivered %d of %d offered", delivered, sent)
-		}
-		// Isolation: each tenant's egress CE saw exactly its own offered load.
-		// Overlapping tenants leaking across VRFs would skew both counts.
-		if got[0] != gens[0].Sent() || got[1] != gens[1].Sent() {
-			return "", 0, fmt.Errorf("l3vpn: tenant isolation broken: A=%d/%d B=%d/%d",
-				got[0], gens[0].Sent(), got[1], gens[1].Sent())
-		}
-		return matrixFingerprint(sim, extra...), delivered, nil
+	if err := matrixSetShards(sim, shards); err != nil {
+		return "", 0, err
 	}
-	return sim, finish, nil
+	sim.Run()
+
+	var sent, delivered uint64
+	for _, g := range gens {
+		sent += g.Sent()
+	}
+	extra := make([]string, 0, len(journals))
+	got := make([]uint64, len(journals))
+	for i, j := range journals {
+		got[i] = uint64(len(j.Lines()))
+		delivered += got[i]
+		extra = append(extra, fmt.Sprintf("tenant%s=%d trace=%s", tenants[i].name, got[i], strings.Join(j.Lines(), ",")))
+	}
+	if delivered != sent {
+		return "", 0, fmt.Errorf("l3vpn: delivered %d of %d offered", delivered, sent)
+	}
+	// Isolation: each tenant's egress CE saw exactly its own offered load.
+	// Overlapping tenants leaking across VRFs would skew both counts.
+	if got[0] != gens[0].Sent() || got[1] != gens[1].Sent() {
+		return "", 0, fmt.Errorf("l3vpn: tenant isolation broken: A=%d/%d B=%d/%d",
+			got[0], gens[0].Sent(), got[1], gens[1].Sent())
+	}
+	return matrixFingerprint(sim, extra...), delivered, nil
 }
 
 // lastIface returns the interface most recently added to n — the
@@ -393,7 +375,7 @@ func lastIface(n *netsim.Node) *netsim.Iface {
 // destination address toward the VNF, restore it from the SRH on
 // return). The VNFs are plain forwarders with a default route back —
 // they never see an SRH.
-func matrixSFC(shards int, eng netsim.Engine, burst int) (string, uint64, error) {
+func matrixSFC(shards, burst int) (string, uint64, error) {
 	sim := netsim.New(9102)
 	sim.SetBurst(burst)
 	host := netsim.HostCostModel()
@@ -497,7 +479,7 @@ func matrixSFC(shards int, eng netsim.Engine, burst int) (string, uint64, error)
 		return "", 0, err
 	}
 
-	if err := matrixSetShards(sim, shards, eng); err != nil {
+	if err := matrixSetShards(sim, shards); err != nil {
 		return "", 0, err
 	}
 	sim.Run()
@@ -517,7 +499,7 @@ func matrixSFC(shards int, eng netsim.Engine, burst int) (string, uint64, error)
 // the PSP flavor) — and the A-B link is cut mid-run: the second half
 // of the traffic must arrive via the backup, with A's backup_tx
 // counter recording the switch.
-func matrixTILFA(shards int, eng netsim.Engine, burst int) (string, uint64, error) {
+func matrixTILFA(shards, burst int) (string, uint64, error) {
 	sim := netsim.New(9103)
 	sim.SetBurst(burst)
 	host := netsim.HostCostModel()
@@ -620,7 +602,7 @@ func matrixTILFA(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 
 	// Phase 1 on port 9999, then the A-B link dies and phase 2 runs on
 	// port 9998 — everything scheduled up front so the run is one
-	// deterministic event sequence under every engine.
+	// deterministic event sequence at any shard count.
 	sink1 := trafgen.NewSink(dst, 9999)
 	sink2 := trafgen.NewSink(dst, 9998)
 	gen1 := &trafgen.UDPGen{Node: in, Src: inAddr, Dst: dstAddr, SrcPort: 40000, DstPort: 9999, PayloadLen: 64, RatePPS: 200_000}
@@ -634,7 +616,7 @@ func matrixTILFA(shards int, eng netsim.Engine, burst int) (string, uint64, erro
 		genErr = gen2.Start(800 * netsim.Microsecond)
 	})
 
-	if err := matrixSetShards(sim, shards, eng); err != nil {
+	if err := matrixSetShards(sim, shards); err != nil {
 		return "", 0, err
 	}
 	sim.Run()

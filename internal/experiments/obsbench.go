@@ -1,11 +1,10 @@
 package experiments
 
 // The observability profile: instead of measuring forwarding rate, it
-// runs instrumented workloads and reports what the metrics plane saw —
+// runs an instrumented workload and reports what the metrics plane saw —
 // per-behavior execution-cost quantiles and queue delay from the §3.2
-// lab, and the rollback-depth distribution of the optimistic engine
-// under a sharded fat-tree mix. srv6bench -obs prints these rows and
-// writeBenchJSON embeds them in the report.
+// lab. srv6bench -obs prints these rows and writeBenchJSON embeds them
+// in the report.
 
 import (
 	"net/netip"
@@ -14,10 +13,8 @@ import (
 	"srv6bpf/internal/bpf"
 	"srv6bpf/internal/core"
 	"srv6bpf/internal/netsim"
-	"srv6bpf/internal/netsim/topo"
 	"srv6bpf/internal/nf/progs"
 	"srv6bpf/internal/obs"
-	"srv6bpf/internal/trafgen"
 )
 
 // ObsRow summarises one histogram of the observability profile. All
@@ -44,9 +41,8 @@ func obsRow(name string, h *obs.Histogram) ObsRow {
 	}
 }
 
-// ObsProfile runs the two instrumented scenarios and returns their
-// histogram rows: behavior:<name> and queue_delay from the lab run,
-// rollback_depth from the optimistic fat-tree run.
+// ObsProfile runs the instrumented lab scenario and returns its
+// histogram rows: behavior:<name> and queue_delay.
 func ObsProfile(durationNs int64) ([]ObsRow, error) {
 	l := newLab1(1)
 	l.sim.EnableObs(netsim.ObsOptions{Trace: true, SampleShift: 4})
@@ -74,54 +70,5 @@ func ObsProfile(durationNs int64) ([]ObsRow, error) {
 	}
 	rows = append(rows, obsRow("queue_delay", l.sim.QueueDelayHist()))
 
-	rb, err := rollbackDepthRow(durationNs)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, rb)
 	return rows, nil
-}
-
-// rollbackDepthRow replays the shard-scaling mix on a k=4 fat-tree
-// under the optimistic engine with metrics on and reports how much
-// virtual time each rollback undid.
-func rollbackDepthRow(durationNs int64) (ObsRow, error) {
-	sim := netsim.New(shardScalingSeed)
-	nw, err := topo.FatTree(sim, 4, topo.Opts{
-		Link: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
-	})
-	if err != nil {
-		return ObsRow{}, err
-	}
-	for _, h := range nw.Hosts {
-		trafgen.NewSink(h, 9)
-	}
-	sim.EnableObs(netsim.ObsOptions{})
-	pairs := nw.PermutationPairs(99)
-	gens := make([]*trafgen.UDPGen, len(pairs))
-	for i, pr := range pairs {
-		gens[i] = &trafgen.UDPGen{
-			Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
-			SrcPort: 1000, DstPort: 9, PayloadLen: 64,
-			FlowLabel: func(n uint64) uint32 { return uint32(n % 16) },
-			RatePPS:   20_000,
-		}
-	}
-	if err := sim.SetShards(4, netsim.EngineOptimistic); err != nil {
-		return ObsRow{}, err
-	}
-	for i, g := range gens {
-		g := g
-		g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
-			if err := g.Start(durationNs); err != nil {
-				panic(err)
-			}
-		})
-	}
-	sim.RunUntil(durationNs)
-	for _, g := range gens {
-		g.Stop()
-	}
-	sim.Run()
-	return obsRow("rollback_depth", sim.RollbackDepthHist()), nil
 }

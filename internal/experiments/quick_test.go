@@ -65,7 +65,7 @@ func TestQuickShardScaling(t *testing.T) {
 	// Small instance (k=4 fat-tree, 36 nodes, 5 ms): the point here is
 	// the end-to-end experiment path and its built-in determinism
 	// check, not the scaling numbers.
-	rows, err := ShardScaling(netsim.EngineConservative, []int{1, 2}, 4, 5*netsim.Millisecond)
+	rows, err := ShardScaling([]int{1, 2}, 4, 5*netsim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,31 +81,6 @@ func TestQuickShardScaling(t *testing.T) {
 	}
 	if rows[0].Events != rows[1].Events || rows[0].Delivered != rows[1].Delivered {
 		t.Errorf("shard counts disagree on totals: %+v", rows)
-	}
-}
-
-// TestQuickShardScalingOptimistic drives the optimistic arm of the
-// experiment end to end: the built-in fingerprint check inside
-// ShardScaling re-verifies that Time-Warp execution delivers the
-// conservative counters, and the rows must expose the speculation
-// accounting.
-func TestQuickShardScalingOptimistic(t *testing.T) {
-	rows, err := ShardScaling(netsim.EngineOptimistic, []int{1, 2}, 4, 5*netsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("engine=%s shards=%d wall=%.1fms events=%d delivered=%d ckpts=%d rollbacks=%d",
-			r.Engine, r.Shards, r.WallMs, r.Events, r.Delivered, r.Checkpoints, r.Rollbacks)
-		if r.Delivered == 0 {
-			t.Errorf("empty measurement: %+v", r)
-		}
-	}
-	if rows[1].Engine != "optimistic" || rows[1].Checkpoints == 0 {
-		t.Errorf("optimistic row carries no speculation accounting: %+v", rows[1])
-	}
-	if rows[0].Delivered != rows[1].Delivered {
-		t.Errorf("engines disagree on deliveries: %+v", rows)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // adversarial case: creation order carries no locality, so the block
 // partition cuts most links and the topology-aware min-cut partition
 // (internal/netsim/partition) is what keeps the cross-shard message
-// bill — EngineStats.Messages, the barrier cost both engines pay —
-// from swallowing the parallel speedup. Each scenario carries an
+// bill — EngineStats.Messages, paid at every barrier — from
+// swallowing the parallel speedup. Each scenario carries an
 // all-hosts permutation traffic mix; the same seed runs under every
 // shard count and partition and must produce identical per-node
 // counters (the determinism guarantee is re-verified here, in the
@@ -31,8 +31,7 @@ import (
 
 // ShardScalingRow is one shard-count measurement.
 type ShardScalingRow struct {
-	Engine string `json:"engine"`
-	Shards int    `json:"shards"`
+	Shards int `json:"shards"`
 	// Partition names the node→shard assignment strategy
 	// ("contiguous" or "mincut").
 	Partition    string  `json:"partition,omitempty"`
@@ -52,19 +51,6 @@ type ShardScalingRow struct {
 	// LookaheadNs is the conservative window length the partition
 	// yields (the minimum cross-shard link delay).
 	LookaheadNs int64 `json:"lookahead_ns,omitempty"`
-	// Time-Warp accounting (zero under the conservative engine).
-	Checkpoints  uint64 `json:"checkpoints,omitempty"`
-	Rollbacks    uint64 `json:"rollbacks,omitempty"`
-	AntiMessages uint64 `json:"anti_messages,omitempty"`
-	// Incremental-checkpoint accounting: node snapshots deep-copied
-	// vs aliased to the previous round, and the bytes actually
-	// copied into checkpoints.
-	CkptNodesCopied  uint64 `json:"ckpt_nodes_copied,omitempty"`
-	CkptNodesAliased uint64 `json:"ckpt_nodes_aliased,omitempty"`
-	CkptBytes        uint64 `json:"ckpt_bytes,omitempty"`
-	// Adaptive horizon controller: final window and adjustment count.
-	HorizonNs      int64  `json:"horizon_ns,omitempty"`
-	HorizonAdjusts uint64 `json:"horizon_adjusts,omitempty"`
 }
 
 // shardScalingSeed fixes the scenario; every shard count replays it.
@@ -89,7 +75,6 @@ const minCutSeed = 1
 
 // ShardScalingSpec parameterises one shard-scaling sweep.
 type ShardScalingSpec struct {
-	Engine netsim.Engine
 	// Shards lists the shard counts to sweep (the 1-shard row is the
 	// speedup baseline).
 	Shards []int
@@ -105,20 +90,18 @@ type ShardScalingSpec struct {
 }
 
 // ShardScaling runs the fat-tree mix once per requested shard count
-// under the given engine and reports scaling rows — the historical
-// entry point, equivalent to ShardScalingRun with Topology "fattree"
-// and the contiguous partition.
-func ShardScaling(engine netsim.Engine, shardCounts []int, k int, durationNs int64) ([]ShardScalingRow, error) {
+// and reports scaling rows — the historical entry point, equivalent to
+// ShardScalingRun with Topology "fattree" and the contiguous partition.
+func ShardScaling(shardCounts []int, k int, durationNs int64) ([]ShardScalingRow, error) {
 	return ShardScalingRun(ShardScalingSpec{
-		Engine: engine, Shards: shardCounts, Topology: "fattree", K: k,
+		Shards: shardCounts, Topology: "fattree", K: k,
 		Partition: "contiguous", DurationNs: durationNs,
 	})
 }
 
 // ShardScalingRun sweeps the spec's shard counts and reports scaling
-// rows. The determinism check spans engines and partitions: every
-// row's counters must match the first row's, whatever synchronisation
-// protocol or node placement produced them.
+// rows. Every row's counters must match the first row's, whatever
+// shard count or node placement produced them.
 func ShardScalingRun(spec ShardScalingSpec) ([]ShardScalingRow, error) {
 	if spec.Partition == "" {
 		spec.Partition = "contiguous"
@@ -196,10 +179,10 @@ func shardScalingRun(spec ShardScalingSpec, shards int) (ShardScalingRow, string
 		if err != nil {
 			return ShardScalingRow{}, "", err
 		}
-		if err := sim.SetShardsPartitioned(shards, assign, spec.Engine); err != nil {
+		if err := sim.SetShardsPartitioned(shards, assign); err != nil {
 			return ShardScalingRow{}, "", err
 		}
-	} else if err := sim.SetShards(shards, spec.Engine); err != nil {
+	} else if err := sim.SetShards(shards); err != nil {
 		return ShardScalingRow{}, "", err
 	}
 
@@ -243,31 +226,20 @@ func shardScalingRun(spec ShardScalingSpec, shards int) (ShardScalingRow, string
 	}
 	st := sim.EngineStats()
 	row := ShardScalingRow{
-		Engine:           spec.Engine.String(),
-		Shards:           shards,
-		Partition:        spec.Partition,
-		Nodes:            len(nw.Nodes),
-		Hosts:            len(nw.Hosts),
-		WallMs:           float64(wall.Nanoseconds()) / 1e6,
-		Events:           st.Events,
-		EventsPerSec:     float64(st.Events) / wall.Seconds(),
-		Delivered:        delivered,
-		Windows:          st.Windows,
-		Messages:         st.Messages,
-		CutLinks:         st.CutLinks,
-		Checkpoints:      st.Checkpoints,
-		Rollbacks:        st.Rollbacks,
-		AntiMessages:     st.AntiMessages,
-		CkptNodesCopied:  st.CkptNodesCopied,
-		CkptNodesAliased: st.CkptNodesAliased,
-		CkptBytes:        st.CkptBytes,
+		Shards:       shards,
+		Partition:    spec.Partition,
+		Nodes:        len(nw.Nodes),
+		Hosts:        len(nw.Hosts),
+		WallMs:       float64(wall.Nanoseconds()) / 1e6,
+		Events:       st.Events,
+		EventsPerSec: float64(st.Events) / wall.Seconds(),
+		Delivered:    delivered,
+		Windows:      st.Windows,
+		Messages:     st.Messages,
+		CutLinks:     st.CutLinks,
 	}
 	if shards > 1 {
 		row.LookaheadNs = st.Lookahead
-	}
-	if st.HorizonAdaptive && shards > 1 {
-		row.HorizonNs = st.Horizon
-		row.HorizonAdjusts = st.HorizonAdjusts
 	}
 	return row, countersFingerprint(sim), nil
 }

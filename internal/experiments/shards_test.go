@@ -13,7 +13,6 @@ import (
 // bit-identical per-node counters (same schedule, different placement).
 func TestWaxmanMinCutReducesMessages(t *testing.T) {
 	spec := ShardScalingSpec{
-		Engine:     netsim.EngineConservative,
 		Topology:   "waxman",
 		DurationNs: 2 * netsim.Millisecond,
 	}
@@ -44,13 +43,12 @@ func TestWaxmanMinCutReducesMessages(t *testing.T) {
 	}
 }
 
-// TestWaxmanShardScalingOptimistic drives the optimistic engine over
-// the Waxman scenario with the min-cut partition: the sweep's built-in
-// fingerprint check verifies Time-Warp under a non-contiguous
-// placement still replays the exact sequential schedule.
-func TestWaxmanShardScalingOptimistic(t *testing.T) {
+// TestWaxmanShardScalingMinCut drives the sweep over the Waxman
+// scenario with the min-cut partition: its built-in fingerprint check
+// verifies a non-contiguous placement still replays the exact
+// sequential schedule.
+func TestWaxmanShardScalingMinCut(t *testing.T) {
 	rows, err := ShardScalingRun(ShardScalingSpec{
-		Engine:     netsim.EngineOptimistic,
 		Shards:     []int{1, 2},
 		Topology:   "waxman",
 		Partition:  "mincut",
@@ -60,8 +58,8 @@ func TestWaxmanShardScalingOptimistic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		t.Logf("engine=%s shards=%d partition=%s cut=%d msgs=%d delivered=%d rollbacks=%d",
-			r.Engine, r.Shards, r.Partition, r.CutLinks, r.Messages, r.Delivered, r.Rollbacks)
+		t.Logf("shards=%d partition=%s cut=%d msgs=%d delivered=%d",
+			r.Shards, r.Partition, r.CutLinks, r.Messages, r.Delivered)
 		if r.Delivered == 0 {
 			t.Errorf("empty measurement: %+v", r)
 		}

@@ -219,61 +219,6 @@ func (q *Qdisc) Admit(now int64, size int, rng *rand.Rand) (deliverAt int64, ok 
 	return deliverAt, true
 }
 
-// Snapshot is a value copy of the qdisc's full runtime state, taken
-// by the optimistic simulation engine at checkpoint boundaries.
-type Snapshot struct {
-	cfg          Config
-	busyUntil    int64
-	inFlight     []int64
-	lastDelivery int64
-	extraDelayNs int64
-	admitted     uint64
-	dropped      uint64
-	lossDrops    uint64
-	corrupted    uint64
-	duplicated   uint64
-	reordered    uint64
-}
-
-// Snapshot captures the qdisc state. The returned value shares
-// nothing mutable with the qdisc: restoring an old snapshot after
-// further Admit calls yields exactly the captured state.
-func (q *Qdisc) Snapshot() Snapshot {
-	return Snapshot{
-		cfg:          q.cfg,
-		busyUntil:    q.busyUntil,
-		inFlight:     append([]int64(nil), q.inFlight...),
-		lastDelivery: q.lastDelivery,
-		extraDelayNs: q.ExtraDelayNs,
-		admitted:     q.Admitted,
-		dropped:      q.Dropped,
-		lossDrops:    q.LossDrops,
-		corrupted:    q.Corrupted,
-		duplicated:   q.Duplicated,
-		reordered:    q.Reordered,
-	}
-}
-
-// SizeBytes estimates the snapshot's in-memory footprint, for the
-// simulator's checkpoint-byte accounting.
-func (s Snapshot) SizeBytes() int { return 120 + 8*len(s.inFlight) }
-
-// Restore rewinds the qdisc to a previously captured snapshot. The
-// snapshot remains valid and may be restored again.
-func (q *Qdisc) Restore(s Snapshot) {
-	q.cfg = s.cfg
-	q.busyUntil = s.busyUntil
-	q.inFlight = append(q.inFlight[:0], s.inFlight...)
-	q.lastDelivery = s.lastDelivery
-	q.ExtraDelayNs = s.extraDelayNs
-	q.Admitted = s.admitted
-	q.Dropped = s.dropped
-	q.LossDrops = s.lossDrops
-	q.Corrupted = s.corrupted
-	q.Duplicated = s.duplicated
-	q.Reordered = s.reordered
-}
-
 func (q *Qdisc) String() string {
 	return fmt.Sprintf("netem(rate=%dbps delay=%dns jitter=%dns loss=%.4f limit=%d extra=%dns)",
 		q.cfg.RateBps, q.cfg.DelayNs, q.cfg.JitterNs, q.cfg.Loss, q.cfg.QueueLimit, q.ExtraDelayNs)

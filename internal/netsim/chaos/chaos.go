@@ -10,15 +10,14 @@
 // seeded RNG, so the same seed yields the same faults regardless of
 // topology iteration order at runtime; every fault lands in the
 // simulation as an ordinary keyed event (Node.Schedule,
-// Sim.FailLink/RestoreLink, Sim.CrashNode/RestartNode), so under the
-// sharded engines faults order exactly as they would sequentially,
-// checkpoint with the shard heaps, and survive optimistic rollback
-// and annihilation untouched; and per-packet impairment draws come
-// from the transmitting node's private RNG stream, gated on the knob
-// being nonzero, so a chaos-free run consumes bit-identical random
-// streams whether or not this package is linked in. The equivalence
-// fuzz matrix (netsim's TestShardEquivalenceFuzz chaos arm) locks all
-// of this down: one seed, one fingerprint, every engine.
+// Sim.FailLink/RestoreLink, Sim.CrashNode/RestartNode), so in a
+// sharded run faults order exactly as they would sequentially; and
+// per-packet impairment draws come from the transmitting node's
+// private RNG stream, gated on the knob being nonzero, so a chaos-free
+// run consumes bit-identical random streams whether or not this
+// package is linked in. The equivalence fuzz matrix (netsim's
+// TestShardEquivalenceFuzz chaos arm) locks all of this down: one
+// seed, one fingerprint, every shard count.
 package chaos
 
 import (

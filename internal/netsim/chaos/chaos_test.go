@@ -210,17 +210,15 @@ func TestImpairLinkWindowIsBounded(t *testing.T) {
 	}
 }
 
-// TestCampaignEquivalenceSmoke replays one campaign under the
-// sequential and both sharded engines and demands identical counters —
-// a cheap inline version of netsim's chaos-armed fuzz matrix.
+// TestCampaignEquivalenceSmoke replays one campaign sequentially and
+// on 2 and 3 shards and demands identical counters — a cheap inline
+// version of netsim's chaos-armed fuzz matrix.
 func TestCampaignEquivalenceSmoke(t *testing.T) {
-	run := func(shards int, engine netsim.Engine) map[string]uint64 {
+	run := func(shards int) map[string]uint64 {
 		s := netsim.New(12345)
 		nodes := ringTopo(s, 6)
-		if shards > 1 {
-			if err := s.SetShards(shards, engine); err != nil {
-				t.Fatal(err)
-			}
+		if err := s.SetShards(shards); err != nil {
+			t.Fatal(err)
 		}
 		e := chaos.New(s, 777)
 		e.Apply(campaign(20*netsim.Millisecond), nil, nil)
@@ -250,22 +248,15 @@ func TestCampaignEquivalenceSmoke(t *testing.T) {
 		return sum
 	}
 
-	base := run(1, netsim.EngineConservative)
-	for _, arm := range []struct {
-		name   string
-		shards int
-		engine netsim.Engine
-	}{
-		{"conservative-2", 2, netsim.EngineConservative},
-		{"optimistic-3", 3, netsim.EngineOptimistic},
-	} {
-		got := run(arm.shards, arm.engine)
+	base := run(1)
+	for _, shards := range []int{2, 3} {
+		got := run(shards)
 		if len(got) != len(base) {
-			t.Errorf("%s: %d counters vs %d sequential", arm.name, len(got), len(base))
+			t.Errorf("%d shards: %d counters vs %d sequential", shards, len(got), len(base))
 		}
 		for k, v := range base {
 			if got[k] != v {
-				t.Errorf("%s: counter %s = %d, want %d", arm.name, k, got[k], v)
+				t.Errorf("%d shards: counter %s = %d, want %d", shards, k, got[k], v)
 			}
 		}
 	}

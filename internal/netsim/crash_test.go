@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
 
@@ -114,16 +113,11 @@ type crashProbe struct {
 	val    int
 }
 
-func (c *crashProbe) SnapshotState() any { return *c }
-func (c *crashProbe) RestoreState(v any) { *c = v.(crashProbe) }
-func (c *crashProbe) CrashReset()        { c.val = 0; c.resets++ }
-func (c *crashProbe) String() string     { return fmt.Sprintf("probe(%d)", c.val) }
-
 func TestCrashResetsRegisteredNFState(t *testing.T) {
 	s := New(1)
 	_, r, _ := lineTopo(s)
 	probe := &crashProbe{val: 42}
-	r.RegisterState(probe)
+	r.OnCrash(func() { probe.val = 0; probe.resets++ })
 
 	s.CrashNode(Millisecond, r)
 	s.RestartNode(2*Millisecond, r)

@@ -61,8 +61,8 @@ func fingerprint(sim *netsim.Sim, extra []string) string {
 }
 
 // fatTreeRun executes the 208-node fat-tree traffic mix under the
-// given shard count and engine and returns its fingerprint.
-func fatTreeRun(t *testing.T, shards int, eng netsim.Engine) (string, netsim.EngineStats) {
+// given shard count and returns its fingerprint.
+func fatTreeRun(t *testing.T, shards int) (string, netsim.EngineStats) {
 	t.Helper()
 	sim := netsim.New(7)
 	nw, err := topo.FatTree(sim, 8, topo.Opts{
@@ -76,11 +76,10 @@ func fatTreeRun(t *testing.T, shards int, eng netsim.Engine) (string, netsim.Eng
 	}
 
 	// Per-host delivery traces: (rx time, source, flow label) of every
-	// arrival, recorded on the receiving shard in rollback-aware
-	// journals so speculative deliveries never leak into the record.
+	// arrival, recorded on the receiving shard.
 	journals := make([]*netsim.Journal, len(nw.Hosts))
 	for i, h := range nw.Hosts {
-		j := netsim.NewJournal(h)
+		j := netsim.NewJournal()
 		journals[i] = j
 		h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 			j.Addf("%d:%s:%d", meta.RxTimestamp, p.IPv6.Src, p.IPv6.FlowLabel)
@@ -100,7 +99,7 @@ func fatTreeRun(t *testing.T, shards int, eng netsim.Engine) (string, netsim.Eng
 		}
 	}
 
-	if err := sim.SetShards(shards, eng); err != nil {
+	if err := sim.SetShards(shards); err != nil {
 		t.Fatal(err)
 	}
 	const until = 4 * netsim.Millisecond
@@ -128,7 +127,7 @@ func fatTreeRun(t *testing.T, shards int, eng netsim.Engine) (string, netsim.Eng
 }
 
 func TestShardEquivalenceFatTree(t *testing.T) {
-	base, st1 := fatTreeRun(t, 1, netsim.EngineConservative)
+	base, st1 := fatTreeRun(t, 1)
 	if st1.Events == 0 {
 		t.Fatal("no events executed")
 	}
@@ -138,33 +137,18 @@ func TestShardEquivalenceFatTree(t *testing.T) {
 			t.Fatalf("no deliveries at %s", line)
 		}
 	}
-	type arm struct {
-		shards int
-		eng    netsim.Engine
-	}
-	arms := []arm{
-		{2, netsim.EngineConservative},
-		{4, netsim.EngineConservative},
-		{2, netsim.EngineOptimistic},
-		{4, netsim.EngineOptimistic},
-		{8, netsim.EngineOptimistic},
-	}
-	for _, a := range arms {
-		got, st := fatTreeRun(t, a.shards, a.eng)
+	for _, shards := range []int{2, 4, 8} {
+		got, st := fatTreeRun(t, shards)
 		if got != base {
-			diffReport(t, base, got, a.shards)
+			diffReport(t, base, got, shards)
 		}
-		if st.Shards != a.shards {
-			t.Errorf("engine ran with %d shards, want %d", st.Shards, a.shards)
+		if st.Shards != shards {
+			t.Errorf("engine ran with %d shards, want %d", st.Shards, shards)
 		}
 		if st.Messages == 0 {
-			t.Errorf("%d shards exchanged no cross-shard messages — partition degenerate?", a.shards)
+			t.Errorf("%d shards exchanged no cross-shard messages — partition degenerate?", shards)
 		}
-		if a.eng == netsim.EngineOptimistic && st.Checkpoints == 0 {
-			t.Errorf("optimistic %d-shard run took no checkpoints", a.shards)
-		}
-		t.Logf("%s shards=%d events=%d windows=%d msgs=%d ckpts=%d rollbacks=%d antis=%d",
-			a.eng, st.Shards, st.Events, st.Windows, st.Messages, st.Checkpoints, st.Rollbacks, st.AntiMessages)
+		t.Logf("shards=%d events=%d windows=%d msgs=%d", st.Shards, st.Events, st.Windows, st.Messages)
 	}
 }
 
@@ -184,8 +168,8 @@ func diffReport(t *testing.T, base, got string, shards int) {
 }
 
 // frrRun executes the FRR failover scenario (the protection triangle
-// of internal/experiments) under the given shard count and engine.
-func frrRun(t *testing.T, shards int, eng netsim.Engine) string {
+// of internal/experiments) under the given shard count.
+func frrRun(t *testing.T, shards int) string {
 	t.Helper()
 	var (
 		src     = netip.MustParseAddr("2001:db8:1::1")
@@ -242,7 +226,7 @@ func frrRun(t *testing.T, shards int, eng netsim.Engine) string {
 	d.AddRoute(&netsim.Route{Prefix: pfx("fc00:10::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dpIf}}})
 	d.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dtIf}}})
 
-	delivered := netsim.NewJournal(tt)
+	delivered := netsim.NewJournal()
 	tt.HandleUDP(9999, func(n *netsim.Node, pk *packet.Packet, meta *netsim.PacketMeta) {
 		delivered.Addf("%d", meta.RxTimestamp)
 	})
@@ -261,7 +245,7 @@ func frrRun(t *testing.T, shards int, eng netsim.Engine) string {
 		t.Fatal(err)
 	}
 
-	if err := sim.SetShards(shards, eng); err != nil {
+	if err := sim.SetShards(shards); err != nil {
 		t.Fatal(err)
 	}
 	f.Start()
@@ -292,18 +276,12 @@ func frrRun(t *testing.T, shards int, eng netsim.Engine) string {
 }
 
 func TestShardEquivalenceFRR(t *testing.T) {
-	base := frrRun(t, 1, netsim.EngineConservative)
+	base := frrRun(t, 1)
 	if !strings.Contains(base, "transitions=[{1 false") {
 		t.Fatalf("FRR scenario never detected the failure:\n%s", base)
 	}
-	// The topology has 5 nodes, so the optimistic arms stop at 4
-	// shards; the 8-shard optimistic arm runs on the 208-node
-	// fat-tree above.
 	for _, shards := range []int{2, 4} {
-		if got := frrRun(t, shards, netsim.EngineConservative); got != base {
-			diffReport(t, base, got, shards)
-		}
-		if got := frrRun(t, shards, netsim.EngineOptimistic); got != base {
+		if got := frrRun(t, shards); got != base {
 			diffReport(t, base, got, shards)
 		}
 	}
@@ -313,7 +291,7 @@ func TestShardEquivalenceFRR(t *testing.T) {
 // that `make check` runs under the race detector: a trimmed fat-tree
 // (k=4, 36 nodes) against the sequential schedule.
 func TestShardEquivalenceSmoke(t *testing.T) {
-	run := func(shards int, eng netsim.Engine) string {
+	run := func(shards int) string {
 		sim := netsim.New(3)
 		nw, err := topo.FatTree(sim, 4, topo.Opts{
 			Link: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
@@ -322,10 +300,10 @@ func TestShardEquivalenceSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Per-host traces: each journal is appended only by its
-		// owner's shard and rewinds with rollbacks.
+		// owner's shard.
 		journals := make([]*netsim.Journal, len(nw.Hosts))
 		for i, h := range nw.Hosts {
-			j := netsim.NewJournal(h)
+			j := netsim.NewJournal()
 			journals[i] = j
 			name := h.Name
 			h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
@@ -342,7 +320,7 @@ func TestShardEquivalenceSmoke(t *testing.T) {
 				RatePPS:   50_000,
 			}
 		}
-		if err := sim.SetShards(shards, eng); err != nil {
+		if err := sim.SetShards(shards); err != nil {
 			t.Fatal(err)
 		}
 		const until = netsim.Millisecond
@@ -365,11 +343,8 @@ func TestShardEquivalenceSmoke(t *testing.T) {
 		}
 		return fingerprint(sim, order)
 	}
-	base := run(1, netsim.EngineConservative)
-	if got := run(2, netsim.EngineConservative); got != base {
-		diffReport(t, base, got, 2)
-	}
-	if got := run(2, netsim.EngineOptimistic); got != base {
+	base := run(1)
+	if got := run(2); got != base {
 		diffReport(t, base, got, 2)
 	}
 }

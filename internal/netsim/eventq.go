@@ -1,7 +1,5 @@
 package netsim
 
-import "unsafe"
-
 // evKey is one scheduled event as the heap sees it: the deterministic
 // ordering key plus the two words needed to find or replace its
 // payload. It holds no pointers, so sifting moves 40 plain bytes with
@@ -75,10 +73,6 @@ func earlier(g []evKey, a, b int) int {
 	return a
 }
 
-func (e *evKey) matches(key msgKey) bool {
-	return e.at == key.at && e.schedAt == key.schedAt && e.src == key.src && e.k == key.k
-}
-
 // evPayload is what an event carries besides its key: a link delivery
 // (peer != nil: hand raw to the receiving link end) or a general
 // closure (driver schedules, timers, NF callbacks). Both packet-path
@@ -88,17 +82,7 @@ type evPayload struct {
 	fn   func()
 	peer *Iface // receiving link end
 	raw  []byte // packet bytes
-	// ckptSeq is the privatisation era of raw for same-shard deliveries
-	// (cross == false).
-	ckptSeq uint64
-	cross   bool // crossed a shard boundary
 }
-
-// Checkpoint-byte accounting sizes, derived from the live layouts.
-const (
-	evKeyBytes     = uint64(unsafe.Sizeof(evKey{}))
-	evPayloadBytes = uint64(unsafe.Sizeof(evPayload{}))
-)
 
 // eventQueue is a shard's pending-event set: an implicit 4-ary min-heap
 // of keys over a slab of payloads that never move.
@@ -138,23 +122,16 @@ func (q *eventQueue) pushDrainCont(at, schedAt int64, src int32, k, epoch uint64
 	q.insert(at, schedAt, src, k, epoch, noSlot)
 }
 
-// pushDeliver schedules the same-shard delivery of m to its receiving
-// link end; era stamps the checkpoint era in which the buffer last
-// became private. A failure between transmission and delivery cuts the
-// wire under the packet: both ends' fail epochs advance at the same
-// virtual instants, so the receiving end's epoch is compared against
-// m.epoch at execution, keeping the event inside its own shard's state.
-func (q *eventQueue) pushDeliver(m *xmsg, era uint64) { q.pushDelivery(m, era, false) }
-
-// pushCross schedules the delivery of a message that crossed a shard
-// boundary: its bytes are shared with the optimistic engine's input
-// log, so the receiver must treat them as immutable.
-func (q *eventQueue) pushCross(m *xmsg) { q.pushDelivery(m, 0, true) }
-
-func (q *eventQueue) pushDelivery(m *xmsg, ckptSeq uint64, cross bool) {
+// pushDeliver schedules the delivery of m to its receiving link end,
+// in the queue of the shard that owns that end. A failure between
+// transmission and delivery cuts the wire under the packet: both ends'
+// fail epochs advance at the same virtual instants, so the receiving
+// end's epoch is compared against m.epoch at execution, keeping the
+// event inside its own shard's state.
+func (q *eventQueue) pushDeliver(m *xmsg) {
 	slot := q.alloc()
 	p := &q.slab[slot]
-	p.peer, p.raw, p.ckptSeq, p.cross = m.peer, m.raw, ckptSeq, cross
+	p.peer, p.raw = m.peer, m.raw
 	q.insert(m.at, m.schedAt, m.src, m.k, m.epoch, slot)
 }
 
@@ -191,9 +168,9 @@ func (q *eventQueue) takeFn(slot int32) func() {
 }
 
 // takeDeliver returns the delivery in slot and recycles the slot.
-func (q *eventQueue) takeDeliver(slot int32) (peer *Iface, raw []byte, ckptSeq uint64, cross bool) {
+func (q *eventQueue) takeDeliver(slot int32) (peer *Iface, raw []byte) {
 	p := &q.slab[slot]
-	peer, raw, ckptSeq, cross = p.peer, p.raw, p.ckptSeq, p.cross
+	peer, raw = p.peer, p.raw
 	p.peer, p.raw = nil, nil
 	q.free = append(q.free, slot)
 	return
@@ -220,32 +197,6 @@ func (q *eventQueue) pop() evKey {
 		q.keys[down(q.keys, 0, &last)] = last
 	}
 	return top
-}
-
-// removeKey deletes the event with the given key from the queue,
-// reporting whether it was present.
-func (q *eventQueue) removeKey(key msgKey) bool {
-	for i := range q.keys {
-		if !q.keys[i].matches(key) {
-			continue
-		}
-		if slot := q.keys[i].slot; slot != noSlot {
-			q.slab[slot] = evPayload{}
-			q.free = append(q.free, slot)
-		}
-		n := len(q.keys) - 1
-		last := q.keys[n]
-		q.keys = q.keys[:n]
-		if i < n {
-			j := up(q.keys, i, last.at, last.schedAt, last.src, last.k)
-			if j == i {
-				j = down(q.keys, i, &last)
-			}
-			q.keys[j] = last
-		}
-		return true
-	}
-	return false
 }
 
 // up moves the hole at index i towards the root until the event keyed
@@ -292,21 +243,4 @@ func down(keys []evKey, i int, e *evKey) int {
 		i = m
 	}
 	return i
-}
-
-// copyFrom makes q an independent copy of o, reusing q's storage (the
-// optimistic engine's checkpoint and restore). Packet bytes stay
-// shared; the ckptSeq era stamps arbitrate who may mutate them.
-func (q *eventQueue) copyFrom(o *eventQueue) {
-	q.keys = append(q.keys[:0], o.keys...)
-	if len(q.slab) > len(o.slab) {
-		clear(q.slab[len(o.slab):]) // drop the references of the undone tail
-	}
-	q.slab = append(q.slab[:0], o.slab...)
-	q.free = append(q.free[:0], o.free...)
-}
-
-// sizeBytes is the memory a copyFrom of q copies.
-func (q *eventQueue) sizeBytes() uint64 {
-	return evKeyBytes*uint64(len(q.keys)) + evPayloadBytes*uint64(len(q.slab)) + 4*uint64(len(q.free))
 }

@@ -8,57 +8,18 @@ import (
 	"testing"
 )
 
-// TestHeapRemoveKey: annihilation's heap surgery preserves the heap
-// property, removes exactly the named event and recycles its payload
-// slot.
-func TestHeapRemoveKey(t *testing.T) {
-	var q eventQueue
-	for i := 0; i < 50; i++ {
-		q.pushFn(int64((i*37)%60), int64(i), 1, uint64(i), func() {})
-	}
-	if !q.removeKey(msgKey{at: int64((25 * 37) % 60), schedAt: 25, src: 1, k: 25}) {
-		t.Fatal("key not found")
-	}
-	if q.removeKey(msgKey{at: 0, schedAt: 999, src: 9, k: 9}) {
-		t.Fatal("removed a key that was never pushed")
-	}
-	if len(q.free) != 1 || q.slab[q.free[0]].fn != nil {
-		t.Fatalf("removed event's payload slot not released: free=%v", q.free)
-	}
-	var prev evKey
-	for i := 0; q.len() > 0; i++ {
-		e := q.pop()
-		q.takeFn(e.slot)
-		if i > 0 && e.before(&prev) {
-			t.Fatalf("heap order violated after removeKey at pop %d", i)
-		}
-		if e.src == 1 && e.k == 25 {
-			t.Fatal("removed event still popped")
-		}
-		prev = e
-	}
-}
-
 // oracleEv is the sort-based oracle's view of one queued event: the
 // key plus a payload identity (id) the queue must hand back intact.
 type oracleEv struct {
-	key     evKey // slot unused
-	kind    int   // 0 closure, 1 drain continuation, 2 delivery
-	id      uint64
-	ckptSeq uint64
-	cross   bool
+	key  evKey // slot unused
+	kind int   // 0 closure, 1 drain continuation, 2 delivery
+	id   uint64
 }
 
 // queueOracle is a queue and its oracle advanced in lockstep.
 type queueOracle struct {
 	q      eventQueue
 	events []oracleEv
-}
-
-func (o *queueOracle) clone() *queueOracle {
-	c := &queueOracle{events: append([]oracleEv(nil), o.events...)}
-	c.q.copyFrom(&o.q)
-	return c
 }
 
 // check verifies the structural invariants: every slab slot is either
@@ -100,26 +61,19 @@ func (o *queueOracle) check(t *testing.T) {
 }
 
 // TestEventQueueDifferential drives the queue and a sort-based oracle
-// through interleaved push / pop / removeKey / checkpoint copy and
-// restore. Timestamps, schedule times and sources are drawn from tiny
-// ranges and k at random, so every key field decides order somewhere.
+// through interleaved pushes and pops. Timestamps, schedule times and
+// sources are drawn from tiny ranges and k at random, so every key
+// field decides order somewhere.
 func TestEventQueueDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		live := &queueOracle{}
-		var ckpt *queueOracle
 		peer := &Iface{Name: "rx"}
 		usedK := map[uint64]bool{}
 		var nextID, got uint64
-		sorted := func(o *queueOracle) {
-			sort.Slice(o.events, func(i, j int) bool { return o.events[i].key.before(&o.events[j].key) })
-		}
-		remove := func(o *queueOracle, i int) {
-			o.events = append(o.events[:i], o.events[i+1:]...)
-		}
 		for step := 0; step < 6000; step++ {
 			switch op := rng.Intn(100); {
-			case op < 45: // push
+			case op < 55: // push
 				k := uint64(rng.Intn(1 << 20))
 				for usedK[k] {
 					k = uint64(rng.Intn(1 << 20))
@@ -137,24 +91,23 @@ func TestEventQueueDifferential(t *testing.T) {
 					live.q.pushDrainCont(ev.key.at, ev.key.schedAt, ev.key.src, k, ev.id)
 				case 2:
 					ev.key.epoch = uint64(rng.Intn(3))
-					ev.ckptSeq, ev.cross = uint64(rng.Intn(5)), rng.Intn(2) == 0
 					m := xmsg{at: ev.key.at, schedAt: ev.key.schedAt, src: ev.key.src, k: k,
 						peer: peer, epoch: ev.key.epoch, raw: binary.BigEndian.AppendUint64(nil, ev.id)}
-					live.q.pushDelivery(&m, ev.ckptSeq, ev.cross)
+					live.q.pushDeliver(&m)
 				}
 				live.events = append(live.events, ev)
-			case op < 80: // pop
+			default: // pop
 				if live.q.len() == 0 {
 					continue
 				}
-				sorted(live)
+				sort.Slice(live.events, func(i, j int) bool { return live.events[i].key.before(&live.events[j].key) })
 				want := live.events[0]
-				remove(live, 0)
+				live.events = live.events[1:]
 				if at := live.q.minAt(); at != want.key.at {
 					t.Fatalf("seed %d step %d: minAt %d, oracle %d", seed, step, at, want.key.at)
 				}
 				e := live.q.pop()
-				if !e.matches(msgKey{want.key.at, want.key.schedAt, want.key.src, want.key.k}) || e.epoch != want.key.epoch {
+				if want.key.slot = e.slot; e != want.key {
 					t.Fatalf("seed %d step %d: popped %+v, oracle %+v", seed, step, e, want.key)
 				}
 				switch {
@@ -168,41 +121,10 @@ func TestEventQueueDifferential(t *testing.T) {
 						t.Fatalf("seed %d step %d: closure id %d, oracle kind %d id %d", seed, step, got, want.kind, want.id)
 					}
 				default:
-					p, raw, ckptSeq, cross := live.q.takeDeliver(e.slot)
-					if want.kind != 2 || p != peer || binary.BigEndian.Uint64(raw) != want.id ||
-						ckptSeq != want.ckptSeq || cross != want.cross {
+					p, raw := live.q.takeDeliver(e.slot)
+					if want.kind != 2 || p != peer || binary.BigEndian.Uint64(raw) != want.id {
 						t.Fatalf("seed %d step %d: delivery payload does not match oracle %+v", seed, step, want)
 					}
-				}
-			case op < 90: // removeKey, from the live queue and the checkpoint alike
-				key := msgKey{at: int64(rng.Intn(4)), schedAt: int64(rng.Intn(3)), src: 7, k: 1 << 30}
-				if len(live.events) > 0 && rng.Intn(4) > 0 {
-					k := &live.events[rng.Intn(len(live.events))].key
-					key = msgKey{k.at, k.schedAt, k.src, k.k}
-				}
-				for _, o := range []*queueOracle{live, ckpt} {
-					if o == nil {
-						continue
-					}
-					want := false
-					for i := range o.events {
-						if o.events[i].key.matches(key) {
-							remove(o, i)
-							want = true
-							break
-						}
-					}
-					if o.q.removeKey(key) != want {
-						t.Fatalf("seed %d step %d: removeKey(%+v) != oracle's %v", seed, step, key, want)
-					}
-					o.check(t)
-				}
-			case op < 95: // checkpoint
-				ckpt = live.clone()
-			default: // restore; the checkpoint stays reusable
-				if ckpt != nil {
-					live.q.copyFrom(&ckpt.q)
-					live.events = append(live.events[:0], ckpt.events...)
 				}
 			}
 			if step%64 == 0 {
@@ -231,7 +153,7 @@ func holdQueue(depth int) (q *eventQueue, hold func() int64) {
 		k++
 		if deliver {
 			m := xmsg{at: at, schedAt: now, src: int32(k & 127), k: k, peer: peer, raw: raw}
-			q.pushDeliver(&m, 0)
+			q.pushDeliver(&m)
 		} else {
 			q.pushDrainCont(at, now, int32(k&127), k, 0)
 		}

@@ -1,16 +1,13 @@
 package netsim_test
 
-// Randomized equivalence fuzzing: the lock that makes speculative
+// Randomized equivalence fuzzing: the lock that makes sharded
 // execution trustworthy. Each seeded scenario generates a topology
-// (Waxman, fat-tree, ring — some with zero-delay links the
-// conservative engine must reject), a random UDP traffic mix, TCP
-// bulk transfers riding on it (tcpsim state is ShardState and must
-// rewind with the nodes) and a random link failure/restore schedule,
-// then replays the identical scenario sequentially, conservatively
-// sharded and optimistically sharded (half the scenarios pin a
-// randomized speculation horizon, half leave the adaptive controller
-// in charge) and requires bit-identical per-node counters, delivery
-// traces and transfer statistics from every arm.
+// (Waxman, fat-tree, ring — some with zero-delay links only a
+// topology-aware placement can shard), a random UDP traffic mix, TCP
+// bulk transfers riding on it and a random link failure/restore
+// schedule, then replays the identical scenario sequentially and on 2,
+// 4 and 8 shards and requires bit-identical per-node counters,
+// delivery traces and transfer statistics from every arm.
 //
 // Depth scales with SRV6BPF_FUZZ_SCENARIOS (the scheduled CI job runs
 // the full depth; `make check` runs the default smoke).
@@ -38,35 +35,27 @@ import (
 type fuzzScenario struct {
 	seed      int64
 	kind      string
-	zeroDelay bool // cross-shard zero-delay links present
+	zeroDelay bool // zero-delay pod links present: shards via min-cut
 	duration  int64
-	horizon   int64 // fixed optimistic speculation window (see adaptive)
-	// adaptive leaves the optimistic engine's horizon controller in
-	// charge instead of pinning the scenario's fixed horizon, so the
-	// fuzz matrix covers both regimes.
-	adaptive bool
-	rate     float64
-	pairs    int64 // PermutationPairs seed
-	flowMod  uint64
-	fails    int
-	// tcp is the number of TCP bulk transfers riding on the scenario
-	// (tcpsim state must roll back bit-exactly with the nodes).
+	rate      float64
+	pairs     int64 // PermutationPairs seed
+	flowMod   uint64
+	fails     int
+	// tcp is the number of TCP bulk transfers riding on the scenario.
 	tcp int
 	// chaos adds a randomized fault campaign (node crash/restart,
 	// link flapping, packet corruption/duplication/reordering windows)
 	// on top of the scenario: fault events and impairment draws must
-	// replay bit-identically under every engine and shard count.
+	// replay bit-identically at every shard count.
 	chaos bool
 	// burst is the packet-burst knob applied to the sharded arms plus
 	// one extra sequential arm: burst processing must be bit-identical
-	// to per-packet processing under every engine, including rollback
-	// of a partially-executed burst.
+	// to per-packet processing at every shard count.
 	burst int
 	// srv6 overlays a segment-routed detour on one traffic pair: a
 	// reduced encap at the source, a (possibly PSP-flavored) End SID
 	// on a transit host and a DT6/DT46 decap SID at the destination,
-	// so the registry-dispatched behaviours run under every engine and
-	// must survive optimistic rollback like plain forwarding.
+	// so the registry-dispatched behaviours run at every shard count.
 	srv6 bool
 	// mincut shards the scenario with the topology-aware min-cut
 	// partitioner instead of the contiguous block: the bit-identical
@@ -76,15 +65,16 @@ type fuzzScenario struct {
 
 func deriveScenario(seed int64) fuzzScenario {
 	rng := rand.New(rand.NewSource(seed))
-	sc := fuzzScenario{
-		seed:     seed,
-		duration: (1 + rng.Int63n(2)) * netsim.Millisecond,
-		horizon:  (20 + rng.Int63n(180)) * netsim.Microsecond,
-		rate:     float64(5000 + rng.Intn(45000)),
-		pairs:    rng.Int63n(1 << 30),
-		flowMod:  uint64(4 + rng.Intn(12)),
-		fails:    rng.Intn(4),
-	}
+	sc := fuzzScenario{seed: seed}
+	sc.duration = (1 + rng.Int63n(2)) * netsim.Millisecond
+	// Two draws feed nothing: they once picked the optimistic engine's
+	// horizon and controller mode, and stay so that every seed keeps
+	// deriving the scenario it always derived.
+	rng.Int63n(180)
+	sc.rate = float64(5000 + rng.Intn(45000))
+	sc.pairs = rng.Int63n(1 << 30)
+	sc.flowMod = uint64(4 + rng.Intn(12))
+	sc.fails = rng.Intn(4)
 	switch rng.Intn(4) {
 	case 0:
 		sc.kind = "waxman"
@@ -96,7 +86,7 @@ func deriveScenario(seed int64) fuzzScenario {
 		sc.kind = "fattree-zerodelay"
 		sc.zeroDelay = true
 	}
-	sc.adaptive = rng.Intn(2) == 0
+	rng.Intn(2)
 	sc.tcp = rng.Intn(3)
 	// Drawn last so earlier fields derive identically to older seeds
 	// (and burst after chaos, for the same reason).
@@ -141,24 +131,23 @@ func buildFuzzTopo(t *testing.T, sim *netsim.Sim, sc fuzzScenario) *topo.Network
 	return nw
 }
 
-// fuzzRun replays the scenario under one engine arm and fingerprints
-// the committed state: every node's counters, every host's delivery
-// trace, and the per-link failure accounting.
-func fuzzRun(t *testing.T, sc fuzzScenario, shards int, eng netsim.Engine, burst int) string {
+// fuzzRun replays the scenario on the given shard count and
+// fingerprints the final state: every node's counters, every host's
+// delivery trace, and the per-link failure accounting.
+func fuzzRun(t *testing.T, sc fuzzScenario, shards, burst int) string {
 	t.Helper()
 	sim := netsim.New(sc.seed)
 	sim.SetBurst(burst)
 	nw := buildFuzzTopo(t, sim, sc)
 
 	// Flight recorder on in every arm, sampling half the flows: the
-	// committed span streams join the fingerprint below, so traces
-	// must replay bit-identically across engines and shard counts
-	// (the recorder is ShardState and rewinds with rollbacks).
+	// span streams join the fingerprint below, so traces must replay
+	// bit-identically across shard counts.
 	sim.EnableObs(netsim.ObsOptions{Trace: true, SampleShift: 1})
 
 	journals := make([]*netsim.Journal, len(nw.Hosts))
 	for i, h := range nw.Hosts {
-		j := netsim.NewJournal(h)
+		j := netsim.NewJournal()
 		journals[i] = j
 		h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 			j.Addf("%d:%s:%d", meta.RxTimestamp, p.IPv6.Src, p.IPv6.FlowLabel)
@@ -231,10 +220,7 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int, eng netsim.Engine, burst
 		}
 	}
 
-	// TCP transfers between deterministically drawn host pairs: the
-	// tcpsim connection state (congestion window, RTO epoch, send
-	// times, reassembly buffer) is ShardState, so it must survive
-	// optimistic rollback bit-exactly like the netsim-core state.
+	// TCP transfers between deterministically drawn host pairs.
 	type tcpArm struct {
 		snd *tcpsim.Sender
 		rcv *tcpsim.Receiver
@@ -270,26 +256,25 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int, eng netsim.Engine, burst
 	}
 
 	if shards > 1 {
-		if sc.mincut {
+		// Zero-delay pod links must stay inside one shard, which only the
+		// topology-aware placement guarantees.
+		if sc.mincut || sc.zeroDelay {
 			assign, err := partition.MinCut(partition.FromSim(sim), shards, sc.seed)
 			if err != nil {
 				t.Fatalf("MinCut(%d): %v", shards, err)
 			}
-			if err := sim.SetShardsPartitioned(shards, assign, eng); err != nil {
-				t.Fatalf("SetShardsPartitioned(%d, %v): %v", shards, eng, err)
+			if err := sim.SetShardsPartitioned(shards, assign); err != nil {
+				t.Fatalf("SetShardsPartitioned(%d): %v", shards, err)
 			}
-		} else if err := sim.SetShards(shards, eng); err != nil {
-			t.Fatalf("SetShards(%d, %v): %v", shards, eng, err)
-		}
-		if eng == netsim.EngineOptimistic && !sc.adaptive {
-			sim.SetHorizon(sc.horizon)
+		} else if err := sim.SetShards(shards); err != nil {
+			t.Fatalf("SetShards(%d): %v", shards, err)
 		}
 	}
 
 	// Chaos campaign: crash/restart cycles, flap bursts and impairment
 	// windows drawn from the campaign's own seed. Planned identically
 	// in every arm; the injected events carry deterministic keys, so
-	// the committed schedule is engine-independent.
+	// the schedule is independent of the shard count.
 	if sc.chaos {
 		ch := chaos.New(sim, sc.seed^0x63686173) // "chas"
 		ch.Apply(chaos.Campaign{
@@ -349,7 +334,7 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int, eng netsim.Engine, burst
 	}
 	// The srv6-detoured flow's deliveries join the fingerprint by
 	// name: a vacuous overlay (broken steering dropping every packet)
-	// would still fingerprint identically across engines, so pin the
+	// would still fingerprint identically across arms, so pin the
 	// count explicitly. Chaos campaigns and link failures may
 	// legitimately push it to zero in some scenarios; the point is
 	// every arm must agree on the number.
@@ -405,15 +390,15 @@ func fuzzDepth(t *testing.T) int {
 	return 6
 }
 
-// TestOptimisticFatTreeZeroDelayIntraPod is the flagship
-// configuration the conservative engine cannot touch: a full 208-node
-// k=8 fat-tree whose intra-pod (edge–aggregation) hops carry zero
-// propagation delay — the back-to-back links of a real pod. The
-// partition splits pods across shards, so zero-delay links cross
-// shard boundaries; the conservative engine must reject the split and
-// the optimistic engine must reproduce the sequential delivery trace
+// TestZeroDelayPodsUnderMinCut is the configuration the contiguous
+// block partition cannot shard: a full 208-node k=8 fat-tree whose
+// intra-pod (edge–aggregation) hops carry zero propagation delay — the
+// back-to-back links of a real pod. The contiguous 4-shard cut splits
+// a pod's edge and aggregation layers, so SetShards must reject it,
+// naming the link; partition.MinCut keeps every pod whole, and the
+// 2-, 4- and 8-shard runs must reproduce the sequential delivery trace
 // bit for bit.
-func TestOptimisticFatTreeZeroDelayIntraPod(t *testing.T) {
+func TestZeroDelayPodsUnderMinCut(t *testing.T) {
 	build := func(sim *netsim.Sim) *topo.Network {
 		nw, err := topo.FatTree(sim, 8, topo.Opts{
 			Link:    topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
@@ -427,14 +412,12 @@ func TestOptimisticFatTreeZeroDelayIntraPod(t *testing.T) {
 		}
 		return nw
 	}
-	// The conservative engine must name the offending link. (The
-	// 2-shard cut happens to fall between a pod's switches and its
-	// hosts; the 4-shard cut splits a pod's edge and aggregation
-	// layers, putting zero-delay links across the boundary.)
 	rej := netsim.New(7)
 	build(rej)
-	if err := rej.SetShards(4); err == nil || !strings.Contains(err.Error(), "zero propagation delay") {
-		t.Fatalf("conservative SetShards on zero-delay pods: err = %v, want zero-delay rejection", err)
+	err := rej.SetShards(4)
+	if err == nil || !strings.Contains(err.Error(), "zero propagation delay") ||
+		!strings.Contains(err.Error(), "netsim: link p") {
+		t.Fatalf("contiguous SetShards on zero-delay pods: err = %v, want a rejection naming the pod link", err)
 	}
 
 	run := func(shards int) (string, netsim.EngineStats) {
@@ -442,7 +425,7 @@ func TestOptimisticFatTreeZeroDelayIntraPod(t *testing.T) {
 		nw := build(sim)
 		journals := make([]*netsim.Journal, len(nw.Hosts))
 		for i, h := range nw.Hosts {
-			j := netsim.NewJournal(h)
+			j := netsim.NewJournal()
 			journals[i] = j
 			h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 				j.Addf("%d:%s:%d", meta.RxTimestamp, p.IPv6.Src, p.IPv6.FlowLabel)
@@ -459,8 +442,12 @@ func TestOptimisticFatTreeZeroDelayIntraPod(t *testing.T) {
 			}
 		}
 		if shards > 1 {
-			if err := sim.SetShards(shards, netsim.EngineOptimistic); err != nil {
+			assign, err := partition.MinCut(partition.FromSim(sim), shards, 1)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if err := sim.SetShardsPartitioned(shards, assign); err != nil {
+				t.Fatalf("min-cut placement at %d shards: %v", shards, err)
 			}
 		}
 		const until = netsim.Millisecond
@@ -487,13 +474,15 @@ func TestOptimisticFatTreeZeroDelayIntraPod(t *testing.T) {
 	if !strings.Contains(base, "udp_delivered=") {
 		t.Fatal("no deliveries in the sequential run")
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{2, 4, 8} {
 		got, st := run(shards)
 		if got != base {
 			diffReport(t, base, got, shards)
 		}
-		t.Logf("shards=%d events=%d rollbacks=%d antis=%d ckpts=%d msgs=%d",
-			shards, st.Events, st.Rollbacks, st.AntiMessages, st.Checkpoints, st.Messages)
+		if st.Messages == 0 {
+			t.Errorf("%d shards exchanged no cross-shard messages", shards)
+		}
+		t.Logf("shards=%d events=%d windows=%d cut=%d msgs=%d", shards, st.Events, st.Windows, st.CutLinks, st.Messages)
 	}
 }
 
@@ -512,41 +501,21 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 			name += "-mincut"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := fuzzRun(t, sc, 1, netsim.EngineConservative, 1)
+			base := fuzzRun(t, sc, 1, 1)
 			if !strings.Contains(base, "udp_delivered") {
 				t.Fatal("scenario delivered nothing")
 			}
 			if sc.burst > 1 {
 				// Burst arm: the same sequential scenario drained in
 				// bursts must fingerprint identically to per-packet.
-				if got := fuzzRun(t, sc, 1, netsim.EngineConservative, sc.burst); got != base {
+				if got := fuzzRun(t, sc, 1, sc.burst); got != base {
 					diffReport(t, base, got, 1)
 				}
 			}
 			// The sharded arms all run at the scenario's burst size, so
-			// a match proves both engine equivalence and burst
-			// equivalence (including rollback through half-processed
-			// bursts under the optimistic engine).
-			if sc.zeroDelay {
-				// The conservative engine must refuse to split
-				// zero-delay links across shards...
-				sim := netsim.New(sc.seed)
-				buildFuzzTopo(t, sim, sc)
-				if err := sim.SetShards(2); err == nil {
-					t.Error("conservative engine accepted zero-delay cross-shard links")
-				}
-			} else {
-				// ...and everywhere else the conservative arms must
-				// reproduce the sequential schedule.
-				for _, shards := range []int{2, 4} {
-					if got := fuzzRun(t, sc, shards, netsim.EngineConservative, sc.burst); got != base {
-						diffReport(t, base, got, shards)
-					}
-				}
-			}
+			// a match proves both shard and burst equivalence.
 			for _, shards := range []int{2, 4, 8} {
-				got := fuzzRun(t, sc, shards, netsim.EngineOptimistic, sc.burst)
-				if got != base {
+				if got := fuzzRun(t, sc, shards, sc.burst); got != base {
 					diffReport(t, base, got, shards)
 				}
 			}

@@ -49,8 +49,7 @@ type Iface struct {
 	// end: the peer transmitted them, then a failure cut the link
 	// before delivery. The receiving shard detects the loss, so the
 	// counter lives on the receiving end — each shard mutates only
-	// its own state (no atomics) and optimistic rollback restores it
-	// with this end's node. DownDrops sums both views.
+	// its own state (no atomics). DownDrops sums both views.
 	inFlightKills uint64
 }
 
@@ -111,7 +110,6 @@ func (i *Iface) setOneEnd(up bool) {
 	if i.down == !up {
 		return
 	}
-	i.Node.dirty = true
 	i.down = !up
 	if !up {
 		i.failEpoch++
@@ -124,12 +122,9 @@ func (i *Iface) setOneEnd(up bool) {
 	}
 }
 
-// xmsg is a cross-shard packet delivery in data form: everything
-// needed to rebuild the delivery event at the destination. Keeping
-// cross-shard messages as data rather than closures lets the
-// optimistic engine compare a rolled-back shard's re-emissions
-// against the originals (lazy cancellation) — identical re-sends
-// leave the receiver untouched instead of churning anti-messages.
+// xmsg is a packet delivery in data form: the deterministic event key
+// plus everything needed to rebuild the delivery event in the queue of
+// the shard owning the receiving end.
 type xmsg struct {
 	at, schedAt int64
 	src         int32
@@ -137,15 +132,6 @@ type xmsg struct {
 	peer        *Iface // receiving link end
 	epoch       uint64 // sender's fail epoch at transmission
 	raw         []byte
-}
-
-func (m *xmsg) key() msgKey { return msgKey{m.at, m.schedAt, m.src, m.k} }
-
-// same reports behavioural identity: delivering either message has
-// exactly the same effect.
-func (m *xmsg) same(o *xmsg) bool {
-	return m.at == o.at && m.schedAt == o.schedAt && m.src == o.src && m.k == o.k &&
-		m.peer == o.peer && m.epoch == o.epoch && string(m.raw) == string(o.raw)
 }
 
 // Transmit serialises raw onto the link; the peer node receives it
@@ -178,17 +164,14 @@ func (i *Iface) Transmit(raw []byte) {
 	// node's stream in a fixed order (corrupt, then duplicate) and only
 	// when the knob is set, so impairment-free runs consume an
 	// identical random stream with or without the chaos layer.
-	era := n.pktEra
 	if i.q.DrawCorrupt(n.rng) {
-		// Damage a private copy: the original bytes may be shared with
-		// checkpoint state or a pending commit closure. The copy is
-		// private as of now, so it carries the current era stamp.
+		// Damage a copy: the tap above (and a caller that kept the slice
+		// it handed to Output) holds the packet as transmitted.
 		raw = corruptCopy(raw, n.rng)
-		era = n.shard.ckptSeq
 		n.Count("tx_corrupted")
 	}
 	dup := i.q.DrawDuplicate(n.rng)
-	i.send(raw, deliverAt, now, era)
+	i.send(raw, deliverAt, now)
 	if dup {
 		// tc-netem duplication: the copy is re-admitted as if enqueued
 		// a second time, serialising and jittering independently. It
@@ -196,7 +179,7 @@ func (i *Iface) Transmit(raw []byte) {
 		// deliveries must never share a buffer.
 		if dupAt, ok := i.q.Admit(now, len(raw), n.rng); ok {
 			n.Count("tx_duplicated")
-			i.send(append([]byte(nil), raw...), dupAt, now, n.shard.ckptSeq)
+			i.send(append([]byte(nil), raw...), dupAt, now)
 		} else {
 			i.TxDrops++
 		}
@@ -204,9 +187,8 @@ func (i *Iface) Transmit(raw []byte) {
 }
 
 // send routes one admitted packet delivery to the peer, carrying the
-// deterministic event key and the era in which the buffer last became
-// private (see Transmit for why the era matters under speculation).
-func (i *Iface) send(raw []byte, deliverAt, now int64, era uint64) {
+// deterministic event key.
+func (i *Iface) send(raw []byte, deliverAt, now int64) {
 	n := i.Node
 	n.schedK++
 	m := xmsg{
@@ -214,21 +196,8 @@ func (i *Iface) send(raw []byte, deliverAt, now int64, era uint64) {
 		peer: i.peer, epoch: i.failEpoch, raw: raw,
 	}
 	if i.peer.Node.shard == n.shard {
-		// Stamp the era in which this packet's buffer last became
-		// private (set at drain/Output), NOT the current one: a
-		// checkpoint taken while the packet waited in the pending
-		// commit closure has captured the buffer via the queue copy,
-		// and the older stamp is what forces the receiving drain to
-		// copy before mutating it.
-		n.shard.q.pushDeliver(&m, era)
+		n.shard.q.pushDeliver(&m)
 		return
-	}
-	if n.Sim.engine == EngineOptimistic {
-		// The message must own its bytes: if this delivery survives a
-		// sender rollback (lazy cancellation), the sender's
-		// re-execution re-writes its own buffer concurrently with the
-		// receiver reading the delivered packet.
-		m.raw = append([]byte(nil), raw...)
 	}
 	n.shard.sendCross(&m)
 }

@@ -540,3 +540,20 @@ func TestICMPErrorsNotGeneratedForICMPErrors(t *testing.T) {
 		t.Errorf("counters: %v", r.Counters())
 	}
 }
+
+// TestRNGSnapshotRestore: the node stream's whole state is the one
+// splitmix64 word — writing a saved word back replays the exact draw
+// sequence.
+func TestRNGSnapshotRestore(t *testing.T) {
+	s := New(42)
+	n := s.AddNode("rng", HostCostModel())
+	n.rng.Float64()
+	n.rng.NormFloat64()
+	state := n.rngSrc.state
+	want := []float64{n.rng.Float64(), n.rng.NormFloat64(), float64(n.rng.Uint32())}
+	n.rngSrc.state = state
+	got := []float64{n.rng.Float64(), n.rng.NormFloat64(), float64(n.rng.Uint32())}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("draws after restore differ: %v vs %v", want, got)
+	}
+}

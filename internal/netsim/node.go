@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
-	"sort"
 
 	"srv6bpf/internal/obs"
 	"srv6bpf/internal/packet"
@@ -55,8 +54,8 @@ type UDPHandler func(n *Node, p *packet.Packet, meta *PacketMeta)
 
 // commitOp selects the deferred effect of a processed packet. The
 // routing functions fill a pendingCommit instead of returning a
-// closure: the commit lives in a node field (checkpointed with the
-// node), so the steady-state packet path allocates nothing.
+// closure: the commit lives in a node field, so the steady-state
+// packet path allocates nothing.
 type commitOp uint8
 
 const (
@@ -72,27 +71,22 @@ const (
 
 // pendingCommit is the deferred effect of one routed packet plus the
 // packet's metadata. Node.pending carries it from a drain event to
-// the drain continuation and is checkpointed with the node — the raw
-// bytes it may share with heap events are guarded by the same pktEra
-// machinery that guards the events themselves. Node.outPending is the
-// intra-event twin for the Output path (routed and committed inside
-// one event, so never checkpointed).
+// the drain continuation; Node.outPending is the intra-event twin for
+// the Output path (routed and committed inside one event).
 type pendingCommit struct {
 	op       commitOp
 	decHop   bool
 	hopLimit uint8
 	iface    *Iface
 	raw      []byte
-	era      uint64
 	meta     PacketMeta
 	fn       func()
 }
 
-// flowEntry caches one parsed flow inside a burst epoch. Validity is
-// proven per lookup — same epoch, same length, byte-equal headers up
-// to the L4 offset — so the cache is pure: Info is a function of the
-// compared bytes, and a stale or rolled-back entry can only miss,
-// never lie.
+// flowEntry caches one parsed flow. Validity is proven per lookup —
+// same length, byte-equal headers up to the L4 offset — so the cache
+// is pure: Info is a function of the compared bytes, and a stale entry
+// can only miss, never lie.
 type flowEntry struct {
 	rawLen int
 	hdr    []byte // copy of raw[:info.L4Off] at fill time
@@ -100,10 +94,8 @@ type flowEntry struct {
 	src    netip.Addr
 	dst    netip.Addr
 	// r memoises the main-table lookup for dst, valid while rVer still
-	// equals the table's version (routes cannot change during
-	// speculation, so a version match is also rollback-safe). Fills
-	// reset rVer to the sentinel so a recycled entry can never leak the
-	// previous flow's route.
+	// equals the table's version. Fills reset rVer to the sentinel so a
+	// recycled entry can never leak the previous flow's route.
 	r    *Route
 	rVer uint64
 }
@@ -113,9 +105,8 @@ type flowEntry struct {
 const flowRouteInvalid = ^uint64(0)
 
 // routeMemoEntry caches one main-table FIB walk; valid while the
-// table version still matches. Versions only ever increase (routes
-// cannot change during speculation, so rollback cannot rewind one),
-// making (version, dst) → route a pure function.
+// table version still matches. Versions only ever increase, making
+// (version, dst) → route a pure function.
 type routeMemoEntry struct {
 	dst netip.Addr
 	r   *Route
@@ -126,14 +117,6 @@ type routeMemoEntry struct {
 type rxItem struct {
 	raw  []byte
 	meta PacketMeta
-	// cross marks a cross-shard delivery: its bytes are shared with
-	// the optimistic engine's input log, so processing must not
-	// mutate them in place. ckptSeq is the owning shard's checkpoint
-	// count when the delivery event was created: if it still matches
-	// at processing time, no retained checkpoint references the
-	// buffer (see Node.drain).
-	cross   bool
-	ckptSeq uint64
 }
 
 // Counter is a pre-resolved handle to one named counter cell. The
@@ -192,8 +175,7 @@ type Node struct {
 	// seed and the node name: draws are independent of other nodes'
 	// activity, so ECMP tie-breaking and netem jitter stay
 	// deterministic under any shard count. It draws from rngSrc, a
-	// single-word splitmix64 source, so checkpoints capture and
-	// restore the stream exactly.
+	// single-word splitmix64 source.
 	rng    *rand.Rand
 	rngSrc randSource
 	// schedK numbers this node's Schedule calls (the k half of the
@@ -205,14 +187,9 @@ type Node struct {
 	// mainTbl hoists tables[MainTable] out of the per-packet map
 	// access. Table objects are created once and never replaced
 	// (Table() only ever inserts), so the pointer stays valid for the
-	// node's lifetime — including across optimistic rollbacks, which
-	// restore table *contents* in place.
+	// node's lifetime.
 	mainTbl *Table
-	// tableOrder lists the table ids in sorted order (maintained on
-	// table creation), so checkpoint snapshots iterate the FIB
-	// deterministically without sorting per snapshot.
-	tableOrder []int
-	local      map[netip.Addr]bool
+	local   map[netip.Addr]bool
 	// primary is the address used as source for generated ICMP.
 	primary netip.Addr
 
@@ -227,7 +204,7 @@ type Node struct {
 	// Inbound step instead of a FIB lookup. ifaceTables binds an
 	// interface to a routing table (VRF-style per-tenant lookup for
 	// the End.DT* scenarios). Both are configuration, like
-	// udpHandlers: set at topology-build time, not checkpointed.
+	// udpHandlers: set at topology-build time.
 	ifaceInputs map[*Iface]*seg6.Behaviour
 	ifaceTables map[*Iface]int
 
@@ -241,13 +218,8 @@ type Node struct {
 
 	// counters holds the interned counter cells; Counter handles
 	// point into it. Counters() materialises the read-side map.
-	// counterNames/counterCells repeat the interning in order, so a
-	// checkpoint snapshots the whole set as one flat value copy and a
-	// rollback can forget cells interned during undone speculation.
-	counters     map[string]*uint64
-	counterNames []string
-	counterCells []*uint64
-	hot          hotCounters
+	counters map[string]*uint64
+	hot      hotCounters
 
 	// crashed marks the node as down: the CPU halts, the receive ring
 	// is lost and all local link ends are failed until restart.
@@ -257,56 +229,26 @@ type Node struct {
 	crashed    bool
 	crashEpoch uint64
 
-	// dirty marks the node as mutated since its last fresh checkpoint
-	// snapshot: event execution, packet receive, interface flips and
-	// counter interning all set it. The optimistic engine's
-	// incremental checkpoints copy only dirty nodes; a clean node's
-	// entry aliases the previous checkpoint's snapshot.
-	dirty bool
-	// pktEra is the shard's checkpoint count when the packet this
-	// node is currently processing last became private (copied or
-	// freshly built). Transmit stamps it into same-shard delivery
-	// events instead of the current count: a checkpoint taken while
-	// the packet sits in a pending commit closure makes its buffer
-	// rollback-reachable, and the stale stamp is what tells the
-	// receiving drain to copy before mutating (see Node.drain).
-	pktEra uint64
-
 	// pending is the deferred effect of the packet currently being
 	// processed by the drain chain: filled at routing time, applied by
-	// the drain continuation at processing-completion time. It is part
-	// of the node's checkpointed state — a checkpoint taken between a
-	// drain and its continuation captures it by value (sharing the raw
-	// bytes, which the pktEra machinery already guards). outPending is
-	// the same storage for the Output path, which routes and commits
-	// inside one event and therefore never needs checkpointing.
+	// the drain continuation at processing-completion time. outPending
+	// is the same storage for the Output path, which routes and commits
+	// inside one event.
 	pending    pendingCommit
 	outPending pendingCommit
 
 	// burst is the sim's packet-burst knob (Sim.SetBurst); 1 disables
-	// all burst caching. burstSeq is the current burst-cache epoch:
-	// bumped whenever a new burst starts and on every crash or
-	// rollback restore, it gates attachment bind-skipping (the one
-	// burst cache that is not self-validating). burstLeft counts
-	// packets remaining in the current epoch; burstNextAt is when
-	// processing of the last packet completes — the epoch extends only
-	// while the next drain lands exactly there (back-to-back CPU work
-	// at one virtual instant per the same-timestamp eligibility rule).
-	burst       int
-	burstLeft   int
-	burstNextAt int64
-	burstSeq    uint64
+	// all burst caching.
+	burst int
 
 	// flows is the burst-mode parse cache (two entries: SRH advance at
 	// an endpoint alternates pre/post-advance byte patterns), and
 	// routeMemo the FIB memo for the main table. Both are pure caches:
 	// validity is proven per lookup against a private header copy
 	// (byte equality + length) or the table version, both functions of
-	// nothing but the probed input. They therefore need no epoch
-	// gating and no snapshot — rollback cannot make a matching entry
-	// wrong, only unused — and survive idle gaps in the drain cadence
-	// (a sink whose packets arrive slower than it drains them still
-	// hits the cache).
+	// nothing but the probed input, so they survive idle gaps in the
+	// drain cadence (a sink whose packets arrive slower than it drains
+	// them still hits the cache).
 	flows     [2]flowEntry
 	flowClock uint8
 	routeMemo [4]routeMemoEntry
@@ -323,14 +265,14 @@ type Node struct {
 	// the handlers), so when a later same-length packet matches those
 	// bytes exactly, the previous parse is the correct parse and only
 	// Raw needs rebinding. scratchHdr is a private copy, so the check
-	// is pure — no epoch gating needed (see the flows comment). An
-	// empty scratchHdr means no valid parse is cached.
+	// is pure (see the flows comment). An empty scratchHdr means no
+	// valid parse is cached.
 	scratchHdr    []byte
 	scratchRawLen int
 
-	// stateHooks are the ShardState components checkpointed with this
-	// node (traffic generators, NF control loops, journals).
-	stateHooks []stateHook
+	// crashHooks reset NF state held in this node's memory when the
+	// node crashes (see OnCrash).
+	crashHooks []func()
 
 	// obs points at the sim's observability plane; nil keeps the hot
 	// path to a single pointer compare per hop. traceBuf is this
@@ -361,7 +303,6 @@ func (s *Sim) AddNode(name string, cost CostModel) *Node {
 		shard:       s.shards[0],
 		rngSrc:      randSource{state: uint64(nodeSeed(s.seed, name))},
 		tables:      map[int]*Table{MainTable: {}},
-		tableOrder:  []int{MainTable},
 		local:       make(map[netip.Addr]bool),
 		udpHandlers: make(map[uint16]UDPHandler),
 		counters:    make(map[string]*uint64),
@@ -412,32 +353,28 @@ func (n *Node) Now() int64 { return n.shard.now }
 // the node's egress links, BPF get_prandom on this node).
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
-// CrashResettable is implemented by registered ShardState components
-// whose runtime state lives in the node's memory and therefore does
-// not survive a node crash (NF daemons, detectors, caches). On crash
-// the component is reset in place — distinct from RestoreState, which
-// rewinds to a snapshot: a restarted daemon comes up empty, not at
-// its pre-crash state. Durable state (configuration, counters kept by
-// the test harness) is the component's own concern.
-type CrashResettable interface {
-	CrashReset()
-}
+// OnCrash registers fn to run when the node crashes. NF components
+// whose runtime state lives in the node's memory (daemons, detectors,
+// caches) use it to come back empty after a restart; durable state
+// (configuration, counters kept by the test harness) is the
+// component's own concern. Hooks run on the node's shard, in
+// registration order, after the node's links have gone down.
+func (n *Node) OnCrash(fn func()) { n.crashHooks = append(n.crashHooks, fn) }
 
 // Crashed reports whether the node is currently down.
 func (n *Node) Crashed() bool { return n.crashed }
 
 // crashNow takes the node down at the current virtual instant: the
 // receive ring is flushed (counted as crash_rx_lost), every local
-// link end fails (in-flight packets towards the node die), and
-// registered NF state implementing CrashResettable is reset. Counters
-// survive — they model the observer, not the node's RAM. Runs on the
-// node's shard; peers' link ends flip in their own shards (see
-// Sim.CrashNode). Crashing a crashed node is a no-op.
+// link end fails (in-flight packets towards the node die), and the
+// OnCrash hooks reset registered NF state. Counters survive — they
+// model the observer, not the node's RAM. Runs on the node's shard;
+// peers' link ends flip in their own shards (see Sim.CrashNode).
+// Crashing a crashed node is a no-op.
 func (n *Node) crashNow() {
 	if n.crashed {
 		return
 	}
-	n.dirty = true
 	n.crashed = true
 	n.crashEpoch++
 	n.Count("node_crash")
@@ -448,18 +385,13 @@ func (n *Node) crashNow() {
 		}
 	}
 	n.busy = false
-	// The packet being processed dies with the box; any cached burst
-	// state belongs to the previous incarnation.
+	// The packet being processed dies with the box.
 	n.pending = pendingCommit{}
-	n.burstSeq++
-	n.burstLeft = 0
 	for _, i := range n.ifaces {
 		i.setOneEnd(false)
 	}
-	for _, h := range n.stateHooks {
-		if cr, ok := h.s.(CrashResettable); ok {
-			cr.CrashReset()
-		}
+	for _, fn := range n.crashHooks {
+		fn()
 	}
 	if n.Trace != nil {
 		n.Trace("%s: crashed", n.Name)
@@ -473,7 +405,6 @@ func (n *Node) restartNow() {
 	if !n.crashed {
 		return
 	}
-	n.dirty = true
 	n.crashed = false
 	n.Count("node_restart")
 	for _, i := range n.ifaces {
@@ -482,34 +413,6 @@ func (n *Node) restartNow() {
 	if n.Trace != nil {
 		n.Trace("%s: restarted", n.Name)
 	}
-}
-
-// stateHook pairs a registered ShardState with its state at
-// registration time, so a rollback that crosses the registration
-// point can rewind the component and unhook it again.
-type stateHook struct {
-	s   ShardState
-	reg any
-}
-
-// RegisterState attaches a component's mutable state to this node's
-// checkpoint/rollback machinery: under the optimistic engine the
-// component is snapshotted with the node and rewound on rollback.
-// Components whose state is mutated from events (traffic generators,
-// NF control loops, test observers) must register, or speculative
-// execution would leak into their committed state.
-//
-// Call it from setup code or from an event running on this node's
-// shard. Registering the same value twice is a no-op; the value must
-// be of a comparable type (implementations are pointers in practice).
-func (n *Node) RegisterState(s ShardState) {
-	for _, h := range n.stateHooks {
-		if h.s == s {
-			return
-		}
-	}
-	n.dirty = true
-	n.stateHooks = append(n.stateHooks, stateHook{s: s, reg: s.SnapshotState()})
 }
 
 // Schedule runs fn at absolute virtual time at (clamped to now) on
@@ -521,7 +424,6 @@ func (n *Node) Schedule(at int64, fn func()) {
 	if at < sh.now {
 		at = sh.now
 	}
-	n.dirty = true
 	n.schedK++
 	sh.q.pushFn(at, sh.now, n.idx, n.schedK, fn)
 }
@@ -535,17 +437,12 @@ func (n *Node) CounterHandle(name string) Counter {
 	return Counter{cell: n.internCounter(name)}
 }
 
-// internCounter returns (creating if needed) the cell for name,
-// recording creation order so checkpoints snapshot the set as a flat
-// slice and rollback can forget speculatively interned cells.
+// internCounter returns (creating if needed) the cell for name.
 func (n *Node) internCounter(name string) *uint64 {
 	c := n.counters[name]
 	if c == nil {
 		c = new(uint64)
-		n.dirty = true
 		n.counters[name] = c
-		n.counterNames = append(n.counterNames, name)
-		n.counterCells = append(n.counterCells, c)
 	}
 	return c
 }
@@ -604,10 +501,7 @@ func (n *Node) Table(id int) *Table {
 	t, ok := n.tables[id]
 	if !ok {
 		t = &Table{}
-		n.dirty = true
 		n.tables[id] = t
-		n.tableOrder = append(n.tableOrder, id)
-		sort.Ints(n.tableOrder)
 	}
 	return t
 }
@@ -709,20 +603,14 @@ func (n *Node) BindIfaceTable(in *Iface, table int) error {
 // the packet is dropped — this is how offered load beyond the node's
 // packet rate disappears, exactly like the paper's router receiving 3
 // Mpps but forwarding 610 kpps.
-func (n *Node) deliver(raw []byte, in *Iface, cross bool, ckptSeq uint64) {
-	n.dirty = true
+func (n *Node) deliver(raw []byte, in *Iface) {
 	if n.crashed {
 		// The links go down with the node, so normally nothing arrives
 		// here; this guards same-instant races around the crash event.
 		n.Count("crash_rx_lost")
 		return
 	}
-	if !n.rxPush(rxItem{
-		raw:     raw,
-		meta:    PacketMeta{RxTimestamp: n.Now(), InIface: in},
-		cross:   cross,
-		ckptSeq: ckptSeq,
-	}) {
+	if !n.rxPush(rxItem{raw: raw, meta: PacketMeta{RxTimestamp: n.Now(), InIface: in}}) {
 		n.hot.rxRingFull.Inc()
 		return
 	}
@@ -779,38 +667,6 @@ func (n *Node) drain() {
 		return
 	}
 	item := n.rxPop()
-	if n.Sim.engine == EngineOptimistic && len(n.Sim.shards) > 1 &&
-		(item.cross || item.ckptSeq != n.shard.ckptSeq) {
-		// Processing mutates packet bytes in place (SRH advance, hop
-		// limit). Under speculation the bytes may be shared with
-		// rollback state — a checkpoint snapshot (heap closure or ring
-		// item) when a checkpoint intervened since the buffer last
-		// became private, or the cross-shard input log — so such hops
-		// work on a private copy and the shared original stays
-		// pristine for re-execution. A same-shard hop inside one
-		// checkpoint era (the common case once the controller
-		// stretches the checkpoint stride) mutates in place: nothing
-		// retained can reference it.
-		item.raw = append([]byte(nil), item.raw...)
-	}
-	// This hop's buffer is private as of the current era: either it
-	// was just copied, or the stamp proved no checkpoint has seen it.
-	n.pktEra = n.shard.ckptSeq
-
-	// Burst accounting: a burst epoch covers the packets this CPU
-	// processes back to back — it extends exactly while the drain
-	// continuation lands at the instant processing of the previous
-	// packet finished (the CPU never went idle in between). Epochs
-	// gate attachment bind-skipping and nothing else (the flow and
-	// route caches self-validate): costs, the event schedule and
-	// every counter are identical at any burst size.
-	if n.burst > 1 {
-		if n.burstLeft <= 0 || n.shard.now != n.burstNextAt {
-			n.burstSeq++
-			n.burstLeft = n.burst
-		}
-		n.burstLeft--
-	}
 
 	cost := n.Cost.PacketCost(len(item.raw))
 	pc := &n.pending
@@ -822,10 +678,6 @@ func (n *Node) drain() {
 	if n.obs != nil {
 		n.obsEndHop(cost)
 	}
-	if n.burst > 1 {
-		n.burstNextAt = n.shard.now + cost
-	}
-
 	// A crash between now and processing completion discards the
 	// packet mid-flight and halts the CPU loop: the continuation
 	// belongs to this incarnation only (it carries the crash epoch).
@@ -838,7 +690,6 @@ func (n *Node) drain() {
 // data — no allocation per processed packet.
 func (n *Node) scheduleDrainCont(d int64) {
 	sh := n.shard
-	n.dirty = true
 	n.schedK++
 	sh.q.pushDrainCont(sh.now+d, sh.now, n.idx, n.schedK, n.crashEpoch)
 }
@@ -871,7 +722,6 @@ func (n *Node) runCommit(pc *pendingCommit) {
 		if pc.decHop {
 			packet.SetHopLimit(raw, pc.hopLimit-1)
 		}
-		n.pktEra = pc.era
 		iface.Transmit(raw)
 	case commitLocal:
 		raw := pc.raw
@@ -888,18 +738,6 @@ func (n *Node) runCommit(pc *pendingCommit) {
 // Generation cost is the caller's concern (traffic generators pace
 // themselves), so no CPU time is charged here.
 func (n *Node) Output(raw []byte) {
-	// A locally-built packet is private as of now; routing and its
-	// commit run inside this event, so no checkpoint can intervene
-	// before the transmit stamps the era.
-	n.outputFrom(n.shard.ckptSeq, raw)
-}
-
-// outputFrom is Output for a packet whose bytes became private in an
-// earlier checkpoint era — a buffer built at drain time but emitted
-// from a deferred commit closure (icmpError). Stamping the buffer's
-// own era keeps the copy-elision honest: if a checkpoint captured the
-// pending closure, receivers must copy before mutating.
-func (n *Node) outputFrom(era uint64, raw []byte) {
 	if n.crashed {
 		// Application timers keep firing through a crash (the process
 		// schedule outlives the box in this model), but nothing leaves
@@ -907,7 +745,6 @@ func (n *Node) outputFrom(era uint64, raw []byte) {
 		n.Count("crash_tx_lost")
 		return
 	}
-	n.pktEra = era
 	pc := &n.outPending
 	*pc = pendingCommit{meta: PacketMeta{RxTimestamp: n.Now(), Local: true}}
 	if n.obs != nil {
@@ -1165,17 +1002,11 @@ func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry) i
 	if n.spanIdx >= 0 {
 		n.obsVerdict("forward")
 	}
-	// The commit may run one event later (the drain continuation);
-	// other events on this node (probe ticks, generator Outputs) can
-	// process other packets in between and move pktEra. Capture this
-	// packet's era now; runCommit reinstates it for the transmit-time
-	// stamp.
 	pc.op = commitTransmit
 	pc.decHop = !pc.meta.Local
 	pc.hopLimit = hopLimit
 	pc.iface = nh.Iface
 	pc.raw = out
-	pc.era = n.pktEra
 	return extra
 }
 
@@ -1436,13 +1267,11 @@ func (n *Node) transmitVerdict(out []byte, iface *Iface, pc *pendingCommit) int6
 	if n.spanIdx >= 0 {
 		n.obsVerdict("forward")
 	}
-	// See forward: the commit runs after interleaved events.
 	pc.op = commitTransmit
 	pc.decHop = decHop
 	pc.hopLimit = hopLimit
 	pc.iface = iface
 	pc.raw = out
-	pc.era = n.pktEra
 	return 0
 }
 
@@ -1552,8 +1381,8 @@ func (n *Node) mainTable() *Table {
 	return n.mainTbl
 }
 
-// lookupMain is the main-table FIB lookup, memoised per (burst epoch,
-// table version, destination). SelectPath is never memoised — ECMP
+// lookupMain is the main-table FIB lookup, memoised per (table
+// version, destination). SelectPath is never memoised — ECMP
 // round-robin mutates per-route state.
 func (n *Node) lookupMain(dst netip.Addr) *Route {
 	t := n.mainTable()
@@ -1574,7 +1403,7 @@ func (n *Node) lookupMain(dst netip.Addr) *Route {
 }
 
 // ParseInfoCached is packet.ParseInfo served from the node's burst
-// flow cache when the bytes were already proven this epoch.
+// flow cache when it already holds these exact bytes.
 // Attachment layers (internal/core) call it on their datapath entry.
 func (n *Node) ParseInfoCached(raw []byte) (packet.Info, error) {
 	if fe := n.flowLookup(raw); fe != nil {
@@ -1582,13 +1411,6 @@ func (n *Node) ParseInfoCached(raw []byte) (packet.Info, error) {
 	}
 	return packet.ParseInfo(raw)
 }
-
-// BurstCache reports the node's current burst-cache epoch and whether
-// burst caching is active. Attachment layers use it to skip re-binding
-// per-packet state within one epoch; epochs advance on every new
-// burst, crash and rollback restore, so a matching epoch guarantees
-// nothing relevant changed since the last bind.
-func (n *Node) BurstCache() (uint64, bool) { return n.burstSeq, n.burst > 1 }
 
 // deliverLocal dispatches a packet addressed to this node. The parsed
 // view handed to handlers is backed by node-owned scratch storage:
@@ -1721,9 +1543,43 @@ func (n *Node) icmpError(raw []byte, meta *PacketMeta, icmpType, code uint8) fun
 		return nil
 	}
 	n.Count(fmt.Sprintf("icmp_sent_type%d", icmpType))
-	// The reply buffer is private as of now; the commit that emits it
-	// may run an event later, past a checkpoint that captured this
-	// closure, so the emission must carry today's era (see outputFrom).
-	era := n.shard.ckptSeq
-	return func() { n.outputFrom(era, reply) }
+	return func() { n.Output(reply) }
 }
+
+// randSource is a splitmix64 rand.Source64: the whole stream state is
+// one word, seeded per node by nodeSeed.
+type randSource struct{ state uint64 }
+
+func (s *randSource) Uint64() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (s *randSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *randSource) Seed(seed int64) { s.state = uint64(seed) }
+
+// Journal is an append-only record of one node's observations
+// (delivery traces, handler logs). Append only from events executing
+// on the owning node's shard, so sharded runs need no lock.
+type Journal struct {
+	lines []string
+}
+
+// NewJournal creates an empty journal; keep one per observing node.
+func NewJournal() *Journal { return &Journal{} }
+
+// Addf appends one formatted line.
+func (j *Journal) Addf(format string, args ...any) {
+	j.lines = append(j.lines, fmt.Sprintf(format, args...))
+}
+
+// Add appends one line.
+func (j *Journal) Add(line string) { j.lines = append(j.lines, line) }
+
+// Lines returns the recorded lines. Read it only while the sim is
+// quiescent.
+func (j *Journal) Lines() []string { return j.lines }

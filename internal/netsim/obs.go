@@ -5,15 +5,8 @@ package netsim
 // With observability disabled the datapath pays one pointer compare
 // per hop (plus span-index compares that are always false); enabling
 // metrics adds per-shard histogram cells, and enabling the flight
-// recorder attaches a rollback-aware TraceBuf journal to every node.
-//
-// Metric semantics under the optimistic engine: per-shard histogram
-// cells (queue delay, behavior cost) count gross work — speculated
-// hops that later roll back are observed and not un-observed — the
-// same semantics as EngineStats.Events. Only the flight recorder is
-// committed-exact: TraceBufs register as ShardState, so rollback
-// truncates their speculative tail, and the equivalence fuzzer
-// asserts span-for-span identity across engines and shard counts.
+// recorder attaches a TraceBuf journal to every node (the equivalence
+// fuzzer asserts span-for-span identity across shard counts).
 
 import (
 	"context"
@@ -61,10 +54,6 @@ type simObs struct {
 	pprofLabels bool
 
 	series *obs.Series
-	// rollbackDepth observes the virtual-ns depth of every optimistic
-	// rollback (speculation frontier minus straggler time). Owned by
-	// the single-threaded coordinator.
-	rollbackDepth obs.Histogram
 
 	cells  []*obsCell
 	labels []string // per-shard pprof label values
@@ -164,15 +153,6 @@ func (s *Sim) QueueDelayHist() *obs.Histogram {
 	return m
 }
 
-// RollbackDepthHist returns the optimistic engine's rollback-depth
-// histogram (virtual ns undone per rollback).
-func (s *Sim) RollbackDepthHist() *obs.Histogram {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.rollbackDepth.Clone()
-}
-
 // attachNode wires a node into the plane (called for existing nodes
 // at EnableObs and for nodes added afterwards).
 func (o *simObs) attachNode(n *Node) {
@@ -181,7 +161,6 @@ func (o *simObs) attachNode(n *Node) {
 		tb := obs.NewTraceBuf(n.Name)
 		n.traceBuf = tb
 		o.bufs = append(o.bufs, tb)
-		n.RegisterState(tb)
 	}
 }
 
@@ -209,15 +188,10 @@ func (o *simObs) mergedBehavior(action int) *obs.Histogram {
 // by the coordinator once per synchronisation round.
 func (o *simObs) pushEnginePoint(s *Sim, round int64, virtualNs int64) {
 	o.series.Push(obs.EnginePoint{
-		Round:        round,
-		VirtualNs:    virtualNs,
-		Events:       s.engEvents.Total(),
-		Messages:     s.engMsgs.Total(),
-		Rollbacks:    s.rollbacks,
-		AntiMessages: s.antiMsgs,
-		Checkpoints:  s.engCkpts.Total(),
-		CkptBytes:    s.engCkptBytes.Total(),
-		HorizonNs:    s.horizon,
+		Round:     round,
+		VirtualNs: virtualNs,
+		Events:    s.engEvents.Total(),
+		Messages:  s.engMsgs.Total(),
 	})
 }
 
@@ -242,15 +216,6 @@ func (o *simObs) registerCollectors(s *Sim) {
 		e.Counter("srv6sim_engine_events_total", "", float64(st.Events))
 		e.Counter("srv6sim_engine_messages_total", "", float64(st.Messages))
 		e.Counter("srv6sim_engine_windows_total", "", float64(st.Windows))
-		e.Counter("srv6sim_engine_rollbacks_total", "", float64(st.Rollbacks))
-		e.Counter("srv6sim_engine_anti_messages_total", "", float64(st.AntiMessages))
-		e.Counter("srv6sim_engine_checkpoints_total", "", float64(st.Checkpoints))
-		e.Counter("srv6sim_engine_ckpt_bytes_total", "", float64(st.CkptBytes))
-		e.Counter("srv6sim_engine_ckpt_nodes_copied_total", "", float64(st.CkptNodesCopied))
-		e.Counter("srv6sim_engine_ckpt_nodes_aliased_total", "", float64(st.CkptNodesAliased))
-		e.Counter("srv6sim_engine_horizon_adjusts_total", "", float64(st.HorizonAdjusts))
-		e.Gauge("srv6sim_engine_horizon_ns", "", float64(st.Horizon))
-		e.Gauge("srv6sim_engine_gvt_ns", "", float64(st.GVT))
 
 		clear(o.scratch)
 		for _, n := range s.nodes {
@@ -290,7 +255,6 @@ func (o *simObs) registerCollectors(s *Sim) {
 				e.Hist("srv6sim_behavior_cost_ns", `behavior="`+seg6.Action(a).String()+`"`, h)
 			}
 		}
-		e.Hist("srv6sim_rollback_depth_ns", "", &o.rollbackDepth)
 
 		if o.trace {
 			var spans int

@@ -1,11 +1,10 @@
 package netsim
 
 // Tests of the simulator side of the observability plane: the flight
-// recorder must replay committed spans bit-identically under the
-// optimistic engine (rollbacks truncate the speculative tail), and
-// enabling it must not add per-packet allocations to the datapath.
-// The full cross-engine matrix (chaos campaigns included) is locked by
-// the spans arm of the equivalence fuzzer in fuzz_equiv_test.go.
+// recorder must record the same spans at any shard count, and enabling
+// it must not add per-packet allocations to the datapath. The full
+// matrix (chaos campaigns, placements) is locked by the spans arm of
+// the equivalence fuzzer in fuzz_equiv_test.go.
 
 import (
 	"reflect"
@@ -16,37 +15,41 @@ import (
 	"srv6bpf/internal/packet"
 )
 
-// TestObsTraceRollbackEquivalence replays the forced-straggler
-// scenario with the recorder on: the 2-shard optimistic run must
-// roll back (else the test tests nothing) and still commit exactly
-// the spans the sequential run records.
-func TestObsTraceRollbackEquivalence(t *testing.T) {
-	run := func(shards int) ([]string, EngineStats) {
+// TestObsTraceShardEquivalence runs a cross-shard request/reply
+// exchange with the recorder on: the 2-shard run must record exactly
+// the spans the sequential run records, node by node.
+func TestObsTraceShardEquivalence(t *testing.T) {
+	run := func(shards int) []string {
 		s := New(1)
-		a, b, _ := twoHosts(s, netem.Config{RateBps: 1e10})
+		a, b, _ := twoHosts(s, netem.Config{RateBps: 1e10, DelayNs: 10 * Microsecond})
 		s.EnableObs(ObsOptions{Trace: true})
-		if shards > 1 {
-			if err := s.SetShards(shards, EngineOptimistic); err != nil {
-				t.Fatal(err)
-			}
+		if err := s.SetShards(shards); err != nil {
+			t.Fatal(err)
 		}
-		pingPong(t, a, b, 50, 3*Microsecond)
-		keepBusy(b, Microsecond, 200*Microsecond)
+		b.HandleUDP(7, func(n *Node, p *packet.Packet, meta *PacketMeta) {
+			reply, err := packet.BuildPacket(bAddr, aAddr, packet.WithUDP(7, 8), packet.WithPayload([]byte("pong")))
+			if err != nil {
+				panic(err)
+			}
+			n.Output(reply)
+		})
+		a.HandleUDP(8, func(n *Node, p *packet.Packet, meta *PacketMeta) {})
+		for i := 0; i < 50; i++ {
+			a.Schedule(int64(i)*3*Microsecond, func() { a.Output(udpTo(t, bAddr, 7, "ping")) })
+		}
 		s.Run()
+		if shards > 1 && s.EngineStats().Messages != 100 {
+			t.Fatalf("%d cross-shard messages, want 100", s.EngineStats().Messages)
+		}
 		var lines []string
 		for _, tb := range s.TraceBufs() {
 			lines = append(lines, tb.Node()+"|"+strings.Join(tb.Lines(), ";"))
 		}
-		return lines, s.EngineStats()
+		return lines
 	}
-	seq, _ := run(1)
-	par, st := run(2)
-	if st.Rollbacks == 0 {
-		t.Fatal("adversarial schedule produced no rollbacks — the recorder's rewind path went untested")
-	}
+	seq, par := run(1), run(2)
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("committed spans diverged after %d rollbacks:\n  seq: %v\n  par: %v",
-			st.Rollbacks, seq, par)
+		t.Fatalf("recorded spans diverged:\n  seq: %v\n  par: %v", seq, par)
 	}
 	if len(seq) == 0 || !strings.Contains(strings.Join(seq, "\n"), ":") {
 		t.Fatalf("recorder captured nothing: %v", seq)

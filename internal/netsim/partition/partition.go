@@ -1,5 +1,5 @@
 // Package partition computes deterministic node→shard assignments
-// for netsim's parallel engines.
+// for netsim's parallel engine.
 //
 // netsim's historical partition is the contiguous creation-order
 // block: shard i owns nodes [i·n/k, (i+1)·n/k). Generators that lay
@@ -7,7 +7,7 @@
 // shard well under it, but a Waxman random graph does not — creation
 // order carries no locality, so roughly (k−1)/k of all links cross
 // shards and every crossing packet is a cross-shard message
-// (EngineStats.Messages) paid for at the barrier under both engines.
+// (EngineStats.Messages) paid for at the barrier.
 //
 // MinCut replaces the block partition with a topology-aware one: it
 // builds a node-affinity graph whose edge weights favour keeping
@@ -17,7 +17,7 @@
 // back up the hierarchy with KL/FM-style boundary moves under a
 // balance bound. Everything is deterministic in (graph, k, seed):
 // the same topology and seed always produce the same assignment, so
-// the engines' bit-identical replay guarantee — and the equivalence
+// the engine's bit-identical replay guarantee — and the equivalence
 // fuzzer that locks it — holds under either partitioner.
 package partition
 
@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 
+	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
 )
 
@@ -61,23 +62,22 @@ type Graph struct {
 // Len returns the vertex count.
 func (g *Graph) Len() int { return len(g.adj) }
 
-// maxAffinity is the edge weight of a zero-delay link: effectively
-// infinite coupling. Cutting one would also force the conservative
-// engine to reject the partition, so they must never look cheap.
+// maxAffinity is the edge weight of a link the engine cannot cut —
+// zero-delay or jittered: netsim.SetShardsPartitioned rejects a
+// partition that separates its ends, so it must never look cheap.
 const maxAffinity = int64(1) << 40
 
-// linkAffinity converts a link's propagation delay into an edge
-// weight. Affinity decays with delay: a short link means tightly
-// coupled event streams (and, under the conservative engine, a
-// smaller lookahead if cut — more barriers), so keeping it internal
-// pays twice. The expected-traffic component is implicit: shortest-
-// path routing concentrates traffic on low-delay links.
-func linkAffinity(delayNs int64) int64 {
-	if delayNs <= 0 {
+// linkAffinity converts a link's shaping into an edge weight.
+// Affinity decays with delay: a short link means tightly coupled event
+// streams (and a smaller lookahead if cut — more barriers), so keeping
+// it internal pays twice. The expected-traffic component is implicit:
+// shortest-path routing concentrates traffic on low-delay links.
+func linkAffinity(cfg netem.Config) int64 {
+	if cfg.DelayNs <= 0 || cfg.JitterNs > 0 {
 		return maxAffinity
 	}
 	// 1e9/delay, clamped: 1 µs → 1e6, 25 µs → 40000, 1 ms → 1000.
-	w := int64(1_000_000_000) / delayNs
+	w := int64(1_000_000_000) / cfg.DelayNs
 	if w < 1 {
 		w = 1
 	}
@@ -114,7 +114,7 @@ func FromSim(sim *netsim.Sim) *Graph {
 			if !ok || j == i {
 				continue
 			}
-			sum[j] += linkAffinity(ifc.Qdisc().Config().DelayNs)
+			sum[j] += linkAffinity(ifc.Qdisc().Config())
 		}
 		// Deterministic adjacency order: ascending neighbour index.
 		for j := 0; j < len(nodes); j++ {
@@ -201,9 +201,15 @@ func MinCut(g *Graph, k int, seed int64) (Assignment, error) {
 	}
 
 	// Multi-level V-cycle: coarsen while it pays, partition the
-	// coarsest level, refine on the way back up.
+	// coarsest level, refine on the way back up. The first level merges
+	// the ends of every uncuttable link, so no later step can separate
+	// them by accident (region growth stopping mid-cluster).
 	levels := []*Graph{g}
 	maps := [][]int{} // maps[l][fine] = coarse vertex in levels[l+1]
+	if c, m := contractUncuttable(g); c != nil {
+		levels = append(levels, c)
+		maps = append(maps, m)
+	}
 	coarsestTarget := 8 * k
 	if coarsestTarget < 32 {
 		coarsestTarget = 32
@@ -258,25 +264,65 @@ func coarsen(g *Graph) (*Graph, []int) {
 			}
 		}
 		if best >= 0 {
-			match[v], match[best] = best, v
+			// Both ends carry the lower index as their group.
+			match[v], match[best] = v, v
 		} else {
 			match[v] = v // stays solo
 		}
 	}
+	return contract(g, match)
+}
+
+// contractUncuttable merges every set of vertices connected by
+// maxAffinity edges into one vertex; it returns nil when g has no such
+// edge.
+func contractUncuttable(g *Graph) (*Graph, []int) {
+	root := make([]int, g.Len())
+	for v := range root {
+		root[v] = v
+	}
+	find := func(v int) int {
+		for root[v] != v {
+			root[v] = root[root[v]]
+			v = root[v]
+		}
+		return v
+	}
+	merged := false
+	for v, es := range g.adj {
+		for _, e := range es {
+			if e.w >= maxAffinity {
+				root[find(e.to)] = find(v)
+				merged = true
+			}
+		}
+	}
+	if !merged {
+		return nil, nil
+	}
+	for v := range root {
+		root[v] = find(v)
+	}
+	return contract(g, root)
+}
+
+// contract merges the vertices that share a group[v] value (a vertex
+// index). Coarse vertices are numbered by their lowest member; returns
+// the coarse graph and the fine→coarse vertex map.
+func contract(g *Graph, group []int) (*Graph, []int) {
+	n := g.Len()
 	cmap := make([]int, n)
-	for i := range cmap {
-		cmap[i] = -1
+	id := make([]int, n) // group value → coarse vertex, -1 until seen
+	for i := range id {
+		id[i] = -1
 	}
 	nc := 0
 	for v := 0; v < n; v++ {
-		if cmap[v] >= 0 {
-			continue
+		if id[group[v]] < 0 {
+			id[group[v]] = nc
+			nc++
 		}
-		cmap[v] = nc
-		if m := match[v]; m != v && cmap[m] < 0 {
-			cmap[m] = nc
-		}
-		nc++
+		cmap[v] = id[group[v]]
 	}
 	coarse := &Graph{adj: make([][]edge, nc), vw: make([]int64, nc)}
 	for v := 0; v < n; v++ {
@@ -444,9 +490,11 @@ func refine(g *Graph, assign Assignment, k int, rng *rand.Rand) {
 }
 
 // repairBalance enforces the balance band on the finest level, where
-// every vertex weighs 1 and a fix is always possible: while a shard
-// sits outside the band, move the cheapest boundary-adjacent vertex
-// from the largest shard to the smallest.
+// every vertex weighs 1: while a shard sits outside the band, move the
+// cheapest boundary-adjacent vertex from the largest shard to the
+// smallest. A vertex held in its shard by an uncuttable link never
+// moves — an unbalanced placement runs, a cut one is rejected — so the
+// band can stay violated when only such vertices are left.
 func repairBalance(g *Graph, assign Assignment, k int) {
 	sizes := make([]int64, k)
 	var total int64
@@ -485,12 +533,12 @@ func repairBalance(g *Graph, assign Assignment, k int) {
 					toMax += e.w
 				}
 			}
-			if gain := toMin - toMax; gain > bestGain {
+			if gain := toMin - toMax; toMax < maxAffinity && gain > bestGain {
 				best, bestGain = v, gain
 			}
 		}
 		if best < 0 {
-			return // maxS empty: nothing movable (cannot happen with k ≤ n)
+			return // nothing movable
 		}
 		assign[best] = minS
 		sizes[maxS]--

@@ -1,8 +1,10 @@
 package partition_test
 
 import (
+	"fmt"
 	"testing"
 
+	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/netsim/partition"
 	"srv6bpf/internal/netsim/topo"
@@ -180,5 +182,38 @@ func TestSetShardsPartitioned(t *testing.T) {
 	// The sim must still be usable after rejected partitions.
 	if err := sim.SetShards(1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMinCutKeepsJitteredLinksInternal: a long, jittered WAN link is
+// the cheapest edge by delay alone, yet the engine cannot cut it. On
+// an 8-node ring of 25 µs links with two opposite 5 ms ± 1 ms links,
+// the delay-only weighting splits the ring exactly at the two WAN
+// links; min-cut must keep both inside a shard so SetShardsPartitioned
+// accepts the placement.
+func TestMinCutKeepsJitteredLinksInternal(t *testing.T) {
+	sim := netsim.New(1)
+	nodes := make([]*netsim.Node, 8)
+	for i := range nodes {
+		nodes[i] = sim.AddNode(fmt.Sprintf("n%d", i), netsim.ServerCostModel())
+	}
+	lan := netem.Config{RateBps: 1e10, DelayNs: 25 * netsim.Microsecond}
+	wan := netem.Config{RateBps: 1e10, DelayNs: 5 * netsim.Millisecond, JitterNs: netsim.Millisecond}
+	for i := range nodes {
+		cfg := lan
+		if i == 3 || i == 7 { // links 3-4 and 7-0
+			cfg = wan
+		}
+		netsim.ConnectSymmetric(nodes[i], nodes[(i+1)%8], cfg)
+	}
+	a, err := partition.MinCut(partition.FromSim(sim), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[3] != a[4] || a[7] != a[0] {
+		t.Errorf("min-cut separates the ends of a jittered link: %v", a)
+	}
+	if err := sim.SetShardsPartitioned(2, a); err != nil {
+		t.Errorf("min-cut placement %v rejected: %v", a, err)
 	}
 }

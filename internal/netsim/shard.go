@@ -38,54 +38,6 @@ type shard struct {
 	// to the coordinator, which re-raises it on the Run caller — the
 	// same propagation a sequential run gives.
 	panicked any
-
-	// nodes lists the nodes this shard owns (set by SetShards); the
-	// optimistic engine snapshots them at checkpoint boundaries.
-	nodes []*Node
-
-	// execTo is the exclusive execution frontier: every event with
-	// at < execTo has been executed (possibly speculatively). A
-	// cross-shard message below it is a straggler.
-	execTo int64
-
-	// Optimistic-engine history, owned by the quiescent coordinator:
-	// retained checkpoints (oldest first, times non-decreasing), the
-	// cross-shard inputs received since the oldest checkpoint, the
-	// delivered cross-shard sends a rollback would have to reconcile,
-	// and the tentative list — delivered sends whose emitting interval
-	// was rolled back, awaiting reproduction (suppress) or staleness
-	// (anti-message).
-	ckpts     []*checkpoint
-	inLog     []inputRec
-	sentLog   []sentRec
-	tentative []sentRec
-
-	// tentMin caches the minimum emission time (schedAt) across the
-	// tentative list; tentMinStale marks it for lazy recomputation
-	// after a removal hit the cached minimum. The cache turns the
-	// per-barrier GVT contribution (and the stale-sweep skip test)
-	// from an O(tentative) scan per shard into O(1) reads — the
-	// O(shards·tentative) bill that dominated barriers at 16+ shards.
-	// Meaningful only while len(tentative) > 0; mutate tentative only
-	// through tentAppend/tentRemoved or recompute the cache in place.
-	tentMin      int64
-	tentMinStale bool
-
-	// lastCkptRound is the round of this shard's newest checkpoint;
-	// the coordinator's checkpoint stride (see horizonCtl) decides how
-	// many rounds may pass before the next one. forceCkpt makes the
-	// next active round checkpoint unconditionally — set after a
-	// rollback so a repeat straggler cannot force the same deep
-	// re-execution twice.
-	lastCkptRound uint64
-	forceCkpt     bool
-
-	// ckptSeq counts checkpoints taken by this shard. Packet buffers
-	// stamp it when their delivery event is created: if no checkpoint
-	// intervened by the time the buffer is processed, no retained
-	// snapshot can reference it and the datapath may mutate it in
-	// place instead of copying it per hop (see Node.drain).
-	ckptSeq uint64
 }
 
 func newShard(s *Sim, id int) *shard {
@@ -103,18 +55,16 @@ func (sh *shard) sendCross(m *xmsg) {
 	sh.sim.engMsgs.Inc(sh.id)
 	dst := m.peer.Node.shard
 	if !sh.sim.running {
-		dst.q.pushCross(m)
+		dst.q.pushDeliver(m)
 		return
 	}
-	if sh.sim.engine != EngineOptimistic && m.at < sh.winEnd {
+	if m.at < sh.winEnd {
 		// The destination shard may already have executed past m.at
 		// within this window; delivering late would silently break the
 		// sequential-equivalence guarantee. This only happens when a
 		// cross-shard link's effective delay dropped below the
 		// lookahead after SetShards validated it (Qdisc.SetDelay, a
-		// negative ExtraDelayNs). The optimistic engine has no such
-		// invariant: a message below the destination's frontier simply
-		// rolls it back at the barrier.
+		// negative ExtraDelayNs).
 		panic(fmt.Sprintf(
 			"netsim: cross-shard event at t=%d inside the current window (end %d): a cross-shard link's delay was lowered below the lookahead (%d ns) after SetShards",
 			m.at, sh.winEnd, sh.sim.lookahead))
@@ -122,66 +72,41 @@ func (sh *shard) sendCross(m *xmsg) {
 	sh.out[dst.id] = append(sh.out[dst.id], *m)
 }
 
-// runTo executes this shard's events with at < end in key order. The
-// execution frontier advances to just past the last executed event —
-// not to end — so idle virtual time is never claimed as speculated,
-// which keeps optimistic straggler detection (and therefore rollback
-// frequency) minimal.
+// runTo executes this shard's events with at < end in key order.
 func (sh *shard) runTo(end int64) {
 	ev := &sh.sim.engEvents
-	nodes := sh.sim.nodes
-	// Dirty bits feed only the optimistic engine's incremental
-	// checkpoints; don't tax the conservative hot loop for them.
-	mark := sh.sim.engine == EngineOptimistic
 	for sh.q.len() > 0 && sh.q.minAt() < end {
 		e := sh.q.pop()
 		sh.now = e.at
-		if e.at >= sh.execTo {
-			sh.execTo = e.at + 1
-		}
-		// Dirty-tracking for incremental checkpoints: a node event
-		// mutates (at most) its scheduling node's state plus receive-side
-		// state, which deliver/setOneEnd/xmsg mark themselves. A
-		// cross-shard delivery carries the *sender's* index as src —
-		// a node this shard does not own — so only mark shard-owned
-		// sources; the delivery closure marks its receiver itself. A
-		// driver event (src < 0) is an arbitrary closure, so
-		// over-approximate: everything this shard owns may have been
-		// touched.
-		if mark {
-			if e.src >= 0 {
-				if n := nodes[e.src]; n.shard == sh {
-					n.dirty = true
-				}
-			} else {
-				for _, n := range sh.nodes {
-					n.dirty = true
-				}
-			}
-		}
 		ev.Inc(sh.id)
 		sh.sim.exec(sh, &e)
 	}
 }
 
+// Engine names the synchronisation protocol of a sharded run. There is
+// one: the type and the optional SetShards argument are kept only so
+// existing callers that name EngineConservative keep compiling.
+type Engine int
+
+// EngineConservative lock-steps shards in lookahead windows; it
+// requires every cross-shard link to carry a nonzero, jitter-free
+// delay and never executes an event out of order.
+const EngineConservative Engine = 0
+
 // SetShards partitions the simulation's nodes into n shards for
 // parallel execution. n == 1 restores the sequential engine. The
 // partition is deterministic (contiguous blocks of node creation
 // order), so a given topology always shards the same way; topologies
-// whose creation order carries no locality (random graphs) should
-// hand SetShardsPartitioned a topology-aware assignment instead (see
+// whose creation order carries no locality (random graphs) or that
+// contain zero-delay or jittered links should hand
+// SetShardsPartitioned a topology-aware assignment instead (see
 // internal/netsim/partition).
 //
-// The optional engine argument selects the synchronisation protocol
-// (default EngineConservative). Under the conservative engine every
-// link whose two ends land in different shards must carry a nonzero,
-// jitter-free propagation delay: the minimum such delay becomes the
-// engine's lookahead — the window length shards may run ahead of each
-// other without synchronising — and SetShards returns an error naming
-// the offending link otherwise. EngineOptimistic accepts any
-// cross-shard link (zero-delay and jittered included): shards
-// speculate through a horizon (see SetHorizon) and roll back to
-// checkpoints when a straggler message proves them wrong.
+// Every link whose two ends land in different shards must carry a
+// nonzero, jitter-free propagation delay: the minimum such delay
+// becomes the engine's lookahead — the window length shards may run
+// ahead of each other without synchronising — and SetShards returns an
+// error naming the offending link otherwise.
 //
 // Call SetShards after the topology is built and while the sim is
 // quiescent (not from inside an event). Events already scheduled are
@@ -194,10 +119,10 @@ func (s *Sim) SetShards(n int, engine ...Engine) error {
 // assignment: assign[i] names the shard owning the i-th node in
 // creation order (Sim.Nodes order). A nil assign falls back to the
 // contiguous block partition. Every shard must own at least one node.
-// The assignment only relocates state ownership — the committed
-// schedule, every counter and every delivery trace stay bit-identical
-// to a sequential run under any assignment (the equivalence fuzzer
-// runs arms with both partitioners).
+// The assignment only relocates state ownership — the schedule, every
+// counter and every delivery trace stay bit-identical to a sequential
+// run under any assignment (the equivalence fuzzer runs arms with both
+// partitioners).
 func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error {
 	if s.running {
 		return fmt.Errorf("netsim: SetShards while a parallel window is running")
@@ -211,16 +136,10 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 	if assign != nil && len(assign) != len(s.nodes) {
 		return fmt.Errorf("netsim: partition assigns %d nodes, sim has %d", len(assign), len(s.nodes))
 	}
-	eng := EngineConservative
-	switch len(engine) {
-	case 0:
-	case 1:
-		eng = engine[0]
-		if eng != EngineConservative && eng != EngineOptimistic {
-			return fmt.Errorf("netsim: unknown engine %v", eng)
+	for _, eng := range engine {
+		if eng != EngineConservative {
+			return fmt.Errorf("netsim: unknown engine %d", eng)
 		}
-	default:
-		return fmt.Errorf("netsim: SetShards takes at most one engine")
 	}
 
 	// Capture the previous node→shard pointers so a failed validation
@@ -231,11 +150,11 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 		oldAssign[i] = node.shard
 	}
 	shards := make([]*shard, n)
+	owned := make([]int, n)
 	now := s.Now()
 	for i := range shards {
 		shards[i] = newShard(s, i)
 		shards[i].now = now
-		shards[i].execTo = now
 		shards[i].out = make([][]xmsg, n)
 	}
 	for i, node := range s.nodes {
@@ -248,46 +167,43 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 			}
 		}
 		node.shard = shards[sid]
-		node.shard.nodes = append(node.shard.nodes, node)
+		owned[sid]++
 	}
-	for _, sh := range shards {
-		if len(sh.nodes) == 0 {
+	for sid, c := range owned {
+		if c == 0 {
 			s.resetShardAssignment(oldAssign)
-			return fmt.Errorf("netsim: partition leaves shard %d empty", sh.id)
+			return fmt.Errorf("netsim: partition leaves shard %d empty", sid)
 		}
 	}
 
-	// Validate cross-shard links (conservative engine only), derive
-	// the lookahead — the minimum positive cross-shard delay, which
-	// also seeds the optimistic engine's default horizon — and count
-	// the cut (cross-shard links, each unordered pair once).
+	// Validate cross-shard links, derive the lookahead — the minimum
+	// cross-shard delay — and count the cut (cross-shard links, each
+	// unordered pair once).
 	lookahead := int64(math.MaxInt64 / 2)
 	cutLinks := 0
-	if n > 1 {
-		for _, node := range s.nodes {
-			for _, ifc := range node.ifaces {
-				if ifc.peer == nil || ifc.peer.Node.shard == node.shard {
-					continue
-				}
-				if node.idx < ifc.peer.Node.idx {
-					cutLinks++
-				}
-				cfg := ifc.q.Config()
-				if eng == EngineConservative {
-					if cfg.DelayNs <= 0 {
-						s.resetShardAssignment(oldAssign)
-						return fmt.Errorf("netsim: link %s has zero propagation delay but crosses shards %d/%d (use EngineOptimistic)",
-							ifc, node.shard.id, ifc.peer.Node.shard.id)
-					}
-					if cfg.JitterNs > 0 {
-						s.resetShardAssignment(oldAssign)
-						return fmt.Errorf("netsim: link %s has delay jitter but crosses shards %d/%d (jitter can undercut the lookahead; use EngineOptimistic)",
-							ifc, node.shard.id, ifc.peer.Node.shard.id)
-					}
-				}
-				if cfg.DelayNs > 0 && cfg.DelayNs < lookahead {
-					lookahead = cfg.DelayNs
-				}
+	for _, node := range s.nodes {
+		for _, ifc := range node.ifaces {
+			if ifc.peer == nil || ifc.peer.Node.shard == node.shard {
+				continue
+			}
+			if node.idx < ifc.peer.Node.idx {
+				cutLinks++
+			}
+			cfg := ifc.q.Config()
+			// Read the ids now: the reset on rejection reverts them.
+			a, b := node.shard.id, ifc.peer.Node.shard.id
+			if cfg.DelayNs <= 0 {
+				s.resetShardAssignment(oldAssign)
+				return fmt.Errorf("netsim: link %s has zero propagation delay but crosses shards %d/%d (%s)",
+					ifc, a, b, placeInsideHint)
+			}
+			if cfg.JitterNs > 0 {
+				s.resetShardAssignment(oldAssign)
+				return fmt.Errorf("netsim: link %s has delay jitter but crosses shards %d/%d (jitter can undercut the lookahead; %s)",
+					ifc, a, b, placeInsideHint)
+			}
+			if cfg.DelayNs < lookahead {
+				lookahead = cfg.DelayNs
 			}
 		}
 	}
@@ -316,26 +232,11 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 	}
 
 	s.shards = shards
-	s.engine = eng
 	s.lookahead = lookahead
 	s.cutLinks = cutLinks
-	s.horizon = s.deriveHorizon(lookahead)
-	s.round = 0
-	s.rollbacks = 0
-	s.antiMsgs = 0
-	s.gvt = now
 	s.engEvents = *stats.NewSharded(n)
 	s.engMsgs = *stats.NewSharded(n)
 	s.engWindows = *stats.NewSharded(n)
-	s.engCkpts = *stats.NewSharded(n)
-	s.engCkptCopied = *stats.NewSharded(n)
-	s.engCkptAliased = *stats.NewSharded(n)
-	s.engCkptBytes = *stats.NewSharded(n)
-	s.hc = nil
-	s.hcMsgsSeen = 0
-	if eng == EngineOptimistic && s.horizonReq == 0 {
-		s.hc = newHorizonCtl(s.horizon)
-	}
 	if s.obs != nil {
 		// Histogram cells are per shard; re-partitioning resets them
 		// the same way it resets the engine's Sharded counters.
@@ -345,49 +246,8 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 	return nil
 }
 
-// defaultHorizonNs is the optimistic speculation window used when no
-// positive cross-shard delay exists to derive one from (pure
-// zero-delay partitions).
-const defaultHorizonNs = 50 * Microsecond
-
-// deriveHorizon picks the optimistic speculation window: an explicit
-// SetHorizon wins; otherwise a few conservative lookaheads (deep
-// enough to amortise the checkpoint per round, shallow enough to keep
-// rollbacks cheap), or a fixed default when every cross-shard delay
-// is zero.
-func (s *Sim) deriveHorizon(lookahead int64) int64 {
-	if s.horizonReq > 0 {
-		return s.horizonReq
-	}
-	if lookahead > 0 && lookahead < math.MaxInt64/8 {
-		return 4 * lookahead
-	}
-	return defaultHorizonNs
-}
-
-// SetHorizon fixes the optimistic engine's speculation window in
-// nanoseconds, disabling the adaptive horizon controller; 0 restores
-// the derived default and re-enables adaptation. Correctness is
-// horizon-independent — only checkpoint frequency and rollback depth
-// change. Call while quiescent.
-func (s *Sim) SetHorizon(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	s.horizonReq = ns
-	s.horizon = s.deriveHorizon(s.lookahead)
-	s.hc = nil
-	s.hcMsgsSeen = s.engMsgs.Total()
-	if ns == 0 && s.engine == EngineOptimistic && len(s.shards) > 1 {
-		s.hc = newHorizonCtl(s.horizon)
-	}
-}
-
-// Horizon reports the optimistic speculation window.
-func (s *Sim) Horizon() int64 { return s.horizon }
-
-// Engine reports the synchronisation protocol selected by SetShards.
-func (s *Sim) Engine() Engine { return s.engine }
+// placeInsideHint ends both cross-shard link rejections.
+const placeInsideHint = "place it inside one shard: partition.MinCut, or run with 1 shard"
 
 // resetShardAssignment restores the captured node->shard pointers
 // after a failed SetShards so the sim keeps running on its previous
@@ -408,73 +268,31 @@ func (s *Sim) Lookahead() int64 { return s.lookahead }
 // EngineStats is the parallel engine's own accounting, accumulated
 // per shard and merged deterministically.
 type EngineStats struct {
-	Engine    Engine
 	Shards    int
 	Lookahead int64
 	// CutLinks counts the links whose two ends landed in different
 	// shards (each unordered pair once) — the static cut the partition
 	// chose; Messages is the dynamic price actually paid for it.
 	CutLinks int
-	// Horizon is the optimistic speculation window (meaningful only
-	// under EngineOptimistic).
-	Horizon int64
 	// Windows counts barrier-to-barrier rounds executed.
 	Windows uint64
-	// Events counts events executed across all shards. Under the
-	// optimistic engine this is gross work: events re-executed after a
-	// rollback count again.
+	// Events counts events executed across all shards.
 	Events uint64
 	// Messages counts cross-shard packet/control transfers.
 	Messages uint64
-	// Checkpoints counts per-shard state snapshots taken; Rollbacks
-	// counts straggler-triggered restores; AntiMessages counts
-	// speculative sends cancelled. All zero under the conservative
-	// engine.
-	Checkpoints  uint64
-	Rollbacks    uint64
-	AntiMessages uint64
-	// CkptNodesCopied and CkptNodesAliased split checkpointed node
-	// entries into deep copies (dirty since the last snapshot) and
-	// aliases of the previous round's snapshot; CkptBytes estimates
-	// the bytes actually copied into checkpoints (event queue + dirty
-	// nodes).
-	CkptNodesCopied  uint64
-	CkptNodesAliased uint64
-	CkptBytes        uint64
-	// HorizonAdaptive reports whether the horizon controller is
-	// active; HorizonAdjusts counts the horizon changes it made.
-	HorizonAdaptive bool
-	HorizonAdjusts  uint64
-	// GVT is the last committed global virtual time the optimistic
-	// engine computed (no rollback can ever reach below it).
-	GVT int64
 }
 
 // EngineStats merges the per-shard accounting cells (in shard order,
 // so the result is deterministic).
 func (s *Sim) EngineStats() EngineStats {
-	st := EngineStats{
-		Engine:           s.engine,
-		Shards:           len(s.shards),
-		Lookahead:        s.lookahead,
-		CutLinks:         s.cutLinks,
-		Horizon:          s.horizon,
-		Windows:          s.engWindows.Total(),
-		Events:           s.engEvents.Total(),
-		Messages:         s.engMsgs.Total(),
-		Checkpoints:      s.engCkpts.Total(),
-		Rollbacks:        s.rollbacks,
-		AntiMessages:     s.antiMsgs,
-		CkptNodesCopied:  s.engCkptCopied.Total(),
-		CkptNodesAliased: s.engCkptAliased.Total(),
-		CkptBytes:        s.engCkptBytes.Total(),
-		GVT:              s.gvt,
+	return EngineStats{
+		Shards:    len(s.shards),
+		Lookahead: s.lookahead,
+		CutLinks:  s.cutLinks,
+		Windows:   s.engWindows.Total(),
+		Events:    s.engEvents.Total(),
+		Messages:  s.engMsgs.Total(),
 	}
-	if s.hc != nil {
-		st.HorizonAdaptive = true
-		st.HorizonAdjusts = s.hc.adjusts
-	}
-	return st
 }
 
 // minNextAt returns the earliest pending event timestamp across all
@@ -540,9 +358,9 @@ func (s *Sim) runWindows(limit int64) {
 }
 
 // flushOutboxes moves every cross-shard message produced during the
-// last window into the destination shard's queue (the conservative
-// barrier — no straggler is possible). The events carry their full
-// deterministic keys, so a plain push lands them in exactly the
+// last window into the destination shard's queue (the barrier: every
+// message lands at or after the window's end). The events carry their
+// full deterministic keys, so a plain push lands them in exactly the
 // order a sequential run would have executed them.
 func (s *Sim) flushOutboxes() {
 	for _, src := range s.shards {
@@ -552,7 +370,7 @@ func (s *Sim) flushOutboxes() {
 			}
 			dst := s.shards[d]
 			for i := range msgs {
-				dst.q.pushCross(&msgs[i])
+				dst.q.pushDeliver(&msgs[i])
 			}
 			src.out[d] = src.out[d][:0]
 		}

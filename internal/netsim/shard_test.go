@@ -40,12 +40,32 @@ func TestSetShardsValidation(t *testing.T) {
 	}
 }
 
+// wantCrossShardRejection checks a SetShards rejection: it names the
+// reason, the two different shards the link's ends landed in (read
+// before the failed call restores the previous placement) and the way
+// out.
+func wantCrossShardRejection(t *testing.T, err error, reason string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("err = %v, want %s rejection", err, reason)
+	}
+	msg := err.Error()
+	var a, b int
+	i := strings.Index(msg, "crosses shards ")
+	if i < 0 {
+		t.Fatalf("rejection does not name the shards: %v", err)
+	}
+	if _, scanErr := fmt.Sscanf(msg[i:], "crosses shards %d/%d", &a, &b); scanErr != nil || a == b {
+		t.Errorf("rejection names shards %d/%d (scan error %v), want two different ids: %v", a, b, scanErr, err)
+	}
+	if !strings.Contains(msg, "partition.MinCut") {
+		t.Errorf("rejection does not point at partition.MinCut: %v", err)
+	}
+}
+
 func TestSetShardsRejectsZeroDelayCrossLink(t *testing.T) {
 	s, _, _, _ := shardPairTopo(t, netem.Config{RateBps: 1e10})
-	err := s.SetShards(2)
-	if err == nil || !strings.Contains(err.Error(), "zero propagation delay") {
-		t.Fatalf("err = %v, want zero-delay rejection", err)
-	}
+	wantCrossShardRejection(t, s.SetShards(2), "zero propagation delay")
 	// The failed call must leave the sim runnable on one shard.
 	if got := s.ShardCount(); got != 1 {
 		t.Fatalf("ShardCount after failed SetShards = %d", got)
@@ -54,10 +74,7 @@ func TestSetShardsRejectsZeroDelayCrossLink(t *testing.T) {
 
 func TestSetShardsRejectsJitteredCrossLink(t *testing.T) {
 	s, _, _, _ := shardPairTopo(t, netem.Config{RateBps: 1e10, DelayNs: Millisecond, JitterNs: Microsecond})
-	err := s.SetShards(2)
-	if err == nil || !strings.Contains(err.Error(), "jitter") {
-		t.Fatalf("err = %v, want jitter rejection", err)
-	}
+	wantCrossShardRejection(t, s.SetShards(2), "has delay jitter")
 }
 
 // TestCrossShardInFlightFailure re-runs the in-flight-kill scenario

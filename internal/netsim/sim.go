@@ -15,41 +15,24 @@
 // By default the simulation runs on one event queue on the calling
 // goroutine, exactly as it always has. Sim.SetShards(n) partitions
 // the nodes into n shards, each with its own event queue, clock and
-// counters, synchronised by one of two engines.
-//
-// The conservative engine (the default) lock-steps shards in windows
-// of
+// counters, lock-stepped in windows of
 //
 //	lookahead = min cross-shard link delay
 //
-// so it never executes an event out of order — but it requires every
-// cross-shard link to carry a nonzero, jitter-free delay, and it
-// barriers once per lookahead. The optimistic engine
-// (SetShards(n, EngineOptimistic)) speculates past the lookahead
-// Time-Warp style: shards take periodic incremental checkpoints
-// (dirty nodes only; cadence and speculation horizon driven by an
-// adaptive controller fed with the observed rollback rate — see
-// horizon.go), and when a cross-shard message arrives below a
-// shard's execution frontier the shard rolls back to a checkpoint,
-// re-delivers its logged inputs and reconciles the cross-shard sends
-// of the undone interval (identical re-emissions are suppressed;
-// disowned deliveries are annihilated with anti-messages). GVT — the
-// minimum over pending events and unacked speculative sends — bounds
-// checkpoint retention and rollback depth.
-// Components that keep packet-driven state outside the netsim core
-// register it through Node.RegisterState so rollback rewinds them
-// too; delivery traces recorded from handlers use Journal.
+// so no event ever executes out of order. Every cross-shard link must
+// therefore carry a nonzero, jitter-free delay; partition.MinCut keeps
+// zero-delay and jittered links inside one shard.
 //
-// Determinism survives sharding — under both engines — because event
-// ordering does not depend on a global sequence counter: every event
-// is keyed by (at, schedAt, src, k) — its execution time, the virtual
-// time at which it was scheduled, the index of the node that
-// scheduled it, and that node's private schedule counter. The key is
-// computable locally by the scheduling shard yet totally ordered
-// globally, so the committed parallel schedule is the sequential
-// schedule: the same seed yields identical per-node counters and
-// delivery traces for any shard count and engine (locked by
-// TestShardEquivalence* and the randomized TestShardEquivalenceFuzz).
+// Determinism survives sharding because event ordering does not
+// depend on a global sequence counter: every event is keyed by
+// (at, schedAt, src, k) — its execution time, the virtual time at
+// which it was scheduled, the index of the node that scheduled it, and
+// that node's private schedule counter. The key is computable locally
+// by the scheduling shard yet totally ordered globally, so the
+// parallel schedule is the sequential schedule: the same seed yields
+// identical per-node counters and delivery traces for any shard count
+// and placement (locked by TestShardEquivalence* and the randomized
+// TestShardEquivalenceFuzz).
 package netsim
 
 import (
@@ -71,16 +54,12 @@ func (s *Sim) exec(sh *shard, e *evKey) {
 		sh.q.takeFn(e.slot)()
 		return
 	}
-	peer, raw, ckptSeq, cross := sh.q.takeDeliver(e.slot)
-	// The event key's src is the sender; the state it mutates belongs
-	// to the receiving end, so mark that node dirty explicitly for the
-	// incremental checkpoints.
-	peer.Node.dirty = true
+	peer, raw := sh.q.takeDeliver(e.slot)
 	if peer.failEpoch != e.epoch {
 		peer.inFlightKills++
 		return
 	}
-	peer.Node.deliver(raw, peer, cross, ckptSeq)
+	peer.Node.deliver(raw, peer)
 }
 
 // Sim is the simulation kernel: a virtual clock, one event queue per
@@ -100,26 +79,6 @@ type Sim struct {
 	// (each unordered pair once), set by SetShardsPartitioned.
 	cutLinks int
 
-	// engine selects the parallel synchronisation protocol set by
-	// SetShards; irrelevant while len(shards) == 1.
-	engine Engine
-	// horizon is the optimistic speculation window; horizonReq
-	// remembers an explicit SetHorizon across SetShards calls.
-	horizon    int64
-	horizonReq int64
-
-	// Optimistic-engine bookkeeping, touched only by the quiescent
-	// coordinator (barriers and trims are single-threaded).
-	round     uint64
-	rollbacks uint64
-	antiMsgs  uint64
-	gvt       int64
-	pending   []pendingMsg
-	antiq     []sentRec
-	// onBarrier, when set (tests), observes GVT after each barrier's
-	// repair fixpoint.
-	onBarrier func(gvt int64)
-
 	// now is the committed global clock: in sequential mode it tracks
 	// the executing event, in sharded mode the last barrier. Inside
 	// events use Node.Now(), which is exact in both modes.
@@ -134,28 +93,16 @@ type Sim struct {
 
 	// Engine accounting: one cell per shard, merged deterministically
 	// by EngineStats.
-	engEvents      stats.Sharded
-	engMsgs        stats.Sharded
-	engWindows     stats.Sharded
-	engCkpts       stats.Sharded
-	engCkptCopied  stats.Sharded
-	engCkptAliased stats.Sharded
-	engCkptBytes   stats.Sharded
-
-	// hc is the adaptive horizon controller driving s.horizon from the
-	// observed rollback rate; nil when a SetHorizon override is active
-	// or the engine is conservative. hcMsgsSeen is the cross-shard
-	// message total already fed to it.
-	hc         *horizonCtl
-	hcMsgsSeen uint64
+	engEvents  stats.Sharded
+	engMsgs    stats.Sharded
+	engWindows stats.Sharded
 
 	// obs is the observability plane attached by EnableObs; nil (the
 	// default) keeps every hook to a single pointer compare.
 	obs *simObs
 
-	// burst is the packet-burst knob set by SetBurst: the maximum
-	// number of back-to-back packets a node's drain loop treats as one
-	// batch for cache purposes. It never changes the event schedule —
+	// burst is the packet-burst knob set by SetBurst: above 1 it turns
+	// on the nodes' burst caches. It never changes the event schedule —
 	// each drain still charges and commits exactly one packet — so any
 	// burst value is bit-identical to burst == 1.
 	burst int
@@ -177,23 +124,21 @@ func New(seed int64) *Sim {
 	s.engEvents = *stats.NewSharded(1)
 	s.engMsgs = *stats.NewSharded(1)
 	s.engWindows = *stats.NewSharded(1)
-	s.engCkpts = *stats.NewSharded(1)
-	s.engCkptCopied = *stats.NewSharded(1)
-	s.engCkptAliased = *stats.NewSharded(1)
-	s.engCkptBytes = *stats.NewSharded(1)
 	return s
 }
 
 // Seed returns the seed the simulation was created with.
 func (s *Sim) Seed() int64 { return s.seed }
 
-// SetBurst sets the packet-burst size b (clamped to >= 1): how many
-// back-to-back packets a node may process as one batch, amortising
-// FIB lookups, header parsing and attachment binding across the
-// burst. Burst processing is purely a caching regime — the event
-// schedule, every counter and every delivery is bit-identical to
-// per-packet processing (b == 1, the default) under all engines; the
-// equivalence fuzzer locks this with a randomized burst arm.
+// SetBurst sets the packet-burst size b (clamped to >= 1). Any b > 1
+// turns on the per-node caches that amortise FIB lookups and header
+// parsing across back-to-back packets of a flow; the caches validate
+// themselves per lookup, so the size beyond 1 only tells harnesses how
+// many packets to offer back to back. Burst processing is purely a
+// caching regime — the event schedule, every counter and every
+// delivery is bit-identical to per-packet processing (b == 1, the
+// default) at any shard count; the equivalence fuzzer locks this with
+// a randomized burst arm.
 func (s *Sim) SetBurst(b int) {
 	if b < 1 {
 		b = 1
@@ -259,9 +204,6 @@ func (s *Sim) Step() bool {
 		}
 		e := sh.q.pop()
 		sh.now = e.at
-		if e.at >= sh.execTo {
-			sh.execTo = e.at + 1
-		}
 		s.engEvents.Inc(0)
 		s.exec(sh, &e)
 		return true
@@ -281,9 +223,6 @@ func (s *Sim) Step() bool {
 	sh := s.shards[best]
 	e := sh.q.pop()
 	sh.now = e.at
-	if e.at >= sh.execTo {
-		sh.execTo = e.at + 1
-	}
 	s.engEvents.Inc(sh.id)
 	s.exec(sh, &e)
 	s.flushOutboxes()
@@ -300,11 +239,7 @@ func (s *Sim) Run() {
 		}
 		return
 	}
-	if s.engine == EngineOptimistic {
-		s.runOptimistic(math.MaxInt64)
-	} else {
-		s.runWindows(math.MaxInt64)
-	}
+	s.runWindows(math.MaxInt64)
 	s.syncClocks(s.maxShardNow())
 }
 
@@ -321,11 +256,7 @@ func (s *Sim) RunUntil(t int64) {
 		}
 		return
 	}
-	if s.engine == EngineOptimistic {
-		s.runOptimistic(t)
-	} else {
-		s.runWindows(t)
-	}
+	s.runWindows(t)
 	s.syncClocks(t)
 }
 
@@ -366,10 +297,10 @@ func (s *Sim) scheduleLinkState(at int64, i *Iface, up bool) {
 
 // CrashNode schedules a node crash at absolute virtual time at: the
 // node's CPU halts, its receive ring is lost, every attached link
-// goes down (both ends, packets on the wire included) and registered
-// CrashResettable NF state is reset — counters survive. Like
-// FailLink, each affected link end flips in its own shard at the same
-// virtual instant, so the call is safe under any engine.
+// goes down (both ends, packets on the wire included) and the NF
+// state registered through Node.OnCrash is reset — counters survive.
+// Like FailLink, each affected link end flips in its own shard at the
+// same virtual instant, so the call is safe at any shard count.
 func (s *Sim) CrashNode(at int64, n *Node) { s.scheduleNodeState(at, n, false) }
 
 // RestartNode schedules a crashed node coming back at absolute

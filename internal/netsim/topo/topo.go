@@ -31,10 +31,9 @@ type LinkSpec struct {
 	// RateBps is the serialisation rate (0 = unlimited).
 	RateBps int64
 	// DelayNs is the propagation delay. 0 picks the 25 µs default; a
-	// negative value requests a true zero-delay link — eligible to
-	// cross shard boundaries only under the optimistic engine, since
-	// the conservative engine derives its lookahead from positive
-	// cross-shard delays.
+	// negative value requests a true zero-delay link, which must stay
+	// inside one shard (partition.MinCut sees to it): the engine
+	// derives its lookahead from positive cross-shard delays.
 	DelayNs int64
 	// QueueLimit bounds the qdisc FIFO (0 = netem default).
 	QueueLimit int
@@ -58,8 +57,8 @@ type Opts struct {
 	// PodLink shapes a fat-tree's intra-pod (edge–aggregation) links;
 	// zero value falls back to Link. A negative PodLink.DelayNs
 	// models the back-to-back intra-pod hops of a real fat-tree —
-	// zero propagation delay — which only the optimistic engine can
-	// split across shards.
+	// zero propagation delay — so a sharded run must keep each pod's
+	// switches in one shard (partition.MinCut does).
 	PodLink LinkSpec
 	// SwitchCost builds the cost model for forwarding nodes (default
 	// netsim.ServerCostModel).

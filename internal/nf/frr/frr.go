@@ -216,75 +216,8 @@ func New(node *netsim.Node, cfg Config) (*FRR, error) {
 		NHState:  nhState,
 		track:    track,
 	}
-	// The probe/check loop and the tracker program mutate this state
-	// from events on node's shard; registering it makes the detector
-	// and its maps part of the node's checkpoints, so the optimistic
-	// simulation engine rolls FRR back together with the data plane.
-	node.RegisterState(f)
+	node.OnCrash(f.CrashReset)
 	return f, nil
-}
-
-// neighborSnap is one adjacency's detector state inside a checkpoint.
-type neighborSnap struct {
-	lastSend   int64
-	missed     int
-	down       bool
-	holdNs     int64
-	holdUntil  int64
-	goodStreak int
-	lastDownAt int64
-}
-
-// frrSnap is the FRR instance's checkpointable state.
-type frrSnap struct {
-	probesSent  uint64
-	transitions int
-	stopped     bool
-	neighbors   []neighborSnap
-	lastSeen    maps.Snapshot
-	nhState     maps.Snapshot
-}
-
-// SnapshotState implements netsim.ShardState. The per-neighbour conf
-// maps are written only at setup and need no snapshot.
-func (f *FRR) SnapshotState() any {
-	s := frrSnap{
-		probesSent:  f.ProbesSent,
-		transitions: len(f.Transitions),
-		stopped:     f.stopped,
-		neighbors:   make([]neighborSnap, len(f.neighbors)),
-		lastSeen:    f.LastSeen.Snapshot(),
-		nhState:     f.NHState.Snapshot(),
-	}
-	for i, st := range f.neighbors {
-		s.neighbors[i] = neighborSnap{
-			lastSend: st.lastSend, missed: st.missed, down: st.down,
-			holdNs: st.holdNs, holdUntil: st.holdUntil,
-			goodStreak: st.goodStreak, lastDownAt: st.lastDownAt,
-		}
-	}
-	return s
-}
-
-// RestoreState implements netsim.ShardState. OnTransition callbacks
-// fired by rolled-back speculation are not un-called; observers that
-// need committed-only views should read Transitions after the run.
-func (f *FRR) RestoreState(v any) {
-	s := v.(frrSnap)
-	f.ProbesSent = s.probesSent
-	f.Transitions = f.Transitions[:s.transitions]
-	f.stopped = s.stopped
-	// Drop adjacencies added after the snapshot (an AddNeighbor inside
-	// rolled-back speculation); re-execution re-adds them.
-	f.neighbors = f.neighbors[:len(s.neighbors)]
-	for i, ns := range s.neighbors {
-		st := f.neighbors[i]
-		st.lastSend, st.missed, st.down = ns.lastSend, ns.missed, ns.down
-		st.holdNs, st.holdUntil = ns.holdNs, ns.holdUntil
-		st.goodStreak, st.lastDownAt = ns.goodStreak, ns.lastDownAt
-	}
-	f.LastSeen.Restore(s.lastSeen)
-	f.NHState.Restore(s.nhState)
 }
 
 // AddNeighbor starts monitoring one adjacency: it loads a probe
@@ -397,7 +330,7 @@ func (f *FRR) Start() {
 // value).
 func (f *FRR) Stop() { f.stopped = true }
 
-// CrashReset implements netsim.CrashResettable: a node crash wipes
+// CrashReset runs when the node crashes (Node.OnCrash): a crash wipes
 // the daemon's runtime state — detection maps, miss counters and
 // damping penalties come back empty, every neighbour assumed up, as a
 // freshly exec'd daemon would — while configuration (neighbours,

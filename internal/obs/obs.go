@@ -1,15 +1,13 @@
 // Package obs is the metrics-and-tracing plane of the simulator: a
 // pull-model metrics registry (counters, gauges, log-linear
 // histograms), a ring-buffered engine-stats time series, and a
-// rollback-aware packet flight recorder, with Prometheus-text, JSON
-// and Chrome trace_event export. See OBSERVABILITY.md at the repo
+// packet flight recorder, with Prometheus-text, JSON and Chrome
+// trace_event export. See OBSERVABILITY.md at the repo
 // root for the full tour.
 //
 // The package is a leaf: it imports only the standard library, so
 // every layer of the stack (netsim, core, nf/frr, tcpsim, chaos) can
-// publish into it without import cycles. Rollback-awareness works
-// structurally — TraceBuf satisfies netsim's ShardState interface
-// without naming it.
+// publish into it without import cycles.
 //
 // Concurrency model: collectors read simulator state, so
 // Registry.Publish must only be called while the simulation is

@@ -97,28 +97,26 @@ func TestHistogramNegativeClamps(t *testing.T) {
 	}
 }
 
-// TraceBuf must behave exactly like netsim.Journal under the
-// ShardState contract: snapshot = length, restore = truncate.
+// RestoreState(n) truncates the journal to its first n spans and the
+// buffer stays appendable (harnesses reuse it between measured passes).
 func TestTraceBufSnapshotRestore(t *testing.T) {
 	b := NewTraceBuf("r1")
 	b.Start(Span{Flow: 1, At: 10})
 	b.Start(Span{Flow: 2, At: 20})
-	snap := b.SnapshotState()
 	i := b.Start(Span{Flow: 3, At: 30})
 	b.At(i).Verdict = "drop"
 	if b.Len() != 3 {
 		t.Fatalf("len = %d", b.Len())
 	}
-	b.RestoreState(snap)
+	b.RestoreState(2)
 	if b.Len() != 2 {
 		t.Fatalf("after restore len = %d", b.Len())
 	}
-	// Re-execution after rollback must reproduce the same journal.
 	j := b.Start(Span{Flow: 3, At: 30})
 	b.At(j).Verdict = "forward"
 	lines := b.Lines()
 	if len(lines) != 3 || !strings.Contains(lines[2], "forward") {
-		t.Fatalf("re-executed span wrong: %v", lines)
+		t.Fatalf("span appended after truncation wrong: %v", lines)
 	}
 }
 
@@ -150,7 +148,7 @@ func TestRegistryPublishAndRender(t *testing.T) {
 	h.Observe(300)
 	r.Collect(func(e *Emitter) {
 		e.Counter("srv6_events_total", "", 42)
-		e.Gauge("srv6_horizon_ns", `engine="optimistic"`, 1500)
+		e.Gauge("srv6_lookahead_ns", `engine="conservative"`, 1500)
 		e.Hist("srv6_queue_delay_ns", "", &h)
 	})
 	r.AddJSON("progs", func() any { return []string{"end_bpf"} })
@@ -171,7 +169,7 @@ func TestRegistryPublishAndRender(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE srv6_events_total counter",
 		"srv6_events_total 42",
-		`srv6_horizon_ns{engine="optimistic"} 1500`,
+		`srv6_lookahead_ns{engine="conservative"} 1500`,
 		"# TYPE srv6_queue_delay_ns histogram",
 		`srv6_queue_delay_ns_bucket{le="+Inf"} 2`,
 		"srv6_queue_delay_ns_sum 303",

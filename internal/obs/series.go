@@ -3,18 +3,12 @@ package obs
 import "sync"
 
 // EnginePoint is one sample of the shard engine's vital signs, taken
-// once per synchronisation round (GVT round under the optimistic
-// engine, lookahead window under the conservative one).
+// once per synchronisation round (lookahead window).
 type EnginePoint struct {
-	Round        int64  `json:"round"`
-	VirtualNs    int64  `json:"virtual_ns"` // GVT / window floor
-	Events       uint64 `json:"events"`
-	Messages     uint64 `json:"messages"`
-	Rollbacks    uint64 `json:"rollbacks"`
-	AntiMessages uint64 `json:"anti_messages"`
-	Checkpoints  uint64 `json:"checkpoints"`
-	CkptBytes    uint64 `json:"ckpt_bytes"`
-	HorizonNs    int64  `json:"horizon_ns"`
+	Round     int64  `json:"round"`
+	VirtualNs int64  `json:"virtual_ns"` // window floor
+	Events    uint64 `json:"events"`
+	Messages  uint64 `json:"messages"`
 }
 
 // Series is a fixed-capacity ring buffer of EnginePoints. Push is

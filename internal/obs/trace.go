@@ -3,18 +3,13 @@ package obs
 // The packet flight recorder. A deterministic, purely
 // flow-label-derived sampling decision (see Sampled) tags a fraction
 // of flows; every hop a tagged packet takes appends a Span to the
-// processing node's TraceBuf. TraceBuf is rollback-aware by the same
-// construction as netsim.Journal: its checkpoint snapshot is just the
-// span count, and restoring truncates back to it — TraceBuf satisfies
-// netsim's ShardState interface structurally (SnapshotState /
-// RestoreState), so speculative spans written past a checkpoint
-// vanish when the optimistic engine rolls a shard back.
+// processing node's TraceBuf.
 //
 // Because the sampling decision is a pure function of the flow label
 // (not an RNG draw), enabling the recorder consumes no randomness:
 // the simulated schedule is bit-identical to a recorder-off run, and
-// identical across engines and shard counts — the property the
-// equivalence fuzzer locks.
+// identical across shard counts — the property the equivalence fuzzer
+// locks.
 
 import (
 	"fmt"
@@ -64,12 +59,9 @@ func (b *TraceBuf) Len() int { return len(b.spans) }
 // Spans returns the recorded spans (live slice; do not mutate).
 func (b *TraceBuf) Spans() []Span { return b.spans }
 
-// SnapshotState implements the netsim ShardState contract: the
-// checkpoint is the committed length.
-func (b *TraceBuf) SnapshotState() any { return len(b.spans) }
-
-// RestoreState truncates back to a checkpointed length, discarding
-// spans recorded by events that are being rolled back.
+// RestoreState truncates the journal to its first v.(int) spans,
+// keeping the storage: harnesses that reuse one sim across measured
+// passes call RestoreState(0) between them.
 func (b *TraceBuf) RestoreState(v any) { b.spans = b.spans[:v.(int)] }
 
 // Lines renders every span as a compact deterministic string —

@@ -252,11 +252,12 @@ func DecapInner(raw []byte) ([]byte, error) {
 //
 // Like the kernel's decapsulation — a pointer move past the outer
 // headers — the returned packet is raw[L4Off:], not a copy. That is
-// sound because the hop processing raw owns it: Node.drain has already
-// copied any buffer shared with an optimistic checkpoint or the
-// cross-shard input log, and nothing keeps the outer headers once the
-// behaviour returns. A caller that retains raw itself (the End.AS and
-// End.AM proxies keep bytes for the return leg) must clone instead.
+// sound because the hop processing raw owns it: a transmitted buffer
+// belongs to the receiving node alone (senders clone templates, the
+// link layer clones duplicates), and nothing keeps the outer headers
+// once the behaviour returns. A caller that retains raw itself (the
+// End.AS and End.AM proxies keep bytes for the return leg) must clone
+// instead.
 func decapInner(raw []byte, want func(uint8) bool, flavors Flavor) ([]byte, error) {
 	info, err := packet.ParseInfo(raw)
 	if err != nil {

@@ -175,20 +175,6 @@ func (r *Reservoir) Add(x float64) {
 // N returns the number of retained samples.
 func (r *Reservoir) N() int { return len(r.samples) }
 
-// Mark returns a rollback mark: the sample and drop counts. Together
-// with Rewind it lets rollback-aware collectors (netsim's optimistic
-// engine) discard samples recorded by speculative execution. Marks
-// are only valid while no Quantile call reorders the samples — i.e.
-// across the append-only measurement phase.
-func (r *Reservoir) Mark() (n int, dropped uint64) { return len(r.samples), r.dropped }
-
-// Rewind truncates the reservoir back to a previous Mark.
-func (r *Reservoir) Rewind(n int, dropped uint64) {
-	r.samples = r.samples[:n]
-	r.dropped = dropped
-	r.sorted = false
-}
-
 // Saturated reports whether samples were dropped.
 func (r *Reservoir) Saturated() bool { return r.dropped > 0 }
 

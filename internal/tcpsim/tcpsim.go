@@ -17,7 +17,6 @@ package tcpsim
 
 import (
 	"fmt"
-	"maps"
 	"net/netip"
 
 	"srv6bpf/internal/netsim"
@@ -61,10 +60,7 @@ type endpoint interface {
 	input(seg packet.TCP, payload []byte, src netip.Addr)
 }
 
-// NewStack installs a TCP input handler on node. The stack registers
-// with the node's checkpoint machinery (netsim.ShardState), so TCP
-// connection state rolls back with the node under the optimistic
-// shard engine.
+// NewStack installs a TCP input handler on node.
 func NewStack(node *netsim.Node) *Stack {
 	s := &Stack{node: node, endpoints: make(map[uint16]endpoint)}
 	node.HandleTCP(func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
@@ -80,7 +76,6 @@ func NewStack(node *netsim.Node) *Stack {
 		}
 		ep.input(seg, p.Raw[p.L4Off+int(seg.DataOff):], p.IPv6.Src)
 	})
-	node.RegisterState(s)
 	return s
 }
 
@@ -90,17 +85,6 @@ func (s *Stack) register(port uint16, ep endpoint) error {
 	}
 	s.endpoints[port] = ep
 	return nil
-}
-
-// SnapshotState implements netsim.ShardState: the connection table.
-// Endpoint objects themselves register separately, so a shallow copy
-// of the port map is the whole stack-level state.
-func (s *Stack) SnapshotState() any { return maps.Clone(s.endpoints) }
-
-// RestoreState implements netsim.ShardState.
-func (s *Stack) RestoreState(v any) {
-	clear(s.endpoints)
-	maps.Copy(s.endpoints, v.(map[uint16]endpoint))
 }
 
 // Sender is the transmitting side of a bulk transfer.
@@ -115,7 +99,7 @@ type Sender struct {
 	stopped  bool
 	// payload is the MSS zero bytes every data segment carries. It is
 	// never written after construction (BuildPacket copies it), so all
-	// segments and checkpoint snapshots share it.
+	// segments share it.
 	payload []byte
 
 	// Sequence state, in absolute bytes (no wraparound handling
@@ -222,53 +206,7 @@ func NewTransfer(srcStack, dstStack *Stack, srcAddr, dstAddr netip.Addr, srcPort
 	if err := dstStack.register(dstPort, rcv); err != nil {
 		return nil, nil, err
 	}
-	// Both endpoints join their nodes' checkpoints so congestion
-	// state, timers and reassembly buffers rewind on optimistic
-	// rollback exactly like the netsim-core state.
-	srcStack.node.RegisterState(snd)
-	dstStack.node.RegisterState(rcv)
 	return snd, rcv, nil
-}
-
-// SnapshotState implements netsim.ShardState. The sender's mutable
-// state is flat apart from the per-segment send-time map, so the
-// snapshot is a value copy of the struct with the map cloned.
-func (s *Sender) SnapshotState() any {
-	snap := *s
-	snap.sendTimes = maps.Clone(s.sendTimes)
-	return &snap
-}
-
-// RestoreState implements netsim.ShardState. The retransmission
-// timer needs no explicit cancellation: the scheduled event is
-// rewound with the shard's heap, and a stale timer that survives
-// (because it was scheduled before the restored instant) self-cancels
-// against the restored rtoSeq epoch.
-func (s *Sender) RestoreState(v any) {
-	snap := v.(*Sender)
-	live := s.sendTimes
-	*s = *snap
-	s.sendTimes = live
-	clear(live)
-	maps.Copy(live, snap.sendTimes)
-}
-
-// SnapshotState implements netsim.ShardState: a value copy with the
-// reassembly buffer cloned.
-func (r *Receiver) SnapshotState() any {
-	snap := *r
-	snap.ooo = maps.Clone(r.ooo)
-	return &snap
-}
-
-// RestoreState implements netsim.ShardState.
-func (r *Receiver) RestoreState(v any) {
-	snap := v.(*Receiver)
-	live := r.ooo
-	*r = *snap
-	r.ooo = live
-	clear(live)
-	maps.Copy(live, snap.ooo)
 }
 
 // Start begins transmitting at the current simulation time and keeps

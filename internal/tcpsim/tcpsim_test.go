@@ -194,69 +194,20 @@ func TestReorderingCollapse(t *testing.T) {
 	}
 }
 
-// TestShardStateRoundTrip locks the ShardState surface: sender,
-// receiver and stack snapshots must restore the exact transfer state
-// and stay reusable across further mutation (the optimistic engine
-// restores one checkpoint several times under repeated stragglers).
-func TestShardStateRoundTrip(t *testing.T) {
-	link := netem.Config{RateBps: 50_000_000, DelayNs: 5 * netsim.Millisecond, Loss: 0.02}
-	sim, a, b := pipeTopo(link)
-	sa, sb := NewStack(a), NewStack(b)
-	snd, rcv, err := NewTransfer(sa, sb, sndAddr, rcvAddr, 40000, 5001, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd.Start()
-	sim.RunUntil(2 * netsim.Second)
-
-	fingerprint := func() string {
-		return fmt.Sprintf("snd{nxt=%d una=%d cwnd=%.1f ss=%.1f rto=%d sent=%d rtx=%d fr=%d to=%d times=%d} rcv{nxt=%d good=%d ooo=%d dup=%d oooq=%d}",
-			snd.sndNxt, snd.sndUna, snd.cwnd, snd.ssthresh, snd.rto,
-			snd.SegmentsSent, snd.Retransmits, snd.FastRecoveries, snd.Timeouts, len(snd.sendTimes),
-			rcv.rcvNxt, rcv.GoodputBytes, rcv.OutOfOrderSegs, rcv.DupSegs, len(rcv.ooo))
-	}
-	sndSnap, rcvSnap, stackSnap := snd.SnapshotState(), rcv.SnapshotState(), sa.SnapshotState()
-	want := fingerprint()
-
-	// Mutate heavily, then rewind.
-	sim.RunUntil(4 * netsim.Second)
-	if fingerprint() == want {
-		t.Fatal("transfer state did not change; round-trip test is vacuous")
-	}
-	snd.RestoreState(sndSnap)
-	rcv.RestoreState(rcvSnap)
-	sa.RestoreState(stackSnap)
-	if got := fingerprint(); got != want {
-		t.Fatalf("state did not round-trip:\n  want %s\n  got  %s", want, got)
-	}
-	// The snapshot must survive a second restore after more mutation.
-	sim.RunUntil(6 * netsim.Second)
-	snd.RestoreState(sndSnap)
-	rcv.RestoreState(rcvSnap)
-	if got := fingerprint(); got != want {
-		t.Fatalf("snapshot not reusable:\n  want %s\n  got  %s", want, got)
-	}
-}
-
-// TestOptimisticTransferEquivalence runs the same bulk transfer
-// sequentially and under the optimistic 2-shard engine — the
-// sender/receiver pair split across shards, a configuration the
-// conservative engine also supports (nonzero delay) but that forces
-// the optimistic engine to checkpoint and occasionally roll back TCP
-// state — and requires bit-identical transfer statistics.
-func TestOptimisticTransferEquivalence(t *testing.T) {
+// TestShardedTransferEquivalence runs the same bulk transfer
+// sequentially and on two shards — the sender/receiver pair split
+// across them — and requires bit-identical transfer statistics.
+func TestShardedTransferEquivalence(t *testing.T) {
 	link := netem.Config{RateBps: 100_000_000, DelayNs: 500 * netsim.Microsecond, Loss: 0.01}
-	run := func(shards int, engine netsim.Engine) string {
+	run := func(shards int) string {
 		sim, a, b := pipeTopo(link)
 		snd, rcv, err := NewTransfer(NewStack(a), NewStack(b), sndAddr, rcvAddr, 40000, 5001,
 			Config{MinRTO: 10 * netsim.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards > 1 {
-			if err := sim.SetShards(shards, engine); err != nil {
-				t.Fatal(err)
-			}
+		if err := sim.SetShards(shards); err != nil {
+			t.Fatal(err)
 		}
 		snd.Start()
 		sim.RunUntil(2 * netsim.Second)
@@ -266,11 +217,8 @@ func TestOptimisticTransferEquivalence(t *testing.T) {
 			snd.SegmentsSent, snd.Retransmits, snd.FastRecoveries, snd.Timeouts, snd.DSACKs,
 			rcv.GoodputBytes, rcv.OutOfOrderSegs, rcv.DupSegs, a.Counters(), b.Counters())
 	}
-	seq := run(1, netsim.EngineConservative)
-	if cons := run(2, netsim.EngineConservative); cons != seq {
-		t.Errorf("conservative 2-shard transfer diverged:\n  seq: %s\n  par: %s", seq, cons)
-	}
-	if opt := run(2, netsim.EngineOptimistic); opt != seq {
-		t.Errorf("optimistic 2-shard transfer diverged:\n  seq: %s\n  par: %s", seq, opt)
+	seq := run(1)
+	if par := run(2); par != seq {
+		t.Errorf("2-shard transfer diverged:\n  seq: %s\n  par: %s", seq, par)
 	}
 }

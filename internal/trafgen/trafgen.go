@@ -44,33 +44,9 @@ type UDPGen struct {
 // Sent reports packets emitted so far.
 func (g *UDPGen) Sent() uint64 { return g.sent }
 
-// udpGenState is the generator's checkpointable state (netsim
-// ShardState). The template is immutable after Start builds it, so
-// snapshots alias it.
-type udpGenState struct {
-	template []byte
-	sent     uint64
-	stopAt   int64
-	running  bool
-}
-
-// SnapshotState implements netsim.ShardState.
-func (g *UDPGen) SnapshotState() any {
-	return udpGenState{template: g.template, sent: g.sent, stopAt: g.stopAt, running: g.running}
-}
-
-// RestoreState implements netsim.ShardState.
-func (g *UDPGen) RestoreState(s any) {
-	st := s.(udpGenState)
-	g.template, g.sent, g.stopAt, g.running = st.template, st.sent, st.stopAt, st.running
-}
-
 // Start begins transmission now and stops at the given absolute
-// virtual time. Start may run inside a scheduled event; it registers
-// the generator's state with the node first, so optimistic rollback
-// across the start replays it faithfully.
+// virtual time. Start may run inside a scheduled event.
 func (g *UDPGen) Start(until int64) error {
-	g.Node.RegisterState(g)
 	if g.HopLimit == 0 {
 		g.HopLimit = 64
 	}
@@ -138,27 +114,8 @@ type RawGen struct {
 // Sent reports packets emitted so far.
 func (g *RawGen) Sent() uint64 { return g.sent }
 
-// rawGenState mirrors udpGenState for RawGen.
-type rawGenState struct {
-	sent    uint64
-	stopAt  int64
-	running bool
-}
-
-// SnapshotState implements netsim.ShardState.
-func (g *RawGen) SnapshotState() any {
-	return rawGenState{sent: g.sent, stopAt: g.stopAt, running: g.running}
-}
-
-// RestoreState implements netsim.ShardState.
-func (g *RawGen) RestoreState(s any) {
-	st := s.(rawGenState)
-	g.sent, g.stopAt, g.running = st.sent, st.stopAt, st.running
-}
-
 // Start begins replaying until the given absolute virtual time.
 func (g *RawGen) Start(until int64) {
-	g.Node.RegisterState(g)
 	g.stopAt = until
 	g.running = true
 	g.tickFn = g.tick
@@ -196,42 +153,9 @@ type Sink struct {
 	InterArrival *stats.Reservoir
 }
 
-// sinkState is the sink's checkpointable state; the reservoir (when
-// present) rewinds through its Mark/Rewind pair.
-type sinkState struct {
-	packets, bytes, payload uint64
-	first, last             int64
-	haveFirst               bool
-	iaN                     int
-	iaDropped               uint64
-}
-
-// SnapshotState implements netsim.ShardState.
-func (s *Sink) SnapshotState() any {
-	st := sinkState{
-		packets: s.Packets, bytes: s.Bytes, payload: s.PayloadBytes,
-		first: s.first, last: s.last, haveFirst: s.haveFirst,
-	}
-	if s.InterArrival != nil {
-		st.iaN, st.iaDropped = s.InterArrival.Mark()
-	}
-	return st
-}
-
-// RestoreState implements netsim.ShardState.
-func (s *Sink) RestoreState(v any) {
-	st := v.(sinkState)
-	s.Packets, s.Bytes, s.PayloadBytes = st.packets, st.bytes, st.payload
-	s.first, s.last, s.haveFirst = st.first, st.last, st.haveFirst
-	if s.InterArrival != nil {
-		s.InterArrival.Rewind(st.iaN, st.iaDropped)
-	}
-}
-
 // NewSink registers a sink on node's UDP port.
 func NewSink(node *netsim.Node, port uint16) *Sink {
 	s := &Sink{}
-	node.RegisterState(s)
 	node.HandleUDP(port, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 		now := meta.RxTimestamp
 		if !s.haveFirst {

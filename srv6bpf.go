@@ -29,7 +29,7 @@
 // library's own End.BPF datapath (zero allocations per packet in the
 // steady state) and how the cost model's JIT factor maps onto the
 // VM's dispatch design, and OBSERVABILITY.md for the metrics plane:
-// the registry, the rollback-aware packet flight recorder,
+// the registry, the packet flight recorder,
 // bpftool-style program statistics and the live stats endpoint.
 package srv6bpf
 
@@ -54,46 +54,23 @@ import (
 // partitions the nodes across n parallel event loops with
 // deterministic cross-shard channels: the same seed yields identical
 // per-node counters and delivery traces for any shard count and
-// either engine, so large generated topologies simulate on all cores
-// without giving up replayability. See Sim.EngineStats for the
-// engine's accounting.
+// placement, so large generated topologies simulate on all cores
+// without giving up replayability. Shards lock-step in windows of the
+// minimum cross-shard link delay, so cross-shard links need a
+// positive, jitter-free delay (netsim/partition's MinCut keeps the
+// others inside one shard). See Sim.EngineStats for the engine's
+// accounting.
 type Sim = netsim.Sim
 
-// Engine selects the parallel synchronisation protocol of
-// Sim.SetShards: conservative lock-step windows (requires positive,
-// jitter-free cross-shard delays) or optimistic Time-Warp speculation
-// with checkpoints, rollback and anti-messages (accepts any link —
-// zero-delay and jittered included). Optimistic checkpoints are
-// incremental (dirty nodes only; clean nodes alias the previous
-// snapshot) and their cadence is driven by an adaptive controller
-// that widens the speculation horizon and stretches the checkpoint
-// stride while the observed rollback rate is low; Sim.SetHorizon
-// pins the window instead (0 restores adaptation).
-type Engine = netsim.Engine
-
-// Engines.
-const (
-	EngineConservative = netsim.EngineConservative
-	EngineOptimistic   = netsim.EngineOptimistic
-)
-
-// ShardState is implemented by components whose mutable state must be
-// checkpointed with their node so the optimistic engine can roll it
-// back; register implementations with Node.RegisterState.
-type ShardState = netsim.ShardState
-
-// Journal is a rollback-aware append-only record for delivery traces
-// and handler observations; create one per node with NewJournal.
+// Journal is an append-only record for delivery traces and handler
+// observations; create one per node with NewJournal.
 type Journal = netsim.Journal
 
-// NewJournal creates a Journal bound to a node's checkpoints.
+// NewJournal creates a node's Journal.
 var NewJournal = netsim.NewJournal
 
 // EngineStats is the parallel engine's merged per-shard accounting
-// (windows, events, messages, and under the optimistic engine:
-// checkpoints — split into copied and aliased node snapshots plus
-// bytes actually copied — rollbacks, anti-messages, the adaptive
-// horizon controller's state and GVT).
+// (windows, events, cross-shard messages, cut links, lookahead).
 type EngineStats = netsim.EngineStats
 
 // NewSim creates a simulation with a deterministic seed.
@@ -405,8 +382,7 @@ var NewFRR = frr.New
 // ChaosEngine is the deterministic fault injector: given a seed it
 // plans node crash/restart cycles, link flaps and netem-level packet
 // impairments as ordinary simulation events, so a fault campaign
-// replays bit-identically under the sequential, conservative and
-// optimistic engines alike.
+// replays bit-identically at any shard count.
 type ChaosEngine = chaos.Engine
 
 // ChaosCampaign describes a randomized fault campaign (how many
@@ -446,9 +422,8 @@ type ObsSnapshot = obs.Snapshot
 // (≤6.25% relative quantile error; per-shard instances merge exactly).
 type ObsHistogram = obs.Histogram
 
-// TraceBuf is one node's flight-recorder journal. It implements
-// ShardState, so the optimistic engine truncates speculative spans on
-// rollback: the committed stream is engine- and shard-count-invariant.
+// TraceBuf is one node's flight-recorder journal; the recorded stream
+// is shard-count-invariant.
 type TraceBuf = obs.TraceBuf
 
 // EnginePoint is one per-round sample of the engine vitals
