@@ -44,11 +44,20 @@
 #                  including the full PDR scan and the SimUDP
 #                  burst=1/burst=N datapath pair (BURST sets N)
 #   make bench-ci — regenerate the perf report as BENCH_PR999.json and
-#                  diff it (plus every committed BENCH_PR*.json)
-#                  through TestBenchTrajectory: schema, row
-#                  continuity, zero-alloc datapath rows, the burst-pair
-#                  speedup floor and the PDR row contract (the CI
-#                  bench job)
+#                  hand it to TestBenchTrajectory (-bench-report), which
+#                  diffs it after every committed BENCH_PR*.json:
+#                  schema, row continuity, zero-alloc datapath rows, the
+#                  burst-pair speedup floor and the PDR row contract
+#                  (the CI bench job). The report is then moved to
+#                  .bench_build/bench-ci.json; a plain `go test ./...`
+#                  reads committed reports only
+#   make bench-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10 SEED=1
+#                  PAIR_SECONDS=15] — the evidence a PR claiming a gain
+#                  needs: check PARENT out as a git worktree under
+#                  .bench_build/ (or take it as a directory holding a
+#                  checkout), alternate benchmark/run.sh between it and
+#                  this tree, print medians, quartiles and pairs won for
+#                  the six end-to-end metrics
 #   make bench-multicore [MULTICORE_JSON=path MULTICORE_WINDOW=20ms] —
 #                  the multi-core shard-scaling matrix (1/2/4/8 shards,
 #                  contiguous vs min-cut on the seeded 256-node
@@ -71,8 +80,11 @@ OBS_DUMP_DIR ?= obs-artifacts
 BURST ?= 32
 MULTICORE_JSON ?= MULTICORE.json
 MULTICORE_WINDOW ?= 20ms
+PAIRS ?= 10
+SEED ?= 1
+PAIR_SECONDS ?= 15
 
-.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-json bench-ci bench-multicore fmt
+.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-json bench-ci bench-pairs bench-multicore fmt
 
 check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke pdr-smoke matrix-smoke bench-smoke
 
@@ -87,9 +99,11 @@ test:
 
 # The quick 2-shard sequential-vs-parallel equivalence gate, run under
 # the race detector: determinism and race-cleanliness of the sharded
-# engine in one short pass.
+# engine in one short pass. The event-count pin rides along: five
+# events per delivered packet on the 3-node lab at 1 and 2 shards, so
+# an extra event on the per-hop path fails here in a second.
 race-smoke:
-	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestCrossShardInFlightFailure' ./internal/netsim
+	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestCrossShardInFlightFailure|TestEventsPerHop' ./internal/netsim
 
 # A second pass of the randomized sequential-vs-sharded equivalence
 # fuzzer at smoke depth: -count 2 re-runs the same seeds and catches
@@ -169,12 +183,19 @@ bench:
 bench-json:
 	$(GO) run ./cmd/srv6bench -bench-json $(BENCH_JSON) -duration $(BENCH_WINDOW) -burst $(BURST)
 
-# The CI perf gate: write a fresh report under a PR number sorting
-# after every committed one, then let TestBenchTrajectory diff the
-# whole series (the fresh report included).
+# The CI perf gate: write a fresh report, then let TestBenchTrajectory
+# diff the committed series with the fresh report handed to it as the
+# newest. Pass or fail, the report leaves the checkout root for the
+# git-ignored build directory (CI uploads it from there).
 bench-ci:
 	$(GO) run ./cmd/srv6bench -bench-json $(BENCH_CI_JSON) -duration $(BENCH_WINDOW) -burst $(BURST)
-	$(GO) test -count 1 -run 'TestBenchTrajectory' -v .
+	$(GO) test -count 1 -run 'TestBenchTrajectory' -v . -args -bench-report $(BENCH_CI_JSON); rc=$$?; \
+		mkdir -p .bench_build && mv $(BENCH_CI_JSON) .bench_build/bench-ci.json; exit $$rc
+
+# Alternating parent/change pairs of one benchmark workload.
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev|dir> WORKLOAD=<name> [PAIRS=10 SEED=1 PAIR_SECONDS=15]" >&2; exit 2; }
+	scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(PAIR_SECONDS)
 
 # The multi-core scaling matrix: 1/2/4/8 shards, contiguous vs
 # min-cut on the seeded 256-node Waxman scenario, at whatever

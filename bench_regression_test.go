@@ -10,9 +10,12 @@ package srv6bpf
 
 import (
 	"encoding/json"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,7 +176,45 @@ func (h *benchHostFile) fingerprint() string {
 		"/b" + strconv.Itoa(h.Burst) + "/" + part
 }
 
-// TestBenchTrajectory diffs the committed BENCH_PR*.json trajectory:
+// scratchBenchReport is the git-ignored name `make bench-ci` writes its
+// fresh report under. It matches the committed reports' glob, so the
+// trajectory never picks it up from there: a stale or partial one left
+// in a checkout must not fail `go test ./...`.
+const scratchBenchReport = "BENCH_PR999.json"
+
+// benchReport names a fresh report to diff after every committed one:
+//
+//	go test -run TestBenchTrajectory . -args -bench-report BENCH_PR999.json
+var benchReport = flag.String("bench-report", "", "fresh srv6bench -bench-json report for TestBenchTrajectory to diff after the committed ones")
+
+// committedBenchReports lists dir's BENCH_PR*.json reports, the scratch
+// one excluded.
+func committedBenchReports(dir string) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_PR*.json"))
+	return slices.DeleteFunc(paths, func(p string) bool { return filepath.Base(p) == scratchBenchReport }), err
+}
+
+// TestBenchTrajectoryIgnoresScratchReport: a leftover scratch report is
+// not part of the default trajectory.
+func TestBenchTrajectoryIgnoresScratchReport(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_PR9.json", "BENCH_PR10.json", scratchBenchReport} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := committedBenchReports(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, "BENCH_PR10.json"), filepath.Join(dir, "BENCH_PR9.json")}
+	if !slices.Equal(got, want) {
+		t.Errorf("committed reports = %v, want %v", got, want)
+	}
+}
+
+// TestBenchTrajectory diffs the committed BENCH_PR*.json trajectory,
+// followed by the report -bench-report names, if any (`make bench-ci`):
 // every report must parse against the current schema, later PRs must
 // keep publishing every datapath row an earlier PR published (a
 // silently dropped benchmark is how a regression hides), and the rows
@@ -184,16 +225,16 @@ func (h *benchHostFile) fingerprint() string {
 // overhead gate, from PR 7 on); across differing hosts they are
 // deliberately not compared.
 func TestBenchTrajectory(t *testing.T) {
-	paths, err := filepath.Glob("BENCH_PR*.json")
+	paths, err := committedBenchReports(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 2 {
-		t.Skipf("need at least two BENCH_PR*.json reports, found %d", len(paths))
-	}
 	// Order by PR number, not lexicographically: BENCH_PR10.json must
-	// follow BENCH_PR9.json.
+	// follow BENCH_PR9.json. The fresh report is gated as the newest PR.
 	prNum := func(p string) int {
+		if p == *benchReport {
+			return math.MaxInt
+		}
 		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(p, "BENCH_PR"), ".json"))
 		if err != nil {
 			t.Fatalf("unparseable bench report name %q: %v", p, err)
@@ -201,6 +242,12 @@ func TestBenchTrajectory(t *testing.T) {
 		return n
 	}
 	sort.Slice(paths, func(i, j int) bool { return prNum(paths[i]) < prNum(paths[j]) })
+	if *benchReport != "" {
+		paths = append(paths, *benchReport)
+	}
+	if len(paths) < 2 {
+		t.Skipf("need at least two bench reports, found %d", len(paths))
+	}
 	var files []benchFile
 	for _, p := range paths {
 		raw, err := os.ReadFile(p)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"srv6bpf/internal/netsim"
@@ -73,10 +74,14 @@ func TestQuickShardScaling(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		t.Logf("shards=%d wall=%.1fms events=%d ev/s=%.0f speedup=%.2f delivered=%d",
-			r.Shards, r.WallMs, r.Events, r.EventsPerSec, r.Speedup, r.Delivered)
+		t.Logf("shards=%d wall=%.1fms events=%d pkts/s=%.0f ev/s=%.0f speedup=%.2f delivered=%d",
+			r.Shards, r.WallMs, r.Events, r.PktsPerSec, r.EventsPerSec, r.Speedup, r.Delivered)
 		if r.Events == 0 || r.Delivered == 0 {
 			t.Errorf("empty measurement: %+v", r)
+		}
+		// The speedup column ranks by delivered packets per wall-second.
+		if want := r.PktsPerSec / rows[0].PktsPerSec; r.PktsPerSec <= 0 || math.Abs(r.Speedup-want) > 1e-9 {
+			t.Errorf("shards=%d: speedup %.4f, want pkts/s ratio %.4f (pkts/s %.0f)", r.Shards, r.Speedup, want, r.PktsPerSec)
 		}
 	}
 	if rows[0].Events != rows[1].Events || rows[0].Delivered != rows[1].Delivered {

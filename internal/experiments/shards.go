@@ -40,7 +40,13 @@ type ShardScalingRow struct {
 	WallMs       float64 `json:"wall_ms"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is events/sec relative to the 1-shard row.
+	// PktsPerSec is delivered packets per wall-second: the figure rows
+	// are ranked by. Events per second is the engine's own rate and
+	// falls when a change removes events from a packet's path while the
+	// simulation gets faster. Reports written before the field existed
+	// read back as 0.
+	PktsPerSec float64 `json:"delivered_pkts_per_sec,omitempty"`
+	// Speedup is PktsPerSec relative to the 1-shard row.
 	Speedup   float64 `json:"speedup_vs_1shard"`
 	Delivered uint64  `json:"delivered_pkts"`
 	Windows   uint64  `json:"windows"`
@@ -124,10 +130,10 @@ func ShardScalingRun(spec ShardScalingSpec) ([]ShardScalingRow, error) {
 				n, spec.Shards[0])
 		}
 		if row.Shards == 1 {
-			baseline = row.EventsPerSec
+			baseline = row.PktsPerSec
 		}
 		if baseline > 0 {
-			row.Speedup = row.EventsPerSec / baseline
+			row.Speedup = row.PktsPerSec / baseline
 		}
 		rows = append(rows, row)
 	}
@@ -233,6 +239,7 @@ func shardScalingRun(spec ShardScalingSpec, shards int) (ShardScalingRow, string
 		WallMs:       float64(wall.Nanoseconds()) / 1e6,
 		Events:       st.Events,
 		EventsPerSec: float64(st.Events) / wall.Seconds(),
+		PktsPerSec:   float64(delivered) / wall.Seconds(),
 		Delivered:    delivered,
 		Windows:      st.Windows,
 		Messages:     st.Messages,

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"srv6bpf/internal/netem"
@@ -105,6 +106,52 @@ func TestCrashSuppressesInFlightCompletionAndOutput(t *testing.T) {
 	s.Run()
 	if r.Counters()["crash_tx_lost"] != 1 {
 		t.Errorf("crash_tx_lost = %d, want 1", r.Counters()["crash_tx_lost"])
+	}
+}
+
+// TestCrashConservesPackets: across a crash — swept over a burst in
+// 250 ns steps, so it lands with packets on both wires, in R's ring and
+// in service on R's CPU, restart included — every packet A originated is
+// delivered or counted lost exactly once: a drop_* or crash_* counter,
+// a ring-full drop, or a transmit/in-flight drop on a link.
+func TestCrashConservesPackets(t *testing.T) {
+	const originated = 200
+	sawCPULost, sawRxLost, sawWireLost := false, false, false
+	for crashAt := 1000 * Microsecond; crashAt < 1400*Microsecond; crashAt += 250 {
+		s := New(1)
+		a, r, b := lineTopo(s)
+		delivered := uint64(0)
+		b.HandleUDP(7777, func(n *Node, p *packet.Packet, meta *PacketMeta) { delivered++ })
+
+		// 1 Mpps against R's ~600 kpps: the ring fills while R serves.
+		sendPing(s, a, bAddr, Millisecond, Microsecond, originated)
+		s.CrashNode(crashAt, r)
+		s.RestartNode(crashAt+50*Microsecond, r)
+		s.Run()
+
+		lost := uint64(0)
+		for _, n := range []*Node{a, r, b} {
+			for name, v := range n.Counters() {
+				if strings.HasPrefix(name, "drop_") || strings.HasPrefix(name, "crash_") || name == "rx_ring_full" {
+					lost += v
+				}
+			}
+			for _, i := range n.Ifaces() {
+				lost += i.TxDrops + i.inFlightKills
+				sawWireLost = sawWireLost || i.inFlightKills > 0
+			}
+		}
+		if delivered+lost != originated {
+			t.Fatalf("crash at %d ns: delivered %d + lost %d != originated %d (R: %v)",
+				crashAt, delivered, lost, originated, r.Counters())
+		}
+		rc := r.Counters()
+		sawCPULost = sawCPULost || rc["crash_cpu_lost"] > 0
+		sawRxLost = sawRxLost || rc["crash_rx_lost"] > 0
+	}
+	if !sawCPULost || !sawRxLost || !sawWireLost {
+		t.Errorf("sweep never crashed mid-service (%v), with a non-empty ring (%v) or with a packet on the wire (%v)",
+			sawCPULost, sawRxLost, sawWireLost)
 	}
 }
 

@@ -136,9 +136,9 @@ func TestEventQueueDifferential(t *testing.T) {
 }
 
 // holdQueue fills a queue to the given depth with the packet path's
-// event mix — two drain continuations per link delivery — and returns
-// a hold step: pop the minimum, release its payload, push a successor
-// of the same kind a pseudo-random increment later.
+// event mix — one drain continuation (the commit) per link delivery —
+// and returns a hold step: pop the minimum, release its payload, push a
+// successor of the same kind a pseudo-random increment later.
 func holdQueue(depth int) (q *eventQueue, hold func() int64) {
 	q = &eventQueue{}
 	rng := rand.New(rand.NewSource(1))
@@ -159,7 +159,7 @@ func holdQueue(depth int) (q *eventQueue, hold func() int64) {
 		}
 	}
 	for i := 0; i < depth; i++ {
-		push(incr[i&1023], 0, i%3 == 0)
+		push(incr[i&1023], 0, i%2 == 0)
 	}
 	return q, func() int64 {
 		e := q.pop()

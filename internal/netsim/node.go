@@ -365,7 +365,8 @@ func (n *Node) OnCrash(fn func()) { n.crashHooks = append(n.crashHooks, fn) }
 func (n *Node) Crashed() bool { return n.crashed }
 
 // crashNow takes the node down at the current virtual instant: the
-// receive ring is flushed (counted as crash_rx_lost), every local
+// receive ring is flushed (counted as crash_rx_lost), the packet the
+// CPU was working on is discarded (crash_cpu_lost), every local
 // link end fails (in-flight packets towards the node die), and the
 // OnCrash hooks reset registered NF state. Counters survive — they
 // model the observer, not the node's RAM. Runs on the node's shard;
@@ -385,7 +386,12 @@ func (n *Node) crashNow() {
 		}
 	}
 	n.busy = false
-	// The packet being processed dies with the box.
+	// The packet in service dies with the box. A verdict that already
+	// counted itself at routing time (a drop, an ICMP error to generate,
+	// an L2 hand-off) is not lost a second time.
+	if op := n.pending.op; op == commitTransmit || op == commitLocal {
+		n.Count("crash_cpu_lost")
+	}
 	n.pending = pendingCommit{}
 	for _, i := range n.ifaces {
 		i.setOneEnd(false)
@@ -603,6 +609,14 @@ func (n *Node) BindIfaceTable(in *Iface, table int) error {
 // the packet is dropped — this is how offered load beyond the node's
 // packet rate disappears, exactly like the paper's router receiving 3
 // Mpps but forwarding 610 kpps.
+//
+// An idle CPU takes the packet in this same event. Other events of the
+// nanosecond that sort after this delivery therefore find the packet in
+// service, no longer in the ring: a co-arrival sees one more free slot
+// (an idle node absorbs RxRingPackets + 1 simultaneous packets), and a
+// link failure, crash or route change scheduled for the arrival instant
+// finds the packet already routed. Service order is arrival order
+// either way.
 func (n *Node) deliver(raw []byte, in *Iface) {
 	if n.crashed {
 		// The links go down with the node, so normally nothing arrives
@@ -615,11 +629,13 @@ func (n *Node) deliver(raw []byte, in *Iface) {
 		return
 	}
 	if !n.busy {
+		// Idle CPU: service starts inside this delivery event. The k a
+		// zero-delay start event used to take is still consumed, so every
+		// event this node schedules from here on keeps the key it always
+		// had.
 		n.busy = true
-		// Same event key Schedule(now, n.drain) would assign, but pure
-		// data: the continuation starts the CPU loop with no pending
-		// commit to apply.
-		n.scheduleDrainCont(0)
+		n.schedK++
+		n.drain()
 	}
 }
 
@@ -678,20 +694,15 @@ func (n *Node) drain() {
 	if n.obs != nil {
 		n.obsEndHop(cost)
 	}
-	// A crash between now and processing completion discards the
-	// packet mid-flight and halts the CPU loop: the continuation
-	// belongs to this incarnation only (it carries the crash epoch).
-	n.scheduleDrainCont(cost)
-}
-
-// scheduleDrainCont schedules the drain continuation d ns from now:
-// the event that applies the pending packet effects and pops the next
-// packet. Same event key a Node.After closure would get, but pure
-// data — no allocation per processed packet.
-func (n *Node) scheduleDrainCont(d int64) {
+	// The commit — apply this packet's effects, pop the next — runs at
+	// processing completion. Same event key a Node.After closure would
+	// get, but pure data: no allocation per processed packet. A crash in
+	// between discards the packet mid-flight and halts the CPU loop: the
+	// continuation belongs to this incarnation only (it carries the
+	// crash epoch).
 	sh := n.shard
 	n.schedK++
-	sh.q.pushDrainCont(sh.now+d, sh.now, n.idx, n.schedK, n.crashEpoch)
+	sh.q.pushDrainCont(sh.now+cost, sh.now, n.idx, n.schedK, n.crashEpoch)
 }
 
 // drainCont is the drain continuation: apply the previous packet's

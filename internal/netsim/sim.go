@@ -10,6 +10,24 @@
 // interrupt, 610 kpps of raw IPv6 forwarding). Determinism is total:
 // the same seed yields the same packet-by-packet schedule.
 //
+// # Events per hop
+//
+// A packet crossing a node costs two events, both on the node's shard:
+//
+//	t            link delivery   ring push; if the CPU is idle, pop and
+//	                             route the packet now (service starts)
+//	t + cost     commit          transmit / deliver locally, then pop and
+//	                             route the next ring entry, if any
+//
+// A packet that arrives while the CPU is busy waits in the ring and is
+// started by the commit of the packet ahead of it, so it costs the same
+// two. There is no separate "start the CPU" event: an idle start runs
+// inside the delivery, ahead of anything else the node has queued for
+// that nanosecond, and still takes the schedule-counter value such an
+// event would have, so every key scheduled afterwards is unchanged (see
+// Node.deliver). Traffic sources add one event per packet they emit; a
+// TCP sender adds one timer event per RTO, not per ACK.
+//
 // # Sharded parallel execution
 //
 // By default the simulation runs on one event queue on the calling

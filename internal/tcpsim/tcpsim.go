@@ -118,12 +118,25 @@ type Sender struct {
 
 	// RTT estimation (RFC 6298).
 	srtt, rttvar, rto int64
-	rtoArmed          bool
-	rtoSeq            uint64 // epoch marker so stale timers self-cancel
 	timedSeq          uint64 // sequence being timed for an RTT sample
 	timedAt           int64
 	timedValid        bool
 	minRTT            int64 // for the HyStart-style slow-start exit
+
+	// Retransmission timer. Re-arming — once per ACK — only moves
+	// rtoDeadline; one timer event does the waiting: when it fires
+	// before the deadline it re-schedules itself at the deadline, so a
+	// timeout still runs at exactly last-arm + RTO and the event queue
+	// holds one timer per sender instead of one per ACK of the last
+	// RTO. rtoTimerAt is the instant of that event (0: none pending);
+	// an RTO that shrinks below it (the first RTT sample replacing the
+	// 1 s initial RTO) schedules an earlier event and leaves the later
+	// one to fire dead. rtoTimer is s.onRTOTimer bound once, so
+	// scheduling it allocates nothing.
+	rtoArmed    bool
+	rtoDeadline int64
+	rtoTimerAt  int64
+	rtoTimer    func()
 
 	// sendTimes records the most recent transmit time per segment
 	// (RACK-style), for the reordering-tolerant retransmit decision.
@@ -194,6 +207,7 @@ func NewTransfer(srcStack, dstStack *Stack, srcAddr, dstAddr netip.Addr, srcPort
 		rto:       netsim.Second, // RFC 6298 initial RTO
 		sendTimes: make(map[uint64]int64),
 	}
+	snd.rtoTimer = snd.onRTOTimer
 	rcv := &Receiver{
 		node: dstStack.node,
 		src:  dstAddr,
@@ -442,20 +456,42 @@ func maxI(a, b int64) int64 {
 	return b
 }
 
+// armRTO restarts the retransmission timer at now + RTO, or stops it
+// when nothing is in flight.
 func (s *Sender) armRTO() {
 	if s.inflight() == 0 {
 		s.rtoArmed = false
 		return
 	}
-	s.rtoSeq++
-	epoch := s.rtoSeq
 	s.rtoArmed = true
-	s.node.After(s.rto, func() {
-		if !s.rtoArmed || epoch != s.rtoSeq || s.stopped {
-			return
-		}
-		s.onTimeout()
-	})
+	s.rtoDeadline = s.node.Now() + s.rto
+	if s.rtoTimerAt == 0 || s.rtoDeadline < s.rtoTimerAt {
+		s.scheduleRTOTimer()
+	}
+}
+
+func (s *Sender) scheduleRTOTimer() {
+	s.rtoTimerAt = s.rtoDeadline
+	s.node.Schedule(s.rtoDeadline, s.rtoTimer)
+}
+
+// onRTOTimer is the timer event: a timeout if the deadline has been
+// reached, otherwise another wait until the deadline ACKs have pushed
+// out since it was scheduled.
+func (s *Sender) onRTOTimer() {
+	now := s.node.Now()
+	if now != s.rtoTimerAt {
+		return // superseded by an earlier timer after the RTO shrank
+	}
+	s.rtoTimerAt = 0
+	if !s.rtoArmed || s.stopped {
+		return
+	}
+	if now < s.rtoDeadline {
+		s.scheduleRTOTimer()
+		return
+	}
+	s.onTimeout()
 }
 
 func (s *Sender) onTimeout() {
