@@ -34,30 +34,24 @@
 #                  depth: a 2-step binary search of the End behavior
 #                  only, proving the offered-load generator, the
 #                  drop-rate accounting and the bisection converge
-#                  (the full per-behavior scan runs under bench-json)
+#                  (the full per-behavior scan is srv6bench -pdr, pinned
+#                  by internal/experiments/testdata/model.golden.json)
 #   make bench-smoke — the nested benchmark module's own test (a
 #                  1/50-scale run of all six workloads against
 #                  benchmark/golden.json, ~4 s): the root `go test
 #                  ./...` does not reach that module
 #   make bench   — wall-clock datapath + figure benchmarks (-benchmem)
-#   make bench-json [BENCH_JSON=path] — machine-readable perf report
-#                  including the full PDR scan and the SimUDP
-#                  burst=1/burst=N datapath pair (BURST sets N)
-#   make bench-ci — regenerate the perf report as BENCH_PR999.json and
-#                  hand it to TestBenchTrajectory (-bench-report), which
-#                  diffs it after every committed BENCH_PR*.json:
-#                  schema, row continuity, zero-alloc datapath rows, the
-#                  burst-pair speedup floor and the PDR row contract
-#                  (the CI bench job). The report is then moved to
-#                  .bench_build/bench-ci.json; a plain `go test ./...`
-#                  reads committed reports only
-#   make bench-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10 SEED=1
-#                  PAIR_SECONDS=15] — the evidence a PR claiming a gain
-#                  needs: check PARENT out as a git worktree under
-#                  .bench_build/ (or take it as a directory holding a
-#                  checkout), alternate benchmark/run.sh between it and
-#                  this tree, print medians, quartiles and pairs won for
-#                  the six end-to-end metrics
+#   make bench-pairs PARENT=<rev> WORKLOAD=<name|all> [PAIRS=10 SEED=1
+#                  PAIR_SECONDS=15] — the evidence a PR needs, whether it
+#                  claims a gain or claims none: check PARENT out as a
+#                  git worktree under .bench_build/ (or take it as a
+#                  directory holding a checkout), alternate
+#                  benchmark/run.sh between it and this tree, print
+#                  medians, quartiles, pairs won and, against each
+#                  metric's bound in BENCHMARK.json, a worse / within /
+#                  better verdict for the six end-to-end metrics;
+#                  WORKLOAD=all does so for every workload that file
+#                  names
 #   make bench-multicore [MULTICORE_JSON=path MULTICORE_WINDOW=20ms] —
 #                  the multi-core shard-scaling matrix (1/2/4/8 shards,
 #                  contiguous vs min-cut on the seeded 256-node
@@ -70,21 +64,17 @@
 #   make fmt     — gofmt the tree
 
 GO ?= go
-BENCH_JSON ?= BENCH.json
-BENCH_WINDOW ?= 50ms
 FUZZ_SCENARIOS ?= 150
 FUZZ_RACE_SCENARIOS ?= 60
 FUZZTIME ?= 5s
-BENCH_CI_JSON ?= BENCH_PR999.json
 OBS_DUMP_DIR ?= obs-artifacts
-BURST ?= 32
 MULTICORE_JSON ?= MULTICORE.json
 MULTICORE_WINDOW ?= 20ms
 PAIRS ?= 10
 SEED ?= 1
 PAIR_SECONDS ?= 15
 
-.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-json bench-ci bench-pairs bench-multicore fmt
+.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-pairs bench-multicore fmt
 
 check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke pdr-smoke matrix-smoke bench-smoke
 
@@ -180,21 +170,9 @@ matrix-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDatapath -benchmem .
 
-bench-json:
-	$(GO) run ./cmd/srv6bench -bench-json $(BENCH_JSON) -duration $(BENCH_WINDOW) -burst $(BURST)
-
-# The CI perf gate: write a fresh report, then let TestBenchTrajectory
-# diff the committed series with the fresh report handed to it as the
-# newest. Pass or fail, the report leaves the checkout root for the
-# git-ignored build directory (CI uploads it from there).
-bench-ci:
-	$(GO) run ./cmd/srv6bench -bench-json $(BENCH_CI_JSON) -duration $(BENCH_WINDOW) -burst $(BURST)
-	$(GO) test -count 1 -run 'TestBenchTrajectory' -v . -args -bench-report $(BENCH_CI_JSON); rc=$$?; \
-		mkdir -p .bench_build && mv $(BENCH_CI_JSON) .bench_build/bench-ci.json; exit $$rc
-
-# Alternating parent/change pairs of one benchmark workload.
+# Alternating parent/change pairs of one benchmark workload, or of all.
 bench-pairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev|dir> WORKLOAD=<name> [PAIRS=10 SEED=1 PAIR_SECONDS=15]" >&2; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev|dir> WORKLOAD=<name|all> [PAIRS=10 SEED=1 PAIR_SECONDS=15]" >&2; exit 2; }
 	scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(PAIR_SECONDS)
 
 # The multi-core scaling matrix: 1/2/4/8 shards, contiguous vs

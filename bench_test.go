@@ -126,7 +126,7 @@ func BenchmarkJITFactor(b *testing.B) {
 // this library's datapath — the engineering numbers behind the
 // simulator's cost model, reported honestly as ns/op: the static End
 // behaviour in native Go versus the End.BPF hook running the empty
-// program, Tag++ and Add TLV, each with JIT and interpreter.
+// program, Tag++ and Add TLV.
 func BenchmarkDatapath(b *testing.B) {
 	sid := netip.MustParseAddr("fc00:1::b")
 	dst := netip.MustParseAddr("2001:db8:2::1")
@@ -162,22 +162,17 @@ func BenchmarkDatapath(b *testing.B) {
 		}
 	})
 
-	type benchProg struct {
+	for _, bp := range []struct {
 		name string
 		spec *bpf.ProgramSpec
-		jit  bool
-	}
-	for _, bp := range []benchProg{
-		{"EndBPF-jit", progs.EndSpec(), true},
-		{"EndBPF-interp", progs.EndSpec(), false},
-		{"TagInc-jit", progs.TagIncrementSpec(), true},
-		{"TagInc-interp", progs.TagIncrementSpec(), false},
-		{"AddTLV-jit", progs.AddTLVSpec(), true},
-		{"AddTLV-interp", progs.AddTLVSpec(), false},
+	}{
+		{"EndBPF", progs.EndSpec()},
+		{"TagInc", progs.TagIncrementSpec()},
+		{"AddTLV", progs.AddTLVSpec()},
 	} {
 		bp := bp
 		b.Run(bp.name, func(b *testing.B) {
-			prog, err := bpf.LoadProgram(bp.spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{JIT: &bp.jit})
+			prog, err := bpf.LoadProgram(bp.spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"srv6bpf/internal/experiments"
-	"srv6bpf/internal/netsim"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 	flapstorm := flag.Bool("flapstorm", false, "run the flap-storm damping experiment")
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations")
 	obsProf := flag.Bool("obs", false, "run the observability profile (behavior-cost and queue-delay histograms)")
-	pr := flag.Int("pr", 0, "PR number to stamp into the bench report's host record")
 	shards := flag.Int("shards", 0,
 		"run the shard-scaling experiment up to this many shards (1,2,4,...) on a 208-node fat-tree")
 	topoK := flag.Int("topo-k", 8, "fat-tree arity for the shard-scaling experiment")
@@ -46,11 +44,7 @@ func main() {
 		"coarse PDR search (2 bisection steps, End only): the CI smoke gate")
 	matrix := flag.Bool("matrix", false,
 		"run the behaviour-matrix scenarios sequentially and on two shards and compare fingerprints")
-	burst := flag.Int("burst", 32,
-		"datapath burst setting for the SimUDP-burst bench rows and the PDR scan")
 	all := flag.Bool("all", false, "run everything")
-	benchJSON := flag.String("bench-json", "",
-		"write the figure rows plus the wall-clock datapath ns/op + allocs/op numbers as one JSON object to this path (standalone mode: combining it with -all/-fig recomputes the figures for stdout)")
 	duration := flag.Duration("duration", 200*time.Millisecond,
 		"virtual measurement window per data point")
 	tcpDuration := flag.Duration("tcp-duration", 60*time.Second,
@@ -60,17 +54,13 @@ func main() {
 	win := duration.Nanoseconds()
 	ran := false
 
-	if *benchJSON != "" {
-		ran = true
-		writeBenchJSON(*benchJSON, win, *pr, *burst)
-	}
 	if *multicoreJSON != "" {
 		ran = true
-		runMulticore(*multicoreJSON, *pr, shardDuration.Nanoseconds())
+		runMulticore(*multicoreJSON, shardDuration.Nanoseconds())
 	}
 	if *all || *pdr {
 		ran = true
-		runPDR(experiments.DefaultPDRConfig(*burst))
+		runPDR(experiments.DefaultPDRConfig())
 	}
 	if *pdrSmoke {
 		ran = true
@@ -102,7 +92,7 @@ func main() {
 	}
 	if *all || *jit {
 		ran = true
-		runJIT(win)
+		runJITFactor(win)
 	}
 	if *all || *frr {
 		ran = true
@@ -202,7 +192,7 @@ func runTCP(win int64) {
 	fmt.Println()
 }
 
-func runJIT(win int64) {
+func runJITFactor(win int64) {
 	fmt.Println("== §3.2 JIT factor on Add TLV ==")
 	f, err := experiments.JITFactor(win)
 	if err != nil {
@@ -284,8 +274,8 @@ func runAblations(win int64) {
 
 func runPDR(cfg experiments.PDRConfig) {
 	fmt.Println("== PDR saturation (SRPerf method): max offered load with drops <= 0.5% ==")
-	fmt.Printf("   %d bisection steps, %s window per probe, burst=%d\n",
-		cfg.Iterations, time.Duration(cfg.WindowNs), cfg.Burst)
+	fmt.Printf("   %d bisection steps, %s window per probe\n",
+		cfg.Iterations, time.Duration(cfg.WindowNs))
 	rows, err := experiments.PDRScan(cfg)
 	if err != nil {
 		fail(err)
@@ -389,7 +379,7 @@ type multicoreReport struct {
 // cross-shard Messages by >= 30% vs contiguous at 4 shards, or — when
 // the runner actually has >= 4 cores — if no multi-shard min-cut row
 // beats the 1-shard baseline.
-func runMulticore(path string, pr int, win int64) {
+func runMulticore(path string, win int64) {
 	procs := runtime.GOMAXPROCS(0)
 	fmt.Printf("== Multi-core shard scaling: %d-node Waxman, %s virtual, GOMAXPROCS=%d ==\n",
 		experiments.WaxmanScalingNodes, time.Duration(win), procs)
@@ -401,7 +391,6 @@ func runMulticore(path string, pr int, win int64) {
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: procs,
 			NumCPU:     runtime.NumCPU(),
-			PR:         pr,
 		},
 		Topology:   "waxman",
 		Nodes:      experiments.WaxmanScalingNodes,
@@ -452,32 +441,6 @@ func runMulticore(path string, pr int, win int64) {
 	}
 }
 
-// benchReport is the machine-readable performance trajectory: the
-// simulated figure rows plus the real (wall-clock) datapath numbers,
-// in the shape future PRs diff against (BENCH_*.json).
-type benchReport struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Host fingerprints the machine and toolchain that produced the
-	// wall-clock numbers; the trajectory test only compares timings
-	// between reports whose fingerprints match.
-	Host         *benchHost                    `json:"host,omitempty"`
-	WindowNs     int64                         `json:"window_ns"`
-	Fig2         []experiments.Row             `json:"fig2"`
-	Fig3         []experiments.Row             `json:"fig3"`
-	Fig4         []experiments.Fig4Point       `json:"fig4"`
-	JITFactor    float64                       `json:"jit_factor"`
-	FRR          []experiments.FRRRow          `json:"frr"`
-	FlapStorm    []experiments.FlapStormRow    `json:"flap_storm"`
-	Datapath     []experiments.DatapathRow     `json:"datapath"`
-	ShardScaling []experiments.ShardScalingRow `json:"shard_scaling"`
-	// Obs is the observability profile (histogram quantiles, virtual ns).
-	Obs []experiments.ObsRow `json:"obs,omitempty"`
-	// PDR is the SRPerf-style saturation table (from PR 8 on).
-	PDR []experiments.PDRRow `json:"pdr,omitempty"`
-}
-
 // benchHost records where a report's wall-clock numbers came from.
 type benchHost struct {
 	GOOS       string `json:"goos"`
@@ -485,73 +448,4 @@ type benchHost struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
-	// Burst is the datapath burst setting the wall-clock rows ran
-	// under; it is part of the fingerprint, so reports measured at
-	// different burst settings are never timing-compared.
-	Burst int `json:"burst,omitempty"`
-	// Partition names the shard placement the report's scaling rows
-	// used; together with GOMAXPROCS it keeps single-core trajectory
-	// reports and multi-core scaling reports in separate timing
-	// lineages (empty means contiguous, the pre-PR-10 default).
-	Partition string `json:"partition,omitempty"`
-	PR        int    `json:"pr,omitempty"`
-}
-
-func writeBenchJSON(path string, win int64, pr, burst int) {
-	rep := benchReport{
-		Schema:     "srv6bpf-bench/1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host: &benchHost{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			Burst:      burst,
-			Partition:  "contiguous",
-			PR:         pr,
-		},
-		WindowNs: win,
-	}
-	var err error
-	if rep.Fig2, err = experiments.Figure2(win); err != nil {
-		fail(err)
-	}
-	if rep.Fig3, err = experiments.Figure3(win); err != nil {
-		fail(err)
-	}
-	if rep.Fig4, err = experiments.Figure4(win); err != nil {
-		fail(err)
-	}
-	if rep.JITFactor, err = experiments.JITFactor(win); err != nil {
-		fail(err)
-	}
-	if rep.FRR, err = experiments.FRRRecovery(); err != nil {
-		fail(err)
-	}
-	if rep.FlapStorm, err = experiments.FRRFlapStorm(); err != nil {
-		fail(err)
-	}
-	if rep.Datapath, err = experiments.DatapathBench(burst); err != nil {
-		fail(err)
-	}
-	if rep.ShardScaling, err = experiments.ShardScaling(shardCountsUpTo(4), 8, 20*netsim.Millisecond); err != nil {
-		fail(err)
-	}
-	if rep.Obs, err = experiments.ObsProfile(win); err != nil {
-		fail(err)
-	}
-	if rep.PDR, err = experiments.PDRScan(experiments.DefaultPDRConfig(burst)); err != nil {
-		fail(err)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote benchmark report to %s\n", path)
 }

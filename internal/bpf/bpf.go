@@ -58,7 +58,9 @@ type ProgramSpec struct {
 
 // LoadOptions tune program loading.
 type LoadOptions struct {
-	// JIT selects the compiled engine. The zero value means enabled,
+	// JIT says whether the simulated CPU JIT-compiles the program, which
+	// only the cost model reads (CostModel.BPFCost: the §3.2 factor of
+	// 1.8); execution is the same either way. The zero value means enabled,
 	// as on the paper's x86 router (their ARM32 CPE runs with the JIT
 	// off; see §4.2).
 	JIT *bool
@@ -237,8 +239,8 @@ func (i *Instance) Machine() *vm.Machine { return i.machine }
 // Program returns the loaded program this instance executes.
 func (i *Instance) Program() *Program { return i.prog }
 
-// JIT reports whether the instance runs compiled code (the cost model
-// charges interpreter execution differently, §3.2).
+// JIT reports whether the simulated CPU runs the instance JIT-compiled
+// (the cost model charges interpreted execution more, §3.2).
 func (i *Instance) JIT() bool { return i.exec.JIT() }
 
 // Binding resolves a map handle value to its binding. Helpers call

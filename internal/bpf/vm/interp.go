@@ -6,9 +6,9 @@ import (
 
 // runInterp is the fetch-execute engine. Decoding happened once in
 // expand: each slot is a flat micro-op, so one step is a single-byte
-// dispatch plus the operation itself. The remaining gap to the JIT is
-// the switch itself, which the compiled closures replace with direct
-// calls.
+// dispatch plus the operation itself. Jump targets, pad slots and
+// opcodes are checked as they are reached, so a program the verifier
+// never saw faults with an error instead of escaping.
 func (m *Machine) runInterp(ex *Executable) (uint64, error) {
 	slots := ex.slots
 	budget := m.budget()

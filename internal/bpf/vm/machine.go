@@ -89,10 +89,11 @@ type slot struct {
 type MapResolver func(name string) (uint64, error)
 
 // Executable is a program prepared for execution: decoded into wire
-// slots and, when JIT is enabled, compiled to closures.
+// slots. jit records whether the simulated CPU has a JIT for it: the
+// cost model charges such programs less model time per instruction
+// (CostModel.BPFCost); this library executes both the same way.
 type Executable struct {
 	slots []slot
-	code  []compiledOp // nil when interpreting
 	jit   bool
 }
 
@@ -105,17 +106,10 @@ func NewExecutable(insns asm.Instructions, resolve MapResolver, jit bool) (*Exec
 	if err != nil {
 		return nil, err
 	}
-	ex := &Executable{slots: slots, jit: jit}
-	if jit {
-		ex.code, err = compile(slots)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ex, nil
+	return &Executable{slots: slots, jit: jit}, nil
 }
 
-// JIT reports whether the executable was compiled.
+// JIT reports whether the simulated CPU runs the program JIT-compiled.
 func (ex *Executable) JIT() bool { return ex.jit }
 
 // Len returns the wire slot count.
@@ -155,8 +149,7 @@ func expand(insns asm.Instructions, resolve MapResolver) ([]slot, error) {
 }
 
 // decode resolves the opcode of s (at slot index pc) into a micro-op.
-// Invalid encodings become uBad and fault at execution time, matching
-// the interpreter's historical behaviour.
+// Invalid encodings become uBad and fault at execution time.
 func decode(s *slot, pc int) {
 	op := s.op
 	s.operand = uint64(int64(int32(s.imm))) // sign-extend once
@@ -272,7 +265,6 @@ type Machine struct {
 	HelperCounts *[MaxHelperID]uint64
 
 	stack []byte
-	trap  error // fault raised inside compiled code
 }
 
 // NewMachine builds a machine with a fresh stack segment installed
@@ -306,9 +298,6 @@ func (m *Machine) resetForRun() {
 func (m *Machine) Run(ex *Executable, ctx uint64) (uint64, error) {
 	m.resetForRun()
 	m.Regs[1] = ctx
-	if ex.jit {
-		return m.runJIT(ex)
-	}
 	return m.runInterp(ex)
 }
 
@@ -339,7 +328,7 @@ func (m *Machine) callHelper(id int64) error {
 	return nil
 }
 
-// ALU semantics shared by both engines.
+// ALU semantics.
 
 func swapBytes(v uint64, bits int64, toBE bool) uint64 {
 	switch bits {

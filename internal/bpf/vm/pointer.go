@@ -1,12 +1,11 @@
 // Package vm executes verified eBPF programs.
 //
-// Two engines are provided: a fetch-decode interpreter and a "JIT"
-// that pre-compiles every instruction into a directly-threaded chain
-// of Go closures. The JIT models the kernel's eBPF JIT compiler: both
-// engines implement identical semantics (a property test asserts
-// this), but the JIT avoids per-step decode work and is measurably
-// faster — the performance gap that §3.2 of the paper quantifies as a
-// factor of 1.8 on whole-router throughput.
+// There is one engine: programs are decoded once into flat micro-ops
+// (expand) and run by a fetch-execute loop (runInterp). Whether the
+// simulated CPU has an eBPF JIT — the gap §3.2 of the paper quantifies
+// as a factor of 1.8 on whole-router throughput — is model time: a bool
+// on the Executable that netsim's cost model reads, not a second way of
+// executing here.
 //
 // Memory safety follows the kernel model: programs only ever hold
 // region-tagged pointers (stack, context, packet, map values), and

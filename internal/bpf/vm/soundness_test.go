@@ -12,7 +12,7 @@ import (
 )
 
 // TestVerifierSoundnessSmoke generates random programs; every program
-// the verifier ACCEPTS must execute on both engines without a memory
+// the verifier ACCEPTS must execute without a memory
 // fault or invalid opcode (budget exhaustion cannot happen: the
 // verifier rejects loops). This ties the two halves of the safety
 // story together.
@@ -81,22 +81,19 @@ func TestVerifierSoundnessSmoke(t *testing.T) {
 			return true // rejection is fine
 		}
 		accepted++
-		for _, jit := range []bool{false, true} {
-			ex, err := vm.NewExecutable(prog, nil, jit)
-			if err != nil {
-				return false
+		ex, err := vm.NewExecutable(prog, nil, false)
+		if err != nil {
+			return false
+		}
+		mem := vm.NewMemory()
+		mem.SetSegment(vm.RegionCtx, &vm.Segment{Data: make([]byte, 64)})
+		m := vm.NewMachine(mem, nil)
+		if _, err := m.Run(ex, vm.Pointer(vm.RegionCtx, 0)); err != nil {
+			var fault *vm.Fault
+			if errors.As(err, &fault) {
+				t.Logf("verified program faulted: %v\n%s", err, prog)
 			}
-			mem := vm.NewMemory()
-			mem.SetSegment(vm.RegionCtx, &vm.Segment{Data: make([]byte, 64)})
-			m := vm.NewMachine(mem, nil)
-			if _, err := m.Run(ex, vm.Pointer(vm.RegionCtx, 0)); err != nil {
-				var fault *vm.Fault
-				if errors.As(err, &fault) {
-					t.Logf("verified program faulted (jit=%v): %v\n%s", jit, err, prog)
-					return false
-				}
-				return false
-			}
+			return false
 		}
 		return true
 	}

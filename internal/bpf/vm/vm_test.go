@@ -9,66 +9,44 @@ import (
 	"srv6bpf/internal/bpf/asm"
 )
 
-// run executes a program (assembling it first) on a fresh machine
-// with both engines and requires identical results.
+// run executes a program (assembling it first) on a fresh machine.
 func run(t *testing.T, insns asm.Instructions, setup func(*Machine)) uint64 {
 	t.Helper()
 	asmd, err := insns.Assemble()
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	var results []uint64
-	for _, jit := range []bool{false, true} {
-		ex, err := NewExecutable(asmd, nil, jit)
-		if err != nil {
-			t.Fatalf("executable(jit=%v): %v", jit, err)
-		}
-		m := NewMachine(NewMemory(), nil)
-		if setup != nil {
-			setup(m)
-		}
-		got, err := m.Run(ex, 0)
-		if err != nil {
-			t.Fatalf("run(jit=%v): %v", jit, err)
-		}
-		results = append(results, got)
+	ex, err := NewExecutable(asmd, nil, false)
+	if err != nil {
+		t.Fatalf("executable: %v", err)
 	}
-	if results[0] != results[1] {
-		t.Fatalf("interp=%#x jit=%#x differ", results[0], results[1])
+	m := NewMachine(NewMemory(), nil)
+	if setup != nil {
+		setup(m)
 	}
-	return results[0]
+	got, err := m.Run(ex, 0)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return got
 }
 
-// runErr asserts both engines fail.
-func runErr(t *testing.T, insns asm.Instructions) (interpErr, jitErr error) {
+// runErr asserts the program faults and returns the error.
+func runErr(t *testing.T, insns asm.Instructions) error {
 	t.Helper()
 	asmd, err := insns.Assemble()
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	for i, jit := range []bool{false, true} {
-		ex, err := NewExecutable(asmd, nil, jit)
-		if err != nil {
-			// Compile-time rejection also counts as failure.
-			if i == 0 {
-				interpErr = err
-			} else {
-				jitErr = err
-			}
-			continue
-		}
-		m := NewMachine(NewMemory(), nil)
-		_, err = m.Run(ex, 0)
-		if err == nil {
-			t.Fatalf("run(jit=%v) unexpectedly succeeded", jit)
-		}
-		if i == 0 {
-			interpErr = err
-		} else {
-			jitErr = err
-		}
+	ex, err := NewExecutable(asmd, nil, false)
+	if err != nil {
+		t.Fatalf("executable: %v", err)
 	}
-	return interpErr, jitErr
+	_, err = NewMachine(NewMemory(), nil).Run(ex, 0)
+	if err == nil {
+		t.Fatal("run unexpectedly succeeded")
+	}
+	return err
 }
 
 func TestALUBasics(t *testing.T) {
@@ -243,10 +221,9 @@ func TestMemoryFaults(t *testing.T) {
 			asm.LoadMem(asm.R0, asm.RFP, -(StackSize + 8), asm.DWord),
 			asm.Return(),
 		}
-		e1, e2 := runErr(t, prog)
 		var f *Fault
-		if !errors.As(e1, &f) || !errors.As(e2, &f) {
-			t.Errorf("want Fault, got %v / %v", e1, e2)
+		if err := runErr(t, prog); !errors.As(err, &f) {
+			t.Errorf("want Fault, got %v", err)
 		}
 	})
 	t.Run("stack underflow (above fp)", func(t *testing.T) {
@@ -262,10 +239,9 @@ func TestMemoryFaults(t *testing.T) {
 			asm.LoadMem(asm.R0, asm.R1, 0, asm.DWord),
 			asm.Return(),
 		}
-		e1, _ := runErr(t, prog)
 		var f *Fault
-		if !errors.As(e1, &f) {
-			t.Fatalf("want Fault, got %v", e1)
+		if err := runErr(t, prog); !errors.As(err, &f) {
+			t.Fatalf("want Fault, got %v", err)
 		}
 	})
 	t.Run("write to read-only region", func(t *testing.T) {
@@ -308,16 +284,14 @@ func TestInfiniteLoopHitsBudget(t *testing.T) {
 		asm.JumpTo("top"),
 	}
 	asmd, _ := prog.Assemble()
-	for _, jit := range []bool{false, true} {
-		ex, err := NewExecutable(asmd, nil, jit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMachine(NewMemory(), nil)
-		m.MaxInstructions = 1000
-		if _, err := m.Run(ex, 0); !errors.Is(err, ErrMaxInstructions) {
-			t.Fatalf("jit=%v: got %v", jit, err)
-		}
+	ex, err := NewExecutable(asmd, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(NewMemory(), nil)
+	m.MaxInstructions = 1000
+	if _, err := m.Run(ex, 0); !errors.Is(err, ErrMaxInstructions) {
+		t.Fatalf("got %v", err)
 	}
 }
 
@@ -340,27 +314,24 @@ func TestHelperCall(t *testing.T) {
 		asm.Return(),
 	}
 	asmd, _ := prog.Assemble()
-	for _, jit := range []bool{false, true} {
-		ex, err := NewExecutable(asmd, nil, jit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMachine(NewMemory(), &table)
-		got, err := m.Run(ex, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 115 {
-			t.Errorf("jit=%v: got %d, want 115", jit, got)
-		}
+	ex, err := NewExecutable(asmd, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(NewMemory(), &table)
+	got, err := m.Run(ex, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 115 {
+		t.Errorf("got %d, want 115", got)
 	}
 }
 
 func TestUnknownHelper(t *testing.T) {
 	prog := asm.Instructions{asm.CallHelper(99), asm.Return()}
-	e1, e2 := runErr(t, prog)
-	if !errors.Is(e1, ErrUnknownHelper) || !errors.Is(e2, ErrUnknownHelper) {
-		t.Fatalf("got %v / %v", e1, e2)
+	if err := runErr(t, prog); !errors.Is(err, ErrUnknownHelper) {
+		t.Fatalf("got %v", err)
 	}
 }
 
@@ -377,11 +348,7 @@ func TestJumpIntoLddwPad(t *testing.T) {
 	}
 	m := NewMachine(NewMemory(), nil)
 	if _, err := m.Run(ex, 0); !errors.Is(err, ErrBadJumpTarget) {
-		t.Fatalf("interp: got %v", err)
-	}
-	// The JIT rejects it at compile time.
-	if _, err := NewExecutable(insns, nil, true); err == nil {
-		t.Fatal("jit compile accepted jump into pad")
+		t.Fatalf("got %v", err)
 	}
 }
 
@@ -423,15 +390,13 @@ func TestExecutedAccounting(t *testing.T) {
 		asm.Return(),
 	}
 	asmd, _ := prog.Assemble()
-	for _, jit := range []bool{false, true} {
-		ex, _ := NewExecutable(asmd, nil, jit)
-		m := NewMachine(NewMemory(), nil)
-		if _, err := m.Run(ex, 0); err != nil {
-			t.Fatal(err)
-		}
-		if m.Executed != 4 {
-			t.Errorf("jit=%v: Executed = %d, want 4", jit, m.Executed)
-		}
+	ex, _ := NewExecutable(asmd, nil, false)
+	m := NewMachine(NewMemory(), nil)
+	if _, err := m.Run(ex, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Executed != 4 {
+		t.Errorf("Executed = %d, want 4", m.Executed)
 	}
 }
 
@@ -444,16 +409,14 @@ func TestCtxArgumentDelivery(t *testing.T) {
 	ctx := make([]byte, 16)
 	ctx[4], ctx[5] = 0xdd, 0x86 // little-endian 0x86dd
 	mem.SetSegment(RegionCtx, &Segment{Data: ctx})
-	for _, jit := range []bool{false, true} {
-		ex, _ := NewExecutable(asmd, nil, jit)
-		m := NewMachine(mem, nil)
-		got, err := m.Run(ex, Pointer(RegionCtx, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 0x86dd {
-			t.Errorf("jit=%v: ctx read = %#x", jit, got)
-		}
+	ex, _ := NewExecutable(asmd, nil, false)
+	m := NewMachine(mem, nil)
+	got, err := m.Run(ex, Pointer(RegionCtx, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0x86dd {
+		t.Errorf("ctx read = %#x", got)
 	}
 }
 
@@ -504,71 +467,40 @@ func genStraightLine(r *rand.Rand, bodyLen int) asm.Instructions {
 	return prog
 }
 
-// TestInterpJITParity runs random programs on both engines and
-// requires identical final register files and stacks.
-func TestInterpJITParity(t *testing.T) {
+// TestRandomProgramsRepeat runs random programs (no panic) and requires
+// a re-run on the same machine to return the same r0, error or not, and
+// retire the same number of instructions: nothing leaks from one
+// execution into the next.
+func TestRandomProgramsRepeat(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prog := genStraightLine(r, 40)
-
-		type result struct {
-			ret   uint64
-			err   error
-			regs  [11]uint64
-			stack [StackSize]byte
-		}
-		var res [2]result
-		for i, jit := range []bool{false, true} {
-			ex, err := NewExecutable(prog, nil, jit)
-			if err != nil {
-				return false
-			}
-			m := NewMachine(NewMemory(), nil)
-			ret, err := m.Run(ex, 0)
-			res[i].ret, res[i].err = ret, err
-			res[i].regs = m.Regs
-			copy(res[i].stack[:], m.Stack())
-		}
-		if (res[0].err == nil) != (res[1].err == nil) {
+		prog := genStraightLine(rand.New(rand.NewSource(seed)), 40)
+		ex, err := NewExecutable(prog, nil, false)
+		if err != nil {
 			return false
 		}
-		if res[0].err != nil {
-			return true // both failed; messages may differ
-		}
-		if res[0].ret != res[1].ret || res[0].stack != res[1].stack {
-			return false
-		}
-		// r1-r5 are scratch only after calls; no calls here, compare all.
-		return res[0].regs == res[1].regs
+		m := NewMachine(NewMemory(), nil)
+		ret1, err1 := m.Run(ex, 0)
+		executed := m.Executed
+		ret2, err2 := m.Run(ex, 0)
+		return ret1 == ret2 && (err1 == nil) == (err2 == nil) && m.Executed == 2*executed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// BenchmarkEngines quantifies the JIT-vs-interpreter gap on an
-// ALU-heavy body, the microbenchmark behind the paper's §3.2
-// observation that disabling the JIT divides throughput by 1.8.
-func BenchmarkEngines(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	prog := genStraightLine(r, 60)
-	for _, cfg := range []struct {
-		name string
-		jit  bool
-	}{{"interp", false}, {"jit", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			ex, err := NewExecutable(prog, nil, cfg.jit)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := NewMachine(NewMemory(), nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(ex, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkRun times an ALU-heavy straight-line body.
+func BenchmarkRun(b *testing.B) {
+	ex, err := NewExecutable(genStraightLine(rand.New(rand.NewSource(1)), 60), nil, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewMachine(NewMemory(), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(ex, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

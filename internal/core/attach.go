@@ -134,9 +134,8 @@ func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMet
 	}
 	// End.BPF behaves as an endpoint: it only accepts SRv6 packets
 	// with a current segment, and advances the SRH before the program
-	// runs (§3). The header walk is served from the node's burst flow
-	// cache when it already holds these exact bytes.
-	info, err := n.ParseInfoCached(raw)
+	// runs (§3).
+	info, err := packet.ParseInfo(raw)
 	if err != nil {
 		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, err
 	}
@@ -264,7 +263,7 @@ func (l *LWT) RunLWTOut(n *netsim.Node, raw []byte, meta *netsim.PacketMeta) ([]
 	env := &l.env
 	srhOff := -1
 	var flowHash uint32
-	if info, err := n.ParseInfoCached(raw); err == nil {
+	if info, err := packet.ParseInfo(raw); err == nil {
 		flowHash = info.FlowLabel
 		if info.HasSRH() {
 			srhOff = info.SRHOff

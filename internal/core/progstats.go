@@ -49,7 +49,7 @@ type ProgStats struct {
 	Name string `json:"name"`
 	Hook string `json:"hook"`
 	// Insns is the static (assembled) instruction count; JIT reports
-	// whether the instance was compiled.
+	// whether the cost model charges the instance at the JIT rate.
 	Insns int  `json:"insns"`
 	JIT   bool `json:"jit"`
 	// RunCnt / InsnExecuted / HelperCalls mirror the kernel's

@@ -58,7 +58,7 @@ type MatrixRow struct {
 // packet count. shards <= 1 means the sequential engine.
 type matrixScenario struct {
 	name string
-	run  func(shards, burst int) (string, uint64, error)
+	run  func(shards int) (string, uint64, error)
 }
 
 func matrixScenarios() []matrixScenario {
@@ -73,7 +73,6 @@ func matrixScenarios() []matrixScenario {
 // shards and compares fingerprints. It is the engine-equivalence gate
 // of `srv6bench -matrix` and the matrix-smoke CI target.
 func MatrixScan() ([]MatrixRow, error) {
-	const burst = 4
 	configs := []struct {
 		label  string
 		shards int
@@ -85,7 +84,7 @@ func MatrixScan() ([]MatrixRow, error) {
 	for _, sc := range matrixScenarios() {
 		row := MatrixRow{Scenario: sc.name, Match: true}
 		for i, cfg := range configs {
-			fp, delivered, err := sc.run(cfg.shards, burst)
+			fp, delivered, err := sc.run(cfg.shards)
 			if err != nil {
 				return rows, fmt.Errorf("%s/%s: %w", sc.name, cfg.label, err)
 			}
@@ -153,9 +152,8 @@ func mustAddRoute(n *netsim.Node, r *netsim.Route) error {
 // decap behaviours, whose result aliases the outer buffer, so a hop
 // limit decremented twice — bytes shared between two owners — would
 // show in the fingerprint.
-func matrixL3VPN(shards, burst int) (string, uint64, error) {
+func matrixL3VPN(shards int) (string, uint64, error) {
 	sim := netsim.New(9101)
-	sim.SetBurst(burst)
 	nw, err := topo.FatTree(sim, 4, topo.Opts{})
 	if err != nil {
 		return "", 0, err
@@ -375,9 +373,8 @@ func lastIface(n *netsim.Node) *netsim.Iface {
 // destination address toward the VNF, restore it from the SRH on
 // return). The VNFs are plain forwarders with a default route back —
 // they never see an SRH.
-func matrixSFC(shards, burst int) (string, uint64, error) {
+func matrixSFC(shards int) (string, uint64, error) {
 	sim := netsim.New(9102)
-	sim.SetBurst(burst)
 	host := netsim.HostCostModel()
 	server := netsim.ServerCostModel()
 
@@ -499,9 +496,8 @@ func matrixSFC(shards, burst int) (string, uint64, error) {
 // the PSP flavor) — and the A-B link is cut mid-run: the second half
 // of the traffic must arrive via the backup, with A's backup_tx
 // counter recording the switch.
-func matrixTILFA(shards, burst int) (string, uint64, error) {
+func matrixTILFA(shards int) (string, uint64, error) {
 	sim := netsim.New(9103)
-	sim.SetBurst(burst)
 	host := netsim.HostCostModel()
 	server := netsim.ServerCostModel()
 

@@ -38,7 +38,7 @@ func TestMatrixScan(t *testing.T) {
 // 2 and 4 shards must equal the sequential run bit for bit.
 func TestL3VPNDecapAliasingAcrossShards(t *testing.T) {
 	run := func(shards int) string {
-		fp, delivered, err := matrixL3VPN(shards, 4)
+		fp, delivered, err := matrixL3VPN(shards)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}

@@ -9,12 +9,6 @@ package experiments
 // packet is either delivered or was dropped at the router's rx ring
 // (the only loss point below line rate) and the drop rate needs no
 // boundary correction beyond the ring's one-time absorption.
-//
-// Because the burst knob is schedule-invariant (bit-identical event
-// order at any burst size — the equivalence fuzzer enforces it), the
-// PDR numbers are independent of the burst setting; running the scan
-// at the report's burst only changes how fast the wall clock gets
-// there.
 
 import (
 	"fmt"
@@ -59,8 +53,6 @@ type PDRRow struct {
 	HiKPPS float64 `json:"hi_kpps"`
 	// Iterations counts the probes spent (bracket check included).
 	Iterations int `json:"iterations"`
-	// Burst is the datapath burst setting the scan ran under.
-	Burst int `json:"burst"`
 }
 
 // PDRConfig controls the saturation search.
@@ -70,15 +62,14 @@ type PDRConfig struct {
 	// Iterations is the number of bisection steps after the bracket
 	// check; the rate resolution is (hi-lo) / 2^Iterations.
 	Iterations int
-	// Burst is the datapath burst setting (srv6bench -burst).
-	Burst int
 	// Behaviors selects a subset by name; nil means all.
 	Behaviors []string
 }
 
-// DefaultPDRConfig is the full scan srv6bench -bench-json publishes.
-func DefaultPDRConfig(burst int) PDRConfig {
-	return PDRConfig{WindowNs: 100 * netsim.Millisecond, Iterations: 9, Burst: burst}
+// DefaultPDRConfig is the full scan of srv6bench -pdr, the one
+// testdata/model.golden.json pins.
+func DefaultPDRConfig() PDRConfig {
+	return PDRConfig{WindowNs: 100 * netsim.Millisecond, Iterations: 9}
 }
 
 // PDRSmokeConfig is the coarse CI gate: two bisection steps on one
@@ -88,22 +79,20 @@ func PDRSmokeConfig() PDRConfig {
 	return PDRConfig{
 		WindowNs:   10 * netsim.Millisecond,
 		Iterations: 2,
-		Burst:      32,
 		Behaviors:  []string{"End"},
 	}
 }
 
 // pdrProbe offers ratePPS for windowNs of virtual time and reports
 // (offered, delivered) after the simulation fully drained.
-type pdrProbe func(ratePPS float64, windowNs int64, burst int) (offered, delivered uint64, err error)
+type pdrProbe func(ratePPS float64, windowNs int64) (offered, delivered uint64, err error)
 
 // pdrLabProbe measures a lab1 behavior: setup configures the router
 // (and sink host), then a constant-rate UDP flow is offered towards
 // dst (with an optional SRH) and counted at the S2 sink.
 func pdrLabProbe(setup func(l *lab1) error, dst netip.Addr, withSRH bool) pdrProbe {
-	return func(ratePPS float64, windowNs int64, burst int) (uint64, uint64, error) {
+	return func(ratePPS float64, windowNs int64) (uint64, uint64, error) {
 		l := newLab1(8)
-		l.sim.SetBurst(burst)
 		if setup != nil {
 			if err := setup(l); err != nil {
 				return 0, 0, err
@@ -153,9 +142,8 @@ func pdrEndBPFSetup(jit bool) func(l *lab1) error {
 // is steered onto the primary SID at P, decapsulated at D and counted
 // at T. Probes keep running, so the window ends with RunUntil plus a
 // drain margin before the detector is stopped.
-func pdrFRRProbe(ratePPS float64, windowNs int64, burst int) (uint64, uint64, error) {
+func pdrFRRProbe(ratePPS float64, windowNs int64) (uint64, uint64, error) {
 	l := newFRRLab(8)
-	l.sim.SetBurst(burst)
 	f, err := frr.New(l.p, frr.Config{
 		TrackSID:      frrTrack,
 		ProbeInterval: 10 * netsim.Millisecond,
@@ -300,11 +288,10 @@ func pdrSearch(name string, probe pdrProbe, cfg PDRConfig) (PDRRow, error) {
 		Threshold: PDRThreshold,
 		LoKPPS:    pdrBracketLoPPS / 1e3,
 		HiKPPS:    pdrBracketHiPPS / 1e3,
-		Burst:     cfg.Burst,
 	}
 	measure := func(rate float64) (float64, error) {
 		row.Iterations++
-		offered, delivered, err := probe(rate, cfg.WindowNs, cfg.Burst)
+		offered, delivered, err := probe(rate, cfg.WindowNs)
 		if err != nil {
 			return 0, err
 		}

@@ -137,9 +137,6 @@ type Table struct {
 	// IPv6 (lens[0]) apart from IPv4 (lens[1]) — a v4 address never
 	// matches a v6 prefix, IPv4-mapped ones included.
 	lens [2][]lenTable
-	// version counts mutations; per-burst route memos key on it so a
-	// route change mid-burst invalidates them immediately.
-	version uint64
 }
 
 // fibKey is an address as two big-endian words (IPv4 in IPv4-mapped
@@ -215,7 +212,6 @@ func (lt *lenTable) put(key fibKey, r *Route) (old *Route) {
 // Routes(). Adding a second route for the same (masked) prefix
 // replaces the first.
 func (t *Table) Add(r *Route) {
-	t.version++
 	bits := r.Prefix.Bits()
 	// Routes of this length end where the first shorter one begins.
 	end := sort.Search(len(t.routes), func(i int) bool { return t.routes[i].Prefix.Bits() < bits })

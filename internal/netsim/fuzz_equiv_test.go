@@ -48,10 +48,6 @@ type fuzzScenario struct {
 	// on top of the scenario: fault events and impairment draws must
 	// replay bit-identically at every shard count.
 	chaos bool
-	// burst is the packet-burst knob applied to the sharded arms plus
-	// one extra sequential arm: burst processing must be bit-identical
-	// to per-packet processing at every shard count.
-	burst int
 	// srv6 overlays a segment-routed detour on one traffic pair: a
 	// reduced encap at the source, a (possibly PSP-flavored) End SID
 	// on a transit host and a DT6/DT46 decap SID at the destination,
@@ -67,8 +63,9 @@ func deriveScenario(seed int64) fuzzScenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := fuzzScenario{seed: seed}
 	sc.duration = (1 + rng.Int63n(2)) * netsim.Millisecond
-	// Two draws feed nothing: they once picked the optimistic engine's
-	// horizon and controller mode, and stay so that every seed keeps
+	// Three draws feed nothing (this one, the Intn(2) after the topology
+	// kind and the Intn(6) after chaos): they once picked knobs of
+	// mechanisms since deleted, and stay so that every seed keeps
 	// deriving the scenario it always derived.
 	rng.Int63n(180)
 	sc.rate = float64(5000 + rng.Intn(45000))
@@ -88,10 +85,9 @@ func deriveScenario(seed int64) fuzzScenario {
 	}
 	rng.Intn(2)
 	sc.tcp = rng.Intn(3)
-	// Drawn last so earlier fields derive identically to older seeds
-	// (and burst after chaos, for the same reason).
+	// Drawn last so earlier fields derive identically to older seeds.
 	sc.chaos = rng.Intn(2) == 0
-	sc.burst = 1 << uint(rng.Intn(6)) // 1..32
+	rng.Intn(6)
 	sc.srv6 = rng.Intn(2) == 0
 	sc.mincut = rng.Intn(2) == 0
 	return sc
@@ -134,10 +130,9 @@ func buildFuzzTopo(t *testing.T, sim *netsim.Sim, sc fuzzScenario) *topo.Network
 // fuzzRun replays the scenario on the given shard count and
 // fingerprints the final state: every node's counters, every host's
 // delivery trace, and the per-link failure accounting.
-func fuzzRun(t *testing.T, sc fuzzScenario, shards, burst int) string {
+func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 	t.Helper()
 	sim := netsim.New(sc.seed)
-	sim.SetBurst(burst)
 	nw := buildFuzzTopo(t, sim, sc)
 
 	// Flight recorder on in every arm, sampling half the flows: the
@@ -501,21 +496,12 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 			name += "-mincut"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := fuzzRun(t, sc, 1, 1)
+			base := fuzzRun(t, sc, 1)
 			if !strings.Contains(base, "udp_delivered") {
 				t.Fatal("scenario delivered nothing")
 			}
-			if sc.burst > 1 {
-				// Burst arm: the same sequential scenario drained in
-				// bursts must fingerprint identically to per-packet.
-				if got := fuzzRun(t, sc, 1, sc.burst); got != base {
-					diffReport(t, base, got, 1)
-				}
-			}
-			// The sharded arms all run at the scenario's burst size, so
-			// a match proves both shard and burst equivalence.
 			for _, shards := range []int{2, 4, 8} {
-				if got := fuzzRun(t, sc, shards, sc.burst); got != base {
+				if got := fuzzRun(t, sc, shards); got != base {
 					diffReport(t, base, got, shards)
 				}
 			}

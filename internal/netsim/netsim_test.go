@@ -541,6 +541,52 @@ func TestICMPErrorsNotGeneratedForICMPErrors(t *testing.T) {
 	}
 }
 
+// TestICMPErrorsNotSentToNonUnicast: RFC 4443 §2.4(e). A packet whose
+// source is unspecified or multicast, or whose destination is multicast,
+// is dropped for its own reason (hop limit, no route) without an error
+// being originated; the same packets from a unicast source are answered.
+func TestICMPErrorsNotSentToNonUnicast(t *testing.T) {
+	unspec := netip.MustParseAddr("::")
+	mcast := netip.MustParseAddr("ff02::1")
+	for _, tc := range []struct {
+		name     string
+		src, dst netip.Addr
+		hopLimit uint8
+		drop     string
+		answered bool
+	}{
+		{"unspecified source, hop limit", unspec, bAddr, 1, "drop_hop_limit", false},
+		{"multicast source, hop limit", mcast, bAddr, 1, "drop_hop_limit", false},
+		{"multicast source, no route", mcast, netip.MustParseAddr("2001:db8:dead::1"), 64, "drop_no_route", false},
+		{"multicast destination, no route", aAddr, mcast, 64, "drop_no_route", false},
+		{"unicast, hop limit", aAddr, bAddr, 1, "drop_hop_limit", true},
+		{"unicast, no route", aAddr, netip.MustParseAddr("2001:db8:dead::1"), 64, "drop_no_route", true},
+	} {
+		s := New(1)
+		a, r, _ := lineTopo(s)
+		got := 0
+		a.HandleICMP(func(*Node, *packet.Packet, *PacketMeta) { got++ })
+		raw, err := packet.BuildPacket(tc.src, tc.dst, packet.WithUDP(1, 7), packet.WithHopLimit(tc.hopLimit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Output(raw)
+		s.Run()
+		c := r.Counters()
+		sent := c["icmp_sent_type1"] + c["icmp_sent_type3"]
+		if c[tc.drop] != 1 {
+			t.Errorf("%s: want one %s, counters %v", tc.name, tc.drop, c)
+		}
+		if tc.answered {
+			if sent != 1 || got != 1 || c["icmp_suppressed"] != 0 {
+				t.Errorf("%s: %d errors sent, %d received, counters %v; want one answered", tc.name, sent, got, c)
+			}
+		} else if sent != 0 || got != 0 || c["icmp_suppressed"] != 1 {
+			t.Errorf("%s: %d errors sent, %d received, counters %v; want one icmp_suppressed and none sent", tc.name, sent, got, c)
+		}
+	}
+}
+
 // TestRNGSnapshotRestore: the node stream's whole state is the one
 // splitmix64 word — writing a saved word back replays the exact draw
 // sequence.

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -81,36 +80,6 @@ type pendingCommit struct {
 	raw      []byte
 	meta     PacketMeta
 	fn       func()
-}
-
-// flowEntry caches one parsed flow. Validity is proven per lookup —
-// same length, byte-equal headers up to the L4 offset — so the cache
-// is pure: Info is a function of the compared bytes, and a stale entry
-// can only miss, never lie.
-type flowEntry struct {
-	rawLen int
-	hdr    []byte // copy of raw[:info.L4Off] at fill time
-	info   packet.Info
-	src    netip.Addr
-	dst    netip.Addr
-	// r memoises the main-table lookup for dst, valid while rVer still
-	// equals the table's version. Fills reset rVer to the sentinel so a
-	// recycled entry can never leak the previous flow's route.
-	r    *Route
-	rVer uint64
-}
-
-// flowRouteInvalid marks a flowEntry's route memo as unfilled; table
-// versions count up from zero and cannot reach it.
-const flowRouteInvalid = ^uint64(0)
-
-// routeMemoEntry caches one main-table FIB walk; valid while the
-// table version still matches. Versions only ever increase, making
-// (version, dst) → route a pure function.
-type routeMemoEntry struct {
-	dst netip.Addr
-	r   *Route
-	ver uint64
 }
 
 // rxItem is one packet waiting in the receive ring.
@@ -237,38 +206,11 @@ type Node struct {
 	pending    pendingCommit
 	outPending pendingCommit
 
-	// burst is the sim's packet-burst knob (Sim.SetBurst); 1 disables
-	// all burst caching.
-	burst int
-
-	// flows is the burst-mode parse cache (two entries: SRH advance at
-	// an endpoint alternates pre/post-advance byte patterns), and
-	// routeMemo the FIB memo for the main table. Both are pure caches:
-	// validity is proven per lookup against a private header copy
-	// (byte equality + length) or the table version, both functions of
-	// nothing but the probed input, so they survive idle gaps in the
-	// drain cadence (a sink whose packets arrive slower than it drains
-	// them still hits the cache).
-	flows     [2]flowEntry
-	flowClock uint8
-	routeMemo [4]routeMemoEntry
-	memoClock uint8
-
 	// scratchPkt/scratchSRH back deliverLocal's allocation-free parse.
 	// The *packet.Packet handed to local handlers aliases them and is
 	// valid only for the duration of the handler call.
 	scratchPkt packet.Packet
 	scratchSRH packet.SRH
-	// scratchHdr/scratchRawLen validate reusing scratchPkt without
-	// reparsing: every Packet field except Raw is a function of
-	// raw[:L4Off] (transport ports and payload are read from Raw by
-	// the handlers), so when a later same-length packet matches those
-	// bytes exactly, the previous parse is the correct parse and only
-	// Raw needs rebinding. scratchHdr is a private copy, so the check
-	// is pure (see the flows comment). An empty scratchHdr means no
-	// valid parse is cached.
-	scratchHdr    []byte
-	scratchRawLen int
 
 	// crashHooks reset NF state held in this node's memory when the
 	// node crashes (see OnCrash).
@@ -307,7 +249,6 @@ func (s *Sim) AddNode(name string, cost CostModel) *Node {
 		udpHandlers: make(map[uint16]UDPHandler),
 		counters:    make(map[string]*uint64),
 		spanIdx:     -1,
-		burst:       s.burst,
 	}
 	n.rng = rand.New(&n.rngSrc)
 	if s.obs != nil {
@@ -788,38 +729,21 @@ func (n *Node) routePacket(raw []byte, pc *pendingCommit, depth int) int64 {
 				n.hot.dropMalformed.Inc()
 				return 0
 			}
-			return n.applyRoute(n.Lookup(dst, t), raw, pc, nil, depth)
+			return n.applyRoute(n.Lookup(dst, t), raw, pc, depth)
 		}
 	}
-	fe := n.flowLookup(raw)
-	var r *Route
-	if fe != nil {
-		// Flow hit: serve the route straight from the flow entry when
-		// the main table hasn't changed since it was cached — one
-		// version compare instead of the route-memo probe loop.
-		if t := n.mainTable(); fe.rVer == t.version {
-			r = fe.r
-		} else {
-			r = t.Lookup(fe.dst)
-			fe.r, fe.rVer = r, t.version
-		}
-	} else {
-		// DstAddr is version-dispatching: a decapsulated IPv4 packet
-		// (End.DT4/DT46) routes through the same tables.
-		dst, err := packet.DstAddr(raw)
-		if err != nil {
-			n.hot.dropMalformed.Inc()
-			return 0
-		}
-		r = n.lookupMain(dst)
+	// DstAddr is version-dispatching: a decapsulated IPv4 packet
+	// (End.DT4/DT46) routes through the same tables.
+	dst, err := packet.DstAddr(raw)
+	if err != nil {
+		n.hot.dropMalformed.Inc()
+		return 0
 	}
-	return n.applyRoute(r, raw, pc, fe, depth)
+	return n.applyRoute(n.mainTable().Lookup(dst), raw, pc, depth)
 }
 
-// applyRoute dispatches on the route kind. fe is the packet's flow
-// cache entry when routePacket had one for these exact bytes (nil
-// otherwise, and always nil for rewritten packets).
-func (n *Node) applyRoute(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry, depth int) int64 {
+// applyRoute dispatches on the route kind.
+func (n *Node) applyRoute(r *Route, raw []byte, pc *pendingCommit, depth int) int64 {
 	if depth > maxRouteDepth {
 		n.hot.dropRouteLoop.Inc()
 		if n.spanIdx >= 0 {
@@ -851,13 +775,13 @@ func (n *Node) applyRoute(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry
 		if n.spanIdx >= 0 {
 			n.obsRoute("forward")
 		}
-		return n.forward(r, raw, pc, fe)
+		return n.forward(r, raw, pc)
 
 	case RouteSeg6Local:
 		if n.spanIdx >= 0 {
 			n.obsRoute("seg6local")
 		}
-		return n.applySeg6Local(r, raw, pc, fe, depth)
+		return n.applySeg6Local(r, raw, pc, depth)
 
 	case RouteSeg6Encap:
 		if n.spanIdx >= 0 {
@@ -898,7 +822,7 @@ func (n *Node) applyRoute(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry
 		}
 		if len(r.Nexthops) > 0 {
 			// The route supplies the egress directly.
-			return cost + n.forward(r, out, pc, nil)
+			return cost + n.forward(r, out, pc)
 		}
 		// Otherwise the (possibly re-encapsulated) packet is routed
 		// again, e.g. towards the SID the program steered it to.
@@ -915,16 +839,11 @@ func (n *Node) applyRoute(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry
 
 // forward handles hop limit, ECMP and backup-route protection,
 // committing the transmission.
-func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry) int64 {
+func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit) int64 {
 	var src, dst netip.Addr
 	var hopLimit uint8
 	var flowLabel uint32
-	if fe != nil {
-		// The flow cache proved these bytes already: reuse the parsed
-		// header fields without touching the packet again.
-		src, dst = fe.src, fe.dst
-		hopLimit, flowLabel = fe.info.HopLimit, fe.info.FlowLabel
-	} else if packet.IPVersion(raw) == 4 {
+	if packet.IPVersion(raw) == 4 {
 		// Decapsulated IPv4 (End.DT4/DT46 towards a CE): same ECMP and
 		// TTL handling, no flow label.
 		hdr, err := packet.DecodeIPv4(raw)
@@ -1023,7 +942,7 @@ func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry) i
 
 // applySeg6Local runs a seg6local behaviour (static or End.BPF)
 // through the dispatch registry and acts on its verdict.
-func (n *Node) applySeg6Local(r *Route, raw []byte, pc *pendingCommit, fe *flowEntry, depth int) int64 {
+func (n *Node) applySeg6Local(r *Route, raw []byte, pc *pendingCommit, depth int) int64 {
 	b := r.Behaviour
 	if b == nil {
 		n.Count("drop_bad_route")
@@ -1045,8 +964,7 @@ func (n *Node) applySeg6Local(r *Route, raw []byte, pc *pendingCommit, fe *flowE
 	var cost int64
 	var err error
 
-	switch {
-	case sp.Prog:
+	if sp.Prog {
 		prog, ok := b.BPF.(Seg6LocalProgram)
 		if !ok {
 			n.Count("drop_bad_seg6local_attachment")
@@ -1057,20 +975,7 @@ func (n *Node) applySeg6Local(r *Route, raw []byte, pc *pendingCommit, fe *flowE
 		}
 		res, cost, err = prog.RunSeg6Local(n, raw, &pc.meta)
 		cost += n.Cost.Behaviour[seg6.ActionEnd] // the endpoint part of End.BPF
-	case sp.Advancing && b.Flavors == 0 && fe != nil &&
-		(b.Action != seg6.ActionEndX || b.Nexthop.IsValid()):
-		// Burst fast path: the flow cache already walked these exact
-		// bytes, so an unflavored advancing endpoint (End, End.X,
-		// End.T) reduces to the bounds-revalidated in-place advance
-		// plus the spec's verdict — no reparse, no allocation.
-		if !fe.info.HasSRH() {
-			err = seg6.ErrNoSRH
-		} else {
-			err = seg6.AdvanceAt(raw, fe.info.SRHOff)
-		}
-		res = seg6.Result{Verdict: sp.Verdict, Pkt: raw, Nexthop: b.Nexthop, Table: b.Table}
-		cost = n.Cost.Behaviour[b.Action]
-	default:
+	} else {
 		if sp.Encapsulates && !n.tunnelHopLimit(raw, pc) {
 			if n.spanIdx >= 0 {
 				n.obsBehavior(sp.Name)
@@ -1189,7 +1094,7 @@ func (n *Node) seg6Act(b *seg6.Behaviour, res seg6.Result, cost int64, pc *pendi
 			return cost
 		}
 		route := n.Lookup(dst, res.Table)
-		return cost + n.applyRoute(route, res.Pkt, pc, nil, depth+1)
+		return cost + n.applyRoute(route, res.Pkt, pc, depth+1)
 
 	case seg6.VerdictForwardNexthop:
 		iface := n.ResolveNexthop(res.Nexthop)
@@ -1330,7 +1235,7 @@ func (n *Node) applySeg6Encap(r *Route, raw []byte, pc *pendingCommit, depth int
 		return n.Cost.EncapNs
 	}
 	if len(r.Nexthops) > 0 {
-		return n.Cost.EncapNs + n.forward(r, out, pc, nil)
+		return n.Cost.EncapNs + n.forward(r, out, pc)
 	}
 	return n.Cost.EncapNs + n.routePacket(out, pc, depth+1)
 }
@@ -1347,40 +1252,6 @@ func (n *Node) ResolveNexthop(addr netip.Addr) *Iface {
 	return nil
 }
 
-// flowLookup returns the flow cache entry for these exact bytes, or
-// nil when burst caching is off, the packet doesn't parse (callers
-// fall back to the legacy per-field path so malformed packets route
-// identically at any burst size), or on a plain miss that was just
-// filled (the freshly filled entry is returned).
-func (n *Node) flowLookup(raw []byte) *flowEntry {
-	if n.burst <= 1 {
-		return nil
-	}
-	for i := range n.flows {
-		e := &n.flows[i]
-		if len(e.hdr) > 0 && e.rawLen == len(raw) &&
-			len(e.hdr) <= len(raw) && bytes.Equal(e.hdr, raw[:len(e.hdr)]) {
-			return e
-		}
-	}
-	info, err := packet.ParseInfo(raw)
-	if err != nil {
-		// ParseInfo is stricter than the per-field decoders (it
-		// validates the SRH chain); a packet it rejects must still take
-		// the exact legacy path, which may route it by destination.
-		return nil
-	}
-	e := &n.flows[n.flowClock&1]
-	n.flowClock++
-	e.rawLen = len(raw)
-	e.hdr = append(e.hdr[:0], raw[:info.L4Off]...)
-	e.info = info
-	e.src, _ = packet.IPv6Src(raw)
-	e.dst, _ = packet.IPv6Dst(raw)
-	e.r, e.rVer = nil, flowRouteInvalid
-	return e
-}
-
 // mainTable returns the main routing table, caching the pointer so
 // the per-packet path skips the tables map access. A nil result (no
 // main table yet) is never cached, so a table created later is still
@@ -1392,37 +1263,6 @@ func (n *Node) mainTable() *Table {
 	return n.mainTbl
 }
 
-// lookupMain is the main-table FIB lookup, memoised per (table
-// version, destination). SelectPath is never memoised — ECMP
-// round-robin mutates per-route state.
-func (n *Node) lookupMain(dst netip.Addr) *Route {
-	t := n.mainTable()
-	if n.burst <= 1 {
-		return t.Lookup(dst)
-	}
-	for i := range n.routeMemo {
-		e := &n.routeMemo[i]
-		if e.dst == dst && e.ver == t.version && e.r != nil {
-			return e.r
-		}
-	}
-	r := t.Lookup(dst)
-	e := &n.routeMemo[n.memoClock&3]
-	n.memoClock++
-	*e = routeMemoEntry{dst: dst, r: r, ver: t.version}
-	return r
-}
-
-// ParseInfoCached is packet.ParseInfo served from the node's burst
-// flow cache when it already holds these exact bytes.
-// Attachment layers (internal/core) call it on their datapath entry.
-func (n *Node) ParseInfoCached(raw []byte) (packet.Info, error) {
-	if fe := n.flowLookup(raw); fe != nil {
-		return fe.info, nil
-	}
-	return packet.ParseInfo(raw)
-}
-
 // deliverLocal dispatches a packet addressed to this node. The parsed
 // view handed to handlers is backed by node-owned scratch storage:
 // valid only for the duration of the handler call.
@@ -1432,21 +1272,10 @@ func (n *Node) deliverLocal(raw []byte, meta *PacketMeta) {
 		return
 	}
 	p := &n.scratchPkt
-	if n.burst > 1 &&
-		len(n.scratchHdr) > 0 && n.scratchRawLen == len(raw) &&
-		len(n.scratchHdr) <= len(raw) && bytes.Equal(n.scratchHdr, raw[:len(n.scratchHdr)]) {
-		p.Raw = raw
-	} else {
-		p.SRH = &n.scratchSRH
-		if err := packet.ParseInto(p, raw); err != nil {
-			n.scratchHdr = n.scratchHdr[:0]
-			n.hot.dropMalformedLocal.Inc()
-			return
-		}
-		if n.burst > 1 {
-			n.scratchHdr = append(n.scratchHdr[:0], raw[:p.L4Off]...)
-			n.scratchRawLen = len(raw)
-		}
+	p.SRH = &n.scratchSRH
+	if err := packet.ParseInto(p, raw); err != nil {
+		n.hot.dropMalformedLocal.Inc()
+		return
 	}
 	switch p.L4Proto {
 	case packet.ProtoUDP:
@@ -1523,7 +1352,8 @@ func (n *Node) deliverLocal4(raw []byte, meta *PacketMeta) {
 
 // icmpError builds the commit that sends an ICMPv6 error about raw
 // back to its source. Errors about ICMPv6 errors are suppressed
-// (RFC 4443 §2.4) to avoid storms.
+// (RFC 4443 §2.4) to avoid storms, and so are errors that would go to
+// a non-unicast address (counted as icmp_suppressed).
 func (n *Node) icmpError(raw []byte, meta *PacketMeta, icmpType, code uint8) func() {
 	if meta.Local {
 		return nil // local senders learn through counters
@@ -1538,6 +1368,14 @@ func (n *Node) icmpError(raw []byte, meta *PacketMeta, icmpType, code uint8) fun
 	}
 	src, err := packet.IPv6Src(raw)
 	if err != nil || !n.primary.IsValid() {
+		return nil
+	}
+	// RFC 4443 §2.4(e): no error about a packet whose source does not
+	// identify a single node, or that was sent to a multicast address.
+	// (The two exceptions, Packet Too Big and Parameter Problem code 2,
+	// are not generated here.)
+	if dst, _ := packet.IPv6Dst(raw); src.IsUnspecified() || src.IsMulticast() || dst.IsMulticast() {
+		n.Count("icmp_suppressed")
 		return nil
 	}
 	// RFC 4443 §3.1/§3.3: after the 8-byte header (ICMPv6HeaderLen

@@ -119,12 +119,6 @@ type Sim struct {
 	// default) keeps every hook to a single pointer compare.
 	obs *simObs
 
-	// burst is the packet-burst knob set by SetBurst: above 1 it turns
-	// on the nodes' burst caches. It never changes the event schedule —
-	// each drain still charges and commits exactly one packet — so any
-	// burst value is bit-identical to burst == 1.
-	burst int
-
 	nodes []*Node
 }
 
@@ -135,7 +129,7 @@ const driverSrc int32 = -1
 
 // New creates a simulation with the given random seed.
 func New(seed int64) *Sim {
-	s := &Sim{seed: seed, rng: rand.New(rand.NewSource(seed)), burst: 1}
+	s := &Sim{seed: seed, rng: rand.New(rand.NewSource(seed))}
 	s.shards = []*shard{newShard(s, 0)}
 	s.shards[0].out = make([][]xmsg, 1)
 	s.lookahead = math.MaxInt64 / 2
@@ -148,27 +142,14 @@ func New(seed int64) *Sim {
 // Seed returns the seed the simulation was created with.
 func (s *Sim) Seed() int64 { return s.seed }
 
-// SetBurst sets the packet-burst size b (clamped to >= 1). Any b > 1
-// turns on the per-node caches that amortise FIB lookups and header
-// parsing across back-to-back packets of a flow; the caches validate
-// themselves per lookup, so the size beyond 1 only tells harnesses how
-// many packets to offer back to back. Burst processing is purely a
-// caching regime — the event schedule, every counter and every
-// delivery is bit-identical to per-packet processing (b == 1, the
-// default) at any shard count; the equivalence fuzzer locks this with
-// a randomized burst arm.
-func (s *Sim) SetBurst(b int) {
-	if b < 1 {
-		b = 1
-	}
-	s.burst = b
-	for _, n := range s.nodes {
-		n.burst = b
-	}
-}
-
-// Burst returns the current packet-burst size.
-func (s *Sim) Burst() int { return s.burst }
+// SetBurst does nothing.
+//
+// Deprecated: the burst caches it used to switch on are gone (no
+// traffic the benchmark sends ever hit them; PERFORMANCE.md has the
+// counters). The method remains only because the frozen
+// benchmark/workloads.go calls it, and goes when that directory is
+// unfrozen.
+func (s *Sim) SetBurst(int) {}
 
 // Now returns the current virtual time in nanoseconds. In sharded
 // mode this is the last committed barrier; code running inside an

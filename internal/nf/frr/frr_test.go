@@ -386,8 +386,9 @@ func TestProbeWireFormat(t *testing.T) {
 	}
 }
 
-// TestInterpreterEngine runs the failover scenario with the
-// interpreter instead of the JIT (both engines must agree).
+// TestInterpreterEngine runs the failover scenario on a CPU without a
+// JIT: the programs cost the interpreter's model time per instruction
+// and detection must still work.
 func TestInterpreterEngine(t *testing.T) {
 	interval := netsim.Millisecond
 	sim := netsim.New(7)

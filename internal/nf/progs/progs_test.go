@@ -27,7 +27,7 @@ type fixture struct {
 	a, r, b *netsim.Node
 }
 
-func newFixture(t *testing.T, spec *bpf.ProgramSpec, jit bool) *fixture {
+func newFixture(t *testing.T, spec *bpf.ProgramSpec) *fixture {
 	t.Helper()
 	s := netsim.New(1)
 	f := &fixture{
@@ -49,7 +49,7 @@ func newFixture(t *testing.T, spec *bpf.ProgramSpec, jit bool) *fixture {
 	f.r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:b::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rbIf}}})
 
 	if spec != nil {
-		prog, err := bpf.LoadProgram(spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{JIT: &jit})
+		prog, err := bpf.LoadProgram(spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{})
 		if err != nil {
 			t.Fatalf("LoadProgram: %v", err)
 		}
@@ -87,20 +87,18 @@ func (f *fixture) sendProbe(t *testing.T) *packet.Packet {
 }
 
 func TestEndBPFEmptyProgram(t *testing.T) {
-	for _, jit := range []bool{true, false} {
-		f := newFixture(t, EndSpec(), jit)
-		got := f.sendProbe(t)
-		if got == nil {
-			t.Fatalf("jit=%v: packet dropped; R counters: %v", jit, f.r.Counters())
-		}
-		if got.IPv6.Dst != dstB || got.SRH.SegmentsLeft != 0 {
-			t.Errorf("jit=%v: dst=%v sl=%d", jit, got.IPv6.Dst, got.SRH.SegmentsLeft)
-		}
+	f := newFixture(t, EndSpec())
+	got := f.sendProbe(t)
+	if got == nil {
+		t.Fatalf("packet dropped; R counters: %v", f.r.Counters())
+	}
+	if got.IPv6.Dst != dstB || got.SRH.SegmentsLeft != 0 {
+		t.Errorf("dst=%v sl=%d", got.IPv6.Dst, got.SRH.SegmentsLeft)
 	}
 }
 
 func TestEndBPFRequiresSegmentsLeft(t *testing.T) {
-	f := newFixture(t, EndSpec(), true)
+	f := newFixture(t, EndSpec())
 	var delivered bool
 	f.b.HandleUDP(9999, func(*netsim.Node, *packet.Packet, *netsim.PacketMeta) { delivered = true })
 	// SL=0 packet addressed straight at the SID: must be dropped.
@@ -121,7 +119,7 @@ func TestEndBPFRequiresSegmentsLeft(t *testing.T) {
 }
 
 func TestEndBPFNonSRv6Dropped(t *testing.T) {
-	f := newFixture(t, EndSpec(), true)
+	f := newFixture(t, EndSpec())
 	raw, _ := packet.BuildPacket(srcA, sid, packet.WithUDP(1, 9999))
 	f.a.Output(raw)
 	f.sim.Run()
@@ -131,7 +129,7 @@ func TestEndBPFNonSRv6Dropped(t *testing.T) {
 }
 
 func TestEndTBPF(t *testing.T) {
-	f := newFixture(t, EndTSpec(7), true)
+	f := newFixture(t, EndTSpec(7))
 	// Table 7 routes B's prefix via the same egress as main.
 	rbIf := f.r.Ifaces()[1]
 	f.r.Table(7).Add(&netsim.Route{
@@ -148,7 +146,7 @@ func TestEndTBPF(t *testing.T) {
 }
 
 func TestEndTBPFMissingTableDrops(t *testing.T) {
-	f := newFixture(t, EndTSpec(7), true)
+	f := newFixture(t, EndTSpec(7))
 	// No table 7: the redirect lookup fails and the packet dies.
 	if got := f.sendProbe(t); got != nil {
 		t.Fatal("packet survived a redirect into a missing table")
@@ -156,20 +154,18 @@ func TestEndTBPFMissingTableDrops(t *testing.T) {
 }
 
 func TestTagIncrement(t *testing.T) {
-	for _, jit := range []bool{true, false} {
-		f := newFixture(t, TagIncrementSpec(), jit)
-		got := f.sendProbe(t)
-		if got == nil {
-			t.Fatalf("jit=%v: dropped; R: %v", jit, f.r.Counters())
-		}
-		if got.SRH.Tag != 42 {
-			t.Errorf("jit=%v: tag = %d, want 42", jit, got.SRH.Tag)
-		}
+	f := newFixture(t, TagIncrementSpec())
+	got := f.sendProbe(t)
+	if got == nil {
+		t.Fatalf("dropped; R: %v", f.r.Counters())
+	}
+	if got.SRH.Tag != 42 {
+		t.Errorf("tag = %d, want 42", got.SRH.Tag)
 	}
 }
 
 func TestAddTLV(t *testing.T) {
-	f := newFixture(t, AddTLVSpec(), true)
+	f := newFixture(t, AddTLVSpec())
 	got := f.sendProbe(t)
 	if got == nil {
 		t.Fatalf("dropped; R: %v", f.r.Counters())
@@ -204,7 +200,7 @@ func TestAdjustWithZeroFillSurvives(t *testing.T) {
 	spec.Instructions = insns
 	spec.Name = "adjust_no_fill"
 
-	f := newFixture(t, spec, true)
+	f := newFixture(t, spec)
 	if got := f.sendProbe(t); got == nil {
 		t.Fatalf("zero-filled (all-Pad1) growth was dropped; R: %v", f.r.Counters())
 	}
@@ -233,7 +229,7 @@ func TestCorruptTLVDropped(t *testing.T) {
 	spec.Instructions = insns
 	spec.Name = "corrupt_tlv"
 
-	f := newFixture(t, spec, true)
+	f := newFixture(t, spec)
 	if got := f.sendProbe(t); got != nil {
 		t.Fatalf("packet with corrupt TLV survived: %s", got.SRH.Summary())
 	}
@@ -247,7 +243,7 @@ func TestCorruptTLVDropped(t *testing.T) {
 // -EPERM/-EINVAL and the packet is unchanged.
 func TestStoreBytesCannotTouchSegments(t *testing.T) {
 	spec := forbiddenWriteSpec()
-	f := newFixture(t, spec, true)
+	f := newFixture(t, spec)
 	got := f.sendProbe(t)
 	if got == nil {
 		t.Fatalf("dropped; R: %v", f.r.Counters())
@@ -259,7 +255,7 @@ func TestStoreBytesCannotTouchSegments(t *testing.T) {
 }
 
 func TestCostChargedForBPF(t *testing.T) {
-	f := newFixture(t, TagIncrementSpec(), true)
+	f := newFixture(t, TagIncrementSpec())
 	if got := f.sendProbe(t); got == nil {
 		t.Fatal("dropped")
 	}
@@ -275,7 +271,7 @@ func TestCostChargedForBPF(t *testing.T) {
 }
 
 // TestAllBundledProgramsVerify loads every network function shipped
-// with the repository against its hook, with both engines.
+// with the repository against its hook.
 func TestAllBundledProgramsVerify(t *testing.T) {
 	seg6local := core.Seg6LocalHook()
 	lwt := core.LWTOutHook()
@@ -298,11 +294,8 @@ func TestAllBundledProgramsVerify(t *testing.T) {
 			hook = lwt
 		}
 		avail := testMapsFor(t, tc.spec)
-		for _, jit := range []bool{true, false} {
-			jit := jit
-			if _, err := bpf.LoadProgram(tc.spec, hook, avail, bpf.LoadOptions{JIT: &jit}); err != nil {
-				t.Errorf("%s (jit=%v): %v", tc.spec.Name, jit, err)
-			}
+		if _, err := bpf.LoadProgram(tc.spec, hook, avail, bpf.LoadOptions{}); err != nil {
+			t.Errorf("%s: %v", tc.spec.Name, err)
 		}
 	}
 }

@@ -31,12 +31,6 @@ type Spec struct {
 	// End.AM): applied to packets arriving from the proxied VNF's
 	// interface rather than to packets addressed to the SID.
 	Inbound func(b *Behaviour, raw []byte) (Result, error)
-	// Advancing marks the plain endpoint family (End/End.X/End.T)
-	// whose unflavored step is exactly AdvanceAt + Verdict; the
-	// burst datapath uses it for the allocation-free fast path.
-	Advancing bool
-	// Verdict is the fast-path verdict for Advancing behaviours.
-	Verdict Verdict
 	// Encapsulates marks behaviours that wrap the packet in a new
 	// outer header; the forwarding engine charges the tunnel-ingress
 	// hop-limit decrement before them.
@@ -204,7 +198,6 @@ func init() {
 
 	Register(Spec{
 		Action: ActionEnd, Name: "End", Flavors: endFlavors,
-		Advancing: true, Verdict: VerdictForward,
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
 			return endAdvance(b, raw, VerdictForward, netip.Addr{}, 0)
 		},
@@ -212,7 +205,6 @@ func init() {
 
 	Register(Spec{
 		Action: ActionEndX, Name: "End.X", Flavors: endFlavors,
-		Advancing: true, Verdict: VerdictForwardNexthop,
 		Validate: needNexthop("End.X"),
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
 			if !b.Nexthop.IsValid() {
@@ -224,7 +216,6 @@ func init() {
 
 	Register(Spec{
 		Action: ActionEndT, Name: "End.T", Flavors: endFlavors,
-		Advancing: true, Verdict: VerdictForwardTable,
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
 			return endAdvance(b, raw, VerdictForwardTable, netip.Addr{}, b.Table)
 		},

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the wall-clock benchmark: the
 # procedure a PR that claims a gain has to follow (at least ten pairs,
-# alternating which side runs first; medians, quartiles, pairs won).
+# alternating which side runs first; medians, quartiles, pairs won), and
+# the one a PR that claims none has to follow too: every end-to-end
+# metric's change-vs-parent median is held against its `bound` in
+# BENCHMARK.json and labelled worse, within or better.
 #
-#   scripts/bench-pairs.sh <parent> <workload> [pairs] [seed] [seconds]
+#   scripts/bench-pairs.sh <parent> <workload|all> [pairs] [seed] [seconds]
 #
+# `all` runs every workload BENCHMARK.json names, one after the other.
 # <parent> is a revision, checked out as a git worktree under
 # .bench_build/ (kept for the next call; `git worktree prune` after
 # deleting it), or a directory that already holds a checkout. Each run is
@@ -14,7 +18,7 @@
 # .bench_build/pairs-<workload>-seed<S>.{parent,change}.jsonl.
 set -euo pipefail
 
-usage="usage: bench-pairs.sh <parent rev|dir> <workload> [pairs] [seed] [seconds]"
+usage="usage: bench-pairs.sh <parent rev|dir> <workload|all> [pairs] [seed] [seconds]"
 parent="${1:?$usage}"
 workload="${2:?$usage}"
 pairs="${3:-10}"
@@ -33,31 +37,21 @@ else
 	[ -d "$parent_dir" ] || git worktree add --detach "$parent_dir" "$sha" >&2
 fi
 
-out="$root/.bench_build/pairs-$workload-seed$seed"
-: >"$out.parent.jsonl"
-: >"$out.change.jsonl"
-
-run_side() { # <tree> <result file>
-	(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) | tail -n 1 >>"$2"
+# bench_json <array> <key>...: the named top-level array of BENCHMARK.json,
+# one line per entry, the given keys' values tab-separated. The file keeps
+# one key per line, which is all this reads.
+bench_json() {
+	awk -v section="$1" -v keys="${*:2}" '
+		BEGIN { n = split(keys, want, " ") }
+		$0 ~ "^  \"" section "\": \\[" { on = 1; next }
+		on && /^  \]/ { exit }
+		on && /^    \{/ { delete got; next }
+		on && /^    \}/ { line = got[want[1]]; for (i = 2; i <= n; i++) line = line "\t" got[want[i]]; print line; next }
+		on && match($0, /^      "[a-z_]+": /) {
+			k = substr($0, 8, RLENGTH - 10); v = substr($0, RLENGTH + 1)
+			sub(/,$/, "", v); gsub(/^"|"$/, "", v); got[k] = v
+		}' "$root/BENCHMARK.json"
 }
-
-for i in $(seq 1 "$pairs"); do
-	if [ $((i % 2)) -eq 1 ]; then
-		run_side "$parent_dir" "$out.parent.jsonl"
-		run_side "$root" "$out.change.jsonl"
-	else
-		run_side "$root" "$out.change.jsonl"
-		run_side "$parent_dir" "$out.parent.jsonl"
-	fi
-	echo "pair $i/$pairs done" >&2
-done
-
-for side in parent change; do
-	if grep -vq '"correct":true' "$out.$side.jsonl" || grep -vq '"failed":0,' "$out.$side.jsonl"; then
-		echo "bench-pairs: a $side run was incorrect or had failed operations; see $out.$side.jsonl" >&2
-		exit 1
-	fi
-done
 
 # value <metric> <file>: one value per line, in run order.
 value() { sed -E "s/.*\"$1\":\{\"value\":([-+0-9.eE]+).*/\1/" "$2"; }
@@ -70,18 +64,61 @@ quartiles() {
 		END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
-echo "$workload, seed $seed, $pairs alternating pairs of $seconds s (parent $parent)"
-printf '%-20s %14s %26s %14s %26s %8s  %s\n' metric 'parent median' '[q1, q3]' 'change median' '[q1, q3]' delta 'pairs won'
-for metric in sim_pkts_per_wall_s cpu_ns_per_pkt allocs_per_pkt alloc_bytes_per_pkt live_heap_mb setup_s; do
-	better=lower
-	[ "$metric" = sim_pkts_per_wall_s ] && better=higher
-	read -r pq1 pmed pq3 < <(quartiles "$metric" "$out.parent.jsonl")
-	read -r cq1 cmed cq3 < <(quartiles "$metric" "$out.change.jsonl")
-	won="$(paste <(value "$metric" "$out.parent.jsonl") <(value "$metric" "$out.change.jsonl") |
-		awk -v better="$better" '
-		$1 == $2 { ties++; next }
-		($2 > $1) == (better == "higher") { won++ }
-		END { printf "%d/%d", won, NR; if (ties) printf " (%d ties)", ties }')"
-	delta="$(awk -v p="$pmed" -v c="$cmed" 'BEGIN { if (p == 0) print "n/a"; else printf "%+.1f%%", (c / p - 1) * 100 }')"
-	printf '%-20s %14s %26s %14s %26s %8s  %s\n' "$metric" "$pmed" "[$pq1, $pq3]" "$cmed" "[$cq1, $cq3]" "$delta" "$won"
-done
+run_side() { # <tree> <workload> <result file>
+	(cd "$1" && bash benchmark/run.sh --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0) | tail -n 1 >>"$3"
+}
+
+run_pairs() { # <workload>
+	local workload="$1" out="$root/.bench_build/pairs-$1-seed$seed"
+	: >"$out.parent.jsonl"
+	: >"$out.change.jsonl"
+
+	for i in $(seq 1 "$pairs"); do
+		if [ $((i % 2)) -eq 1 ]; then
+			run_side "$parent_dir" "$workload" "$out.parent.jsonl"
+			run_side "$root" "$workload" "$out.change.jsonl"
+		else
+			run_side "$root" "$workload" "$out.change.jsonl"
+			run_side "$parent_dir" "$workload" "$out.parent.jsonl"
+		fi
+		echo "$workload: pair $i/$pairs done" >&2
+	done
+
+	for side in parent change; do
+		if grep -vq '"correct":true' "$out.$side.jsonl" || grep -vq '"failed":0,' "$out.$side.jsonl"; then
+			echo "bench-pairs: a $side run was incorrect or had failed operations; see $out.$side.jsonl" >&2
+			exit 1
+		fi
+	done
+
+	echo "$workload, seed $seed, $pairs alternating pairs of $seconds s (parent $parent)"
+	printf '%-20s %14s %26s %14s %26s %8s %6s  %-10s %s\n' metric 'parent median' '[q1, q3]' 'change median' '[q1, q3]' delta bound 'pairs won' verdict
+	while IFS=$'\t' read -r metric better bound; do
+		read -r pq1 pmed pq3 < <(quartiles "$metric" "$out.parent.jsonl")
+		read -r cq1 cmed cq3 < <(quartiles "$metric" "$out.change.jsonl")
+		won="$(paste <(value "$metric" "$out.parent.jsonl") <(value "$metric" "$out.change.jsonl") |
+			awk -v better="$better" '
+			$1 == $2 { ties++; next }
+			($2 > $1) == (better == "higher") { won++ }
+			END { printf "%d/%d", won, NR; if (ties) printf " (%d ties)", ties }')"
+		# worse/within/better: the change's median against the parent's by
+		# more than the bound. A parent whose own quartiles are further apart
+		# than the bound cannot resolve a move of that size.
+		read -r delta verdict < <(awk -v p="$pmed" -v c="$cmed" -v q1="$pq1" -v q3="$pq3" -v bound="$bound" -v better="$better" 'BEGIN {
+			if (p == 0) { print "n/a", (c == 0 ? "within" : "worse"); exit }
+			d = c / p - 1; gain = better == "higher" ? d : -d
+			v = gain < -bound ? "worse" : gain > bound ? "better" : "within"
+			if ((q3 - q1) / p > bound) v = v " (parent spread > bound: unresolved)"
+			printf "%+.1f%% %s\n", d * 100, v }')
+		printf '%-20s %14s %26s %14s %26s %8s %6s  %-10s %s\n' "$metric" "$pmed" "[$pq1, $pq3]" "$cmed" "[$cq1, $cq3]" "$delta" "$bound" "$won" "$verdict"
+	done < <(bench_json end_to_end name better bound)
+}
+
+if [ "$workload" = all ]; then
+	while read -r w; do
+		run_pairs "$w"
+		echo
+	done < <(bench_json workloads name)
+else
+	run_pairs "$workload"
+fi

@@ -6,8 +6,8 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - a complete eBPF toolchain (assembler, verifier, interpreter and
-//     JIT, maps, perf events) — internal/bpf/...;
+//   - a complete eBPF toolchain (assembler, verifier, interpreter,
+//     maps, perf events) — internal/bpf/...;
 //   - the SRv6 data plane (SRH, TLVs, seg6/seg6local behaviours) —
 //     internal/seg6 and internal/packet;
 //   - a deterministic discrete-event network simulator standing in
@@ -27,8 +27,8 @@
 // EXPERIMENTS.md for the reproduction of every figure in the paper's
 // evaluation, PERFORMANCE.md for the wall-clock cost of the
 // library's own End.BPF datapath (zero allocations per packet in the
-// steady state) and how the cost model's JIT factor maps onto the
-// VM's dispatch design, and OBSERVABILITY.md for the metrics plane:
+// steady state; the paper's JIT factor is model time, a bool the cost
+// model reads), and OBSERVABILITY.md for the metrics plane:
 // the registry, the packet flight recorder,
 // bpftool-style program statistics and the live stats endpoint.
 package srv6bpf
@@ -291,7 +291,7 @@ type (
 	ProgramSpec = bpf.ProgramSpec
 	// Program is a loaded program.
 	Program = bpf.Program
-	// LoadOptions tunes loading (JIT on/off, runtime bounds).
+	// LoadOptions tunes loading (simulated JIT on/off, runtime bounds).
 	LoadOptions = bpf.LoadOptions
 	// Hook is a program attachment type.
 	Hook = bpf.Hook
