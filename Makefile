@@ -6,7 +6,8 @@
 #   make fuzz-native [FUZZTIME=5s] — coverage-guided fuzzing of the
 #                  wire parsers (FuzzParseInfo, FuzzValidateSRH) and of
 #                  the packet builders against their oracles
-#                  (FuzzBuildPacketMatchesReference, FuzzEncapWire)
+#                  (FuzzBuildPacketMatchesReference, FuzzEncapWire,
+#                  FuzzEncapInPlace)
 #   make chaos-smoke — chaos-injection determinism gate: chaos unit
 #                  tests, crash/impairment tests, chaos-heavy
 #                  equivalence slice (the CI chaos job)
@@ -91,20 +92,26 @@ test:
 # the race detector: determinism and race-cleanliness of the sharded
 # engine in one short pass. The event-count pin rides along: five
 # events per delivered packet on the 3-node lab at 1 and 2 shards, so
-# an extra event on the per-hop path fails here in a second.
+# an extra event on the per-hop path fails here in a second. So does
+# the TCP-through-a-tunnel arm: its packets are built with headroom in
+# one shard and written into by the tunnel ingress in another.
 race-smoke:
-	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestCrossShardInFlightFailure|TestEventsPerHop' ./internal/netsim
+	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop' ./internal/netsim
 
 # A second pass of the randomized sequential-vs-sharded equivalence
 # fuzzer at smoke depth: -count 2 re-runs the same seeds and catches
-# nondeterminism across process runs.
+# nondeterminism across process runs. The in-place encapsulation
+# target's seed corpus rides along the same way: its verdict depends on
+# where the runtime put two buffers, which must never show.
 fuzz-smoke:
 	$(GO) test -run 'TestShardEquivalenceFuzz' -count 2 ./internal/netsim
+	$(GO) test -run 'FuzzEncapInPlace' -count 2 ./internal/seg6
 
 # Coverage-guided mutation of the wire parsers and of the packet
 # builders (single-buffer BuildPacket against the multi-buffer
 # reference, wire-level encapsulation against its contract and the
-# struct path), native go fuzzing bounded by FUZZTIME per target — the
+# struct path, encapsulation into headroom against the allocating
+# path), native go fuzzing bounded by FUZZTIME per target — the
 # smoke setting keeps `make check` fast; the nightly CI job runs the
 # same targets longer.
 fuzz-native:
@@ -112,6 +119,7 @@ fuzz-native:
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzValidateSRH -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzBuildPacketMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/seg6 -run '^$$' -fuzz FuzzEncapWire -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/seg6 -run '^$$' -fuzz FuzzEncapInPlace -fuzztime $(FUZZTIME)
 
 # Chaos determinism gate: the chaos package's own tests plus the
 # crash/impairment tests and a chaos-heavy slice of the equivalence

@@ -10,6 +10,8 @@ package srv6bpf
 //	BenchmarkJITFactor   — §3.2 JIT-off throughput factor (×1.8)
 //	BenchmarkDatapath    — wall-clock ns/packet of this library's own
 //	                       End.BPF datapath (real, not simulated, time)
+//	BenchmarkLWTOut      — wall-clock ns/packet of the hybrid-access
+//	                       tunnel ingress, with and without headroom
 //
 // Simulation benches report their figures through b.ReportMetric
 // (kpps, normalized ratio, Mbps); ns/op is the wall-clock cost of
@@ -24,9 +26,11 @@ import (
 	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
+	"srv6bpf/internal/nf/hybrid"
 	"srv6bpf/internal/nf/progs"
 	"srv6bpf/internal/packet"
 	"srv6bpf/internal/seg6"
+	"srv6bpf/internal/tcpsim"
 )
 
 // simWindow is the measured virtual-time window per figure run.
@@ -199,6 +203,60 @@ func BenchmarkDatapath(b *testing.B) {
 				if len(res.Pkt) != len(tmpl) {
 					work = packet.Clone(tmpl)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkLWTOut measures the transit hook of the hybrid-access path:
+// the testbed's own WRR attachment (interpreted, as on the paper's CPE)
+// encapsulating an MSS-sized TCP segment. "reserve" hands the hook the
+// segment as the simulator does, its allocation in the PacketMeta, so
+// push_encap writes the outer headers into the headroom tcpsim built
+// the segment with; "none" passes a zero PacketMeta, so it allocates a
+// buffer and copies the segment — the path every packet took before
+// headroom, and the only one the frozen benchmark's core.lwt_out_ns
+// probe can time.
+func BenchmarkLWTOut(b *testing.B) {
+	tb, err := hybrid.NewTestbed(netsim.New(1), hybrid.Params{
+		Link0: hybrid.LinkSpec{RateBps: 50_000_000}, Link1: hybrid.LinkSpec{RateBps: 30_000_000},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tb.EnableWRRDownstream(); err != nil {
+		b.Fatal(err)
+	}
+	wrr := tb.Agg.Lookup(hybrid.S2Addr, netsim.MainTable).BPF.(*core.LWT)
+	buf, err := packet.BuildPacketReserve(tcpsim.HeaderReserve, hybrid.S1Addr, hybrid.S2Addr,
+		packet.WithTCP(packet.TCP{SrcPort: 41000, DstPort: 5001}), packet.WithPayload(make([]byte, 1400)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg := buf[tcpsim.HeaderReserve:]
+	for _, c := range []struct {
+		name   string
+		meta   netsim.PacketMeta
+		allocs float64
+	}{
+		{"reserve", netsim.PacketMeta{Buf: buf}, 0},
+		{"none", netsim.PacketMeta{}, 1},
+	} {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			run := func() {
+				out, verdict, _, err := wrr.RunLWTOut(tb.Agg, seg, &c.meta)
+				if err != nil || verdict != netsim.LWTOK || len(out) != len(buf) {
+					b.Fatalf("verdict %v, err %v, %d bytes out", verdict, err, len(out))
+				}
+			}
+			if got := testing.AllocsPerRun(100, run); got != c.allocs {
+				b.Fatalf("%.0f allocations per run, want %.0f", got, c.allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 		})
 	}

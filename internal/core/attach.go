@@ -187,12 +187,12 @@ func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMet
 		e.stats.record(dInsns, dHelpers, verdictDrop)
 		return seg6.Result{Verdict: seg6.VerdictDrop}, cost, nil
 	case BPFRedirect:
-		if env.pending == nil {
+		if !env.hasPending {
 			e.stats.record(dInsns, dHelpers, verdictError)
 			return seg6.Result{Verdict: seg6.VerdictDrop}, cost, ErrNoPendingState
 		}
 		e.stats.record(dInsns, dHelpers, verdictRedirect)
-		res := *env.pending
+		res := env.pending
 		res.Pkt = env.pkt
 		return res, cost, nil
 	default:

@@ -466,7 +466,9 @@ func pushEncapSpec(name string, mode int32, enc []byte) *bpf.ProgramSpec {
 // copies the program's SRH bytes in front of the packet without
 // decoding them — the output equals the struct-path seg6.Encap, a
 // malformed or over-long SRH is refused, and the whole hook run
-// allocates exactly the one output buffer.
+// allocates exactly the one output buffer — or nothing at all when the
+// PacketMeta names an allocation with the packet at its tail and room
+// for the outer headers in front, which is then where they go.
 func TestLWTPushEncapWire(t *testing.T) {
 	srh := packet.NewSRH([]netip.Addr{sid, dstC}, packet.DMTLV{TxTimestampNS: 42})
 	enc, err := srh.Encode(nil)
@@ -506,6 +508,20 @@ func TestLWTPushEncapWire(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { out, _, _, _ = lwt.RunLWTOut(g.r, raw, &meta) }); got != 1 {
 		t.Errorf("%.0f allocs per LWT push_encap run, want 1 (the output buffer)", got)
+	}
+
+	reserve := packet.IPv6HeaderLen + len(enc)
+	buf := append(make([]byte, reserve), raw...)
+	inBuf := netsim.PacketMeta{Buf: buf}
+	out, verdict, _, err = lwt.RunLWTOut(g.r, buf[reserve:], &inBuf)
+	if err != nil || verdict != netsim.LWTOK || !bytes.Equal(out, want) {
+		t.Fatalf("push_encap into headroom: verdict %v, err %v, output equal to seg6.Encap: %v", verdict, err, bytes.Equal(out, want))
+	}
+	if &out[0] != &buf[0] {
+		t.Error("push_encap had the headroom and did not use it")
+	}
+	if got := testing.AllocsPerRun(200, func() { lwt.RunLWTOut(g.r, buf[reserve:], &inBuf) }); got != 0 {
+		t.Errorf("%.0f allocs per LWT push_encap run into headroom, want 0", got)
 	}
 
 	// segments_left past the list, a wrong routing type and bytes

@@ -32,8 +32,11 @@ type execEnv struct {
 	// pending is the verdict prepared by bpf_lwt_seg6_action for
 	// BPF_REDIRECT ("the default endpoint lookup must not be
 	// performed, and the packet must be forwarded to the destination
-	// already set in the packet metadata").
-	pending *seg6.Result
+	// already set in the packet metadata"), valid when hasPending. Kept
+	// by value: the environment is reused, a verdict per call would be
+	// a heap object per packet.
+	pending    seg6.Result
+	hasPending bool
 
 	// refreshRegions re-installs packet memory after pkt replacement.
 	// It is bound once at attach time; beginRun preserves it.
@@ -53,7 +56,20 @@ func (e *execEnv) beginRun(node *netsim.Node, meta *netsim.PacketMeta, pkt []byt
 	e.pkt = pkt
 	e.srhOff = srhOff
 	e.srhModified = false
-	e.pending = nil
+	e.hasPending = false
+}
+
+// setPending records the verdict a BPF_REDIRECT return will take.
+func (e *execEnv) setPending(res seg6.Result) { e.pending, e.hasPending = res, true }
+
+// buf is the allocation the packet arrived in, for the helpers that
+// encapsulate (see netsim.PacketMeta.Buf); nil when the caller gave no
+// metadata.
+func (e *execEnv) buf() []byte {
+	if e.meta == nil {
+		return nil
+	}
+	return e.meta.Buf
 }
 
 // Now implements bpf.ExecContext against virtual time (the executing
@@ -73,7 +89,7 @@ func (e *execEnv) Printk(msg string) {
 }
 
 // setPacket replaces the working packet and refreshes derived state.
-func (e *execEnv) setPacket(pkt []byte) error {
+func (e *execEnv) setPacket(pkt []byte) {
 	e.pkt = pkt
 	e.srhOff = -1
 	if info, err := packet.ParseInfo(pkt); err == nil && info.HasSRH() {
@@ -82,7 +98,6 @@ func (e *execEnv) setPacket(pkt []byte) error {
 	if e.refreshRegions != nil {
 		e.refreshRegions(e)
 	}
-	return nil
 }
 
 // srhBounds returns the SRH byte range within the packet.

@@ -102,9 +102,7 @@ func helperSeg6AdjustSRH(m *vm.Machine, r1, r2, r3, _, _ uint64) (uint64, error)
 		return bpf.Errno(bpf.EINVAL), nil
 	}
 	e.srhModified = true
-	if err := e.setPacket(out); err != nil {
-		return 0, err
-	}
+	e.setPacket(out)
 	return 0, nil
 }
 
@@ -134,7 +132,7 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 			return bpf.Errno(bpf.EINVAL), nil
 		}
 		nh := netip.AddrFrom16([16]byte(param))
-		e.pending = &seg6.Result{Verdict: seg6.VerdictForwardNexthop, Nexthop: nh}
+		e.setPending(seg6.Result{Verdict: seg6.VerdictForwardNexthop, Nexthop: nh})
 		return 0, nil
 
 	case seg6.ActionEndT:
@@ -142,7 +140,7 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 			return bpf.Errno(bpf.EINVAL), nil
 		}
 		table := int(binary.LittleEndian.Uint32(param))
-		e.pending = &seg6.Result{Verdict: seg6.VerdictForwardTable, Table: table}
+		e.setPending(seg6.Result{Verdict: seg6.VerdictForwardTable, Table: table})
 		return 0, nil
 
 	case seg6.ActionEndB6:
@@ -154,23 +152,20 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 		if err != nil {
 			return bpf.Errno(bpf.EINVAL), nil
 		}
-		if err := e.setPacket(out); err != nil {
-			return 0, err
-		}
-		e.pending = &seg6.Result{Verdict: seg6.VerdictForward}
+		e.setPacket(out)
+		e.setPending(seg6.Result{Verdict: seg6.VerdictForward})
 		return 0, nil
 
 	case seg6.ActionEndB6Encap:
 		// The SRH was already advanced by End.BPF; encapsulate the
-		// updated packet behind the program's SRH bytes.
-		out, err := seg6.EncapWire(e.pkt, e.node.PrimaryAddress(), param)
+		// updated packet behind the program's SRH bytes, in the
+		// packet's own headroom when it has it.
+		out, err := seg6.EncapWireIn(e.buf(), e.pkt, e.node.PrimaryAddress(), param)
 		if err != nil {
 			return bpf.Errno(bpf.EINVAL), nil
 		}
-		if err := e.setPacket(out); err != nil {
-			return 0, err
-		}
-		e.pending = &seg6.Result{Verdict: seg6.VerdictForward}
+		e.setPacket(out)
+		e.setPending(seg6.Result{Verdict: seg6.VerdictForward})
 		return 0, nil
 
 	case seg6.ActionEndDT6:
@@ -182,10 +177,8 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 		if err != nil {
 			return bpf.Errno(bpf.EINVAL), nil
 		}
-		if err := e.setPacket(inner); err != nil {
-			return 0, err
-		}
-		e.pending = &seg6.Result{Verdict: seg6.VerdictForwardTable, Table: table}
+		e.setPacket(inner)
+		e.setPending(seg6.Result{Verdict: seg6.VerdictForwardTable, Table: table})
 		return 0, nil
 
 	default:
@@ -197,9 +190,11 @@ func helperSeg6Action(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 // hook: the program builds an SRH in its own memory and the helper
 // encapsulates (or inlines) it onto the packet. Encapsulation works on
 // the program's bytes as the kernel's seg6_do_srh_encap does —
-// seg6.EncapWire validates them and copies them into the one output
-// buffer — so the SRH is never decoded; only the inline mode, which
-// splices a decoded SRH, still does.
+// seg6.EncapWireIn validates them and copies them in front of the
+// packet, into its headroom when the sender reserved some (skb_push),
+// else into a new buffer — so the SRH is never decoded; only the
+// inline mode, which splices a decoded SRH into a new buffer, still
+// does.
 func helperLWTPushEncap(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error) {
 	e, err := env(m)
 	if err != nil {
@@ -218,7 +213,7 @@ func helperLWTPushEncap(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error)
 	var out []byte
 	switch mode {
 	case EncapSeg6:
-		out, err = seg6.EncapWire(e.pkt, e.node.PrimaryAddress(), hdr)
+		out, err = seg6.EncapWireIn(e.buf(), e.pkt, e.node.PrimaryAddress(), hdr)
 	case EncapSeg6Inline:
 		srh, decoded, derr := packet.DecodeSRH(hdr)
 		if derr != nil || decoded != n {
@@ -231,9 +226,7 @@ func helperLWTPushEncap(m *vm.Machine, r1, r2, r3, r4, _ uint64) (uint64, error)
 	if err != nil {
 		return bpf.Errno(bpf.EINVAL), nil
 	}
-	if err := e.setPacket(out); err != nil {
-		return 0, err
-	}
+	e.setPacket(out)
 	return 0, nil
 }
 

@@ -21,6 +21,7 @@ import (
 	"srv6bpf/internal/nf/frr"
 	"srv6bpf/internal/packet"
 	"srv6bpf/internal/seg6"
+	"srv6bpf/internal/tcpsim"
 	"srv6bpf/internal/trafgen"
 )
 
@@ -346,5 +347,108 @@ func TestShardEquivalenceSmoke(t *testing.T) {
 	base := run(1)
 	if got := run(2); got != base {
 		diffReport(t, base, got, 2)
+	}
+}
+
+// tcpTunnelRun is a TCP transfer S → T through a tunnel A ⇄ M (static
+// H.Encaps one way, End.DT6 the other, in both directions): every
+// segment and every ACK leaves its sender with headroom and is
+// encapsulated in place one hop later. assign places the four nodes
+// (creation order S, A, M, T); nil runs on one shard.
+func tcpTunnelRun(t *testing.T, assign []int) string {
+	t.Helper()
+	var (
+		sAddr  = netip.MustParseAddr("2001:db8:1::1")
+		aAddr  = netip.MustParseAddr("2001:db8:a::1")
+		mAddr  = netip.MustParseAddr("2001:db8:c::1")
+		tAddr  = netip.MustParseAddr("2001:db8:2::1")
+		sidAtM = netip.MustParseAddr("fc00:c::d6")
+		sidAtA = netip.MustParseAddr("fc00:a::d6")
+	)
+	pfx := netip.MustParsePrefix
+
+	sim := netsim.New(5)
+	s := sim.AddNode("S", netsim.HostCostModel())
+	a := sim.AddNode("A", netsim.ServerCostModel())
+	m := sim.AddNode("M", netsim.ServerCostModel())
+	tt := sim.AddNode("T", netsim.HostCostModel())
+	s.AddAddress(sAddr)
+	a.AddAddress(aAddr)
+	m.AddAddress(mAddr)
+	tt.AddAddress(tAddr)
+
+	edge := netem.Config{RateBps: 1e9, DelayNs: 20 * netsim.Microsecond}
+	// A bottleneck with a short queue, so the transfer also loses and
+	// retransmits segments.
+	access := netem.Config{RateBps: 50e6, DelayNs: 500 * netsim.Microsecond, QueueLimit: 20}
+	sIf, asIf := netsim.ConnectSymmetric(s, a, edge)
+	amIf, maIf := netsim.ConnectSymmetric(a, m, access)
+	mtIf, tIf := netsim.ConnectSymmetric(m, tt, edge)
+
+	s.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: sIf}}})
+	tt.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tIf}}})
+	a.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: asIf}}})
+	a.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteSeg6Encap,
+		SRH: packet.NewSRH([]netip.Addr{sidAtM}), Nexthops: []netsim.Nexthop{{Iface: amIf}}})
+	a.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sidAtA, 128), Kind: netsim.RouteSeg6Local, Behaviour: endDT6Behaviour()})
+	m.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: mtIf}}})
+	m.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteSeg6Encap,
+		SRH: packet.NewSRH([]netip.Addr{sidAtA}), Nexthops: []netsim.Nexthop{{Iface: maIf}}})
+	m.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sidAtM, 128), Kind: netsim.RouteSeg6Local, Behaviour: endDT6Behaviour()})
+
+	// Delivery traces, each appended by the transmitting node's shard:
+	// segments as M hands them to T, ACKs as A hands them to S.
+	trace := func(i *netsim.Iface) *netsim.Journal {
+		j := netsim.NewJournal()
+		i.Tap = func(raw []byte) {
+			p, err := packet.Parse(raw)
+			if err != nil || p.L4Proto != packet.ProtoTCP {
+				j.Addf("%d:?", i.Node.Now())
+				return
+			}
+			seg, _ := packet.DecodeTCP(raw[p.L4Off:])
+			j.Addf("%d:%d/%d", i.Node.Now(), seg.Seq, seg.Ack)
+		}
+		return j
+	}
+	segs, acks := trace(mtIf), trace(asIf)
+
+	snd, rcv, err := tcpsim.NewTransfer(tcpsim.NewStack(s), tcpsim.NewStack(tt), sAddr, tAddr, 40000, 5001,
+		tcpsim.Config{MinRTO: 5 * netsim.Millisecond, FlowLabel: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assign != nil {
+		if err := sim.SetShardsPartitioned(2, assign); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Schedule(0, snd.Start)
+	sim.RunUntil(40 * netsim.Millisecond)
+	snd.Stop()
+	sim.Run()
+
+	if rcv.GoodputBytes == 0 || snd.Retransmits == 0 {
+		t.Fatalf("scenario too tame: %d bytes delivered, %d retransmits", rcv.GoodputBytes, snd.Retransmits)
+	}
+	return fingerprint(sim, []string{
+		fmt.Sprintf("sent=%d rtx=%d timeouts=%d goodput=%d ooo=%d dup=%d",
+			snd.SegmentsSent, snd.Retransmits, snd.Timeouts, rcv.GoodputBytes, rcv.OutOfOrderSegs, rcv.DupSegs),
+		"segs=" + strings.Join(segs.Lines(), ","),
+		"acks=" + strings.Join(acks.Lines(), ","),
+	})
+}
+
+// TestShardEquivalenceTCPEncap: packets that carry headroom cross a
+// shard boundary between the node that built them and the node that
+// writes into it. The sender and its tunnel ingress sit in different
+// shards in both directions (S|A and T|M), under two placements; the
+// run must be the sequential one, and race-clean (`make race-smoke`).
+func TestShardEquivalenceTCPEncap(t *testing.T) {
+	base := tcpTunnelRun(t, nil)
+	for _, assign := range [][]int{{0, 1, 1, 0}, {0, 1, 0, 1}} {
+		if got := tcpTunnelRun(t, assign); got != base {
+			diffReport(t, base, got, 2)
+		}
 	}
 }

@@ -74,14 +74,15 @@ func earlier(g []evKey, a, b int) int {
 }
 
 // evPayload is what an event carries besides its key: a link delivery
-// (peer != nil: hand raw to the receiving link end) or a general
-// closure (driver schedules, timers, NF callbacks). Both packet-path
-// kinds — deliveries and drain continuations — are pure data, so the
-// steady-state schedule/execute cycle allocates nothing.
+// (peer != nil: hand the packet buf[head:] to the receiving link end)
+// or a general closure (driver schedules, timers, NF callbacks). Both
+// packet-path kinds — deliveries and drain continuations — are pure
+// data, so the steady-state schedule/execute cycle allocates nothing.
 type evPayload struct {
 	fn   func()
 	peer *Iface // receiving link end
-	raw  []byte // packet bytes
+	buf  []byte // the packet's allocation
+	head int32  // where in buf the packet starts
 }
 
 // eventQueue is a shard's pending-event set: an implicit 4-ary min-heap
@@ -131,7 +132,7 @@ func (q *eventQueue) pushDrainCont(at, schedAt int64, src int32, k, epoch uint64
 func (q *eventQueue) pushDeliver(m *xmsg) {
 	slot := q.alloc()
 	p := &q.slab[slot]
-	p.peer, p.raw = m.peer, m.raw
+	p.peer, p.buf, p.head = m.peer, m.buf, m.head
 	q.insert(m.at, m.schedAt, m.src, m.k, m.epoch, slot)
 }
 
@@ -168,10 +169,10 @@ func (q *eventQueue) takeFn(slot int32) func() {
 }
 
 // takeDeliver returns the delivery in slot and recycles the slot.
-func (q *eventQueue) takeDeliver(slot int32) (peer *Iface, raw []byte) {
+func (q *eventQueue) takeDeliver(slot int32) (peer *Iface, buf []byte, head int32) {
 	p := &q.slab[slot]
-	peer, raw = p.peer, p.raw
-	p.peer, p.raw = nil, nil
+	peer, buf, head = p.peer, p.buf, p.head
+	p.peer, p.buf = nil, nil
 	q.free = append(q.free, slot)
 	return
 }

@@ -51,7 +51,7 @@ func (o *queueOracle) check(t *testing.T) {
 			t.Fatalf("slot %d both live and free", slot)
 		}
 		used[slot] = true
-		if p := &q.slab[slot]; p.fn != nil || p.peer != nil || p.raw != nil {
+		if p := &q.slab[slot]; p.fn != nil || p.peer != nil || p.buf != nil {
 			t.Fatalf("free slot %d still holds references", slot)
 		}
 	}
@@ -91,8 +91,9 @@ func TestEventQueueDifferential(t *testing.T) {
 					live.q.pushDrainCont(ev.key.at, ev.key.schedAt, ev.key.src, k, ev.id)
 				case 2:
 					ev.key.epoch = uint64(rng.Intn(3))
-					m := xmsg{at: ev.key.at, schedAt: ev.key.schedAt, src: ev.key.src, k: k,
-						peer: peer, epoch: ev.key.epoch, raw: binary.BigEndian.AppendUint64(nil, ev.id)}
+					head := int32(ev.id % 4)
+					m := xmsg{at: ev.key.at, schedAt: ev.key.schedAt, src: ev.key.src, head: head, k: k,
+						peer: peer, epoch: ev.key.epoch, buf: binary.BigEndian.AppendUint64(make([]byte, head), ev.id)}
 					live.q.pushDeliver(&m)
 				}
 				live.events = append(live.events, ev)
@@ -121,8 +122,8 @@ func TestEventQueueDifferential(t *testing.T) {
 						t.Fatalf("seed %d step %d: closure id %d, oracle kind %d id %d", seed, step, got, want.kind, want.id)
 					}
 				default:
-					p, raw := live.q.takeDeliver(e.slot)
-					if want.kind != 2 || p != peer || binary.BigEndian.Uint64(raw) != want.id {
+					p, buf, head := live.q.takeDeliver(e.slot)
+					if want.kind != 2 || p != peer || head != int32(want.id%4) || binary.BigEndian.Uint64(buf[head:]) != want.id {
 						t.Fatalf("seed %d step %d: delivery payload does not match oracle %+v", seed, step, want)
 					}
 				}
@@ -152,7 +153,7 @@ func holdQueue(depth int) (q *eventQueue, hold func() int64) {
 	push := func(at, now int64, deliver bool) {
 		k++
 		if deliver {
-			m := xmsg{at: at, schedAt: now, src: int32(k & 127), k: k, peer: peer, raw: raw}
+			m := xmsg{at: at, schedAt: now, src: int32(k & 127), k: k, peer: peer, buf: raw}
 			q.pushDeliver(&m)
 		} else {
 			q.pushDrainCont(at, now, int32(k&127), k, 0)

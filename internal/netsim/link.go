@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"srv6bpf/internal/netem"
+	"srv6bpf/internal/packet"
 )
 
 // Iface is one end of a point-to-point link.
@@ -128,10 +129,11 @@ func (i *Iface) setOneEnd(up bool) {
 type xmsg struct {
 	at, schedAt int64
 	src         int32
+	head        int32 // the packet is buf[head:]
 	k           uint64
 	peer        *Iface // receiving link end
 	epoch       uint64 // sender's fail epoch at transmission
-	raw         []byte
+	buf         []byte // the packet's allocation
 }
 
 // Transmit serialises raw onto the link; the peer node receives it
@@ -140,7 +142,13 @@ type xmsg struct {
 // node's shard; the delivery event is routed to the shard owning the
 // peer, carrying the deterministic key the sequential schedule would
 // have assigned it.
-func (i *Iface) Transmit(raw []byte) {
+func (i *Iface) Transmit(raw []byte) { i.transmit(raw, nil) }
+
+// transmit is Transmit for a packet whose allocation the caller holds:
+// when raw is provably buf's tail the delivery carries buf and the
+// offset raw starts at, so the receiving node can still reach the
+// bytes in front of the packet; otherwise it carries raw alone.
+func (i *Iface) transmit(raw, buf []byte) {
 	if i.down {
 		i.TxDrops++
 		i.downTxDrops++
@@ -160,26 +168,31 @@ func (i *Iface) Transmit(raw []byte) {
 		// below happens after the sender's tcpdump point.
 		i.Tap(raw)
 	}
+	head := packet.Headroom(buf, raw)
+	if head == 0 {
+		buf = raw
+	}
 	// Chaos-layer impairments. All draws come from the transmitting
 	// node's stream in a fixed order (corrupt, then duplicate) and only
 	// when the knob is set, so impairment-free runs consume an
 	// identical random stream with or without the chaos layer.
 	if i.q.DrawCorrupt(n.rng) {
 		// Damage a copy: the tap above (and a caller that kept the slice
-		// it handed to Output) holds the packet as transmitted.
-		raw = corruptCopy(raw, n.rng)
+		// it handed to Output) holds the packet as transmitted. The copy
+		// is the packet alone: whatever lay in front of it stays behind.
+		buf, head = corruptCopy(raw, n.rng), 0
 		n.Count("tx_corrupted")
 	}
 	dup := i.q.DrawDuplicate(n.rng)
-	i.send(raw, deliverAt, now)
+	i.send(buf, head, deliverAt, now)
 	if dup {
 		// tc-netem duplication: the copy is re-admitted as if enqueued
 		// a second time, serialising and jittering independently. It
-		// owns fresh bytes — receivers mutate packets in place, so two
-		// deliveries must never share a buffer.
+		// owns fresh bytes — receivers mutate packets in place and write
+		// in front of them, so two deliveries must never share a buffer.
 		if dupAt, ok := i.q.Admit(now, len(raw), n.rng); ok {
 			n.Count("tx_duplicated")
-			i.send(append([]byte(nil), raw...), dupAt, now)
+			i.send(append([]byte(nil), buf[head:]...), 0, dupAt, now)
 		} else {
 			i.TxDrops++
 		}
@@ -188,12 +201,12 @@ func (i *Iface) Transmit(raw []byte) {
 
 // send routes one admitted packet delivery to the peer, carrying the
 // deterministic event key.
-func (i *Iface) send(raw []byte, deliverAt, now int64) {
+func (i *Iface) send(buf []byte, head int, deliverAt, now int64) {
 	n := i.Node
 	n.schedK++
 	m := xmsg{
-		at: deliverAt, schedAt: now, src: n.idx, k: n.schedK,
-		peer: i.peer, epoch: i.failEpoch, raw: raw,
+		at: deliverAt, schedAt: now, src: n.idx, head: int32(head), k: n.schedK,
+		peer: i.peer, epoch: i.failEpoch, buf: buf,
 	}
 	if i.peer.Node.shard == n.shard {
 		n.shard.q.pushDeliver(&m)

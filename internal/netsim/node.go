@@ -21,6 +21,14 @@ type PacketMeta struct {
 	// Local marks locally-originated packets, which are exempt from
 	// hop-limit decrement.
 	Local bool
+	// Buf is the allocation the packet arrived in (nil when the sender
+	// kept it to itself). While the packet is still that allocation's
+	// tail, the bytes in front of it are this hop's to use: a tunnel
+	// ingress pushes its outer headers there instead of copying the
+	// packet. It is a claim, not a promise — every user checks it with
+	// packet.Headroom first, so a packet reallocated since (or a zero
+	// PacketMeta) simply has no headroom.
+	Buf []byte
 }
 
 // Seg6LocalProgram is implemented by internal/core's End.BPF
@@ -82,10 +90,16 @@ type pendingCommit struct {
 	fn       func()
 }
 
-// rxItem is one packet waiting in the receive ring.
+// rxItem is one packet waiting in the receive ring: buf[head:], as it
+// came off the link (see evPayload), and what PacketMeta will say about
+// its arrival. The ring is most of an overloaded node's live heap, so
+// the item holds the allocation in place of the packet and a small
+// offset, not two slices.
 type rxItem struct {
-	raw  []byte
-	meta PacketMeta
+	buf         []byte
+	rxTimestamp int64
+	inIface     *Iface
+	head        int32
 }
 
 // Counter is a pre-resolved handle to one named counter cell. The
@@ -558,14 +572,14 @@ func (n *Node) BindIfaceTable(in *Iface, table int) error {
 // link failure, crash or route change scheduled for the arrival instant
 // finds the packet already routed. Service order is arrival order
 // either way.
-func (n *Node) deliver(raw []byte, in *Iface) {
+func (n *Node) deliver(buf []byte, head int32, in *Iface) {
 	if n.crashed {
 		// The links go down with the node, so normally nothing arrives
 		// here; this guards same-instant races around the crash event.
 		n.Count("crash_rx_lost")
 		return
 	}
-	if !n.rxPush(rxItem{raw: raw, meta: PacketMeta{RxTimestamp: n.Now(), InIface: in}}) {
+	if !n.rxPush(rxItem{buf: buf, rxTimestamp: n.Now(), inIface: in, head: head}) {
 		n.hot.rxRingFull.Inc()
 		return
 	}
@@ -624,14 +638,15 @@ func (n *Node) drain() {
 		return
 	}
 	item := n.rxPop()
+	raw := item.buf[item.head:]
 
-	cost := n.Cost.PacketCost(len(item.raw))
+	cost := n.Cost.PacketCost(len(raw))
 	pc := &n.pending
-	*pc = pendingCommit{meta: item.meta}
+	*pc = pendingCommit{meta: PacketMeta{RxTimestamp: item.rxTimestamp, InIface: item.inIface, Buf: item.buf}}
 	if n.obs != nil {
-		n.obsBeginHop(item.raw, n.Now()-pc.meta.RxTimestamp)
+		n.obsBeginHop(raw, n.Now()-pc.meta.RxTimestamp)
 	}
-	cost += n.routePacket(item.raw, pc, 0)
+	cost += n.routePacket(raw, pc, 0)
 	if n.obs != nil {
 		n.obsEndHop(cost)
 	}
@@ -669,12 +684,12 @@ func (n *Node) runCommit(pc *pendingCommit) {
 	pc.op = commitNone
 	switch op {
 	case commitTransmit:
-		raw, iface := pc.raw, pc.iface
-		pc.raw, pc.iface = nil, nil
+		raw, buf, iface := pc.raw, pc.meta.Buf, pc.iface
+		pc.raw, pc.meta.Buf, pc.iface = nil, nil, nil
 		if pc.decHop {
 			packet.SetHopLimit(raw, pc.hopLimit-1)
 		}
-		iface.Transmit(raw)
+		iface.transmit(raw, buf)
 	case commitLocal:
 		raw := pc.raw
 		pc.raw = nil
@@ -689,7 +704,15 @@ func (n *Node) runCommit(pc *pendingCommit) {
 // Output injects a locally-generated packet into the routing path.
 // Generation cost is the caller's concern (traffic generators pace
 // themselves), so no CPU time is charged here.
-func (n *Node) Output(raw []byte) {
+func (n *Node) Output(raw []byte) { n.output(raw, nil) }
+
+// OutputReserved is Output for a packet built with spare bytes in front
+// (packet.BuildPacketReserve): the packet is buf[reserve:], and buf
+// travels with it so that a tunnel ingress on the path can encapsulate
+// in place. The caller gives buf up, as with Output.
+func (n *Node) OutputReserved(buf []byte, reserve int) { n.output(buf[reserve:], buf) }
+
+func (n *Node) output(raw, buf []byte) {
 	if n.crashed {
 		// Application timers keep firing through a crash (the process
 		// schedule outlives the box in this model), but nothing leaves
@@ -698,7 +721,7 @@ func (n *Node) Output(raw []byte) {
 		return
 	}
 	pc := &n.outPending
-	*pc = pendingCommit{meta: PacketMeta{RxTimestamp: n.Now(), Local: true}}
+	*pc = pendingCommit{meta: PacketMeta{RxTimestamp: n.Now(), Local: true, Buf: buf}}
 	if n.obs != nil {
 		n.obsBeginHop(raw, 0)
 	}
@@ -865,8 +888,7 @@ func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit) int64 {
 			}
 			return 0
 		}
-		src, _ = packet.IPv6Src(raw)
-		dst, _ = packet.IPv6Dst(raw)
+		src, dst = hdr.Src, hdr.Dst
 		hopLimit, flowLabel = hdr.HopLimit, hdr.FlowLabel
 	}
 	if !pc.meta.Local {
@@ -917,7 +939,7 @@ func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit) int64 {
 				packet.SetHopLimit(raw, hopLimit-1)
 				pc.meta.Local = true
 			}
-			enc, err := seg6.Encap(raw, n.primary, r.Backup.SRH)
+			enc, err := seg6.EncapIn(pc.meta.Buf, raw, n.primary, r.Backup.SRH)
 			if err != nil {
 				n.Count("drop_backup_encap_error")
 				if n.spanIdx >= 0 {
@@ -1214,7 +1236,7 @@ func (n *Node) applySeg6Encap(r *Route, raw []byte, pc *pendingCommit, depth int
 		if !n.tunnelHopLimit(raw, pc) {
 			return n.Cost.ICMPGenNs
 		}
-		out, err = seg6.EncapRed(raw, n.primary, r.SRH)
+		out, err = seg6.EncapRedIn(pc.meta.Buf, raw, n.primary, r.SRH)
 		if n.spanIdx >= 0 {
 			n.obsBehavior("H.Encaps.Red")
 		}
@@ -1222,7 +1244,7 @@ func (n *Node) applySeg6Encap(r *Route, raw []byte, pc *pendingCommit, depth int
 		if !n.tunnelHopLimit(raw, pc) {
 			return n.Cost.ICMPGenNs
 		}
-		out, err = seg6.Encap(raw, n.primary, r.SRH)
+		out, err = seg6.EncapIn(pc.meta.Buf, raw, n.primary, r.SRH)
 		if n.spanIdx >= 0 {
 			n.obsBehavior("T.Encaps")
 		}

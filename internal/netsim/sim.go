@@ -28,6 +28,25 @@
 // Node.deliver). Traffic sources add one event per packet they emit; a
 // TCP sender adds one timer event per RTO, not per ACK.
 //
+// # Packet buffers
+//
+// A packet is a []byte with one owner at a time: whoever holds it may
+// rewrite it in place (hop limit, SRH advance, decapsulation by moving
+// the start), and handing it to Node.Output or Iface.Transmit gives it
+// up. What travels between nodes — event payload, cross-shard message,
+// receive ring — is the packet's allocation plus the offset the packet
+// starts at, and PacketMeta.Buf shows that allocation to the hop. A
+// packet built with spare bytes in front (packet.BuildPacketReserve,
+// Node.OutputReserved; tcpsim does) is the tail of its allocation, and a
+// tunnel ingress writes its outer headers into those bytes instead of
+// copying the packet — after checking, by pointer identity
+// (packet.Headroom), that the packet still is that tail. The only
+// bytes ever written outside a packet are the ones directly in front
+// of it in its own allocation; a packet reallocated on the way has no
+// headroom and is copied as before, and a duplicate or a corrupted copy
+// made by the link owns fresh bytes. Buffers are never pooled or
+// reused: one dies with its packet.
+//
 // # Sharded parallel execution
 //
 // By default the simulation runs on one event queue on the calling
@@ -72,12 +91,12 @@ func (s *Sim) exec(sh *shard, e *evKey) {
 		sh.q.takeFn(e.slot)()
 		return
 	}
-	peer, raw := sh.q.takeDeliver(e.slot)
+	peer, buf, head := sh.q.takeDeliver(e.slot)
 	if peer.failEpoch != e.epoch {
 		peer.inFlightKills++
 		return
 	}
-	peer.Node.deliver(raw, peer)
+	peer.Node.deliver(buf, head, peer)
 }
 
 // Sim is the simulation kernel: a virtual clock, one event queue per

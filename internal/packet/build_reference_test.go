@@ -277,14 +277,15 @@ func TestBuildPacketErrorsMatchReference(t *testing.T) {
 
 // FuzzBuildPacketMatchesReference drives both assemblies from fuzzed
 // addresses, header fields, SRH shape and payload and requires equal
-// bytes (or both refusing).
+// bytes (or both refusing) — from BuildPacket, and behind any reserve
+// from BuildPacketReserve, whose spare bytes change nothing after them.
 func FuzzBuildPacketMatchesReference(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), uint32(0), uint32(0), []byte{})
-	f.Add(uint8(1), uint8(1), uint8(64), uint32(0x12345), uint32(1400), []byte("payload"))
-	f.Add(uint8(2), uint8(2), uint8(1), uint32(0xfffff), uint32(0), bytes.Repeat([]byte{0xff}, 1399))
-	f.Add(uint8(3), uint8(3), uint8(255), uint32(7), uint32(2800), []byte{1})
-	f.Add(uint8(7), uint8(1), uint8(9), uint32(0), uint32(0), []byte{0xff, 0xff})
-	f.Fuzz(func(t *testing.T, upper, srhShape, hl uint8, fl, seq uint32, payload []byte) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint32(0), uint32(0), []byte{}, uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(64), uint32(0x12345), uint32(1400), []byte("payload"), uint8(64))
+	f.Add(uint8(2), uint8(2), uint8(1), uint32(0xfffff), uint32(0), bytes.Repeat([]byte{0xff}, 1399), uint8(64))
+	f.Add(uint8(3), uint8(3), uint8(255), uint32(7), uint32(2800), []byte{1}, uint8(1))
+	f.Add(uint8(7), uint8(1), uint8(9), uint32(0), uint32(0), []byte{0xff, 0xff}, uint8(255))
+	f.Fuzz(func(t *testing.T, upper, srhShape, hl uint8, fl, seq uint32, payload []byte, reserve uint8) {
 		var src, dst [16]byte
 		for i := range src {
 			src[i], dst[i] = byte(seq>>(i%4*8))^byte(i), byte(fl>>(i%3*8))+hl
@@ -328,6 +329,22 @@ func FuzzBuildPacketMatchesReference(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("BuildPacket differs from the reference\n got  %x\n want %x", got, want)
+		}
+		buf, bufErr := BuildPacketReserve(int(reserve), netip.AddrFrom16(src), netip.AddrFrom16(dst), opts...)
+		if (bufErr == nil) != (wantErr == nil) {
+			t.Fatalf("BuildPacketReserve(%d) err=%v, reference err=%v", reserve, bufErr, wantErr)
+		}
+		if bufErr != nil {
+			return
+		}
+		if len(buf) != int(reserve)+len(want) || cap(buf) != len(buf) {
+			t.Fatalf("BuildPacketReserve(%d): len %d cap %d for a %d-byte packet", reserve, len(buf), cap(buf), len(want))
+		}
+		if !bytes.Equal(buf[reserve:], want) {
+			t.Fatalf("BuildPacketReserve(%d) differs from the reference after the reserve\n got  %x\n want %x", reserve, buf[reserve:], want)
+		}
+		if Headroom(buf, buf[reserve:]) != int(reserve) {
+			t.Fatalf("Headroom of a fresh %d-byte reserve reads %d", reserve, Headroom(buf, buf[reserve:]))
 		}
 	})
 }

@@ -230,6 +230,23 @@ func (p *Packet) Summary() string {
 	return s
 }
 
+// Headroom reports how many bytes of buf lie in front of raw when raw
+// is provably the tail of buf — same last byte, same memory — and 0
+// otherwise. A tunnel ingress may write that many bytes leftwards from
+// raw[0] instead of copying the packet (BuildPacketReserve leaves them
+// spare; a decapsulation leaves the dead outer headers there). The
+// proof is pointer identity, so a packet that was reallocated on the
+// way (an SRH insertion, a corrupted or duplicated copy), or a buf that
+// belongs to some other packet, reads as no headroom: a stale
+// allocation is never written.
+func Headroom(buf, raw []byte) int {
+	head := len(buf) - len(raw)
+	if head <= 0 || len(raw) == 0 || &buf[head] != &raw[0] {
+		return 0
+	}
+	return head
+}
+
 // Clone returns a deep copy of the raw bytes.
 func Clone(raw []byte) []byte {
 	out := make([]byte, len(raw))

@@ -356,6 +356,20 @@ func WithTrafficClass(tc uint8) BuildOption {
 // wire order, the transport checksum then computed in place over the
 // tail. That buffer is the call's only allocation.
 func BuildPacket(src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
+	return BuildPacketReserve(0, src, dst, opts...)
+}
+
+// BuildPacketReserve is BuildPacket with reserve spare bytes in front
+// of the packet, the way the kernel's TCP stack allocates an skb with
+// MAX_TCP_HEADER of headroom. It returns the whole allocation; the
+// packet is its [reserve:], byte for byte what BuildPacket returns, and
+// a tunnel ingress down the path that is handed the allocation can push
+// its outer headers into the spare bytes instead of copying the packet
+// (seg6.EncapIn). Still one allocation.
+func BuildPacketReserve(reserve int, src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
+	if reserve < 0 {
+		return nil, fmt.Errorf("packet: negative reserve %d", reserve)
+	}
 	spec := buildSpec{ip: IPv6{Src: src, Dst: dst, HopLimit: 64}}
 	for i := range opts {
 		opts[i].apply(&spec)
@@ -403,10 +417,10 @@ func BuildPacket(src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
 	}
 	spec.ip.PayloadLen = uint16(payloadLen)
 
-	out := spec.ip.Encode(make([]byte, 0, IPv6HeaderLen+payloadLen))
+	out := spec.ip.Encode(make([]byte, reserve, reserve+IPv6HeaderLen+payloadLen))
 	if spec.srh != nil {
 		out, _ = spec.srh.Encode(out) // cannot fail: HdrExtLen passed above
-		out[IPv6HeaderLen+SRHOffNextHeader] = proto
+		out[reserve+IPv6HeaderLen+SRHOffNextHeader] = proto
 	}
 	l4 := len(out)
 	switch proto {

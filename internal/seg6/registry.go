@@ -327,7 +327,11 @@ func init() {
 				return drop(), fmt.Errorf("%w: End.B6.Encaps needs an SRH and source", ErrBadBehaviour)
 			}
 			// Advance the original SRH first (we are an endpoint for
-			// the current active segment), then push the policy.
+			// the current active segment), then push the policy. Apply
+			// is not told which allocation raw arrived in, so this
+			// static form always encapsulates into a fresh buffer; the
+			// End.BPF helper form, which is told, pushes into headroom
+			// (EncapWireIn).
 			work := packet.Clone(raw)
 			if err := Advance(work); err != nil {
 				return drop(), err

@@ -377,13 +377,21 @@ func innerMeta(raw []byte) (proto, hl uint8, fl uint32, err error) {
 }
 
 // encap is the one encapsulation body, the shape of the kernel's
-// seg6_do_srh_encap: size the output, write the outer IPv6 header,
-// put the SRH behind it with its NextHeader patched to proto, append
-// the inner bytes. The SRH comes either decoded (srh, encoded straight
-// into the output) or already in wire format and validated by the
-// caller (wire, copied verbatim); with neither the result is plain
-// IP-in-IPv6. The output buffer is the only allocation.
-func encap(inner []byte, proto, hopLimit uint8, flowLabel uint32, src, dst netip.Addr, srh *packet.SRH, wire []byte) ([]byte, error) {
+// seg6_do_srh_encap: size the outer headers, get room for them in front
+// of the inner bytes, write the outer IPv6 header and put the SRH behind
+// it with its NextHeader patched to proto. The SRH comes either decoded
+// (srh, encoded straight into the output) or already in wire format and
+// validated by the caller (wire, copied verbatim); with neither the
+// result is plain IP-in-IPv6.
+//
+// The room comes one of two ways. When inner is provably the tail of
+// buf (packet.Headroom) with the outer headers' worth of bytes before
+// it, they are written there — skb_push into headroom — and the result
+// is again a tail of buf: no allocation, no copy. Otherwise (buf nil,
+// stale, someone else's, or too short in front) the output is a fresh
+// buffer of exactly the encapsulated size, the one allocation, and
+// inner is copied in behind the headers.
+func encap(buf, inner []byte, proto, hopLimit uint8, flowLabel uint32, src, dst netip.Addr, srh *packet.SRH, wire []byte) ([]byte, error) {
 	srhLen := len(wire)
 	if srh != nil {
 		hel, err := srh.HdrExtLen()
@@ -407,16 +415,24 @@ func encap(inner []byte, proto, hopLimit uint8, flowLabel uint32, src, dst netip
 	if srhLen > 0 {
 		outer.NextHeader = packet.ProtoRouting
 	}
-	out := outer.Encode(make([]byte, 0, packet.IPv6HeaderLen+payloadLen))
-	if srh != nil {
-		out, _ = srh.Encode(out) // cannot fail: HdrExtLen passed above
+	hdrLen := packet.IPv6HeaderLen + srhLen
+	var out []byte
+	if head := packet.Headroom(buf, inner); head >= hdrLen {
+		out = buf[head-hdrLen:]
 	} else {
-		out = append(out, wire...)
+		out = make([]byte, hdrLen+len(inner))
+		copy(out[hdrLen:], inner)
+	}
+	hdr := outer.Encode(out[:0])
+	if srh != nil {
+		srh.Encode(hdr) // cannot fail: HdrExtLen passed above
+	} else {
+		copy(out[packet.IPv6HeaderLen:], wire)
 	}
 	if srhLen > 0 {
 		out[packet.IPv6HeaderLen+packet.SRHOffNextHeader] = proto
 	}
-	return append(out, inner...), nil
+	return out, nil
 }
 
 // Encap wraps raw (IPv6 or IPv4) in a new outer IPv6 header carrying
@@ -428,6 +444,15 @@ func encap(inner []byte, proto, hopLimit uint8, flowLabel uint32, src, dst netip
 // output. srh is encoded straight into the one output buffer and is
 // not modified.
 func Encap(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
+	return EncapIn(nil, raw, outerSrc, srh)
+}
+
+// EncapIn is Encap for a caller that holds the allocation raw arrived
+// in: when raw is that allocation's tail and enough of it lies in front
+// (see encap), the outer headers are written there and the result
+// shares raw's memory; in every other case it is Encap. buf is never
+// trusted, only compared, so passing a stale one is harmless.
+func EncapIn(buf, raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
 	proto, hl, fl, err := innerMeta(raw)
 	if err != nil {
 		return nil, err
@@ -436,7 +461,7 @@ func Encap(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encap(raw, proto, hl, fl, outerSrc, active, srh, nil)
+	return encap(buf, raw, proto, hl, fl, outerSrc, active, srh, nil)
 }
 
 // EncapWire is Encap for an SRH a program built in wire format (the
@@ -447,6 +472,11 @@ func Encap(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
 // copies them in front of the inner packet verbatim, only NextHeader
 // patched.
 func EncapWire(raw []byte, outerSrc netip.Addr, srh []byte) ([]byte, error) {
+	return EncapWireIn(nil, raw, outerSrc, srh)
+}
+
+// EncapWireIn is to EncapWire what EncapIn is to Encap.
+func EncapWireIn(buf, raw []byte, outerSrc netip.Addr, srh []byte) ([]byte, error) {
 	if err := packet.ValidateSRHBytes(srh); err != nil {
 		return nil, err
 	}
@@ -460,7 +490,7 @@ func EncapWire(raw []byte, outerSrc netip.Addr, srh []byte) ([]byte, error) {
 	}
 	segOff := packet.SRHOffSegments + 16*int(sl)
 	active := netip.AddrFrom16([16]byte(srh[segOff : segOff+16]))
-	return encap(raw, proto, hl, fl, outerSrc, active, nil, srh)
+	return encap(buf, raw, proto, hl, fl, outerSrc, active, nil, srh)
 }
 
 // EncapRed is Encap in the reduced form of RFC 8986 §5.2 (H.Encaps.Red
@@ -469,6 +499,11 @@ func EncapWire(raw []byte, outerSrc netip.Addr, srh []byte) ([]byte, error) {
 // then points one past LastEntry. A single-segment policy degenerates
 // to plain IP-in-IPv6 with no SRH at all.
 func EncapRed(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
+	return EncapRedIn(nil, raw, outerSrc, srh)
+}
+
+// EncapRedIn is to EncapRed what EncapIn is to Encap.
+func EncapRedIn(buf, raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) {
 	proto, hl, fl, err := innerMeta(raw)
 	if err != nil {
 		return nil, err
@@ -478,14 +513,14 @@ func EncapRed(raw []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error) 
 		return nil, err
 	}
 	if len(srh.Segments) <= 1 {
-		return encap(raw, proto, hl, fl, outerSrc, first, nil, nil)
+		return encap(buf, raw, proto, hl, fl, outerSrc, first, nil, nil)
 	}
 	red := *srh
 	// Wire order is reversed, so the first-travel segment is the last
 	// list entry; dropping 16 bytes keeps the 8-byte TLV alignment.
 	red.Segments = srh.Segments[:len(srh.Segments)-1]
 	red.LastEntry = uint8(len(red.Segments) - 1)
-	return encap(raw, proto, hl, fl, outerSrc, first, &red, nil)
+	return encap(buf, raw, proto, hl, fl, outerSrc, first, &red, nil)
 }
 
 // EncapL2 wraps an Ethernet frame in an outer IPv6 header carrying
@@ -501,7 +536,7 @@ func EncapL2(frame []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	return encap(frame, packet.ProtoEthernet, 64, 0, outerSrc, active, srh, nil)
+	return encap(nil, frame, packet.ProtoEthernet, 64, 0, outerSrc, active, srh, nil)
 }
 
 // ApplyStatic executes a non-BPF behaviour on raw through the dispatch

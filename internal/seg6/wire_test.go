@@ -221,6 +221,136 @@ func FuzzEncapWire(f *testing.F) {
 	})
 }
 
+// inPlaceCall is one encapsulation entry point as a function of
+// (allocation, packet), beside the allocating call it must agree with.
+type inPlaceCall struct {
+	name     string
+	in       func(buf, raw []byte) ([]byte, error)
+	allocate func(raw []byte) ([]byte, error)
+}
+
+// inPlaceCalls are the four entry points for one fuzzed SRH. EncapL2
+// has no exported allocation-taking form (no caller holds one), so its
+// row drives the shared body with EncapL2's own arguments. dec is nil
+// when the SRH bytes do not decode.
+func inPlaceCalls(wire []byte, dec *packet.SRH, l2 bool) []inPlaceCall {
+	if l2 {
+		if dec == nil {
+			return nil
+		}
+		return []inPlaceCall{{"EncapL2",
+			func(buf, raw []byte) ([]byte, error) {
+				active, err := dec.ActiveSegment()
+				if err != nil {
+					return nil, err
+				}
+				if _, err := packet.DecodeEthernet(raw); err != nil {
+					return nil, err
+				}
+				return encap(buf, raw, packet.ProtoEthernet, 64, 0, hostA, active, dec, nil)
+			},
+			func(raw []byte) ([]byte, error) { return EncapL2(raw, hostA, dec) }}}
+	}
+	calls := []inPlaceCall{{"EncapWire",
+		func(buf, raw []byte) ([]byte, error) { return EncapWireIn(buf, raw, hostA, wire) },
+		func(raw []byte) ([]byte, error) { return EncapWire(raw, hostA, wire) }}}
+	if dec != nil {
+		calls = append(calls,
+			inPlaceCall{"Encap",
+				func(buf, raw []byte) ([]byte, error) { return EncapIn(buf, raw, hostA, dec) },
+				func(raw []byte) ([]byte, error) { return Encap(raw, hostA, dec) }},
+			inPlaceCall{"EncapRed",
+				func(buf, raw []byte) ([]byte, error) { return EncapRedIn(buf, raw, hostA, dec) },
+				func(raw []byte) ([]byte, error) { return EncapRed(raw, hostA, dec) }})
+	}
+	return calls
+}
+
+// checkEncapInPlace runs one entry point on inner behind reserve spare
+// bytes and holds it to the headroom contract: the bytes of the
+// allocating call; the inner bytes where they were, unchanged; built in
+// place — the result again a tail of the same allocation, nothing
+// before it touched — exactly when the reserve covers the outer
+// headers, and otherwise the allocation not written at all; nor is a
+// copy of the allocation, which has the room but not the packet.
+func checkEncapInPlace(t *testing.T, name string, in func(buf, raw []byte) ([]byte, error), want []byte, wantErr error, inner []byte, reserve int) {
+	t.Helper()
+	const canary = 0xa5
+	buf := append(bytes.Repeat([]byte{canary}, reserve), inner...)
+	raw := buf[reserve:]
+	// A look-alike allocation the packet does not live in is left alone.
+	decoy := bytes.Clone(buf)
+	if got, _ := in(decoy, raw); !bytes.Equal(decoy, buf) || !bytes.Equal(got, want) {
+		t.Fatalf("%s reserve %d: wrote an allocation that is not the packet's", name, reserve)
+	}
+	got, err := in(buf, raw)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s reserve %d: err %v, allocating call %v", name, reserve, err, wantErr)
+	}
+	if !bytes.Equal(raw, inner) {
+		t.Fatalf("%s reserve %d: inner bytes changed", name, reserve)
+	}
+	if err != nil {
+		if !bytes.Equal(buf[:reserve], bytes.Repeat([]byte{canary}, reserve)) {
+			t.Fatalf("%s reserve %d: a refused encapsulation wrote the headroom", name, reserve)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s reserve %d: differs from the allocating call\n got  %x\n want %x", name, reserve, got, want)
+	}
+	need := len(want) - len(inner)
+	inPlace := len(got) <= len(buf) && &got[len(got)-1] == &buf[len(buf)-1]
+	if inPlace != (reserve >= need) {
+		t.Fatalf("%s reserve %d, need %d: built in place: %v", name, reserve, need, inPlace)
+	}
+	untouched := reserve
+	if inPlace {
+		untouched = reserve - need
+		if left := packet.Headroom(buf, got); left != untouched {
+			t.Fatalf("%s reserve %d, need %d: %d bytes of headroom left", name, reserve, need, left)
+		}
+	}
+	if !bytes.Equal(buf[:untouched], bytes.Repeat([]byte{canary}, untouched)) {
+		t.Fatalf("%s reserve %d, need %d: wrote outside the outer headers: %x", name, reserve, need, buf[:reserve])
+	}
+}
+
+// FuzzEncapInPlace: Encap / EncapRed / EncapL2 / EncapWire over fuzzed
+// SRH bytes and inner kinds, each behind a reserve of 0, one byte too
+// few, exactly enough and k bytes to spare.
+func FuzzEncapInPlace(f *testing.F) {
+	for i, srh := range encapWireSeeds(f) {
+		f.Add(srh, uint8(i), uint8(8*i))
+	}
+	v6, err := packet.BuildPacket(hostA, hostB, packet.WithUDP(10, 20), packet.WithPayload([]byte("inner-payload")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v4, err := packet.BuildIPv4UDP(v4a, v4b, 10, 20, []byte("inner-payload"), 64)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame := packet.BuildEthernet([6]byte{2, 0, 0, 0, 0, 2}, [6]byte{2, 0, 0, 0, 0, 1}, 0x86dd, v6)
+	inners := [][]byte{v6, v4, tcpInner(f), frame}
+	f.Fuzz(func(t *testing.T, wire []byte, kind, k uint8) {
+		inner := inners[int(kind)%len(inners)]
+		var dec *packet.SRH
+		if d, n, err := packet.DecodeSRH(wire); err == nil && n == len(wire) {
+			dec = &d
+		}
+		for _, c := range inPlaceCalls(wire, dec, int(kind)%len(inners) == 3) {
+			want, wantErr := c.allocate(inner)
+			need := len(want) - len(inner)
+			for _, reserve := range []int{0, need - 1, need, need + int(k)} {
+				if reserve >= 0 {
+					checkEncapInPlace(t, c.name, c.in, want, wantErr, inner, reserve)
+				}
+			}
+		}
+	})
+}
+
 // TestDecapAliasesInput pins the zero-copy contract: the decapsulated
 // packet is the tail of the input buffer, for every decap behaviour
 // and the raw splice.
@@ -263,7 +393,8 @@ var sinkBytes []byte
 
 // hotPathCalls are the hybrid-access path's encapsulations and
 // decapsulations of a full-size TCP segment, with the heap objects
-// each may allocate: the one output buffer, or nothing.
+// each may allocate: the one output buffer, or nothing — nothing also
+// for an encapsulation into headroom the segment was built with.
 func hotPathCalls(tb testing.TB) []struct {
 	name   string
 	allocs float64
@@ -280,6 +411,8 @@ func hotPathCalls(tb testing.TB) []struct {
 		tb.Fatal(err)
 	}
 	dt6 := &Behaviour{Action: ActionEndDT6, Table: 254}
+	reserve := packet.IPv6HeaderLen + len(wire)
+	reserved := append(make([]byte, reserve), inner...)
 	return []struct {
 		name   string
 		allocs float64
@@ -288,6 +421,10 @@ func hotPathCalls(tb testing.TB) []struct {
 		{"Encap/struct", 1, func() (err error) { sinkBytes, err = Encap(inner, hostA, srh); return }},
 		{"Encap/wire", 1, func() (err error) { sinkBytes, err = EncapWire(inner, hostA, wire); return }},
 		{"EncapRed", 1, func() (err error) { sinkBytes, err = EncapRed(inner, hostA, srh); return }},
+		{"Encap/in-place", 0, func() (err error) {
+			sinkBytes, err = EncapWireIn(reserved, reserved[reserve:], hostA, wire)
+			return
+		}},
 		{"DecapInner", 0, func() (err error) { sinkBytes, err = DecapInner(encapped); return }},
 		{"DecapDT6", 0, func() error {
 			res, err := Apply(dt6, encapped)
@@ -298,7 +435,8 @@ func hotPathCalls(tb testing.TB) []struct {
 }
 
 // TestEncapDecapAllocs pins the allocation counts of the hybrid-access
-// hot path: one buffer per encapsulation, none per decapsulation.
+// hot path: one buffer per encapsulation — none when the packet brings
+// its own headroom — and none per decapsulation.
 func TestEncapDecapAllocs(t *testing.T) {
 	for _, c := range hotPathCalls(t) {
 		if err := c.call(); err != nil {
@@ -326,10 +464,12 @@ func benchHotPath(b *testing.B, name string) {
 }
 
 // BenchmarkEncap measures one encapsulation of a full-size TCP segment
-// behind a 2-segment SRH, from a decoded SRH and from wire bytes.
+// behind a 2-segment SRH, from a decoded SRH and from wire bytes into
+// a new buffer, and from wire bytes into the segment's own headroom.
 func BenchmarkEncap(b *testing.B) {
 	b.Run("struct", func(b *testing.B) { benchHotPath(b, "Encap/struct") })
 	b.Run("wire", func(b *testing.B) { benchHotPath(b, "Encap/wire") })
+	b.Run("in-place", func(b *testing.B) { benchHotPath(b, "Encap/in-place") })
 }
 
 // BenchmarkDecapDT6 measures End.DT6 on an encapsulated full-size TCP

@@ -23,6 +23,16 @@ import (
 	"srv6bpf/internal/packet"
 )
 
+// HeaderReserve is the headroom every segment and ACK is built with:
+// an outer IPv6 header plus a one-segment SRH, what the hybrid-access
+// tunnel ingress (§4.2) pushes in front of each of them. Like the
+// kernel's MAX_TCP_HEADER it is a property of the stack, not of a
+// connection — sized so that a default-MSS segment with its reserve
+// (64 + 40 + 20 + 1400 = 1524 bytes) still fits the 1536-byte
+// allocation class a bare one occupies. A longer SRH than this simply
+// finds too little room and is encapsulated into a new buffer.
+const HeaderReserve = packet.IPv6HeaderLen + packet.SRHFixedLen + 16
+
 // Config tunes a transfer.
 type Config struct {
 	// MSS is the segment payload size in bytes (default 1400, the
@@ -260,7 +270,7 @@ func (s *Sender) sendSegment(seq uint64, isRtx bool) {
 		Flags:   packet.TCPFlagACK,
 		Window:  65535,
 	}
-	raw, err := packet.BuildPacket(s.src, s.dst,
+	buf, err := packet.BuildPacketReserve(HeaderReserve, s.src, s.dst,
 		packet.WithTCP(hdr),
 		packet.WithPayload(s.payload),
 		packet.WithFlowLabel(s.cfg.FlowLabel))
@@ -280,7 +290,7 @@ func (s *Sender) sendSegment(seq uint64, isRtx bool) {
 		s.timedAt = s.node.Now()
 		s.timedValid = true
 	}
-	s.node.Output(raw)
+	s.node.OutputReserved(buf, HeaderReserve)
 }
 
 // input handles an incoming (ACK) segment.
@@ -607,11 +617,11 @@ func (r *Receiver) sendAck(arrival uint64, n int) {
 		hdr.SACKLeft = uint32(left)
 		hdr.SACKRight = uint32(right)
 	}
-	raw, err := packet.BuildPacket(r.src, r.peer, packet.WithTCP(hdr))
+	buf, err := packet.BuildPacketReserve(HeaderReserve, r.src, r.peer, packet.WithTCP(hdr))
 	if err != nil {
 		return
 	}
-	r.node.Output(raw)
+	r.node.OutputReserved(buf, HeaderReserve)
 }
 
 // ackPortFor returns the sender's port. Pure ACKs flow back to the
