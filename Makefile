@@ -94,9 +94,11 @@ test:
 # events per delivered packet on the 3-node lab at 1 and 2 shards, so
 # an extra event on the per-hop path fails here in a second. So does
 # the TCP-through-a-tunnel arm: its packets are built with headroom in
-# one shard and written into by the tunnel ingress in another.
+# one shard and written into by the tunnel ingress in another. And so
+# does the drop-reason table: one scenario per way a packet can die on
+# a node, each pinning counter, ICMP, model cost and span verdict.
 race-smoke:
-	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop' ./internal/netsim
+	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason' ./internal/netsim
 
 # A second pass of the randomized sequential-vs-sharded equivalence
 # fuzzer at smoke depth: -count 2 re-runs the same seeds and catches

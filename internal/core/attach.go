@@ -53,39 +53,102 @@ func (p *progFaults) recordFault() bool {
 	return false
 }
 
-// EndBPF is a loaded End.BPF attachment: bind it to a SID with a
-// RouteSeg6Local whose Behaviour is seg6.ActionEndBPF and BPF set to
-// this value. Instances are single-threaded, like one softirq context
-// per simulated node — which is what lets the attachment own a single
-// execEnv and ctx buffer reused for every packet instead of
-// allocating per invocation.
-type EndBPF struct {
+// attachment is a program instantiated at a hook: what End.BPF and
+// the LWT transit hook have in common. Instances are single-threaded,
+// like one softirq context per simulated node — which is what lets the
+// attachment own a single execEnv and ctx buffer reused for every
+// packet instead of allocating per invocation.
+type attachment struct {
 	inst   *bpf.Instance
 	name   string
+	hook   string
 	ctx    [CtxSize]byte
 	env    execEnv
 	faults progFaults
 	stats  progCounters
 }
 
-// AttachEndBPF instantiates prog (loaded against Seg6LocalHook) as a
-// seg6local End.BPF action.
-func AttachEndBPF(prog *bpf.Program) (*EndBPF, error) {
-	if prog.Hook().Name != "lwt_seg6local" {
-		return nil, fmt.Errorf("%w: %q is for hook %q", ErrWrongHook, prog.Name(), prog.Hook().Name)
+// attach instantiates prog, which must have been loaded against hook.
+func (a *attachment) attach(prog *bpf.Program, hook string) error {
+	if prog.Hook().Name != hook {
+		return fmt.Errorf("%w: %q is for hook %q", ErrWrongHook, prog.Name(), prog.Hook().Name)
 	}
 	inst, err := prog.NewInstance()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e := &EndBPF{inst: inst, name: prog.Name()}
-	e.env.printkPrefix = e.name
+	a.inst, a.name, a.hook = inst, prog.Name(), hook
+	a.env.printkPrefix = a.name
 	// Bound once: helpers that replace the packet re-enter through
 	// this, so the per-packet path never builds a closure.
-	e.env.refreshRegions = func(env *execEnv) {
-		installPacket(e.inst, e.ctx[:], env.pkt)
+	a.env.refreshRegions = func(env *execEnv) {
+		installPacket(a.inst, a.ctx[:], env.pkt)
 	}
-	inst.BindCtx(e.ctx[:])
+	inst.BindCtx(a.ctx[:])
+	return nil
+}
+
+// SetMaxFaults overrides the quarantine threshold (0 restores the
+// default). Call it at setup time.
+func (a *attachment) SetMaxFaults(n int) { a.faults.maxFaults = n }
+
+// Quarantined reports whether the attachment has been quarantined.
+func (a *attachment) Quarantined() bool { return a.faults.quarantined }
+
+// Faults reports the attachment's fault count.
+func (a *attachment) Faults() int { return a.faults.faults }
+
+// refuses reports, and counts on n, that the attachment is quarantined
+// and the packet is to be dropped without running the program.
+func (a *attachment) refuses(n *netsim.Node) bool {
+	if a.faults.quarantined {
+		n.Count("drop_prog_quarantined")
+	}
+	return a.faults.quarantined
+}
+
+// run executes the program on raw and returns its return code and the
+// model cost of the execution. The steady-state path performs zero heap
+// allocations: the execution environment and ctx are reused. A VM fault
+// is already accounted for when run returns it: recorded as an error
+// verdict and counted towards quarantine. Of a run without fault the
+// caller still owes the statistics its verdict.
+func (a *attachment) run(n *netsim.Node, meta *netsim.PacketMeta, raw []byte, srhOff int, flow uint32) (uint64, int64, error) {
+	a.env.beginRun(n, meta, raw, srhOff)
+
+	machine := a.inst.Machine()
+	machine.HelperContext = &a.env
+	machine.HelperCounts = &a.stats.helperCnt
+	fillCtx(a.ctx[:], len(raw), flow)
+	installPacket(a.inst, a.ctx[:], raw)
+
+	startInsns, startHelpers := machine.Executed, machine.HelperCalls
+	ret, err := a.inst.Run(vm.Pointer(vm.RegionCtx, 0))
+	dInsns, dHelpers := machine.Executed-startInsns, machine.HelperCalls-startHelpers
+	a.stats.record(dInsns, dHelpers)
+	if err != nil {
+		// A faulting program drops the packet, like a kernel-side
+		// bpf program error path; repeat offenders are quarantined.
+		a.stats.verdicts[verdictError]++
+		if a.faults.recordFault() {
+			n.Count("prog_quarantined")
+		}
+	}
+	return ret, n.Cost.BPFCost(dInsns, dHelpers, a.inst.JIT()), err
+}
+
+// EndBPF is a loaded End.BPF attachment: bind it to a SID with a
+// RouteSeg6Local whose Behaviour is seg6.ActionEndBPF and BPF set to
+// this value.
+type EndBPF struct{ attachment }
+
+// AttachEndBPF instantiates prog (loaded against Seg6LocalHook) as a
+// seg6local End.BPF action.
+func AttachEndBPF(prog *bpf.Program) (*EndBPF, error) {
+	e := &EndBPF{}
+	if err := e.attach(prog, "lwt_seg6local"); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -93,16 +156,6 @@ func AttachEndBPF(prog *bpf.Program) (*EndBPF, error) {
 func (e *EndBPF) Behaviour() *seg6.Behaviour {
 	return &seg6.Behaviour{Action: seg6.ActionEndBPF, BPF: e}
 }
-
-// SetMaxFaults overrides the quarantine threshold (0 restores the
-// default). Call it at setup time.
-func (e *EndBPF) SetMaxFaults(n int) { e.faults.maxFaults = n }
-
-// Quarantined reports whether the attachment has been quarantined.
-func (e *EndBPF) Quarantined() bool { return e.faults.quarantined }
-
-// Faults reports the attachment's fault count.
-func (e *EndBPF) Faults() int { return e.faults.faults }
 
 // installPacket rebinds the packet region in place and fixes the ctx
 // len and data_end after helpers replaced the packet. No allocation:
@@ -124,84 +177,63 @@ func fillCtxLen(ctx []byte, pktLen int) {
 }
 
 // RunSeg6Local implements netsim.Seg6LocalProgram: the End.BPF
-// datapath of §3. The steady-state path performs zero heap
-// allocations: one offset-only header walk, an in-place SRH advance,
-// and a reused execution environment.
+// datapath of §3 — one offset-only header walk, an in-place SRH
+// advance, the program, and what its return code asks for.
 func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMeta) (seg6.Result, int64, error) {
-	if e.faults.quarantined {
-		n.Count("drop_prog_quarantined")
-		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, nil
+	drop := seg6.Result{Verdict: seg6.VerdictDrop}
+	if e.refuses(n) {
+		return drop, 0, nil
 	}
 	// End.BPF behaves as an endpoint: it only accepts SRv6 packets
 	// with a current segment, and advances the SRH before the program
 	// runs (§3).
 	info, err := packet.ParseInfo(raw)
 	if err != nil {
-		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, err
+		return drop, 0, err
 	}
 	if !info.HasSRH() || info.SegmentsLeft == 0 {
-		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, ErrNoSRH
+		return drop, 0, ErrNoSRH
 	}
 	if err := seg6.AdvanceAt(raw, info.SRHOff); err != nil {
-		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, err
+		return drop, 0, err
 	}
 
+	ret, cost, err := e.run(n, meta, raw, info.SRHOff, info.FlowLabel)
+	if err != nil {
+		return drop, cost, err
+	}
 	env := &e.env
-	env.beginRun(n, meta, raw, info.SRHOff)
-
-	machine := e.inst.Machine()
-	machine.HelperContext = env
-	machine.HelperCounts = &e.stats.helperCnt
-	fillCtx(e.ctx[:], len(raw), info.FlowLabel)
-	installPacket(e.inst, e.ctx[:], raw)
-
-	startInsns, startHelpers := machine.Executed, machine.HelperCalls
-	ret, runErr := e.inst.Run(vm.Pointer(vm.RegionCtx, 0))
-	dInsns, dHelpers := machine.Executed-startInsns, machine.HelperCalls-startHelpers
-	cost := n.Cost.BPFCost(dInsns, dHelpers, e.inst.JIT())
-
-	if runErr != nil {
-		// A faulting program drops the packet, like a kernel-side
-		// bpf program error path; repeat offenders are quarantined.
-		e.stats.record(dInsns, dHelpers, verdictError)
-		if e.faults.recordFault() {
-			n.Count("prog_quarantined")
-		}
-		return seg6.Result{Verdict: seg6.VerdictDrop}, cost, runErr
-	}
-
 	// §3.1: if the SRH was altered, a quick verification ensures it
 	// is still valid; otherwise the packet is dropped.
 	if env.srhModified {
-		if err := e.validateSRH(env); err != nil {
-			e.stats.record(dInsns, dHelpers, verdictError)
-			return seg6.Result{Verdict: seg6.VerdictDrop}, cost, err
+		if err := validateSRH(env); err != nil {
+			e.stats.verdicts[verdictError]++
+			return drop, cost, err
 		}
 	}
-
 	switch ret {
 	case BPFOK:
-		e.stats.record(dInsns, dHelpers, verdictOK)
+		e.stats.verdicts[verdictOK]++
 		return seg6.Result{Verdict: seg6.VerdictForward, Pkt: env.pkt}, cost, nil
 	case BPFDrop:
-		e.stats.record(dInsns, dHelpers, verdictDrop)
-		return seg6.Result{Verdict: seg6.VerdictDrop}, cost, nil
+		e.stats.verdicts[verdictDrop]++
+		return drop, cost, nil
 	case BPFRedirect:
 		if !env.hasPending {
-			e.stats.record(dInsns, dHelpers, verdictError)
-			return seg6.Result{Verdict: seg6.VerdictDrop}, cost, ErrNoPendingState
+			e.stats.verdicts[verdictError]++
+			return drop, cost, ErrNoPendingState
 		}
-		e.stats.record(dInsns, dHelpers, verdictRedirect)
+		e.stats.verdicts[verdictRedirect]++
 		res := env.pending
 		res.Pkt = env.pkt
 		return res, cost, nil
 	default:
-		e.stats.record(dInsns, dHelpers, verdictError)
-		return seg6.Result{Verdict: seg6.VerdictDrop}, cost, fmt.Errorf("%w: %d", ErrBadReturn, ret)
+		e.stats.verdicts[verdictError]++
+		return drop, cost, fmt.Errorf("%w: %d", ErrBadReturn, ret)
 	}
 }
 
-func (e *EndBPF) validateSRH(env *execEnv) error {
+func validateSRH(env *execEnv) error {
 	start, end, err := env.srhBounds()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSRHIntegrity, err)
@@ -214,53 +246,24 @@ func (e *EndBPF) validateSRH(env *execEnv) error {
 
 // LWT is a loaded transit attachment (BPF LWT out hook): bind it to a
 // route with Kind RouteLWTBPF.
-type LWT struct {
-	inst   *bpf.Instance
-	name   string
-	ctx    [CtxSize]byte
-	env    execEnv
-	faults progFaults
-	stats  progCounters
-}
+type LWT struct{ attachment }
 
 // AttachLWT instantiates prog (loaded against LWTOutHook) as a
 // transit program.
 func AttachLWT(prog *bpf.Program) (*LWT, error) {
-	if prog.Hook().Name != "lwt_out" {
-		return nil, fmt.Errorf("%w: %q is for hook %q", ErrWrongHook, prog.Name(), prog.Hook().Name)
-	}
-	inst, err := prog.NewInstance()
-	if err != nil {
+	l := &LWT{}
+	if err := l.attach(prog, "lwt_out"); err != nil {
 		return nil, err
 	}
-	l := &LWT{inst: inst, name: prog.Name()}
-	l.env.printkPrefix = l.name
-	l.env.refreshRegions = func(env *execEnv) {
-		installPacket(l.inst, l.ctx[:], env.pkt)
-	}
-	inst.BindCtx(l.ctx[:])
 	return l, nil
 }
 
-// SetMaxFaults overrides the quarantine threshold (0 restores the
-// default). Call it at setup time.
-func (l *LWT) SetMaxFaults(n int) { l.faults.maxFaults = n }
-
-// Quarantined reports whether the attachment has been quarantined.
-func (l *LWT) Quarantined() bool { return l.faults.quarantined }
-
-// Faults reports the attachment's fault count.
-func (l *LWT) Faults() int { return l.faults.faults }
-
-// RunLWTOut implements netsim.LWTProgram. Like RunSeg6Local, a single
-// offset-only walk feeds both the SRH bookkeeping and the flow hash,
-// and the execution environment is reused across packets.
+// RunLWTOut implements netsim.LWTProgram. A single offset-only walk
+// feeds both the SRH bookkeeping and the flow hash.
 func (l *LWT) RunLWTOut(n *netsim.Node, raw []byte, meta *netsim.PacketMeta) ([]byte, netsim.LWTVerdict, int64, error) {
-	if l.faults.quarantined {
-		n.Count("drop_prog_quarantined")
+	if l.refuses(n) {
 		return nil, netsim.LWTDrop, 0, nil
 	}
-	env := &l.env
 	srhOff := -1
 	var flowHash uint32
 	if info, err := packet.ParseInfo(raw); err == nil {
@@ -274,35 +277,19 @@ func (l *LWT) RunLWTOut(n *netsim.Node, raw []byte, meta *netsim.PacketMeta) ([]
 		// when the two were derived by separate walks.
 		flowHash = uint32(raw[1]&0x0f)<<16 | uint32(raw[2])<<8 | uint32(raw[3])
 	}
-	env.beginRun(n, meta, raw, srhOff)
-
-	machine := l.inst.Machine()
-	machine.HelperContext = env
-	machine.HelperCounts = &l.stats.helperCnt
-	fillCtx(l.ctx[:], len(raw), flowHash)
-	installPacket(l.inst, l.ctx[:], raw)
-
-	startInsns, startHelpers := machine.Executed, machine.HelperCalls
-	ret, runErr := l.inst.Run(vm.Pointer(vm.RegionCtx, 0))
-	dInsns, dHelpers := machine.Executed-startInsns, machine.HelperCalls-startHelpers
-	cost := n.Cost.BPFCost(dInsns, dHelpers, l.inst.JIT())
-
-	if runErr != nil {
-		l.stats.record(dInsns, dHelpers, verdictError)
-		if l.faults.recordFault() {
-			n.Count("prog_quarantined")
-		}
-		return nil, netsim.LWTDrop, cost, runErr
+	ret, cost, err := l.run(n, meta, raw, srhOff, flowHash)
+	if err != nil {
+		return nil, netsim.LWTDrop, cost, err
 	}
 	switch ret {
 	case BPFOK:
-		l.stats.record(dInsns, dHelpers, verdictOK)
-		return env.pkt, netsim.LWTOK, cost, nil
+		l.stats.verdicts[verdictOK]++
+		return l.env.pkt, netsim.LWTOK, cost, nil
 	case BPFDrop:
-		l.stats.record(dInsns, dHelpers, verdictDrop)
+		l.stats.verdicts[verdictDrop]++
 		return nil, netsim.LWTDrop, cost, nil
 	default:
-		l.stats.record(dInsns, dHelpers, verdictError)
+		l.stats.verdicts[verdictError]++
 		return nil, netsim.LWTDrop, cost, fmt.Errorf("%w: %d", ErrBadReturn, ret)
 	}
 }

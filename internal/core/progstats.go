@@ -32,12 +32,12 @@ type progCounters struct {
 	helperCnt [vm.MaxHelperID]uint64
 }
 
-// record accounts one program run.
-func (p *progCounters) record(insns, helpers uint64, verdict int) {
+// record accounts one program run; its verdict is counted apart, once
+// the hook has made something of the return code.
+func (p *progCounters) record(insns, helpers uint64) {
 	p.runCnt++
 	p.insns += insns
 	p.helpers += helpers
-	p.verdicts[verdict]++
 }
 
 // ProgStats is the exported per-attachment statistics snapshot, the
@@ -119,19 +119,19 @@ func HelperName(id int) string {
 	return fmt.Sprintf("helper_%d", id)
 }
 
-// buildProgStats assembles the exported snapshot from an attachment's
-// counters and fault state.
-func buildProgStats(inst *bpf.Instance, name, hook string, c *progCounters, f *progFaults) ProgStats {
+// ProgStats returns the attachment's current statistics snapshot.
+func (a *attachment) ProgStats() ProgStats {
+	c := &a.stats
 	s := ProgStats{
-		Name:         name,
-		Hook:         hook,
-		Insns:        len(inst.Program().Instructions()),
-		JIT:          inst.JIT(),
+		Name:         a.name,
+		Hook:         a.hook,
+		Insns:        len(a.inst.Program().Instructions()),
+		JIT:          a.inst.JIT(),
 		RunCnt:       c.runCnt,
 		InsnExecuted: c.insns,
 		HelperCalls:  c.helpers,
-		Faults:       f.faults,
-		Quarantined:  f.quarantined,
+		Faults:       a.faults.faults,
+		Quarantined:  a.faults.quarantined,
 	}
 	for id, n := range c.helperCnt {
 		if n == 0 {
@@ -152,14 +152,4 @@ func buildProgStats(inst *bpf.Instance, name, hook string, c *progCounters, f *p
 		s.Verdicts[verdictNames[i]] = n
 	}
 	return s
-}
-
-// ProgStats returns the attachment's current statistics snapshot.
-func (e *EndBPF) ProgStats() ProgStats {
-	return buildProgStats(e.inst, e.name, "lwt_seg6local", &e.stats, &e.faults)
-}
-
-// ProgStats returns the attachment's current statistics snapshot.
-func (l *LWT) ProgStats() ProgStats {
-	return buildProgStats(l.inst, l.name, "lwt_out", &l.stats, &l.faults)
 }

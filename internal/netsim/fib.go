@@ -119,7 +119,13 @@ type Route struct {
 	// gear performs in hardware, and the baseline the BPF WRR
 	// scheduler is compared against.
 	PerPacketRR bool
-	rrCounter   uint64
+	// inbound marks the pseudo-route BindProxyReturn hands to packets
+	// arriving on an SR proxy's return interface: a RouteSeg6Local that
+	// runs the behaviour's Inbound step. It is in no table. (It sits in
+	// PerPacketRR's padding: a 17th word would put every route of a large
+	// FIB in the next allocation size class.)
+	inbound   bool
+	rrCounter uint64
 }
 
 // Table is one routing table: longest-prefix match over routes.

@@ -60,9 +60,9 @@ type LWTProgram interface {
 type UDPHandler func(n *Node, p *packet.Packet, meta *PacketMeta)
 
 // commitOp selects the deferred effect of a processed packet. The
-// routing functions fill a pendingCommit instead of returning a
-// closure: the commit lives in a node field, so the steady-state
-// packet path allocates nothing.
+// stages leave it in the hop instead of returning a closure: the hop
+// lives in a node field, so the steady-state packet path allocates
+// nothing.
 type commitOp uint8
 
 const (
@@ -76,17 +76,25 @@ const (
 	commitFn
 )
 
-// pendingCommit is the deferred effect of one routed packet plus the
-// packet's metadata. Node.pending carries it from a drain event to
-// the drain continuation; Node.outPending is the intra-event twin for
-// the Output path (routed and committed inside one event).
-type pendingCommit struct {
+// hop is one packet's visit to the node, the one value every stage of
+// process takes: the packet as it currently stands, its metadata, the
+// model cost charged so far and, once a stage has decided, the verdict
+// to apply when that cost has elapsed. Node.pending carries it from a
+// drain event to the drain continuation; Node.outPending is the
+// intra-event twin for the Output path (routed and committed inside
+// one event).
+type hop struct {
+	raw  []byte
+	meta PacketMeta
+	cost int64
+
+	// The verdict: op and what it needs. hopLimit is the value the
+	// packet arrived with, recorded only when decHop asks the commit to
+	// write back one less.
 	op       commitOp
 	decHop   bool
 	hopLimit uint8
 	iface    *Iface
-	raw      []byte
-	meta     PacketMeta
 	fn       func()
 }
 
@@ -102,43 +110,74 @@ type rxItem struct {
 	head        int32
 }
 
-// Counter is a pre-resolved handle to one named counter cell. The
-// forwarding fast path increments through handles resolved once at
-// node creation instead of hashing a string key per packet; the
-// Counters() map remains the read-side view over the same cells.
-type Counter struct{ cell *uint64 }
+// stat names one of the counters the packet path itself bumps: why it
+// dropped a packet, or how it delivered one. They are cells of a fixed
+// array on the node, so counting is an indexed increment; Counters()
+// shows them under statNames next to the free-form Count() names.
+type stat uint8
 
-// Inc bumps the counter.
-func (c Counter) Inc() { *c.cell++ }
+const (
+	statRxRingFull stat = iota
+	statMalformed
+	statNoRoute
+	statRouteLoop
+	statHopLimit
+	statNoNexthop
+	statSeg6Local
+	statSeg6LocalError
+	statLWTBPF
+	statLWTBPFError
+	statMalformedLocal
+	statLinkDown
+	statBackupTx
+	statUDPDelivered
+	statTCPDelivered
+	statICMPDelivered
+	// The stats from here on are configuration errors and the like:
+	// Counters() shows them once they have counted, the ones above from
+	// the start (the fingerprints hash zero-valued keys).
+	statBadRoute
+	statBadLWTAttachment
+	statBadSeg6LocalAttachment
+	statBadProxyReturn
+	statBadOIF
+	statBadVerdict
+	statEncapError
+	statBackupEncapError
+	statL2NoHandler
+	numStats
+)
 
-// Add bumps the counter by d.
-func (c Counter) Add(d uint64) { *c.cell += d }
-
-// Value reads the counter.
-func (c Counter) Value() uint64 { return *c.cell }
-
-// hotCounters are the handles the per-packet paths touch.
-type hotCounters struct {
-	rxRingFull         Counter
-	dropMalformed      Counter
-	dropNoRoute        Counter
-	dropRouteLoop      Counter
-	dropHopLimit       Counter
-	dropNoNexthop      Counter
-	dropSeg6Local      Counter
-	dropSeg6LocalError Counter
-	dropLWTBPF         Counter
-	dropLWTBPFError    Counter
-	dropMalformedLocal Counter
-	dropLinkDown       Counter
-	backupTx           Counter
-	udpDelivered       Counter
-	tcpDelivered       Counter
-	icmpDelivered      Counter
+var statNames = [numStats]string{
+	statRxRingFull:             "rx_ring_full",
+	statMalformed:              "drop_malformed",
+	statNoRoute:                "drop_no_route",
+	statRouteLoop:              "drop_route_loop",
+	statHopLimit:               "drop_hop_limit",
+	statNoNexthop:              "drop_no_nexthop",
+	statSeg6Local:              "drop_seg6local",
+	statSeg6LocalError:         "drop_seg6local_error",
+	statLWTBPF:                 "drop_lwt_bpf",
+	statLWTBPFError:            "drop_lwt_bpf_error",
+	statMalformedLocal:         "drop_malformed_local",
+	statLinkDown:               "drop_link_down",
+	statBackupTx:               "backup_tx",
+	statUDPDelivered:           "udp_delivered",
+	statTCPDelivered:           "tcp_delivered",
+	statICMPDelivered:          "icmp_delivered",
+	statBadRoute:               "drop_bad_route",
+	statBadLWTAttachment:       "drop_bad_lwt_attachment",
+	statBadSeg6LocalAttachment: "drop_bad_seg6local_attachment",
+	statBadProxyReturn:         "drop_bad_proxy_return",
+	statBadOIF:                 "drop_bad_oif",
+	statBadVerdict:             "drop_bad_verdict",
+	statEncapError:             "drop_encap_error",
+	statBackupEncapError:       "drop_backup_encap_error",
+	statL2NoHandler:            "l2_no_handler",
 }
 
-// maxRouteDepth bounds recursive route resolution (behaviour chains,
-// encapsulation re-lookups).
+// maxRouteDepth bounds how many routes one hop may apply after the
+// first (behaviour chains, encapsulation re-lookups).
 const maxRouteDepth = 6
 
 // Node is a simulated host or router: interfaces, routing tables, a
@@ -168,7 +207,7 @@ type Node struct {
 	ifaces []*Iface
 	tables map[int]*Table
 	// mainTbl hoists tables[MainTable] out of the per-packet map
-	// access. Table objects are created once and never replaced
+	// access. AddNode creates the table and nothing replaces it
 	// (Table() only ever inserts), so the pointer stays valid for the
 	// node's lifetime.
 	mainTbl *Table
@@ -183,12 +222,12 @@ type Node struct {
 	l2Handler func(n *Node, frame []byte, meta *PacketMeta)
 
 	// ifaceInputs binds an interface to the return leg of an SR proxy
-	// (End.AS / End.AM): packets arriving on it run the behaviour's
-	// Inbound step instead of a FIB lookup. ifaceTables binds an
-	// interface to a routing table (VRF-style per-tenant lookup for
-	// the End.DT* scenarios). Both are configuration, like
-	// udpHandlers: set at topology-build time.
-	ifaceInputs map[*Iface]*seg6.Behaviour
+	// (End.AS / End.AM): packets arriving on it are handed a pseudo-route
+	// that runs the behaviour's Inbound step, in place of a FIB lookup.
+	// ifaceTables binds an interface to a routing table (VRF-style
+	// per-tenant lookup for the End.DT* scenarios). Both are
+	// configuration, like udpHandlers: set at topology-build time.
+	ifaceInputs map[*Iface]*Route
 	ifaceTables map[*Iface]int
 
 	// rxq is a ring buffer: rxCount items starting at rxHead. It
@@ -199,10 +238,8 @@ type Node struct {
 	rxCount int
 	busy    bool
 
-	// counters holds the interned counter cells; Counter handles
-	// point into it. Counters() materialises the read-side map.
+	// counters holds the free-form counters of Count().
 	counters map[string]*uint64
-	hot      hotCounters
 
 	// crashed marks the node as down: the CPU halts, the receive ring
 	// is lost and all local link ends are failed until restart.
@@ -212,13 +249,17 @@ type Node struct {
 	crashed    bool
 	crashEpoch uint64
 
-	// pending is the deferred effect of the packet currently being
-	// processed by the drain chain: filled at routing time, applied by
-	// the drain continuation at processing-completion time. outPending
-	// is the same storage for the Output path, which routes and commits
-	// inside one event.
-	pending    pendingCommit
-	outPending pendingCommit
+	// pending is the packet the drain chain is processing: routed when
+	// service starts, its verdict applied by the drain continuation at
+	// processing-completion time. outPending is the same storage for the
+	// Output path, which routes and commits inside one event.
+	pending    hop
+	outPending hop
+
+	// stats are the packet path's own counters; Counters() shows them
+	// next to the free-form ones. The array sits behind pending so that
+	// the hop in service spans two cache lines, not three.
+	stats [numStats]uint64
 
 	// scratchPkt/scratchSRH back deliverLocal's allocation-free parse.
 	// The *packet.Packet handed to local handlers aliases them and is
@@ -234,8 +275,9 @@ type Node struct {
 	// path to a single pointer compare per hop. traceBuf is this
 	// node's flight-recorder journal (nil unless the recorder is on);
 	// spanIdx indexes the span of the hop currently being processed,
-	// -1 between hops and for unsampled packets — the datapath's
-	// verdict hooks test it, making them free when recording is off.
+	// -1 between hops and for unsampled packets — the span hooks
+	// (obsRoute and friends) test it, making them free when recording
+	// is off.
 	obs      *simObs
 	traceBuf *obs.TraceBuf
 	spanIdx  int
@@ -251,6 +293,7 @@ func (s *Sim) AddNode(name string, cost CostModel) *Node {
 	if len(s.shards) > 1 {
 		panic("netsim: AddNode after SetShards; build the topology first")
 	}
+	main := &Table{}
 	n := &Node{
 		Name:        name,
 		Sim:         s,
@@ -258,7 +301,8 @@ func (s *Sim) AddNode(name string, cost CostModel) *Node {
 		idx:         int32(len(s.nodes)),
 		shard:       s.shards[0],
 		rngSrc:      randSource{state: uint64(nodeSeed(s.seed, name))},
-		tables:      map[int]*Table{MainTable: {}},
+		tables:      map[int]*Table{MainTable: main},
+		mainTbl:     main,
 		local:       make(map[netip.Addr]bool),
 		udpHandlers: make(map[uint16]UDPHandler),
 		counters:    make(map[string]*uint64),
@@ -267,24 +311,6 @@ func (s *Sim) AddNode(name string, cost CostModel) *Node {
 	n.rng = rand.New(&n.rngSrc)
 	if s.obs != nil {
 		s.obs.attachNode(n)
-	}
-	n.hot = hotCounters{
-		rxRingFull:         n.CounterHandle("rx_ring_full"),
-		dropMalformed:      n.CounterHandle("drop_malformed"),
-		dropNoRoute:        n.CounterHandle("drop_no_route"),
-		dropRouteLoop:      n.CounterHandle("drop_route_loop"),
-		dropHopLimit:       n.CounterHandle("drop_hop_limit"),
-		dropNoNexthop:      n.CounterHandle("drop_no_nexthop"),
-		dropSeg6Local:      n.CounterHandle("drop_seg6local"),
-		dropSeg6LocalError: n.CounterHandle("drop_seg6local_error"),
-		dropLWTBPF:         n.CounterHandle("drop_lwt_bpf"),
-		dropLWTBPFError:    n.CounterHandle("drop_lwt_bpf_error"),
-		dropMalformedLocal: n.CounterHandle("drop_malformed_local"),
-		dropLinkDown:       n.CounterHandle("drop_link_down"),
-		backupTx:           n.CounterHandle("backup_tx"),
-		udpDelivered:       n.CounterHandle("udp_delivered"),
-		tcpDelivered:       n.CounterHandle("tcp_delivered"),
-		icmpDelivered:      n.CounterHandle("icmp_delivered"),
 	}
 	s.nodes = append(s.nodes, n)
 	return n
@@ -347,7 +373,7 @@ func (n *Node) crashNow() {
 	if op := n.pending.op; op == commitTransmit || op == commitLocal {
 		n.Count("crash_cpu_lost")
 	}
-	n.pending = pendingCommit{}
+	n.pending = hop{}
 	for _, i := range n.ifaces {
 		i.setOneEnd(false)
 	}
@@ -392,12 +418,6 @@ func (n *Node) Schedule(at int64, fn func()) {
 // After runs fn d nanoseconds from the node's now on its shard.
 func (n *Node) After(d int64, fn func()) { n.Schedule(n.shard.now+d, fn) }
 
-// CounterHandle interns name and returns its pre-resolved handle.
-// Resolve once, increment per packet.
-func (n *Node) CounterHandle(name string) Counter {
-	return Counter{cell: n.internCounter(name)}
-}
-
 // internCounter returns (creating if needed) the cell for name.
 func (n *Node) internCounter(name string) *uint64 {
 	c := n.counters[name]
@@ -408,8 +428,9 @@ func (n *Node) internCounter(name string) *uint64 {
 	return c
 }
 
-// Count bumps a named counter. Cold paths use it directly; per-packet
-// paths go through pre-resolved handles instead.
+// Count bumps a free-form named counter: for cold paths and for the
+// packages built on the node (core, tcpsim). The names in statNames are
+// the packet path's own and are not to be counted through here.
 func (n *Node) Count(what string) {
 	*n.internCounter(what)++
 }
@@ -419,7 +440,7 @@ func (n *Node) Count(what string) {
 // tests and reports; the snapshot is freshly built per call. Polling
 // loops should reuse a map through CountersInto instead.
 func (n *Node) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(n.counters))
+	out := make(map[string]uint64, int(numStats)+len(n.counters))
 	n.CountersInto(out)
 	return out
 }
@@ -430,8 +451,20 @@ func (n *Node) Counters() map[string]uint64 {
 // node's counter set are left untouched, so clear or reuse m
 // deliberately.
 func (n *Node) CountersInto(m map[string]uint64) {
-	for k, v := range n.counters {
-		m[k] = *v
+	n.eachCounter(func(name string, v uint64) { m[name] = v })
+}
+
+// eachCounter calls f for every counter the node shows: the stats that
+// are always present, the rest of them once nonzero, and whatever
+// Count() has been given.
+func (n *Node) eachCounter(f func(name string, v uint64)) {
+	for s, v := range n.stats {
+		if stat(s) < statBadRoute || v != 0 {
+			f(statNames[s], v)
+		}
+	}
+	for name, v := range n.counters {
+		f(name, *v)
 	}
 }
 
@@ -539,9 +572,9 @@ func (n *Node) BindProxyReturn(in *Iface, b *seg6.Behaviour) error {
 		return err
 	}
 	if n.ifaceInputs == nil {
-		n.ifaceInputs = make(map[*Iface]*seg6.Behaviour)
+		n.ifaceInputs = make(map[*Iface]*Route)
 	}
-	n.ifaceInputs[in] = b
+	n.ifaceInputs[in] = &Route{Kind: RouteSeg6Local, Behaviour: b, inbound: true}
 	return nil
 }
 
@@ -580,7 +613,7 @@ func (n *Node) deliver(buf []byte, head int32, in *Iface) {
 		return
 	}
 	if !n.rxPush(rxItem{buf: buf, rxTimestamp: n.Now(), inIface: in, head: head}) {
-		n.hot.rxRingFull.Inc()
+		n.stats[statRxRingFull]++
 		return
 	}
 	if !n.busy {
@@ -639,16 +672,18 @@ func (n *Node) drain() {
 	}
 	item := n.rxPop()
 	raw := item.buf[item.head:]
-
-	cost := n.Cost.PacketCost(len(raw))
-	pc := &n.pending
-	*pc = pendingCommit{meta: PacketMeta{RxTimestamp: item.rxTimestamp, InIface: item.inIface, Buf: item.buf}}
-	if n.obs != nil {
-		n.obsBeginHop(raw, n.Now()-pc.meta.RxTimestamp)
+	h := &n.pending
+	*h = hop{
+		raw:  raw,
+		meta: PacketMeta{RxTimestamp: item.rxTimestamp, InIface: item.inIface, Buf: item.buf},
+		cost: n.Cost.PacketCost(len(raw)),
 	}
-	cost += n.routePacket(raw, pc, 0)
 	if n.obs != nil {
-		n.obsEndHop(cost)
+		n.obsBeginHop(raw, n.Now()-item.rxTimestamp)
+	}
+	n.process(h)
+	if n.obs != nil {
+		n.obsEndHop(h.cost)
 	}
 	// The commit — apply this packet's effects, pop the next — runs at
 	// processing completion. Same event key a Node.After closure would
@@ -658,7 +693,7 @@ func (n *Node) drain() {
 	// crash epoch).
 	sh := n.shard
 	n.schedK++
-	sh.q.pushDrainCont(sh.now+cost, sh.now, n.idx, n.schedK, n.crashEpoch)
+	sh.q.pushDrainCont(sh.now+h.cost, sh.now, n.idx, n.schedK, n.crashEpoch)
 }
 
 // drainCont is the drain continuation: apply the previous packet's
@@ -668,35 +703,31 @@ func (n *Node) drainCont(epoch uint64) {
 	if n.crashEpoch != epoch {
 		return
 	}
-	if n.pending.op != commitNone {
-		n.runCommit(&n.pending)
-	}
-	n.pending = pendingCommit{}
+	n.runCommit(&n.pending)
+	n.pending = hop{}
 	n.drain()
 }
 
-// runCommit applies a filled pendingCommit. Payload fields are copied
-// to locals and cleared before dispatch: commits can re-enter the
-// routing path (handlers calling Output), which reuses the same
+// runCommit applies a hop's verdict, if it has one. Payload fields are
+// copied to locals and cleared before dispatch: commits can re-enter
+// the routing path (handlers calling Output), which reuses the same
 // storage.
-func (n *Node) runCommit(pc *pendingCommit) {
-	op := pc.op
-	pc.op = commitNone
+func (n *Node) runCommit(h *hop) {
+	op, raw := h.op, h.raw
+	h.op, h.raw = commitNone, nil
 	switch op {
 	case commitTransmit:
-		raw, buf, iface := pc.raw, pc.meta.Buf, pc.iface
-		pc.raw, pc.meta.Buf, pc.iface = nil, nil, nil
-		if pc.decHop {
-			packet.SetHopLimit(raw, pc.hopLimit-1)
+		buf, iface := h.meta.Buf, h.iface
+		h.meta.Buf, h.iface = nil, nil
+		if h.decHop {
+			packet.SetHopLimit(raw, h.hopLimit-1)
 		}
 		iface.transmit(raw, buf)
 	case commitLocal:
-		raw := pc.raw
-		pc.raw = nil
-		n.deliverLocal(raw, &pc.meta)
+		n.deliverLocal(raw, &h.meta)
 	case commitFn:
-		fn := pc.fn
-		pc.fn = nil
+		fn := h.fn
+		h.fn = nil
 		fn()
 	}
 }
@@ -720,310 +751,308 @@ func (n *Node) output(raw, buf []byte) {
 		n.Count("crash_tx_lost")
 		return
 	}
-	pc := &n.outPending
-	*pc = pendingCommit{meta: PacketMeta{RxTimestamp: n.Now(), Local: true, Buf: buf}}
+	h := &n.outPending
+	*h = hop{raw: raw, meta: PacketMeta{RxTimestamp: n.Now(), Local: true, Buf: buf}}
 	if n.obs != nil {
 		n.obsBeginHop(raw, 0)
 	}
-	n.routePacket(raw, pc, 0)
+	n.process(h)
 	if n.obs != nil {
-		n.obsEndHop(0)
+		n.obsEndHop(0) // whatever the stages charged, nobody waits for it
 	}
-	if pc.op != commitNone {
-		n.runCommit(pc)
+	n.runCommit(h)
+}
+
+// process routes one packet (the package comment has the stages):
+// ingress names the first route, each act applies one and either ends
+// the hop or names the next. depth counts the routes applied, so a
+// configuration that keeps matching its own output is a counted drop.
+func (n *Node) process(h *hop) {
+	r, more := n.ingress(h)
+	for depth := 0; more; depth++ {
+		if depth > maxRouteDepth {
+			n.drop(statRouteLoop)
+			return
+		}
+		r, more = n.act(r, h)
 	}
 }
 
-// routePacket resolves raw against the main table, writing the effect
-// to apply at processing-completion time into pc and returning any
-// extra cost beyond the base packet cost.
-func (n *Node) routePacket(raw []byte, pc *pendingCommit, depth int) int64 {
-	// Interface-bound dispatch runs before the FIB: the return leg of
-	// an SR proxy and VRF table bindings key on the arrival interface.
-	// Unconfigured nodes pay two nil compares.
-	if depth == 0 && pc.meta.InIface != nil &&
-		(n.ifaceInputs != nil || n.ifaceTables != nil) {
-		if b, ok := n.ifaceInputs[pc.meta.InIface]; ok {
-			return n.proxyReturn(b, raw, pc, depth)
+// drop ends the hop without a verdict: it counts why, marks the span
+// (the two reasons that stand for a behaviour or program returning an
+// error say so), and returns what a stage returns to end the hop.
+func (n *Node) drop(why stat) (*Route, bool) {
+	n.stats[why]++
+	if why == statSeg6LocalError || why == statLWTBPFError {
+		n.obsVerdict("error")
+	} else {
+		n.obsVerdict("drop")
+	}
+	return nil, false
+}
+
+// icmp charges for, and queues as the hop's verdict, an ICMPv6 error
+// about the packet as it stands. The charge is for the attempt: it
+// applies also when icmpError decides not to send one.
+func (n *Node) icmp(h *hop, icmpType uint8) {
+	h.cost += n.Cost.ICMPGenNs
+	if fn := n.icmpError(h.raw, &h.meta, icmpType, 0); fn != nil {
+		h.op, h.fn = commitFn, fn
+	}
+}
+
+// expired is the forwarding plane's hop-limit check, wherever a transit
+// packet is about to leave: one that arrived with hl <= 1 is dropped
+// and answered with Time Exceeded. Locally originated packets are
+// exempt.
+func (n *Node) expired(h *hop, hl uint8) bool {
+	if h.meta.Local || hl > 1 {
+		return false
+	}
+	n.drop(statHopLimit)
+	n.icmp(h, packet.ICMPv6TimeExceeded)
+	return true
+}
+
+// transmits ends the hop with the verdict "send the packet out of
+// iface"; dec asks the commit to write hl-1 into it first.
+func (n *Node) transmits(h *hop, iface *Iface, hl uint8, dec bool) (*Route, bool) {
+	n.obsVerdict("forward")
+	h.op, h.iface = commitTransmit, iface
+	if dec {
+		h.decHop, h.hopLimit = true, hl
+	}
+	return nil, false
+}
+
+// ingress names the route a packet starts with. Interface-bound
+// dispatch runs before the FIB: the return leg of an SR proxy and VRF
+// table bindings key on the arrival interface. Unconfigured nodes pay
+// two nil compares.
+func (n *Node) ingress(h *hop) (*Route, bool) {
+	if in := h.meta.InIface; in != nil && (n.ifaceInputs != nil || n.ifaceTables != nil) {
+		if r, ok := n.ifaceInputs[in]; ok {
+			return r, true
 		}
-		if t, ok := n.ifaceTables[pc.meta.InIface]; ok {
-			dst, err := packet.DstAddr(raw)
-			if err != nil {
-				n.hot.dropMalformed.Inc()
-				return 0
-			}
-			return n.applyRoute(n.Lookup(dst, t), raw, pc, depth)
+		if t, ok := n.ifaceTables[in]; ok {
+			return n.lookup(h, n.tables[t])
 		}
 	}
-	// DstAddr is version-dispatching: a decapsulated IPv4 packet
-	// (End.DT4/DT46) routes through the same tables.
-	dst, err := packet.DstAddr(raw)
+	return n.lookup(h, n.mainTbl)
+}
+
+// lookup names the route for the packet's destination in t; no match
+// is a nil route, which act answers. DstAddr is version-dispatching: a
+// decapsulated IPv4 packet (End.DT4/DT46) routes through the same
+// tables.
+func (n *Node) lookup(h *hop, t *Table) (*Route, bool) {
+	dst, err := packet.DstAddr(h.raw)
 	if err != nil {
-		n.hot.dropMalformed.Inc()
-		return 0
+		return n.drop(statMalformed)
 	}
-	return n.applyRoute(n.mainTable().Lookup(dst), raw, pc, depth)
+	return t.Lookup(dst), true
 }
 
-// applyRoute dispatches on the route kind.
-func (n *Node) applyRoute(r *Route, raw []byte, pc *pendingCommit, depth int) int64 {
-	if depth > maxRouteDepth {
-		n.hot.dropRouteLoop.Inc()
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+// onward sends a packet its route has just rewritten on its way: out
+// of the route's own nexthops when it has any, through another lookup
+// otherwise (towards the SID an encapsulation or a program put in
+// front).
+func (n *Node) onward(r *Route, h *hop) (*Route, bool) {
+	if len(r.Nexthops) > 0 {
+		return n.forward(r, h)
 	}
-	if r == nil {
-		n.hot.dropNoRoute.Inc()
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		if fn := n.icmpError(raw, &pc.meta, packet.ICMPv6DstUnreachable, 0); fn != nil {
-			pc.op, pc.fn = commitFn, fn
-		}
-		return n.Cost.ICMPGenNs
-	}
+	return n.lookup(h, n.mainTbl)
+}
 
+// act applies one route to the packet.
+func (n *Node) act(r *Route, h *hop) (*Route, bool) {
+	if r == nil {
+		n.drop(statNoRoute)
+		n.icmp(h, packet.ICMPv6DstUnreachable)
+		return nil, false
+	}
 	switch r.Kind {
 	case RouteLocal:
-		if n.spanIdx >= 0 {
-			n.obsRoute("local")
-			n.obsVerdict("local")
-		}
-		pc.op, pc.raw = commitLocal, raw
-		return n.Cost.LocalDeliverNs
-
+		n.obsRoute("local")
+		n.obsVerdict("local")
+		h.op = commitLocal
+		h.cost += n.Cost.LocalDeliverNs
+		return nil, false
 	case RouteForward:
-		if n.spanIdx >= 0 {
-			n.obsRoute("forward")
-		}
-		return n.forward(r, raw, pc)
-
+		n.obsRoute("forward")
+		return n.forward(r, h)
 	case RouteSeg6Local:
-		if n.spanIdx >= 0 {
-			n.obsRoute("seg6local")
-		}
-		return n.applySeg6Local(r, raw, pc, depth)
-
+		return n.seg6Local(r, h)
 	case RouteSeg6Encap:
-		if n.spanIdx >= 0 {
-			n.obsRoute("seg6encap")
-		}
-		return n.applySeg6Encap(r, raw, pc, depth)
-
+		return n.seg6Encap(r, h)
 	case RouteLWTBPF:
-		if n.spanIdx >= 0 {
-			n.obsRoute("lwt_bpf")
-			n.obsBehavior("LWT.BPF")
-		}
-		prog, ok := r.BPF.(LWTProgram)
-		if !ok {
-			n.Count("drop_bad_lwt_attachment")
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return 0
-		}
-		out, verdict, cost, err := prog.RunLWTOut(n, raw, &pc.meta)
-		if err != nil {
-			n.hot.dropLWTBPFError.Inc()
-			if n.Trace != nil {
-				n.Trace("%s: lwt bpf error: %v", n.Name, err)
-			}
-			if n.spanIdx >= 0 {
-				n.obsVerdict("error")
-			}
-			return cost
-		}
-		if verdict == LWTDrop {
-			n.hot.dropLWTBPF.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return cost
-		}
-		if len(r.Nexthops) > 0 {
-			// The route supplies the egress directly.
-			return cost + n.forward(r, out, pc)
-		}
-		// Otherwise the (possibly re-encapsulated) packet is routed
-		// again, e.g. towards the SID the program steered it to.
-		return cost + n.routePacket(out, pc, depth+1)
-
+		return n.lwtBPF(r, h)
 	default:
-		n.Count("drop_bad_route")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+		return n.drop(statBadRoute)
 	}
 }
 
-// forward handles hop limit, ECMP and backup-route protection,
-// committing the transmission.
-func (n *Node) forward(r *Route, raw []byte, pc *pendingCommit) int64 {
+// forward handles hop limit, ECMP and backup-route protection, and
+// leaves the transmission as the verdict.
+func (n *Node) forward(r *Route, h *hop) (*Route, bool) {
 	var src, dst netip.Addr
 	var hopLimit uint8
 	var flowLabel uint32
-	if packet.IPVersion(raw) == 4 {
+	if packet.IPVersion(h.raw) == 4 {
 		// Decapsulated IPv4 (End.DT4/DT46 towards a CE): same ECMP and
 		// TTL handling, no flow label.
-		hdr, err := packet.DecodeIPv4(raw)
+		hdr, err := packet.DecodeIPv4(h.raw)
 		if err != nil {
-			n.hot.dropMalformed.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return 0
+			return n.drop(statMalformed)
 		}
 		src, dst = hdr.Src, hdr.Dst
 		hopLimit, flowLabel = hdr.TTL, 0
 	} else {
-		hdr, err := packet.DecodeIPv6(raw)
+		hdr, err := packet.DecodeIPv6(h.raw)
 		if err != nil {
-			n.hot.dropMalformed.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return 0
+			return n.drop(statMalformed)
 		}
 		src, dst = hdr.Src, hdr.Dst
 		hopLimit, flowLabel = hdr.HopLimit, hdr.FlowLabel
 	}
-	if !pc.meta.Local {
-		if hopLimit <= 1 {
-			n.hot.dropHopLimit.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			if fn := n.icmpError(raw, &pc.meta, packet.ICMPv6TimeExceeded, 0); fn != nil {
-				pc.op, pc.fn = commitFn, fn
-			}
-			return n.Cost.ICMPGenNs
-		}
+	if n.expired(h, hopLimit) {
+		return nil, false
 	}
 	nh, viaBackup := r.SelectPath(src, dst, flowLabel)
 	if nh == nil || nh.Iface == nil {
 		// Distinguish a failure (interfaces exist but are down, and no
 		// usable backup protects the route) from a route that was
 		// never forwardable (no nexthops, or none with an interface).
-		configured := false
+		why := statNoNexthop
 		for i := range r.Nexthops {
 			if r.Nexthops[i].Iface != nil {
-				configured = true
+				why = statLinkDown
 				break
 			}
 		}
-		if configured {
-			n.hot.dropLinkDown.Inc()
-		} else {
-			n.hot.dropNoNexthop.Inc()
-		}
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+		return n.drop(why)
 	}
-	out := raw
-	var extra int64
 	if viaBackup {
-		n.hot.backupTx.Inc()
+		n.stats[statBackupTx]++
 		if r.Backup.SRH != nil {
-			if !pc.meta.Local {
+			if !h.meta.Local {
 				// Forwarding decrements before the tunnel ingress
 				// (ip6_forward runs before the lwtunnel output), the
 				// outer header copies the decremented value, and the
 				// encapsulated packet leaves as local output — no second
 				// decrement at transmit.
-				packet.SetHopLimit(raw, hopLimit-1)
-				pc.meta.Local = true
+				packet.SetHopLimit(h.raw, hopLimit-1)
+				h.meta.Local = true
 			}
-			enc, err := seg6.EncapIn(pc.meta.Buf, raw, n.primary, r.Backup.SRH)
+			h.cost += n.Cost.EncapNs
+			enc, err := seg6.EncapIn(h.meta.Buf, h.raw, n.primary, r.Backup.SRH)
 			if err != nil {
-				n.Count("drop_backup_encap_error")
-				if n.spanIdx >= 0 {
-					n.obsVerdict("drop")
-				}
-				return n.Cost.EncapNs
+				return n.drop(statBackupEncapError)
 			}
-			out = enc
-			extra = n.Cost.EncapNs
+			h.raw = enc
 		}
 	}
-	if n.spanIdx >= 0 {
-		n.obsVerdict("forward")
-	}
-	pc.op = commitTransmit
-	pc.decHop = !pc.meta.Local
-	pc.hopLimit = hopLimit
-	pc.iface = nh.Iface
-	pc.raw = out
-	return extra
+	return n.transmits(h, nh.Iface, hopLimit, !h.meta.Local)
 }
 
-// applySeg6Local runs a seg6local behaviour (static or End.BPF)
-// through the dispatch registry and acts on its verdict.
-func (n *Node) applySeg6Local(r *Route, raw []byte, pc *pendingCommit, depth int) int64 {
-	b := r.Behaviour
-	if b == nil {
-		n.Count("drop_bad_route")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+// seg6Local runs a seg6local behaviour (static or End.BPF) through the
+// dispatch registry and acts on its verdict. The pseudo-route of an SR
+// proxy's return interface (BindProxyReturn) runs the behaviour's
+// Inbound half the same way.
+func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
+	if !r.inbound {
+		n.obsRoute("seg6local")
 	}
-	sp := seg6.Lookup(b.Action)
-	if sp == nil {
-		n.Count("drop_bad_route")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+	b := r.Behaviour
+	var sp *seg6.Spec
+	if b != nil {
+		sp = seg6.Lookup(b.Action)
+	}
+	switch {
+	case r.inbound && (sp == nil || sp.Inbound == nil):
+		return n.drop(statBadProxyReturn)
+	case sp == nil:
+		return n.drop(statBadRoute)
 	}
 
 	var res seg6.Result
 	var cost int64
 	var err error
-
-	if sp.Prog {
+	switch {
+	case r.inbound:
+		res, err = sp.Inbound(b, h.raw)
+		cost = n.Cost.Behaviour[b.Action]
+	case sp.Prog:
 		prog, ok := b.BPF.(Seg6LocalProgram)
 		if !ok {
-			n.Count("drop_bad_seg6local_attachment")
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return 0
+			return n.drop(statBadSeg6LocalAttachment)
 		}
-		res, cost, err = prog.RunSeg6Local(n, raw, &pc.meta)
+		res, cost, err = prog.RunSeg6Local(n, h.raw, &h.meta)
 		cost += n.Cost.Behaviour[seg6.ActionEnd] // the endpoint part of End.BPF
-	} else {
-		if sp.Encapsulates && !n.tunnelHopLimit(raw, pc) {
-			if n.spanIdx >= 0 {
-				n.obsBehavior(sp.Name)
-			}
-			return n.Cost.ICMPGenNs
+	default:
+		if sp.Encapsulates && !n.tunnelHopLimit(h) {
+			// Expired at the tunnel ingress: the behaviour never ran
+			// and charges nothing.
+			n.obsBehavior(sp.Name)
+			return nil, false
 		}
-		res, err = seg6.Apply(b, raw)
+		res, err = seg6.Apply(b, h.raw)
 		cost = n.Cost.Behaviour[b.Action]
 	}
+	h.cost += cost
 	if n.obs != nil {
 		n.obs.cells[n.shard.id].behavior[b.Action].Observe(cost)
-		if n.spanIdx >= 0 {
+		if r.inbound && n.spanIdx >= 0 {
+			n.obsBehavior(sp.Name + "-in")
+		} else {
 			n.obsBehavior(sp.Name)
 		}
 	}
 	if err != nil {
-		n.hot.dropSeg6LocalError.Inc()
 		if n.Trace != nil {
 			n.Trace("%s: seg6local %v error: %v", n.Name, b.Action, err)
 		}
-		if n.spanIdx >= 0 {
-			n.obsVerdict("error")
-		}
-		return cost
+		return n.drop(statSeg6LocalError)
 	}
-	return n.seg6Act(b, res, cost, pc, depth)
+
+	// The behaviour's output is the packet from here on (nil with
+	// VerdictDrop, after which nothing reads it).
+	h.raw = res.Pkt
+	switch res.Verdict {
+	case seg6.VerdictDrop:
+		return n.drop(statSeg6Local)
+	case seg6.VerdictForward:
+		return n.lookup(h, n.mainTbl)
+	case seg6.VerdictForwardTable:
+		return n.lookup(h, n.tables[res.Table])
+	case seg6.VerdictForwardNexthop:
+		iface := n.ResolveNexthop(res.Nexthop)
+		if iface == nil {
+			return n.drop(statNoNexthop)
+		}
+		return n.crossConnect(h, iface)
+	case seg6.VerdictForwardOIF:
+		iface, ok := b.OIF.(*Iface)
+		if !ok || iface == nil || iface.Node != n {
+			return n.drop(statBadOIF)
+		}
+		if !iface.Up() {
+			return n.drop(statLinkDown)
+		}
+		return n.crossConnect(h, iface)
+	case seg6.VerdictDeliverL2:
+		if n.l2Handler == nil {
+			return n.drop(statL2NoHandler)
+		}
+		n.Count("l2_delivered")
+		n.obsVerdict("local")
+		frame, handler, meta := h.raw, n.l2Handler, h.meta
+		h.op, h.fn = commitFn, func() { handler(n, frame, &meta) }
+		h.cost += n.Cost.LocalDeliverNs
+		return nil, false
+	default:
+		return n.drop(statBadVerdict)
+	}
 }
 
 // tunnelHopLimit performs the forwarding-plane hop-limit step at a
@@ -1032,234 +1061,99 @@ func (n *Node) applySeg6Local(r *Route, raw []byte, pc *pendingCommit, depth int
 // the inner hop limit is decremented here, the outer copies the
 // decremented value, and the encapsulated packet continues as local
 // output (no second decrement at transmit). Reports false when the
-// packet's hop limit is exhausted (dropped, ICMP queued).
-func (n *Node) tunnelHopLimit(raw []byte, pc *pendingCommit) bool {
-	if pc.meta.Local {
+// hop ends here (hop limit exhausted: dropped, ICMP queued).
+func (n *Node) tunnelHopLimit(h *hop) bool {
+	if h.meta.Local {
 		return true
 	}
-	hl, err := packet.HopLimit(raw)
+	hl, err := packet.HopLimit(h.raw)
 	if err != nil {
-		n.hot.dropMalformed.Inc()
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
+		n.drop(statMalformed)
 		return false
 	}
-	if hl <= 1 {
-		n.hot.dropHopLimit.Inc()
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		if fn := n.icmpError(raw, &pc.meta, packet.ICMPv6TimeExceeded, 0); fn != nil {
-			pc.op, pc.fn = commitFn, fn
-		}
+	if n.expired(h, hl) {
 		return false
 	}
-	packet.SetHopLimit(raw, hl-1)
-	pc.meta.Local = true
+	packet.SetHopLimit(h.raw, hl-1)
+	h.meta.Local = true
 	return true
 }
 
-// proxyReturn runs the inbound half of an SR proxy for a packet
-// arriving on a bound interface (see BindProxyReturn).
-func (n *Node) proxyReturn(b *seg6.Behaviour, raw []byte, pc *pendingCommit, depth int) int64 {
-	sp := seg6.Lookup(b.Action)
-	if sp == nil || sp.Inbound == nil {
-		n.Count("drop_bad_proxy_return")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+// crossConnect ends the hop by transmitting a behaviour's output on the
+// interface the behaviour named, with the forwarding plane's hop-limit
+// contract; Ethernet frames (End.DX2 cross-connect) carry no hop limit
+// and leave untouched.
+func (n *Node) crossConnect(h *hop, iface *Iface) (*Route, bool) {
+	if ver := packet.IPVersion(h.raw); ver != 4 && ver != 6 {
+		return n.transmits(h, iface, 0, false)
 	}
-	res, err := sp.Inbound(b, raw)
-	cost := n.Cost.Behaviour[b.Action]
-	if n.obs != nil {
-		n.obs.cells[n.shard.id].behavior[b.Action].Observe(cost)
-		if n.spanIdx >= 0 {
-			n.obsBehavior(sp.Name + "-in")
-		}
-	}
+	hl, err := packet.HopLimit(h.raw)
 	if err != nil {
-		n.hot.dropSeg6LocalError.Inc()
-		if n.Trace != nil {
-			n.Trace("%s: proxy return %v error: %v", n.Name, b.Action, err)
-		}
-		if n.spanIdx >= 0 {
-			n.obsVerdict("error")
-		}
-		return cost
+		return n.drop(statMalformed)
 	}
-	return n.seg6Act(b, res, cost, pc, depth)
+	if n.expired(h, hl) {
+		return nil, false
+	}
+	return n.transmits(h, iface, hl, !h.meta.Local)
 }
 
-// seg6Act acts on a behaviour's verdict: the shared tail of
-// applySeg6Local and proxyReturn.
-func (n *Node) seg6Act(b *seg6.Behaviour, res seg6.Result, cost int64, pc *pendingCommit, depth int) int64 {
-	switch res.Verdict {
-	case seg6.VerdictDrop:
-		n.hot.dropSeg6Local.Inc()
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return cost
-
-	case seg6.VerdictForward:
-		return cost + n.routePacket(res.Pkt, pc, depth+1)
-
-	case seg6.VerdictForwardTable:
-		dst, err := packet.DstAddr(res.Pkt)
-		if err != nil {
-			n.hot.dropMalformed.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return cost
-		}
-		route := n.Lookup(dst, res.Table)
-		return cost + n.applyRoute(route, res.Pkt, pc, depth+1)
-
-	case seg6.VerdictForwardNexthop:
-		iface := n.ResolveNexthop(res.Nexthop)
-		if iface == nil {
-			n.hot.dropNoNexthop.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return cost
-		}
-		return cost + n.transmitVerdict(res.Pkt, iface, pc)
-
-	case seg6.VerdictForwardOIF:
-		iface, ok := b.OIF.(*Iface)
-		if !ok || iface == nil || iface.Node != n {
-			n.Count("drop_bad_oif")
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return cost
-		}
-		if !iface.Up() {
-			n.hot.dropLinkDown.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return cost
-		}
-		return cost + n.transmitVerdict(res.Pkt, iface, pc)
-
-	case seg6.VerdictDeliverL2:
-		if n.l2Handler == nil {
-			n.Count("l2_no_handler")
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return cost
-		}
-		n.Count("l2_delivered")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("local")
-		}
-		frame, h, meta := res.Pkt, n.l2Handler, pc.meta
-		pc.op = commitFn
-		pc.fn = func() { h(n, frame, &meta) }
-		return cost + n.Cost.LocalDeliverNs
-
-	default:
-		n.Count("drop_bad_verdict")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return cost
-	}
-}
-
-// transmitVerdict commits transmission of out on iface with the
-// forwarding plane's hop-limit contract; Ethernet frames (End.DX2
-// cross-connect) carry no hop limit and leave untouched.
-func (n *Node) transmitVerdict(out []byte, iface *Iface, pc *pendingCommit) int64 {
-	ver := packet.IPVersion(out)
-	var hopLimit uint8
-	decHop := false
-	if ver == 4 || ver == 6 {
-		hl, err := packet.HopLimit(out)
-		if err != nil {
-			n.hot.dropMalformed.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			return 0
-		}
-		if !pc.meta.Local && hl <= 1 {
-			n.hot.dropHopLimit.Inc()
-			if n.spanIdx >= 0 {
-				n.obsVerdict("drop")
-			}
-			if fn := n.icmpError(out, &pc.meta, packet.ICMPv6TimeExceeded, 0); fn != nil {
-				pc.op, pc.fn = commitFn, fn
-			}
-			return n.Cost.ICMPGenNs
-		}
-		hopLimit = hl
-		decHop = !pc.meta.Local
-	}
-	if n.spanIdx >= 0 {
-		n.obsVerdict("forward")
-	}
-	pc.op = commitTransmit
-	pc.decHop = decHop
-	pc.hopLimit = hopLimit
-	pc.iface = iface
-	pc.raw = out
-	return 0
-}
-
-// applySeg6Encap performs the static transit behaviours.
-func (n *Node) applySeg6Encap(r *Route, raw []byte, pc *pendingCommit, depth int) int64 {
+// seg6Encap performs the static transit behaviours.
+func (n *Node) seg6Encap(r *Route, h *hop) (*Route, bool) {
+	n.obsRoute("seg6encap")
 	if r.SRH == nil {
-		n.Count("drop_bad_route")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
-		}
-		return 0
+		return n.drop(statBadRoute)
+	}
+	// Inline insertion adds no outer header: the packet stays a transit
+	// packet and the transmit-time decrement applies. The other modes
+	// are tunnel ingresses.
+	if r.Mode != EncapModeInline && !n.tunnelHopLimit(h) {
+		return nil, false
 	}
 	var out []byte
 	var err error
+	var name string
 	switch r.Mode {
 	case EncapModeInline:
-		// Inline insertion adds no outer header: the packet stays a
-		// transit packet and the transmit-time decrement applies.
-		out, err = seg6.InsertSRH(raw, r.SRH)
-		if n.spanIdx >= 0 {
-			n.obsBehavior("T.Insert")
-		}
+		out, err = seg6.InsertSRH(h.raw, r.SRH)
+		name = "T.Insert"
 	case EncapModeEncapRed:
-		if !n.tunnelHopLimit(raw, pc) {
-			return n.Cost.ICMPGenNs
-		}
-		out, err = seg6.EncapRedIn(pc.meta.Buf, raw, n.primary, r.SRH)
-		if n.spanIdx >= 0 {
-			n.obsBehavior("H.Encaps.Red")
-		}
+		out, err = seg6.EncapRedIn(h.meta.Buf, h.raw, n.primary, r.SRH)
+		name = "H.Encaps.Red"
 	default:
-		if !n.tunnelHopLimit(raw, pc) {
-			return n.Cost.ICMPGenNs
-		}
-		out, err = seg6.EncapIn(pc.meta.Buf, raw, n.primary, r.SRH)
-		if n.spanIdx >= 0 {
-			n.obsBehavior("T.Encaps")
-		}
+		out, err = seg6.EncapIn(h.meta.Buf, h.raw, n.primary, r.SRH)
+		name = "T.Encaps"
 	}
+	n.obsBehavior(name)
+	h.cost += n.Cost.EncapNs // charged whether or not the packet fitted
 	if err != nil {
-		n.Count("drop_encap_error")
-		if n.spanIdx >= 0 {
-			n.obsVerdict("drop")
+		return n.drop(statEncapError)
+	}
+	h.raw = out
+	return n.onward(r, h)
+}
+
+// lwtBPF runs the route's transit program (the BPF LWT out hook) and
+// sends what it returns onward.
+func (n *Node) lwtBPF(r *Route, h *hop) (*Route, bool) {
+	n.obsRoute("lwt_bpf")
+	n.obsBehavior("LWT.BPF")
+	prog, ok := r.BPF.(LWTProgram)
+	if !ok {
+		return n.drop(statBadLWTAttachment)
+	}
+	out, verdict, cost, err := prog.RunLWTOut(n, h.raw, &h.meta)
+	h.cost += cost
+	if err != nil {
+		if n.Trace != nil {
+			n.Trace("%s: lwt bpf error: %v", n.Name, err)
 		}
-		return n.Cost.EncapNs
+		return n.drop(statLWTBPFError)
 	}
-	if len(r.Nexthops) > 0 {
-		return n.Cost.EncapNs + n.forward(r, out, pc)
+	if verdict == LWTDrop {
+		return n.drop(statLWTBPF)
 	}
-	return n.Cost.EncapNs + n.routePacket(out, pc, depth+1)
+	h.raw = out
+	return n.onward(r, h)
 }
 
 // ResolveNexthop finds the interface whose peer owns addr (the
@@ -1274,17 +1168,6 @@ func (n *Node) ResolveNexthop(addr netip.Addr) *Iface {
 	return nil
 }
 
-// mainTable returns the main routing table, caching the pointer so
-// the per-packet path skips the tables map access. A nil result (no
-// main table yet) is never cached, so a table created later is still
-// picked up.
-func (n *Node) mainTable() *Table {
-	if n.mainTbl == nil {
-		n.mainTbl = n.tables[MainTable]
-	}
-	return n.mainTbl
-}
-
 // deliverLocal dispatches a packet addressed to this node. The parsed
 // view handed to handlers is backed by node-owned scratch storage:
 // valid only for the duration of the handler call.
@@ -1296,22 +1179,14 @@ func (n *Node) deliverLocal(raw []byte, meta *PacketMeta) {
 	p := &n.scratchPkt
 	p.SRH = &n.scratchSRH
 	if err := packet.ParseInto(p, raw); err != nil {
-		n.hot.dropMalformedLocal.Inc()
+		n.stats[statMalformedLocal]++
 		return
 	}
 	switch p.L4Proto {
 	case packet.ProtoUDP:
-		udp, err := packet.DecodeUDP(raw[p.L4Off:])
-		if err != nil {
-			n.hot.dropMalformedLocal.Inc()
+		if n.deliverUDP(p, meta) {
 			return
 		}
-		if h, ok := n.udpHandlers[udp.DstPort]; ok {
-			n.hot.udpDelivered.Inc()
-			h(n, p, meta)
-			return
-		}
-		n.Count("udp_no_listener")
 		// Port unreachable (RFC 4443 type 1 code 4) — what traceroute
 		// uses to detect arrival at the destination.
 		if commit := n.icmpError(raw, meta, packet.ICMPv6DstUnreachable, 4); commit != nil {
@@ -1319,14 +1194,14 @@ func (n *Node) deliverLocal(raw []byte, meta *PacketMeta) {
 		}
 	case packet.ProtoTCP:
 		if n.tcpHandler != nil {
-			n.hot.tcpDelivered.Inc()
+			n.stats[statTCPDelivered]++
 			n.tcpHandler(n, p, meta)
 			return
 		}
 		n.Count("tcp_no_listener")
 	case packet.ProtoICMPv6:
 		if n.icmpHandler != nil {
-			n.hot.icmpDelivered.Inc()
+			n.stats[statICMPDelivered]++
 			n.icmpHandler(n, p, meta)
 			return
 		}
@@ -1343,7 +1218,7 @@ func (n *Node) deliverLocal(raw []byte, meta *PacketMeta) {
 func (n *Node) deliverLocal4(raw []byte, meta *PacketMeta) {
 	h, err := packet.DecodeIPv4(raw)
 	if err != nil {
-		n.hot.dropMalformedLocal.Inc()
+		n.stats[statMalformedLocal]++
 		return
 	}
 	if h.Protocol != packet.ProtoUDP {
@@ -1351,25 +1226,29 @@ func (n *Node) deliverLocal4(raw []byte, meta *PacketMeta) {
 		return
 	}
 	if len(raw) < h.HdrLen {
-		n.hot.dropMalformedLocal.Inc()
+		n.stats[statMalformedLocal]++
 		return
 	}
-	udp, err := packet.DecodeUDP(raw[h.HdrLen:])
+	n.deliverUDP(&packet.Packet{Raw: raw, L4Proto: h.Protocol, L4Off: h.HdrLen}, meta)
+}
+
+// deliverUDP is the UDP demultiplexer of both address families: it
+// hands p, whose UDP header is at p.L4Off, to the destination port's
+// listener. It reports false when there is none.
+func (n *Node) deliverUDP(p *packet.Packet, meta *PacketMeta) bool {
+	udp, err := packet.DecodeUDP(p.Raw[p.L4Off:])
 	if err != nil {
-		n.hot.dropMalformedLocal.Inc()
-		return
+		n.stats[statMalformedLocal]++
+		return true
 	}
 	handler, ok := n.udpHandlers[udp.DstPort]
 	if !ok {
 		n.Count("udp_no_listener")
-		return
+		return false
 	}
-	n.hot.udpDelivered.Inc()
-	var p packet.Packet
-	p.Raw = raw
-	p.L4Proto = h.Protocol
-	p.L4Off = h.HdrLen
-	handler(n, &p, meta)
+	n.stats[statUDPDelivered]++
+	handler(n, p, meta)
+	return true
 }
 
 // icmpError builds the commit that sends an ICMPv6 error about raw

@@ -219,9 +219,7 @@ func (o *simObs) registerCollectors(s *Sim) {
 
 		clear(o.scratch)
 		for _, n := range s.nodes {
-			for name, cell := range n.counters {
-				o.scratch[name] += *cell
-			}
+			n.eachCounter(func(name string, v uint64) { o.scratch[name] += v })
 		}
 		names := make([]string, 0, len(o.scratch))
 		for name := range o.scratch {
@@ -302,23 +300,29 @@ func (n *Node) obsEndHop(cost int64) {
 	}
 }
 
-// obsRoute records the hop's first FIB outcome. Call sites guard on
-// n.spanIdx >= 0, which is only ever true for a sampled hop of a
-// recorder-enabled run.
+// obsRoute records the hop's first FIB outcome. Like obsBehavior and
+// obsVerdict it tests n.spanIdx itself — only ever >= 0 for a sampled
+// hop of a recorder-enabled run — so the datapath calls the three
+// unguarded, except where building the argument would cost something.
 func (n *Node) obsRoute(kind string) {
-	sp := n.traceBuf.At(n.spanIdx)
-	if sp.Route == "" {
-		sp.Route = kind
+	if n.spanIdx >= 0 {
+		if sp := n.traceBuf.At(n.spanIdx); sp.Route == "" {
+			sp.Route = kind
+		}
 	}
 }
 
 // obsBehavior records the SRv6 behavior the hop executed.
 func (n *Node) obsBehavior(b string) {
-	n.traceBuf.At(n.spanIdx).Behavior = b
+	if n.spanIdx >= 0 {
+		n.traceBuf.At(n.spanIdx).Behavior = b
+	}
 }
 
-// obsVerdict records the hop's datapath verdict; the last write wins,
-// so recursive route resolution leaves the final outcome.
+// obsVerdict records the hop's datapath verdict: the stage that ends
+// the hop writes it.
 func (n *Node) obsVerdict(v string) {
-	n.traceBuf.At(n.spanIdx).Verdict = v
+	if n.spanIdx >= 0 {
+		n.traceBuf.At(n.spanIdx).Verdict = v
+	}
 }

@@ -28,6 +28,28 @@
 // Node.deliver). Traffic sources add one event per packet they emit; a
 // TCP sender adds one timer event per RTO, not per ACK.
 //
+// # Packet path
+//
+// What a node does with a packet is Node.process over one hop value:
+//
+//	ingress   name the first route: the arrival interface's SR-proxy
+//	          return leg or bound table, else the main table (lookup)
+//	act       apply a route — deliver locally, forward, seg6Local,
+//	          seg6Encap, lwtBPF — and either leave the verdict or name
+//	          the next route (lookup again, in some table); at most
+//	          maxRouteDepth times after the first
+//	commit    once the charged cost has elapsed, runCommit applies the
+//	          verdict: transmit, deliver locally, or run a closure
+//
+// The hop is the only thing the stages share. h.raw is written where
+// the packet is replaced: seg6Local (the behaviour's output), seg6Encap,
+// lwtBPF (the program's) and forward's backup encapsulation. h.cost is
+// added to by the stage that did the work (drain seeds it with the base
+// packet cost), never set. The verdict is written once, by transmits,
+// icmp, or the local-delivery arms of act and seg6Local; a hop that
+// ends without one went through drop, which is the only place a drop
+// is counted and the only writer of a "drop" span verdict.
+//
 // # Packet buffers
 //
 // A packet is a []byte with one owner at a time: whoever holds it may
@@ -74,7 +96,6 @@ package netsim
 
 import (
 	"math"
-	"math/rand"
 
 	"srv6bpf/internal/stats"
 )
@@ -100,13 +121,12 @@ func (s *Sim) exec(sh *shard, e *evKey) {
 }
 
 // Sim is the simulation kernel: a virtual clock, one event queue per
-// shard (one shard unless SetShards is called) and a seeded random
-// source. Stochastic per-node components (netem jitter, loss, BPF
-// get_prandom) draw from per-node streams split from the same seed,
-// so their draws are independent of shard count and node interleave.
+// shard (one shard unless SetShards is called) and a random seed.
+// Everything stochastic (netem jitter, loss, BPF get_prandom) draws
+// from per-node streams split from that seed, so draws are independent
+// of shard count and node interleave.
 type Sim struct {
 	seed int64
-	rng  *rand.Rand
 
 	// shards always holds at least one shard; len(shards) == 1 is the
 	// sequential mode every existing scenario runs in.
@@ -148,7 +168,7 @@ const driverSrc int32 = -1
 
 // New creates a simulation with the given random seed.
 func New(seed int64) *Sim {
-	s := &Sim{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	s := &Sim{seed: seed}
 	s.shards = []*shard{newShard(s, 0)}
 	s.shards[0].out = make([][]xmsg, 1)
 	s.lookahead = math.MaxInt64 / 2
@@ -179,12 +199,6 @@ func (s *Sim) Now() int64 {
 	}
 	return s.now
 }
-
-// Rand returns the simulation's driver-level random source. It is
-// not used by any per-packet path (those draw from Node.Rand()
-// streams); use it only from driver code, never from inside events
-// of a sharded run.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Schedule runs fn at absolute virtual time at (clamped to now).
 //
