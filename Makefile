@@ -50,9 +50,14 @@
 #                  benchmark/run.sh between it and this tree, print
 #                  medians, quartiles, pairs won and, against each
 #                  metric's bound in BENCHMARK.json, a worse / within /
-#                  better verdict for the six end-to-end metrics;
-#                  WORKLOAD=all does so for every workload that file
-#                  names
+#                  better verdict for the six end-to-end metrics, and
+#                  for the two allocation metrics whether every run of
+#                  a side read the same value (a claim about a count
+#                  rests on that); WORKLOAD=all does so for every
+#                  workload that file names, takes an hour and more, and
+#                  has to be started detached from a tool that kills
+#                  what runs past ten minutes: setsid nohup make
+#                  bench-pairs ... > out.txt 2>&1 &
 #   make bench-multicore [MULTICORE_JSON=path MULTICORE_WINDOW=20ms] —
 #                  the multi-core shard-scaling matrix (1/2/4/8 shards,
 #                  contiguous vs min-cut on the seeded 256-node
@@ -96,9 +101,14 @@ test:
 # the TCP-through-a-tunnel arm: its packets are built with headroom in
 # one shard and written into by the tunnel ingress in another. And so
 # does the drop-reason table: one scenario per way a packet can die on
-# a node, each pinning counter, ICMP, model cost and span verdict.
+# a node, each pinning counter, ICMP, model cost and span verdict. And
+# the rules of the packet-buffer free lists: a buffer is taken from one
+# shard's list and released into another's, on two goroutines, so the
+# race detector has to see one cross a barrier both ways (the TCP arm,
+# poisoned) and one way only (TestBufListBound), next to the tests that a
+# caller's buffer, a copy and a packet in flight are never listed.
 race-smoke:
-	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason' ./internal/netsim
+	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason|TestBufList' ./internal/netsim
 
 # A second pass of the randomized sequential-vs-sharded equivalence
 # fuzzer at smoke depth: -count 2 re-runs the same seeds and catches
@@ -167,6 +177,14 @@ pdr-smoke:
 # twenty (2/40 at the commit that introduced it); the benchmark
 # directory is frozen for changes that claim a gain, so the tolerance
 # is not this target's to fix.
+#
+# KNOWN RED since the packet-buffer free lists (PR 22): the same frozen
+# test asserts that no end-to-end metric reads 0 (main_test.go:112), and
+# allocs_per_pkt and alloc_bytes_per_pkt now do on lab3-end, lab3-bpf and
+# (most runs) lab3-bpf-overload. Those lines are the whole failure;
+# nothing here filters them, so `make check` ends red on this target,
+# last, until a change that touches only benchmark/ relaxes the assertion
+# to `< 0` for the two allocation metrics.
 bench-smoke:
 	cd benchmark && { $(GO) test -count 1 ./... || $(GO) test -count 1 ./...; }
 

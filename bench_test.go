@@ -228,7 +228,7 @@ func BenchmarkLWTOut(b *testing.B) {
 		b.Fatal(err)
 	}
 	wrr := tb.Agg.Lookup(hybrid.S2Addr, netsim.MainTable).BPF.(*core.LWT)
-	buf, err := packet.BuildPacketReserve(tcpsim.HeaderReserve, hybrid.S1Addr, hybrid.S2Addr,
+	buf, err := packet.BuildPacketIn(func(size int) []byte { return make([]byte, size) }, tcpsim.HeaderReserve, hybrid.S1Addr, hybrid.S2Addr,
 		packet.WithTCP(packet.TCP{SrcPort: 41000, DstPort: 5001}), packet.WithPayload(make([]byte, 1400)))
 	if err != nil {
 		b.Fatal(err)

@@ -214,6 +214,7 @@ func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMet
 	switch ret {
 	case BPFOK:
 		e.stats.verdicts[verdictOK]++
+		env.adoptGrown()
 		return seg6.Result{Verdict: seg6.VerdictForward, Pkt: env.pkt}, cost, nil
 	case BPFDrop:
 		e.stats.verdicts[verdictDrop]++
@@ -224,6 +225,7 @@ func (e *EndBPF) RunSeg6Local(n *netsim.Node, raw []byte, meta *netsim.PacketMet
 			return drop, cost, ErrNoPendingState
 		}
 		e.stats.verdicts[verdictRedirect]++
+		env.adoptGrown()
 		res := env.pending
 		res.Pkt = env.pkt
 		return res, cost, nil

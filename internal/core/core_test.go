@@ -61,8 +61,10 @@ func newRig(t *testing.T, spec *bpf.ProgramSpec) *rig {
 	g.r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:b::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rbIf}}})
 	g.r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:c::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rcIf}}})
 
-	g.b.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) { g.gotB = p })
-	g.c.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) { g.gotC = p })
+	// A full parse of the bytes: the view a handler is given has the TLV
+	// area checked but not decoded, and is the node's scratch.
+	g.b.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) { g.gotB, _ = packet.Parse(p.Raw) })
+	g.c.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) { g.gotC, _ = packet.Parse(p.Raw) })
 
 	if spec != nil {
 		prog, err := bpf.LoadProgram(spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{})

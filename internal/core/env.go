@@ -25,6 +25,10 @@ type execEnv struct {
 	// srhOff is the byte offset of the outermost SRH, or -1.
 	srhOff int
 
+	// grown is the free-list buffer adjust_srh last built a longer packet
+	// in, nil when it has not.
+	grown []byte
+
 	// srhModified is set by store_bytes/adjust_srh: the SRH must be
 	// revalidated after the program returns (§3.1).
 	srhModified bool
@@ -55,8 +59,20 @@ func (e *execEnv) beginRun(node *netsim.Node, meta *netsim.PacketMeta, pkt []byt
 	e.meta = meta
 	e.pkt = pkt
 	e.srhOff = srhOff
+	e.grown = nil
 	e.srhModified = false
 	e.hasPending = false
+}
+
+// adoptGrown tells the node, once the run has succeeded, that the packet
+// it gets back lives in a buffer from its free list (the contract of
+// netsim.Seg6LocalProgram): the node releases the one the packet came in.
+// Should a later helper have moved the packet on to yet another buffer,
+// the node finds that the packet is not in this one and recycles neither.
+func (e *execEnv) adoptGrown() {
+	if e.grown != nil && e.meta != nil {
+		e.meta.Buf = e.grown
+	}
 }
 
 // setPending records the verdict a BPF_REDIRECT return will take.

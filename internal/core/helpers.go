@@ -85,10 +85,15 @@ func helperSeg6AdjustSRH(m *vm.Machine, r1, r2, r3, _, _ uint64) (uint64, error)
 
 	var out []byte
 	if delta > 0 {
-		out = make([]byte, 0, len(e.pkt)+delta)
-		out = append(out, e.pkt[:off]...)
-		out = append(out, make([]byte, delta)...)
-		out = append(out, e.pkt[off:]...)
+		// The grown packet is built in a buffer of the node's free list,
+		// whose content is whatever the last packet left there: the gap is
+		// zeroed here. The packet's own allocation stays as it is — the run
+		// may yet fail — and is released where the hop takes the new one
+		// (adoptGrown).
+		out = e.node.PacketBuf(len(e.pkt) + delta)
+		copy(out, e.pkt[:off])
+		clear(out[off : off+delta])
+		copy(out[off+delta:], e.pkt[off:])
 	} else {
 		if off-delta > end {
 			return bpf.Errno(bpf.EINVAL), nil
@@ -103,6 +108,11 @@ func helperSeg6AdjustSRH(m *vm.Machine, r1, r2, r3, _, _ uint64) (uint64, error)
 	}
 	e.srhModified = true
 	e.setPacket(out)
+	if delta > 0 {
+		e.grown = out
+	} else {
+		e.grown = nil // the packet left the list's buffer for a made one
+	}
 	return 0, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"srv6bpf/internal/nf/progs"
 	"srv6bpf/internal/packet"
 	"srv6bpf/internal/seg6"
+	"srv6bpf/internal/trafgen"
 )
 
 // DatapathRow is one wall-clock measurement of this library's own
@@ -132,7 +133,71 @@ func DatapathBench() ([]DatapathRow, error) {
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	row, err := labGenToSinkRow()
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, row), nil
+}
+
+var (
+	labSrc = netip.MustParseAddr("2001:db8:1::1")
+	labDst = netip.MustParseAddr("2001:db8:2::1")
+)
+
+// labLine builds the line A — R — C of the whole-datapath rows: labSrc on
+// A, labDst on C, default routes at the two ends and C's /48 on R.
+func labLine(sim *netsim.Sim, link netem.Config) (a, r, c *netsim.Node) {
+	a = sim.AddNode("A", netsim.HostCostModel())
+	r = sim.AddNode("R", netsim.ServerCostModel())
+	c = sim.AddNode("C", netsim.HostCostModel())
+	a.AddAddress(labSrc)
+	c.AddAddress(labDst)
+	aIf, _ := netsim.ConnectSymmetric(a, r, link)
+	rcIf, cIf := netsim.ConnectSymmetric(r, c, link)
+	a.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: aIf}}})
+	c.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: cIf}}})
+	r.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rcIf}}})
+	return a, r, c
+}
+
+// labGenToSinkRow measures what the SimUDP rows leave out, the two ends:
+// a trafgen.UDPGen on A, End on R, a trafgen.Sink on C, one packet per
+// operation in steady state. The generator's buffer is the one the sink
+// released a few packets earlier, so the row allocates nothing.
+func labGenToSinkRow() (DatapathRow, error) {
+	sid := netip.MustParseAddr("fc00:1::b")
+	sim := netsim.New(1)
+	a, r, c := labLine(sim, netem.Config{RateBps: 1e10, DelayNs: 10 * netsim.Microsecond})
+	r.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd}})
+	sink := trafgen.NewSink(c, 2)
+
+	const gap = 2 * netsim.Microsecond // 500 kpps, below R's capacity
+	gen := &trafgen.UDPGen{
+		Node: a, Src: labSrc, Dst: sid, SrcPort: 1, DstPort: 2, PayloadLen: 64,
+		SRH: packet.NewSRH([]netip.Addr{sid, labDst}), RatePPS: 1e9 / float64(gap),
+	}
+	if err := gen.Start(1 << 62); err != nil {
+		return DatapathRow{}, err
+	}
+	sim.RunUntil(1000 * gap) // fill the pipe, grow the queues
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sim.RunUntil(sim.Now() + gap)
+		}
+	})
+	gen.Stop()
+	if sink.Packets == 0 || sink.Packets+100 < gen.Sent() {
+		return DatapathRow{}, fmt.Errorf("lab row: %d of %d packets delivered", sink.Packets, gen.Sent())
+	}
+	return DatapathRow{
+		Name:        "Lab3-gen-to-sink",
+		NsPerOp:     float64(res.NsPerOp()),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+	}, nil
 }
 
 // simUDPRow measures one SRv6 packet traversing the full simulated
@@ -143,21 +208,8 @@ func DatapathBench() ([]DatapathRow, error) {
 // case). The direct RunSeg6Local rows above bypass the node's drain
 // loop and so never see the obs hooks.
 func simUDPRow(name string, obsOn bool, sids, labels int) (DatapathRow, error) {
-	src := netip.MustParseAddr("2001:db8:1::1")
-	dst := netip.MustParseAddr("2001:db8:2::1")
-
 	sim := netsim.New(1)
-	a := sim.AddNode("A", netsim.HostCostModel())
-	r := sim.AddNode("R", netsim.ServerCostModel())
-	c := sim.AddNode("C", netsim.HostCostModel())
-	a.AddAddress(src)
-	c.AddAddress(dst)
-	fast := netem.Config{RateBps: 1e12}
-	aIf, _ := netsim.ConnectSymmetric(a, r, fast)
-	rcIf, cIf := netsim.ConnectSymmetric(r, c, fast)
-	a.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: aIf}}})
-	c.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: cIf}}})
-	r.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rcIf}}})
+	a, r, c := labLine(sim, netem.Config{RateBps: 1e12})
 	c.HandleUDP(2, func(*netsim.Node, *packet.Packet, *netsim.PacketMeta) {})
 	if obsOn {
 		sim.EnableObs(netsim.ObsOptions{Trace: true, SampleShift: 0})
@@ -168,7 +220,7 @@ func simUDPRow(name string, obsOn bool, sids, labels int) (DatapathRow, error) {
 		sid := netip.MustParseAddr(fmt.Sprintf("fc00:1::b%d", i))
 		r.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd}})
 		for fl := 0; fl < labels; fl++ {
-			tmpl, err := packet.BuildPacket(src, sid, packet.WithSRH(packet.NewSRH([]netip.Addr{sid, dst})),
+			tmpl, err := packet.BuildPacket(labSrc, sid, packet.WithSRH(packet.NewSRH([]netip.Addr{sid, labDst})),
 				packet.WithFlowLabel(uint32(fl)), packet.WithUDP(1, 2), packet.WithPayload(make([]byte, 64)))
 			if err != nil {
 				return DatapathRow{}, err

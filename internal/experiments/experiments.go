@@ -254,7 +254,9 @@ func Figure3(durationNs int64) ([]Row, error) {
 		if err := plain.Start(l2.sim.Now() + durationNs); err != nil {
 			return nil, err
 		}
-		probe.Start(l2.sim.Now() + durationNs)
+		if err := probe.Start(l2.sim.Now() + durationNs); err != nil {
+			return nil, err
+		}
 		l2.sim.RunUntil(l2.sim.Now() + durationNs/10)
 		l2.sink.Reset()
 		l2.sim.RunUntil(l2.sim.Now() + durationNs)

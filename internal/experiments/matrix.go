@@ -295,7 +295,9 @@ func matrixL3VPN(shards int) (string, uint64, error) {
 				return "", 0, err
 			}
 			g := &trafgen.RawGen{Node: ceIn, Template: tmpl, RatePPS: rate}
-			g.Start(until)
+			if err := g.Start(until); err != nil {
+				return "", 0, err
+			}
 			gens = append(gens, g)
 		case "C":
 			g := &trafgen.UDPGen{Node: ceIn, Src: c1, Dst: c9, SrcPort: 40000, DstPort: tn.port, PayloadLen: 64, RatePPS: rate}
@@ -313,7 +315,9 @@ func matrixL3VPN(shards int) (string, uint64, error) {
 				return "", 0, err
 			}
 			g4 := &trafgen.RawGen{Node: ceIn, Template: tmpl, RatePPS: rate / 2}
-			g4.Start(until)
+			if err := g4.Start(until); err != nil {
+				return "", 0, err
+			}
 			gens = append(gens, g6, g4)
 		}
 	}

@@ -57,6 +57,11 @@ type ShardScalingRow struct {
 	// LookaheadNs is the conservative window length the partition
 	// yields (the minimum cross-shard link delay).
 	LookaheadNs int64 `json:"lookahead_ns,omitempty"`
+	// BufGets is how many packet buffers the generators asked of the
+	// shards' free lists, BufReuses how many of those were a dead
+	// packet's (netsim.EngineStats): the rest were allocated.
+	BufGets   uint64 `json:"buf_gets,omitempty"`
+	BufReuses uint64 `json:"buf_reuses,omitempty"`
 }
 
 // shardScalingSeed fixes the scenario; every shard count replays it.
@@ -244,6 +249,8 @@ func shardScalingRun(spec ShardScalingSpec, shards int) (ShardScalingRow, string
 		Windows:      st.Windows,
 		Messages:     st.Messages,
 		CutLinks:     st.CutLinks,
+		BufGets:      st.BufGets,
+		BufReuses:    st.BufReuses,
 	}
 	if shards > 1 {
 		row.LookaheadNs = st.Lookahead

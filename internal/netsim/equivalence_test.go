@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/netsim/topo"
@@ -292,62 +293,67 @@ func TestShardEquivalenceFRR(t *testing.T) {
 // that `make check` runs under the race detector: a trimmed fat-tree
 // (k=4, 36 nodes) against the sequential schedule.
 func TestShardEquivalenceSmoke(t *testing.T) {
-	run := func(shards int) string {
-		sim := netsim.New(3)
-		nw, err := topo.FatTree(sim, 4, topo.Opts{
-			Link: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Per-host traces: each journal is appended only by its
-		// owner's shard.
-		journals := make([]*netsim.Journal, len(nw.Hosts))
-		for i, h := range nw.Hosts {
-			j := netsim.NewJournal()
-			journals[i] = j
-			name := h.Name
-			h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
-				j.Addf("%s<-%s@%d", name, p.IPv6.Src, meta.RxTimestamp)
-			})
-		}
-		pairs := nw.PermutationPairs(5)
-		gens := make([]*trafgen.UDPGen, len(pairs))
-		for i, pr := range pairs {
-			gens[i] = &trafgen.UDPGen{
-				Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
-				SrcPort: 1000, DstPort: 9, PayloadLen: 64,
-				FlowLabel: func(k uint64) uint32 { return uint32(k % 8) },
-				RatePPS:   50_000,
-			}
-		}
-		if err := sim.SetShards(shards); err != nil {
-			t.Fatal(err)
-		}
-		const until = netsim.Millisecond
-		for i, g := range gens {
-			g := g
-			g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
-				if err := g.Start(until); err != nil {
-					panic(err)
-				}
-			})
-		}
-		sim.RunUntil(until)
-		for _, g := range gens {
-			g.Stop()
-		}
-		sim.Run()
-		var order []string
-		for _, j := range journals {
-			order = append(order, j.Lines()...)
-		}
-		return fingerprint(sim, order)
-	}
-	base := run(1)
-	if got := run(2); got != base {
+	base := smokeRun(t, 1)
+	if got := smokeRun(t, 2); got != base {
 		diffReport(t, base, got, 2)
 	}
+}
+
+// smokeRun is TestShardEquivalenceSmoke's scenario on the given number
+// of shards. Its hosts release what they have journalled, so the
+// generators' buffers go round.
+func smokeRun(t *testing.T, shards int) string {
+	sim := netsim.New(3)
+	nw, err := topo.FatTree(sim, 4, topo.Opts{
+		Link: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-host traces: each journal is appended only by its
+	// owner's shard.
+	journals := make([]*netsim.Journal, len(nw.Hosts))
+	for i, h := range nw.Hosts {
+		j := netsim.NewJournal()
+		journals[i] = j
+		name := h.Name
+		h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
+			j.Addf("%s<-%s@%d", name, p.IPv6.Src, meta.RxTimestamp)
+			n.Release(meta)
+		})
+	}
+	pairs := nw.PermutationPairs(5)
+	gens := make([]*trafgen.UDPGen, len(pairs))
+	for i, pr := range pairs {
+		gens[i] = &trafgen.UDPGen{
+			Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
+			SrcPort: 1000, DstPort: 9, PayloadLen: 64,
+			FlowLabel: func(k uint64) uint32 { return uint32(k % 8) },
+			RatePPS:   50_000,
+		}
+	}
+	if err := sim.SetShards(shards); err != nil {
+		t.Fatal(err)
+	}
+	const until = netsim.Millisecond
+	for i, g := range gens {
+		g := g
+		g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
+			if err := g.Start(until); err != nil {
+				panic(err)
+			}
+		})
+	}
+	sim.RunUntil(until)
+	for _, g := range gens {
+		g.Stop()
+	}
+	sim.Run()
+	var order []string
+	for _, j := range journals {
+		order = append(order, j.Lines()...)
+	}
+	return fingerprint(sim, order)
 }
 
 // tcpTunnelRun is a TCP transfer S → T through a tunnel A ⇄ M (static
@@ -449,6 +455,50 @@ func TestShardEquivalenceTCPEncap(t *testing.T) {
 	for _, assign := range [][]int{{0, 1, 1, 0}, {0, 1, 0, 1}} {
 		if got := tcpTunnelRun(t, assign); got != base {
 			diffReport(t, base, got, 2)
+		}
+	}
+}
+
+// TestBufListPoisonChangesNothing: with every released buffer
+// overwritten, the fat-tree smoke, the TCP transfer through a tunnel (on
+// one shard and split, so that buffers born in one shard are released in
+// the other, both ways), the first eight scenarios of the equivalence
+// fuzzer (crashes, corruption, duplication, PSP and reduced
+// encapsulation among them) and the behaviour matrix produce the
+// fingerprints they produce without — a byte read after its release, or a
+// buffer released while someone still holds it, changes a counter or a
+// trace.
+func TestBufListPoisonChangesNothing(t *testing.T) {
+	type arm struct {
+		name string
+		run  func() string
+	}
+	arms := []arm{
+		{"smoke, 1 shard", func() string { return smokeRun(t, 1) }},
+		{"smoke, 2 shards", func() string { return smokeRun(t, 2) }},
+		{"tcp through a tunnel, 1 shard", func() string { return tcpTunnelRun(t, nil) }},
+		{"tcp through a tunnel, 2 shards", func() string { return tcpTunnelRun(t, []int{0, 1, 1, 0}) }},
+		{"behaviour matrix", func() string {
+			rows, err := experiments.MatrixScan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(rows)
+		}},
+	}
+	for i := 0; i < 8; i++ {
+		sc := deriveScenario(int64(7777 + 131*i))
+		arms = append(arms, arm{fmt.Sprintf("fuzz scenario %d (%s), 2 shards", i, sc.kind), func() string { return fuzzRun(t, sc, 2) }})
+	}
+	clean := make([]string, len(arms))
+	for i, a := range arms {
+		clean[i] = a.run()
+	}
+	netsim.PoisonReleased(t)
+	for i, a := range arms {
+		if got := a.run(); got != clean[i] {
+			t.Errorf("%s: poisoning released buffers changed the run", a.name)
+			diffReport(t, clean[i], got, 0)
 		}
 	}
 }

@@ -83,6 +83,7 @@ type evPayload struct {
 	peer *Iface // receiving link end
 	buf  []byte // the packet's allocation
 	head int32  // where in buf the packet starts
+	born bool   // buf came from a shard's free list (see shard.getBuf)
 }
 
 // eventQueue is a shard's pending-event set: an implicit 4-ary min-heap
@@ -132,7 +133,7 @@ func (q *eventQueue) pushDrainCont(at, schedAt int64, src int32, k, epoch uint64
 func (q *eventQueue) pushDeliver(m *xmsg) {
 	slot := q.alloc()
 	p := &q.slab[slot]
-	p.peer, p.buf, p.head = m.peer, m.buf, m.head
+	p.peer, p.buf, p.head, p.born = m.peer, m.buf, m.head, m.born
 	q.insert(m.at, m.schedAt, m.src, m.k, m.epoch, slot)
 }
 
@@ -169,9 +170,9 @@ func (q *eventQueue) takeFn(slot int32) func() {
 }
 
 // takeDeliver returns the delivery in slot and recycles the slot.
-func (q *eventQueue) takeDeliver(slot int32) (peer *Iface, buf []byte, head int32) {
+func (q *eventQueue) takeDeliver(slot int32) (peer *Iface, buf []byte, head int32, born bool) {
 	p := &q.slab[slot]
-	peer, buf, head = p.peer, p.buf, p.head
+	peer, buf, head, born = p.peer, p.buf, p.head, p.born
 	p.peer, p.buf = nil, nil
 	q.free = append(q.free, slot)
 	return

@@ -122,7 +122,7 @@ func TestEventQueueDifferential(t *testing.T) {
 						t.Fatalf("seed %d step %d: closure id %d, oracle kind %d id %d", seed, step, got, want.kind, want.id)
 					}
 				default:
-					p, buf, head := live.q.takeDeliver(e.slot)
+					p, buf, head, _ := live.q.takeDeliver(e.slot)
 					if want.kind != 2 || p != peer || head != int32(want.id%4) || binary.BigEndian.Uint64(buf[head:]) != want.id {
 						t.Fatalf("seed %d step %d: delivery payload does not match oracle %+v", seed, step, want)
 					}

@@ -146,6 +146,7 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 		journals[i] = j
 		h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 			j.Addf("%d:%s:%d", meta.RxTimestamp, p.IPv6.Src, p.IPv6.FlowLabel)
+			n.Release(meta) // the generators' buffers go round, chaos or not
 		})
 	}
 	pairs := nw.PermutationPairs(sc.pairs)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"srv6bpf/internal/netem"
-	"srv6bpf/internal/packet"
 )
 
 // Iface is one end of a point-to-point link.
@@ -31,7 +30,10 @@ type Iface struct {
 
 	// Tap, when set, observes every packet accepted for transmission
 	// (tests and tcpdump-style tracing). It runs on the transmitting
-	// node's shard.
+	// node's shard. raw is the packet in flight, not a copy: a tap that
+	// keeps anything past its own return must copy it, because the node
+	// that ends the packet may release its buffer for the next one (see
+	// "Packet buffers" in the package comment).
 	Tap func(raw []byte)
 
 	// OnStateChange, when set, is invoked whenever the link state
@@ -134,6 +136,7 @@ type xmsg struct {
 	peer        *Iface // receiving link end
 	epoch       uint64 // sender's fail epoch at transmission
 	buf         []byte // the packet's allocation
+	born        bool   // buf came from a shard's free list
 }
 
 // Transmit serialises raw onto the link; the peer node receives it
@@ -142,23 +145,32 @@ type xmsg struct {
 // node's shard; the delivery event is routed to the shard owning the
 // peer, carrying the deterministic key the sequential schedule would
 // have assigned it.
-func (i *Iface) Transmit(raw []byte) { i.transmit(raw, nil) }
+func (i *Iface) Transmit(raw []byte) { i.transmit(raw, nil, false) }
 
 // transmit is Transmit for a packet whose allocation the caller holds:
 // when raw is provably buf's tail the delivery carries buf and the
 // offset raw starts at, so the receiving node can still reach the
-// bytes in front of the packet; otherwise it carries raw alone.
-func (i *Iface) transmit(raw, buf []byte) {
+// bytes in front of the packet; otherwise it carries raw alone. born
+// says buf came from a shard's free list. It survives only with the
+// same proof — a packet that left its allocation on the way (an SRH
+// insertion, an encapsulation that found no headroom) is not the bytes
+// that were handed out — and a packet the link refuses dies here, its
+// allocation back in the list.
+func (i *Iface) transmit(raw, buf []byte, born bool) {
+	n := i.Node
+	tail := isTail(buf, raw)
+	born = born && tail
 	if i.down {
 		i.TxDrops++
 		i.downTxDrops++
+		n.recycle(buf, born)
 		return
 	}
-	n := i.Node
 	now := n.Now()
 	deliverAt, ok := i.q.Admit(now, len(raw), n.rng)
 	if !ok {
 		i.TxDrops++
+		n.recycle(buf, born)
 		return
 	}
 	i.TxPackets++
@@ -168,8 +180,10 @@ func (i *Iface) transmit(raw, buf []byte) {
 		// below happens after the sender's tcpdump point.
 		i.Tap(raw)
 	}
-	head := packet.Headroom(buf, raw)
-	if head == 0 {
+	head := 0
+	if tail {
+		head = len(buf) - len(raw)
+	} else {
 		buf = raw
 	}
 	// Chaos-layer impairments. All draws come from the transmitting
@@ -179,12 +193,13 @@ func (i *Iface) transmit(raw, buf []byte) {
 	if i.q.DrawCorrupt(n.rng) {
 		// Damage a copy: the tap above (and a caller that kept the slice
 		// it handed to Output) holds the packet as transmitted. The copy
-		// is the packet alone: whatever lay in front of it stays behind.
-		buf, head = corruptCopy(raw, n.rng), 0
+		// is the packet alone: whatever lay in front of it stays behind,
+		// and being a copy it is nobody's to release.
+		buf, head, born = corruptCopy(raw, n.rng), 0, false
 		n.Count("tx_corrupted")
 	}
 	dup := i.q.DrawDuplicate(n.rng)
-	i.send(buf, head, deliverAt, now)
+	i.send(buf, head, born, deliverAt, now)
 	if dup {
 		// tc-netem duplication: the copy is re-admitted as if enqueued
 		// a second time, serialising and jittering independently. It
@@ -192,7 +207,7 @@ func (i *Iface) transmit(raw, buf []byte) {
 		// in front of them, so two deliveries must never share a buffer.
 		if dupAt, ok := i.q.Admit(now, len(raw), n.rng); ok {
 			n.Count("tx_duplicated")
-			i.send(append([]byte(nil), buf[head:]...), 0, dupAt, now)
+			i.send(append([]byte(nil), buf[head:]...), 0, false, dupAt, now)
 		} else {
 			i.TxDrops++
 		}
@@ -201,12 +216,12 @@ func (i *Iface) transmit(raw, buf []byte) {
 
 // send routes one admitted packet delivery to the peer, carrying the
 // deterministic event key.
-func (i *Iface) send(buf []byte, head int, deliverAt, now int64) {
+func (i *Iface) send(buf []byte, head int, born bool, deliverAt, now int64) {
 	n := i.Node
 	n.schedK++
 	m := xmsg{
 		at: deliverAt, schedAt: now, src: n.idx, head: int32(head), k: n.schedK,
-		peer: i.peer, epoch: i.failEpoch, buf: buf,
+		peer: i.peer, epoch: i.failEpoch, buf: buf, born: born,
 	}
 	if i.peer.Node.shard == n.shard {
 		n.shard.q.pushDeliver(&m)

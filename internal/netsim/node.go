@@ -29,12 +29,21 @@ type PacketMeta struct {
 	// packet.Headroom first, so a packet reallocated since (or a zero
 	// PacketMeta) simply has no headroom.
 	Buf []byte
+	// born says Buf came from the shard's free list (Node.PacketBuf) and
+	// may return to it when the packet dies; Release spends it.
+	born bool
 }
 
 // Seg6LocalProgram is implemented by internal/core's End.BPF
 // attachment. It runs the program against raw and reports the
 // resulting seg6 verdict plus the virtual CPU cost of the BPF
 // execution.
+//
+// A program that returns the packet rebuilt in a buffer it took from
+// n.PacketBuf says so by storing that buffer in meta.Buf, and only when
+// it returns no error: the node then releases the allocation the packet
+// came in and carries the new one as the hop's. Until it returns, the
+// bytes of raw's allocation stay what the program left in raw.
 type Seg6LocalProgram interface {
 	RunSeg6Local(n *Node, raw []byte, meta *PacketMeta) (seg6.Result, int64, error)
 }
@@ -56,7 +65,11 @@ type LWTProgram interface {
 	RunLWTOut(n *Node, raw []byte, meta *PacketMeta) ([]byte, LWTVerdict, int64, error)
 }
 
-// UDPHandler receives locally-delivered UDP packets.
+// UDPHandler receives locally-delivered UDP packets. p and the bytes it
+// shows are the handler's for the duration of the call. A handler that
+// has read what it needs may end the packet with n.Release(meta), after
+// which it must not touch p again; one that does not may keep p.Raw, and
+// one that keeps part of a packet it releases must copy that part.
 type UDPHandler func(n *Node, p *packet.Packet, meta *PacketMeta)
 
 // commitOp selects the deferred effect of a processed packet. The
@@ -108,6 +121,7 @@ type rxItem struct {
 	rxTimestamp int64
 	inIface     *Iface
 	head        int32
+	born        bool // buf came from a shard's free list
 }
 
 // stat names one of the counters the packet path itself bumps: why it
@@ -605,15 +619,16 @@ func (n *Node) BindIfaceTable(in *Iface, table int) error {
 // link failure, crash or route change scheduled for the arrival instant
 // finds the packet already routed. Service order is arrival order
 // either way.
-func (n *Node) deliver(buf []byte, head int32, in *Iface) {
+func (n *Node) deliver(buf []byte, head int32, born bool, in *Iface) {
 	if n.crashed {
 		// The links go down with the node, so normally nothing arrives
 		// here; this guards same-instant races around the crash event.
 		n.Count("crash_rx_lost")
 		return
 	}
-	if !n.rxPush(rxItem{buf: buf, rxTimestamp: n.Now(), inIface: in, head: head}) {
+	if !n.rxPush(rxItem{buf: buf, rxTimestamp: n.Now(), inIface: in, head: head, born: born}) {
 		n.stats[statRxRingFull]++
+		n.recycle(buf, born)
 		return
 	}
 	if !n.busy {
@@ -675,7 +690,7 @@ func (n *Node) drain() {
 	h := &n.pending
 	*h = hop{
 		raw:  raw,
-		meta: PacketMeta{RxTimestamp: item.rxTimestamp, InIface: item.inIface, Buf: item.buf},
+		meta: PacketMeta{RxTimestamp: item.rxTimestamp, InIface: item.inIface, Buf: item.buf, born: item.born},
 		cost: n.Cost.PacketCost(len(raw)),
 	}
 	if n.obs != nil {
@@ -717,14 +732,21 @@ func (n *Node) runCommit(h *hop) {
 	h.op, h.raw = commitNone, nil
 	switch op {
 	case commitTransmit:
-		buf, iface := h.meta.Buf, h.iface
-		h.meta.Buf, h.iface = nil, nil
+		buf, born, iface := h.meta.Buf, h.meta.born, h.iface
+		h.meta.Buf, h.meta.born, h.iface = nil, false, nil
 		if h.decHop {
 			packet.SetHopLimit(raw, h.hopLimit-1)
 		}
-		iface.transmit(raw, buf)
+		iface.transmit(raw, buf, born)
 	case commitLocal:
 		n.deliverLocal(raw, &h.meta)
+		// The packet ended with its handler, released or not, and the claim
+		// with it. On loopback h is outPending, which an Output from inside
+		// the handler has reused for the packet it sent: this line, and the
+		// one above that clears the claim of what is transmitted, are why a
+		// Release the handler calls after that Output finds nothing to free
+		// instead of a packet in flight.
+		h.meta.Buf, h.meta.born = nil, false
 	case commitFn:
 		fn := h.fn
 		h.fn = nil
@@ -735,15 +757,44 @@ func (n *Node) runCommit(h *hop) {
 // Output injects a locally-generated packet into the routing path.
 // Generation cost is the caller's concern (traffic generators pace
 // themselves), so no CPU time is charged here.
-func (n *Node) Output(raw []byte) { n.output(raw, nil) }
+func (n *Node) Output(raw []byte) { n.output(raw, nil, false) }
 
-// OutputReserved is Output for a packet built with spare bytes in front
-// (packet.BuildPacketReserve): the packet is buf[reserve:], and buf
-// travels with it so that a tunnel ingress on the path can encapsulate
-// in place. The caller gives buf up, as with Output.
-func (n *Node) OutputReserved(buf []byte, reserve int) { n.output(buf[reserve:], buf) }
+// PacketBuf returns size bytes to build a packet in and send with
+// OutputBuf: a dead packet's allocation from the shard's free list when
+// it holds one, a new one otherwise. The content is unspecified — the
+// caller writes every byte it sends.
+func (n *Node) PacketBuf(size int) []byte { return n.shard.getBuf(size) }
 
-func (n *Node) output(raw, buf []byte) {
+// OutputBuf is Output for a packet built in a buf that came from
+// PacketBuf, and only for such. The packet is buf[reserve:], and buf
+// travels with it: a tunnel ingress on the path encapsulates in place
+// into the reserve bytes in front, and the allocation returns to a free
+// list when the packet dies at a place that releases it (Release, a full
+// receive ring, a link that refuses it), to be handed out again. The
+// caller keeps no reference to it.
+func (n *Node) OutputBuf(buf []byte, reserve int) { n.output(buf[reserve:], buf, true) }
+
+// Release ends a locally delivered packet: a handler calls it with the
+// metadata it was given once it has read what it needs, and the
+// allocation the packet arrived in — if it came from PacketBuf — goes to
+// the free list of this node's shard. It spends the claim: a second
+// Release does nothing, and neither does one on a packet whose sender
+// made the buffer itself (Output, Iface.Transmit). Call it before sending
+// anything from inside the handler.
+func (n *Node) Release(meta *PacketMeta) {
+	n.recycle(meta.Buf, meta.born)
+	meta.Buf, meta.born = nil, false
+}
+
+// recycle returns buf, which nothing refers to any more, to the shard's
+// free list if it was born there.
+func (n *Node) recycle(buf []byte, born bool) {
+	if born {
+		n.shard.putBuf(buf)
+	}
+}
+
+func (n *Node) output(raw, buf []byte, born bool) {
 	if n.crashed {
 		// Application timers keep firing through a crash (the process
 		// schedule outlives the box in this model), but nothing leaves
@@ -752,7 +803,7 @@ func (n *Node) output(raw, buf []byte) {
 		return
 	}
 	h := &n.outPending
-	*h = hop{raw: raw, meta: PacketMeta{RxTimestamp: n.Now(), Local: true, Buf: buf}}
+	*h = hop{raw: raw, meta: PacketMeta{RxTimestamp: n.Now(), Local: true, Buf: buf, born: born}}
 	if n.obs != nil {
 		n.obsBeginHop(raw, 0)
 	}
@@ -987,8 +1038,21 @@ func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
 		if !ok {
 			return n.drop(statBadSeg6LocalAttachment)
 		}
+		buf := h.meta.Buf
 		res, cost, err = prog.RunSeg6Local(n, h.raw, &h.meta)
 		cost += n.Cost.Behaviour[seg6.ActionEnd] // the endpoint part of End.BPF
+		if moved := h.meta.Buf; len(moved) > 0 && (len(buf) == 0 || &moved[0] != &buf[0]) {
+			// The program says it rebuilt the packet in a buffer from the
+			// free list (see Seg6LocalProgram). Only a packet that is
+			// provably there has left the allocation it arrived in; one
+			// that is not may live anywhere, so neither buffer is listed.
+			if isTail(moved, res.Pkt) {
+				n.recycle(buf, h.meta.born)
+				h.meta.born = true
+			} else {
+				h.meta.born = false
+			}
+		}
 	default:
 		if sp.Encapsulates && !n.tunnelHopLimit(h) {
 			// Expired at the tunnel ingress: the behaviour never ran

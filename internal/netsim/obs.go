@@ -216,6 +216,8 @@ func (o *simObs) registerCollectors(s *Sim) {
 		e.Counter("srv6sim_engine_events_total", "", float64(st.Events))
 		e.Counter("srv6sim_engine_messages_total", "", float64(st.Messages))
 		e.Counter("srv6sim_engine_windows_total", "", float64(st.Windows))
+		e.Counter("srv6sim_engine_buf_gets_total", "", float64(st.BufGets))
+		e.Counter("srv6sim_engine_buf_reuses_total", "", float64(st.BufReuses))
 
 		clear(o.scratch)
 		for _, n := range s.nodes {

@@ -38,6 +38,100 @@ type shard struct {
 	// to the coordinator, which re-raises it on the Run caller — the
 	// same propagation a sequential run gives.
 	panicked any
+
+	// bufs is the shard's free list of dead packet allocations, one
+	// class per capacity (see getBuf); bufGets and bufReuses count what
+	// was asked of it and what it answered without allocating.
+	bufs               []bufClass
+	bufGets, bufReuses uint64
+}
+
+// bufClass is the free list of one capacity.
+type bufClass struct {
+	size int
+	// fresh counts the buffers of this capacity the shard allocated
+	// itself. The list never holds more: a shard that only receives (the
+	// sink's, when the generator sits in another) keeps nothing instead
+	// of growing by every packet ever sent, and a shard on its own never
+	// holds more than its peak in flight.
+	fresh int
+	free  [][]byte // dead ones, most recently released last
+}
+
+// Packet buffers come in capacities that are multiples of bufGrain, so
+// that packets of nearly one size share a class and a shard has at most
+// maxBufCap/bufGrain of them to search (one to three, in every workload
+// we run). The grain is the allocator's own up to 256 bytes and finer
+// than it above, so a buffer costs the heap what a bare make of its size
+// would. Bigger ones are not kept: a jumbo allocation is rare and
+// holding a list of them costs more than it saves.
+const (
+	bufGrain  = 16
+	maxBufCap = 2048
+)
+
+// poisonReleased makes putBuf overwrite what it takes, so that a test
+// sees a use after release as a changed counter. Only tests set it.
+var poisonReleased bool
+
+// getBuf returns size bytes of unspecified content, the most recently
+// released allocation that holds them if there is one. Only what comes
+// out of here may go back through putBuf.
+func (sh *shard) getBuf(size int) []byte {
+	sh.bufGets++
+	c := (size + bufGrain - 1) &^ (bufGrain - 1)
+	if c > maxBufCap {
+		return make([]byte, size)
+	}
+	for i := range sh.bufs {
+		cl := &sh.bufs[i]
+		if cl.size != c {
+			continue
+		}
+		if last := len(cl.free) - 1; last >= 0 {
+			b := cl.free[last]
+			cl.free[last] = nil
+			cl.free = cl.free[:last]
+			sh.bufReuses++
+			return b[:size]
+		}
+		cl.fresh++
+		return make([]byte, size, c)
+	}
+	sh.bufs = append(sh.bufs, bufClass{size: c, fresh: 1})
+	return make([]byte, size, c)
+}
+
+// putBuf takes back an allocation getBuf handed out — this shard's or
+// another's — that nothing refers to any more, while the shard holds
+// fewer of that capacity than it has allocated; the garbage collector
+// gets the rest.
+func (sh *shard) putBuf(buf []byte) {
+	for i := range sh.bufs {
+		cl := &sh.bufs[i]
+		if cl.size != cap(buf) {
+			continue
+		}
+		if len(cl.free) < cl.fresh {
+			if poisonReleased {
+				buf = buf[:cap(buf)]
+				for j := range buf {
+					buf[j] = 0xDB
+				}
+			}
+			cl.free = append(cl.free, buf)
+		}
+		return
+	}
+}
+
+// isTail reports whether raw is provably the tail of buf — same last
+// byte, same memory — which is what it takes for buf to still be the
+// allocation of the packet raw. Unlike packet.Headroom it holds for a
+// packet that starts at buf[0].
+func isTail(buf, raw []byte) bool {
+	head := len(buf) - len(raw)
+	return head >= 0 && len(raw) > 0 && &buf[head] == &raw[0]
 }
 
 func newShard(s *Sim, id int) *shard {
@@ -280,12 +374,16 @@ type EngineStats struct {
 	Events uint64
 	// Messages counts cross-shard packet/control transfers.
 	Messages uint64
+	// BufGets counts the packet buffers asked of the shards' free lists
+	// (Node.PacketBuf) since the partition was set; BufReuses, how many
+	// of them were a dead packet's allocation instead of a new one.
+	BufGets, BufReuses uint64
 }
 
 // EngineStats merges the per-shard accounting cells (in shard order,
 // so the result is deterministic).
 func (s *Sim) EngineStats() EngineStats {
-	return EngineStats{
+	st := EngineStats{
 		Shards:    len(s.shards),
 		Lookahead: s.lookahead,
 		CutLinks:  s.cutLinks,
@@ -293,6 +391,11 @@ func (s *Sim) EngineStats() EngineStats {
 		Events:    s.engEvents.Total(),
 		Messages:  s.engMsgs.Total(),
 	}
+	for _, sh := range s.shards {
+		st.BufGets += sh.bufGets
+		st.BufReuses += sh.bufReuses
+	}
+	return st
 }
 
 // minNextAt returns the earliest pending event timestamp across all

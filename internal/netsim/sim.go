@@ -58,16 +58,54 @@
 // up. What travels between nodes — event payload, cross-shard message,
 // receive ring — is the packet's allocation plus the offset the packet
 // starts at, and PacketMeta.Buf shows that allocation to the hop. A
-// packet built with spare bytes in front (packet.BuildPacketReserve,
-// Node.OutputReserved; tcpsim does) is the tail of its allocation, and a
-// tunnel ingress writes its outer headers into those bytes instead of
-// copying the packet — after checking, by pointer identity
-// (packet.Headroom), that the packet still is that tail. The only
-// bytes ever written outside a packet are the ones directly in front
-// of it in its own allocation; a packet reallocated on the way has no
-// headroom and is copied as before, and a duplicate or a corrupted copy
-// made by the link owns fresh bytes. Buffers are never pooled or
-// reused: one dies with its packet.
+// packet built with spare bytes in front (packet.BuildPacketIn into
+// Node.PacketBuf, sent with Node.OutputBuf; tcpsim does) is the tail of
+// its allocation, and a tunnel ingress writes its outer headers
+// into those bytes instead of copying the packet — after checking, by
+// pointer identity (packet.Headroom), that the packet still is that
+// tail. The only bytes ever written outside a packet are the ones
+// directly in front of it in its own allocation; a packet reallocated on
+// the way has no headroom and is copied as before, and a duplicate or a
+// corrupted copy made by the link owns fresh bytes.
+//
+// An allocation is made once and carries packet after packet. Each shard
+// keeps a free list of dead packets' allocations, by capacity, most
+// recently released first:
+//
+//   - Who may get. Whoever is about to send from a node takes the bytes
+//     from Node.PacketBuf, writes all of them it will send (the content
+//     is the last packet's), and sends with Node.OutputBuf: the traffic
+//     generators, tcpsim, End.BPF's SRH growth. Output and
+//     Iface.Transmit keep their meaning for a buffer the caller made:
+//     it is never put in a list, whoever releases the packet, so a caller
+//     may keep it, read it after the run or send it again.
+//   - What the bit proves. "Born in a list" is one bit next to the
+//     allocation wherever that travels (event payload, cross-shard
+//     message, receive ring, PacketMeta): the allocation is this
+//     packet's alone, and whoever ends the packet may list it. To travel
+//     on it needs the proof above — Iface.transmit checks that the
+//     packet it sends is, by pointer identity, still the tail of that
+//     allocation — so a packet reallocated on the way (an SRH insertion,
+//     an encapsulation without headroom), a corrupted copy and a
+//     duplicate are not list-born, and what they left behind is the
+//     garbage collector's.
+//   - Who may release. The one who ends the packet, once: the node
+//     itself where it drops a packet it alone holds (receive ring full,
+//     link down or its queue full), and a local handler through
+//     Node.Release(meta) when it has read what it needs — trafgen.Sink
+//     and tcpsim do. Release spends the claim, so a second one, or one
+//     after the hop has moved to another packet, frees nothing. A
+//     handler that does not release keeps the right to hold p.Raw; one
+//     that does, and an Iface.Tap anywhere on the path, must copy what it
+//     keeps, because the bytes will be the next packet's.
+//   - How much is kept. A shard holds at most as many dead buffers of a
+//     capacity as it has itself allocated in that capacity, and none
+//     above 2 KiB: a shard that only receives holds nothing, one on its
+//     own never more than its peak in flight. There is nothing to set
+//     up and nothing to tune; Sim.EngineStats reports gets and reuses.
+//
+// Model time cannot see any of it: a buffer's address and history are
+// not inputs to anything the model computes.
 //
 // # Sharded parallel execution
 //
@@ -112,12 +150,12 @@ func (s *Sim) exec(sh *shard, e *evKey) {
 		sh.q.takeFn(e.slot)()
 		return
 	}
-	peer, buf, head := sh.q.takeDeliver(e.slot)
+	peer, buf, head, born := sh.q.takeDeliver(e.slot)
 	if peer.failEpoch != e.epoch {
 		peer.inFlightKills++
 		return
 	}
-	peer.Node.deliver(buf, head, peer)
+	peer.Node.deliver(buf, head, born, peer)
 }
 
 // Sim is the simulation kernel: a virtual clock, one event queue per

@@ -153,17 +153,14 @@ func (c *Compensator) onProbeReturn(n *netsim.Node, p *packet.Packet, meta *nets
 	if link != 0 && link != 1 {
 		return
 	}
-	var tx uint64
-	found := false
-	for _, tlv := range p.SRH.TLVs {
-		if dm, ok := tlv.(packet.DMTLV); ok {
-			tx = dm.TxTimestampNS
-			found = true
-		}
-	}
+	// Local delivery has checked the TLV area (a DM TLV holds its eight
+	// bytes) without decoding it: the probe's one DM TLV is read in place.
+	srh := p.Raw[p.SRHOff:]
+	off, found := packet.FindTLV(srh, packet.TLVTypeDM)
 	if !found {
 		return
 	}
+	tx := binary.BigEndian.Uint64(srh[off+2:])
 	c.ProbesReceived++
 	rtt := float64(uint64(n.Now()) - tx)
 	// The probe traversed our own compensation qdisc on the way out;

@@ -212,8 +212,13 @@ func (t *Tracer) onOAMPReply(n *netsim.Node, p *packet.Packet, meta *netsim.Pack
 	if len(payload) < 1 || int(payload[0]) != t.ttl {
 		return
 	}
+	// Local delivery checks the TLV area without decoding it.
+	srh, _, err := packet.DecodeSRH(p.Raw[p.SRHOff:])
+	if err != nil {
+		return
+	}
 	var nhs []netip.Addr
-	for _, tlv := range p.SRH.TLVs {
+	for _, tlv := range srh.TLVs {
 		if v, ok := tlv.(packet.NexthopsTLV); ok {
 			for i := 0; i < int(v.Count) && i < 4; i++ {
 				nhs = append(nhs, v.Nexthops[i])

@@ -72,7 +72,8 @@ func (f *fixture) sendProbe(t *testing.T) *packet.Packet {
 	t.Helper()
 	var got *packet.Packet
 	f.b.HandleUDP(9999, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
-		got = p
+		// The handler's view has no TLVs decoded and is the node's scratch.
+		got, _ = packet.Parse(p.Raw)
 	})
 	srh := packet.NewSRH([]netip.Addr{sid, dstB})
 	srh.Tag = 41
@@ -373,7 +374,7 @@ func TestServiceFunctionChaining(t *testing.T) {
 	attach(r2, sid2, AddTLVSpec())
 
 	var got *packet.Packet
-	b.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) { got = p })
+	b.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) { got, _ = packet.Parse(p.Raw) })
 
 	srh := packet.NewSRH([]netip.Addr{sid1, sid2, dstB})
 	srh.Tag = 1

@@ -277,8 +277,9 @@ func TestBuildPacketErrorsMatchReference(t *testing.T) {
 
 // FuzzBuildPacketMatchesReference drives both assemblies from fuzzed
 // addresses, header fields, SRH shape and payload and requires equal
-// bytes (or both refusing) — from BuildPacket, and behind any reserve
-// from BuildPacketReserve, whose spare bytes change nothing after them.
+// bytes (or both refusing) — from BuildPacket, behind any reserve from
+// BuildPacketIn, whose spare bytes change nothing after them, into a
+// fresh buffer and into one full of another packet's bytes.
 func FuzzBuildPacketMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint32(0), uint32(0), []byte{}, uint8(0))
 	f.Add(uint8(1), uint8(1), uint8(64), uint32(0x12345), uint32(1400), []byte("payload"), uint8(64))
@@ -330,23 +331,50 @@ func FuzzBuildPacketMatchesReference(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("BuildPacket differs from the reference\n got  %x\n want %x", got, want)
 		}
-		buf, bufErr := BuildPacketReserve(int(reserve), netip.AddrFrom16(src), netip.AddrFrom16(dst), opts...)
+		buf, bufErr := BuildPacketIn(makeBytes, int(reserve), netip.AddrFrom16(src), netip.AddrFrom16(dst), opts...)
 		if (bufErr == nil) != (wantErr == nil) {
-			t.Fatalf("BuildPacketReserve(%d) err=%v, reference err=%v", reserve, bufErr, wantErr)
+			t.Fatalf("BuildPacketIn(make, %d) err=%v, reference err=%v", reserve, bufErr, wantErr)
 		}
 		if bufErr != nil {
 			return
 		}
 		if len(buf) != int(reserve)+len(want) || cap(buf) != len(buf) {
-			t.Fatalf("BuildPacketReserve(%d): len %d cap %d for a %d-byte packet", reserve, len(buf), cap(buf), len(want))
+			t.Fatalf("BuildPacketIn(make, %d): len %d cap %d for a %d-byte packet", reserve, len(buf), cap(buf), len(want))
 		}
 		if !bytes.Equal(buf[reserve:], want) {
-			t.Fatalf("BuildPacketReserve(%d) differs from the reference after the reserve\n got  %x\n want %x", reserve, buf[reserve:], want)
+			t.Fatalf("BuildPacketIn(make, %d) differs from the reference after the reserve\n got  %x\n want %x", reserve, buf[reserve:], want)
 		}
 		if Headroom(buf, buf[reserve:]) != int(reserve) {
 			t.Fatalf("Headroom of a fresh %d-byte reserve reads %d", reserve, Headroom(buf, buf[reserve:]))
 		}
+		// Into a used buffer, longer than needed: the same packet, every
+		// byte of it written, nothing else touched.
+		var dirty []byte
+		used := func(size int) []byte {
+			dirty = bytes.Repeat([]byte{0xDB}, size+int(hl)%64)
+			return dirty[: size : size+int(hl)%64]
+		}
+		in, inErr := BuildPacketIn(used, int(reserve), netip.AddrFrom16(src), netip.AddrFrom16(dst), opts...)
+		if inErr != nil || !bytes.Equal(in[reserve:], want) {
+			t.Fatalf("BuildPacketIn(%d) into a used buffer: err %v\n got  %x\n want %x", reserve, inErr, in, want)
+		}
+		if &in[0] != &dirty[0] || cap(in) != cap(dirty) {
+			t.Fatalf("BuildPacketIn returned another buffer than the one it was given, or clipped it (cap %d, given %d)", cap(in), cap(dirty))
+		}
+		if spare := dirty[:cap(dirty)]; !bytes.Equal(spare[:reserve], bytes.Repeat([]byte{0xDB}, int(reserve))) ||
+			!bytes.Equal(spare[len(in):], bytes.Repeat([]byte{0xDB}, len(spare)-len(in))) {
+			t.Fatalf("BuildPacketIn wrote outside the packet: %x", spare)
+		}
 	})
+}
+
+// TestBuildPacketInShortBuffer: a get that returns too little is an
+// error, not a packet somewhere else.
+func TestBuildPacketInShortBuffer(t *testing.T) {
+	short := func(size int) []byte { return make([]byte, size-1) }
+	if _, err := BuildPacketIn(short, 8, addrA, addrB, WithUDP(1, 2)); err == nil {
+		t.Fatal("built a packet into a buffer one byte too short")
+	}
 }
 
 // hotBuilds are the BuildPacket calls on the simulator's hot paths: the

@@ -152,7 +152,7 @@ type Packet struct {
 // headers stop the walk (L4Proto reports what was found).
 func Parse(raw []byte) (*Packet, error) {
 	p := &Packet{}
-	if err := ParseInto(p, raw); err != nil {
+	if err := parseInto(p, raw, true); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -165,7 +165,15 @@ func Parse(raw []byte) (*Packet, error) {
 // spare SRH must re-seed it before each parse. The filled view
 // aliases raw and the reused storage; it is only valid until the next
 // ParseInto with the same p.
-func ParseInto(p *Packet, raw []byte) error {
+//
+// Unlike Parse it checks the SRH's TLV area without decoding it, and
+// leaves p.SRH.TLVs empty: every TLV decoded is a value boxed on the
+// heap, on a path — local delivery of every packet — where next to
+// nobody looks at them. Who does decodes them from the bytes:
+// DecodeSRH(p.Raw[p.SRHOff:]). The same bytes fail either way.
+func ParseInto(p *Packet, raw []byte) error { return parseInto(p, raw, false) }
+
+func parseInto(p *Packet, raw []byte, tlvs bool) error {
 	h, err := DecodeIPv6(raw)
 	if err != nil {
 		return err
@@ -181,7 +189,7 @@ func ParseInto(p *Packet, raw []byte) error {
 			if srh == nil {
 				srh = &SRH{}
 			}
-			n, err := decodeSRHInto(srh, raw[off:])
+			n, err := decodeSRHInto(srh, raw[off:], tlvs)
 			if err != nil {
 				return err
 			}
@@ -233,7 +241,7 @@ func (p *Packet) Summary() string {
 // Headroom reports how many bytes of buf lie in front of raw when raw
 // is provably the tail of buf — same last byte, same memory — and 0
 // otherwise. A tunnel ingress may write that many bytes leftwards from
-// raw[0] instead of copying the packet (BuildPacketReserve leaves them
+// raw[0] instead of copying the packet (BuildPacketIn leaves them
 // spare; a decapsulation leaves the dead outer headers there). The
 // proof is pointer identity, so a packet that was reallocated on the
 // way (an SRH insertion, a corrupted or duplicated copy), or a buf that

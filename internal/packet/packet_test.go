@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -440,5 +441,61 @@ func TestOpaqueTLVPreserved(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("opaque TLV lost: %+v", back.TLVs)
+	}
+}
+
+// TestParseIntoAgreesWithParse: ParseInto checks the TLV area where Parse
+// decodes it, so it boxes nothing — and the two still accept and refuse
+// the same bytes (a node counts drop_malformed_local off ParseInto) and
+// agree on everything but SRH.TLVs, which only Parse fills.
+func TestParseIntoAgreesWithParse(t *testing.T) {
+	scratch := &Packet{SRH: &SRH{}}
+	for _, seed := range fuzzSeedPackets(t) {
+		r := rand.New(rand.NewSource(int64(len(seed))))
+		for i := 0; i < 500; i++ {
+			b := Clone(seed)
+			if i > 0 { // the seed itself first, then damaged copies
+				for j := 0; j < 1+r.Intn(4); j++ {
+					b[r.Intn(len(b))] ^= byte(1 + r.Intn(255))
+				}
+				if r.Intn(4) == 0 {
+					b = b[:r.Intn(len(b)+1)]
+				}
+			}
+			want, wantErr := Parse(b)
+			if scratch.SRH == nil {
+				scratch.SRH = &SRH{}
+			}
+			gotErr := ParseInto(scratch, b)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%x: Parse err=%v, ParseInto err=%v", b, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if scratch.SRH != nil {
+				if len(scratch.SRH.TLVs) != 0 {
+					t.Fatalf("%x: ParseInto decoded %d TLVs", b, len(scratch.SRH.TLVs))
+				}
+				srh, _, err := DecodeSRH(b[scratch.SRHOff:])
+				if err != nil || !reflect.DeepEqual(srh.TLVs, want.SRH.TLVs) {
+					t.Fatalf("%x: TLVs decoded on demand %v (err %v), Parse's %v", b, srh.TLVs, err, want.SRH.TLVs)
+				}
+				want.SRH.TLVs = scratch.SRH.TLVs
+			}
+			if !reflect.DeepEqual(scratch, want) {
+				t.Fatalf("%x: ParseInto and Parse disagree\n got  %+v\n want %+v", b, scratch, want)
+			}
+		}
+	}
+
+	withTLVs, err := BuildPacket(netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("fc00::1"),
+		WithSRH(NewSRH([]netip.Addr{netip.MustParseAddr("fc00::1")}, OpaqueTLV{Type: 0x42, Data: []byte{1, 2, 3, 4, 5, 6}})),
+		WithUDP(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = ParseInto(scratch, withTLVs) }); got != 0 {
+		t.Errorf("ParseInto of a packet with an opaque TLV allocates %.0f objects, want 0", got)
 	}
 }

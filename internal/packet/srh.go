@@ -149,14 +149,15 @@ func srhStructure(b []byte) (total int, segsLeft, lastEntry uint8, err error) {
 // wire length.
 func DecodeSRH(b []byte) (SRH, int, error) {
 	var s SRH
-	n, err := decodeSRHInto(&s, b)
+	n, err := decodeSRHInto(&s, b, true)
 	return s, n, err
 }
 
 // decodeSRHInto is DecodeSRH into caller-owned storage: s is reset
-// and refilled, reusing its Segments and TLVs backing arrays. It is
-// the allocation-free decode behind packet.ParseInto.
-func decodeSRHInto(s *SRH, b []byte) (int, error) {
+// and refilled, reusing its Segments and TLVs backing arrays. Without
+// tlvs the TLV area is validated only and s.TLVs left empty: the
+// allocation-free decode behind packet.ParseInto.
+func decodeSRHInto(s *SRH, b []byte, tlvs bool) (int, error) {
 	total, segsLeft, lastEntry, err := srhStructure(b)
 	if err != nil {
 		return 0, err
@@ -174,11 +175,14 @@ func decodeSRHInto(s *SRH, b []byte) (int, error) {
 		off := SRHFixedLen + 16*i
 		s.Segments = append(s.Segments, netip.AddrFrom16([16]byte(b[off:off+16])))
 	}
-	tlvs, err := decodeTLVsInto(s.TLVs[:0], b[SRHFixedLen+segBytes:total])
-	if err != nil {
+	area := b[SRHFixedLen+segBytes : total]
+	s.TLVs = s.TLVs[:0]
+	if !tlvs {
+		return total, validateTLVs(area)
+	}
+	if s.TLVs, err = decodeTLVsInto(s.TLVs, area); err != nil {
 		return 0, err
 	}
-	s.TLVs = tlvs
 	return total, nil
 }
 

@@ -356,17 +356,23 @@ func WithTrafficClass(tc uint8) BuildOption {
 // wire order, the transport checksum then computed in place over the
 // tail. That buffer is the call's only allocation.
 func BuildPacket(src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
-	return BuildPacketReserve(0, src, dst, opts...)
+	return BuildPacketIn(makeBytes, 0, src, dst, opts...)
 }
 
-// BuildPacketReserve is BuildPacket with reserve spare bytes in front
-// of the packet, the way the kernel's TCP stack allocates an skb with
-// MAX_TCP_HEADER of headroom. It returns the whole allocation; the
-// packet is its [reserve:], byte for byte what BuildPacket returns, and
-// a tunnel ingress down the path that is handed the allocation can push
+func makeBytes(size int) []byte { return make([]byte, size) }
+
+// BuildPacketIn is BuildPacket in a buffer the caller supplies, with
+// reserve spare bytes in front of the packet, the way the kernel's TCP
+// stack allocates an skb with MAX_TCP_HEADER of headroom. Once the packet
+// is sized, get is asked for reserve plus that many bytes, and what it
+// returns — len at least that, any content — is returned whole: the
+// packet is its [reserve:], byte for byte what BuildPacket returns, and a
+// tunnel ingress down the path that is handed the allocation can push
 // its outer headers into the spare bytes instead of copying the packet
-// (seg6.EncapIn). Still one allocation.
-func BuildPacketReserve(reserve int, src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
+// (seg6.EncapIn). Every byte of the packet is written; the reserve is
+// left as get gave it. The buffer may be a used one
+// (netsim.Node.PacketBuf), which is the point: no allocation here.
+func BuildPacketIn(get func(size int) []byte, reserve int, src, dst netip.Addr, opts ...BuildOption) ([]byte, error) {
 	if reserve < 0 {
 		return nil, fmt.Errorf("packet: negative reserve %d", reserve)
 	}
@@ -417,7 +423,12 @@ func BuildPacketReserve(reserve int, src, dst netip.Addr, opts ...BuildOption) (
 	}
 	spec.ip.PayloadLen = uint16(payloadLen)
 
-	out := spec.ip.Encode(make([]byte, reserve, reserve+IPv6HeaderLen+payloadLen))
+	total := reserve + IPv6HeaderLen + payloadLen
+	buf := get(total)
+	if len(buf) < total {
+		return nil, fmt.Errorf("packet: buffer of %d bytes for a packet of %d", len(buf), total)
+	}
+	out := spec.ip.Encode(buf[:reserve])
 	if spec.srh != nil {
 		out, _ = spec.srh.Encode(out) // cannot fail: HdrExtLen passed above
 		out[reserve+IPv6HeaderLen+SRHOffNextHeader] = proto

@@ -420,6 +420,12 @@ func encap(buf, inner []byte, proto, hopLimit uint8, flowLabel uint32, src, dst 
 	if head := packet.Headroom(buf, inner); head >= hdrLen {
 		out = buf[head-hdrLen:]
 	} else {
+		// A plain allocation, like InsertSRH's and DecapSRH's: the packet
+		// leaves the buffer it came in, and if that one was from a node's
+		// free list (netsim.Node.PacketBuf) neither returns there. No
+		// committed workload brings a listed packet here — tcpsim's have
+		// the headroom, the generators' meet no tunnel ingress — so these
+		// three stay as they are until one does.
 		out = make([]byte, hdrLen+len(inner))
 		copy(out[hdrLen:], inner)
 	}

@@ -69,8 +69,8 @@ type tapEndpoint struct {
 	after func()
 }
 
-func (e *tapEndpoint) input(seg packet.TCP, payload []byte, src netip.Addr) {
-	e.inner.input(seg, payload, src)
+func (e *tapEndpoint) input(seg packet.TCP, payloadLen int, src netip.Addr) {
+	e.inner.input(seg, payloadLen, src)
 	e.after()
 }
 
@@ -227,7 +227,7 @@ func (d *ackedSender) ack(from, to int) {
 	for i := from; i <= to; i++ {
 		seg := packet.TCP{Ack: uint32(i * d.snd.cfg.MSS), Flags: packet.TCPFlagACK}
 		at := int64(i) * ackGap
-		d.node.Schedule(at, func() { d.snd.input(seg, nil, rcvAddr) })
+		d.node.Schedule(at, func() { d.snd.input(seg, 0, rcvAddr) })
 		d.sim.RunUntil(at)
 	}
 }

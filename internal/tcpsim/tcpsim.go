@@ -67,10 +67,14 @@ type Stack struct {
 }
 
 type endpoint interface {
-	input(seg packet.TCP, payload []byte, src netip.Addr)
+	input(seg packet.TCP, payloadLen int, src netip.Addr)
 }
 
-// NewStack installs a TCP input handler on node.
+// NewStack installs a TCP input handler on node. An endpoint is handed
+// the decoded header, the payload's length and the source address, not
+// the packet: the stack has released it (netsim.Node.Release) by then,
+// ahead of whatever the endpoint sends in reply, which is then built in
+// the buffer of a packet that just died.
 func NewStack(node *netsim.Node) *Stack {
 	s := &Stack{node: node, endpoints: make(map[uint16]endpoint)}
 	node.HandleTCP(func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
@@ -84,7 +88,9 @@ func NewStack(node *netsim.Node) *Stack {
 			n.Count("tcp_no_endpoint")
 			return
 		}
-		ep.input(seg, p.Raw[p.L4Off+int(seg.DataOff):], p.IPv6.Src)
+		payloadLen, src := len(p.Raw)-p.L4Off-int(seg.DataOff), p.IPv6.Src
+		n.Release(meta)
+		ep.input(seg, payloadLen, src)
 	})
 	return s
 }
@@ -270,7 +276,7 @@ func (s *Sender) sendSegment(seq uint64, isRtx bool) {
 		Flags:   packet.TCPFlagACK,
 		Window:  65535,
 	}
-	buf, err := packet.BuildPacketReserve(HeaderReserve, s.src, s.dst,
+	buf, err := packet.BuildPacketIn(s.node.PacketBuf, HeaderReserve, s.src, s.dst,
 		packet.WithTCP(hdr),
 		packet.WithPayload(s.payload),
 		packet.WithFlowLabel(s.cfg.FlowLabel))
@@ -290,11 +296,11 @@ func (s *Sender) sendSegment(seq uint64, isRtx bool) {
 		s.timedAt = s.node.Now()
 		s.timedValid = true
 	}
-	s.node.OutputReserved(buf, HeaderReserve)
+	s.node.OutputBuf(buf, HeaderReserve)
 }
 
 // input handles an incoming (ACK) segment.
-func (s *Sender) input(seg packet.TCP, payload []byte, src netip.Addr) {
+func (s *Sender) input(seg packet.TCP, _ int, src netip.Addr) {
 	if s.stopped {
 		return
 	}
@@ -528,14 +534,13 @@ func (s *Sender) SRTT() int64 { return s.srtt }
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
 // input handles a data segment at the receiver.
-func (r *Receiver) input(seg packet.TCP, payload []byte, src netip.Addr) {
+func (r *Receiver) input(seg packet.TCP, n int, src netip.Addr) {
 	if !r.peerSet {
 		r.peer = src
 		r.srcPortHint = seg.SrcPort
 		r.peerSet = true
 	}
 	seq := r.unwrapSeq(seg.Seq)
-	n := len(payload)
 	now := r.node.Now()
 
 	switch {
@@ -617,11 +622,11 @@ func (r *Receiver) sendAck(arrival uint64, n int) {
 		hdr.SACKLeft = uint32(left)
 		hdr.SACKRight = uint32(right)
 	}
-	buf, err := packet.BuildPacketReserve(HeaderReserve, r.src, r.peer, packet.WithTCP(hdr))
+	buf, err := packet.BuildPacketIn(r.node.PacketBuf, HeaderReserve, r.src, r.peer, packet.WithTCP(hdr))
 	if err != nil {
 		return
 	}
-	r.node.OutputReserved(buf, HeaderReserve)
+	r.node.OutputBuf(buf, HeaderReserve)
 }
 
 // ackPortFor returns the sender's port. Pure ACKs flow back to the

@@ -119,3 +119,114 @@ func TestSinkReset(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 }
+
+// TestStartRejectsBadRate: a rate of zero — the field's zero value —,
+// a negative, infinite or NaN one used to come out of the gap arithmetic
+// as one packet per nanosecond (2,000 packets in 2 µs; a one-second
+// window never returned). Start now refuses, and sends nothing.
+func TestStartRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		s, a, b := pipe()
+		sink := NewSink(b, 9004)
+		udp := &UDPGen{Node: a, Src: genAddr, Dst: sinkAddr, SrcPort: 1, DstPort: 9004, PayloadLen: 8, RatePPS: rate}
+		if err := udp.Start(2 * netsim.Microsecond); err == nil {
+			t.Errorf("UDPGen.Start accepted RatePPS %v", rate)
+		}
+		tmpl, err := packet.BuildPacket(genAddr, sinkAddr, packet.WithUDP(1, 9004))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := &RawGen{Node: a, Template: tmpl, RatePPS: rate}
+		if err := raw.Start(2 * netsim.Microsecond); err == nil {
+			t.Errorf("RawGen.Start accepted RatePPS %v", rate)
+		}
+		s.Run()
+		if udp.Sent()+raw.Sent()+sink.Packets != 0 {
+			t.Errorf("RatePPS %v: %d + %d packets sent, %d delivered", rate, udp.Sent(), raw.Sent(), sink.Packets)
+		}
+	}
+}
+
+// TestSecondStartDoesNotDoubleTheRate: Start on a generator that is
+// running fails and leaves the one tick chain there is alone.
+func TestSecondStartDoesNotDoubleTheRate(t *testing.T) {
+	s, a, b := pipe()
+	NewSink(b, 9005)
+	udp := &UDPGen{Node: a, Src: genAddr, Dst: sinkAddr, SrcPort: 1, DstPort: 9005, PayloadLen: 8, RatePPS: 100_000}
+	tmpl, err := packet.BuildPacket(genAddr, sinkAddr, packet.WithUDP(1, 9005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := &RawGen{Node: a, Template: tmpl, RatePPS: 100_000}
+	for _, start := range []func(int64) error{udp.Start, raw.Start} {
+		if err := start(10 * netsim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := start(10 * netsim.Millisecond); err == nil {
+			t.Error("a second Start on a running generator succeeded")
+		}
+	}
+	s.Run()
+	// 100 kpps over 10 ms is 1,000 packets; two chains would send 2,000.
+	for _, sent := range []uint64{udp.Sent(), raw.Sent()} {
+		if sent < 990 || sent > 1010 {
+			t.Errorf("sent %d packets, want ≈1000", sent)
+		}
+	}
+	// Once the window is over the generator may be started again.
+	if err := udp.Start(s.Now() + netsim.Millisecond); err != nil {
+		t.Errorf("Start after the generator finished: %v", err)
+	}
+}
+
+// TestStopThenStartLeavesOneChain: Stop leaves the tick it had scheduled
+// pending. A Start before that tick fires must not let it carry on beside
+// the new chain.
+func TestStopThenStartLeavesOneChain(t *testing.T) {
+	s, a, b := pipe()
+	NewSink(b, 9007)
+	udp := &UDPGen{Node: a, Src: genAddr, Dst: sinkAddr, SrcPort: 1, DstPort: 9007, PayloadLen: 8, RatePPS: 100_000}
+	tmpl, err := packet.BuildPacket(genAddr, sinkAddr, packet.WithUDP(1, 9007))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := &RawGen{Node: a, Template: tmpl, RatePPS: 100_000}
+	for _, g := range []interface {
+		Start(int64) error
+		Stop()
+	}{udp, raw} {
+		if err := g.Start(10 * netsim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		g.Stop()
+		if err := g.Start(10 * netsim.Millisecond); err != nil {
+			t.Fatalf("Start after Stop: %v", err)
+		}
+	}
+	s.Run()
+	// Each Start sends one packet at once, then 100 kpps over 10 ms.
+	for _, sent := range []uint64{udp.Sent(), raw.Sent()} {
+		if sent < 990 || sent > 1010 {
+			t.Errorf("sent %d packets, want ≈1000 (two chains would send ≈2000)", sent)
+		}
+	}
+}
+
+// TestGeneratorReusesBuffers: with a releasing Sink at the far end the
+// generators stop allocating once the pipe is full.
+func TestGeneratorReusesBuffers(t *testing.T) {
+	s, a, b := pipe()
+	sink := NewSink(b, 9006)
+	gen := &UDPGen{Node: a, Src: genAddr, Dst: sinkAddr, SrcPort: 1, DstPort: 9006, PayloadLen: 64, RatePPS: 1_000_000}
+	if err := gen.Start(10 * netsim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	st := s.EngineStats()
+	if sink.Packets != gen.Sent() || st.BufGets != gen.Sent() {
+		t.Fatalf("sent %d, delivered %d, %d buffers asked for", gen.Sent(), sink.Packets, st.BufGets)
+	}
+	if fresh := st.BufGets - st.BufReuses; fresh > 4 {
+		t.Errorf("%d of %d packets were sent in a new allocation", fresh, st.BufGets)
+	}
+}

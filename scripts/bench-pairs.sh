@@ -4,7 +4,8 @@
 # alternating which side runs first; medians, quartiles, pairs won), and
 # the one a PR that claims none has to follow too: every end-to-end
 # metric's change-vs-parent median is held against its `bound` in
-# BENCHMARK.json and labelled worse, within or better.
+# BENCHMARK.json and labelled worse, within or better, and the two
+# allocation counts are checked for reading the same in every run.
 #
 #   scripts/bench-pairs.sh <parent> <workload|all> [pairs] [seed] [seconds]
 #
@@ -112,6 +113,13 @@ run_pairs() { # <workload>
 			printf "%+.1f%% %s\n", d * 100, v }')
 		printf '%-20s %14s %26s %14s %26s %8s %6s  %-10s %s\n' "$metric" "$pmed" "[$pq1, $pq3]" "$cmed" "[$cq1, $cq3]" "$delta" "$bound" "$won" "$verdict"
 	done < <(bench_json end_to_end name better bound)
+	# A count the program makes can carry a claim only if it repeats.
+	for metric in allocs_per_pkt alloc_bytes_per_pkt; do
+		for side in parent change; do
+			distinct="$(value "$metric" "$out.$side.jsonl" | sort -u | wc -l)"
+			printf '%-20s %-6s repeats exactly: %s\n' "$metric" "$side" "$([ "$distinct" -eq 1 ] && echo yes || echo "no ($distinct values in $pairs runs)")"
+		done
+	done
 }
 
 if [ "$workload" = all ]; then
