@@ -58,15 +58,6 @@
 #                  has to be started detached from a tool that kills
 #                  what runs past ten minutes: setsid nohup make
 #                  bench-pairs ... > out.txt 2>&1 &
-#   make bench-multicore [MULTICORE_JSON=path MULTICORE_WINDOW=20ms] —
-#                  the multi-core shard-scaling matrix (1/2/4/8 shards,
-#                  contiguous vs min-cut on the seeded 256-node
-#                  Waxman) at the current GOMAXPROCS; writes the
-#                  report JSON and fails if min-cut does not cut
-#                  cross-shard Messages >= 30% at 4 shards, or (on a
-#                  >= 4-core machine) if no multi-shard min-cut row
-#                  beats the 1-shard baseline (the CI bench-multicore
-#                  job)
 #   make fmt     — gofmt the tree
 
 GO ?= go
@@ -74,13 +65,11 @@ FUZZ_SCENARIOS ?= 150
 FUZZ_RACE_SCENARIOS ?= 60
 FUZZTIME ?= 5s
 OBS_DUMP_DIR ?= obs-artifacts
-MULTICORE_JSON ?= MULTICORE.json
-MULTICORE_WINDOW ?= 20ms
 PAIRS ?= 10
 SEED ?= 1
 PAIR_SECONDS ?= 15
 
-.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-pairs bench-multicore fmt
+.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-pairs fmt
 
 check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke pdr-smoke matrix-smoke bench-smoke
 
@@ -108,7 +97,7 @@ test:
 # poisoned) and one way only (TestBufListBound), next to the tests that a
 # caller's buffer, a copy and a packet in flight are never listed.
 race-smoke:
-	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason|TestBufList' ./internal/netsim
+	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason|TestInstallRejection|TestForeignInterfaceRefused|TestBufList' ./internal/netsim
 
 # A second pass of the randomized sequential-vs-sharded equivalence
 # fuzzer at smoke depth: -count 2 re-runs the same seeds and catches
@@ -202,14 +191,6 @@ bench:
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev|dir> WORKLOAD=<name|all> [PAIRS=10 SEED=1 PAIR_SECONDS=15]" >&2; exit 2; }
 	scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(PAIR_SECONDS)
-
-# The multi-core scaling matrix: 1/2/4/8 shards, contiguous vs
-# min-cut on the seeded 256-node Waxman scenario, at whatever
-# GOMAXPROCS the machine grants. srv6bench itself enforces
-# the partition gates (Messages cut >= 30% at 4 shards; with >= 4
-# cores, speedup_vs_1shard > 1 on some multi-shard min-cut row).
-bench-multicore:
-	$(GO) run ./cmd/srv6bench -multicore-json $(MULTICORE_JSON) -shard-duration $(MULTICORE_WINDOW)
 
 fmt:
 	gofmt -w .

@@ -160,7 +160,7 @@ func BenchmarkDatapath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(work, tmpl)
-			if _, err := seg6.ApplyStatic(behaviour, work); err != nil {
+			if _, err := seg6.Apply(behaviour, work); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,8 +36,6 @@ func main() {
 		"shard-scaling node placement: contiguous (creation-order blocks) or mincut (topology-aware)")
 	shardDuration := flag.Duration("shard-duration", 20*time.Millisecond,
 		"virtual window of the shard-scaling experiment")
-	multicoreJSON := flag.String("multicore-json", "",
-		"run the multi-core scaling matrix (1..8 shards, contiguous vs mincut on the Waxman scenario) at the current GOMAXPROCS, write the report JSON to this path, and exit non-zero if min-cut fails to cut the cross-shard message bill")
 	pdr := flag.Bool("pdr", false, "run the SRPerf-style PDR saturation scan (all behaviors)")
 	pdrSmoke := flag.Bool("pdr-smoke", false,
 		"coarse PDR search (2 bisection steps, End only): the CI smoke gate")
@@ -54,10 +51,6 @@ func main() {
 	win := duration.Nanoseconds()
 	ran := false
 
-	if *multicoreJSON != "" {
-		ran = true
-		runMulticore(*multicoreJSON, shardDuration.Nanoseconds())
-	}
 	if *all || *pdr {
 		ran = true
 		runPDR(experiments.DefaultPDRConfig())
@@ -351,101 +344,9 @@ func runShards(max, k int, topology, partitionName string, win int64) {
 	if err != nil {
 		fail(err)
 	}
-	printShardRows(rows)
-	fmt.Println()
-}
-
-func printShardRows(rows []experiments.ShardScalingRow) {
 	for _, r := range rows {
 		fmt.Printf("  shards=%d  %8.1f ms wall  %9.0f pkts/s  %10.0f events/s  speedup %.2fx  (%d events, %d windows, cut %d links, %d msgs, %d delivered, %d of %d buffers reused)\n",
 			r.Shards, r.WallMs, r.PktsPerSec, r.EventsPerSec, r.Speedup, r.Events, r.Windows, r.CutLinks, r.Messages, r.Delivered, r.BufReuses, r.BufGets)
 	}
-}
-
-// multicoreReport is the bench-multicore CI artifact: shard counts
-// 1..8, contiguous vs min-cut on the seeded Waxman scenario, at
-// whatever GOMAXPROCS the runner granted.
-type multicoreReport struct {
-	Schema     string                        `json:"schema"`
-	Host       *benchHost                    `json:"host"`
-	Topology   string                        `json:"topology"`
-	Nodes      int                           `json:"nodes"`
-	DurationNs int64                         `json:"duration_ns"`
-	Rows       []experiments.ShardScalingRow `json:"rows"`
-}
-
-// runMulticore sweeps the multi-core scaling matrix and writes the
-// report. It fails (exit 1) if the min-cut partition does not cut
-// cross-shard Messages by >= 30% vs contiguous at 4 shards, or — when
-// the runner actually has >= 4 cores — if no multi-shard min-cut row
-// beats the 1-shard baseline.
-func runMulticore(path string, win int64) {
-	procs := runtime.GOMAXPROCS(0)
-	fmt.Printf("== Multi-core shard scaling: %d-node Waxman, %s virtual, GOMAXPROCS=%d ==\n",
-		experiments.WaxmanScalingNodes, time.Duration(win), procs)
-	rep := multicoreReport{
-		Schema: "srv6bpf-multicore/1",
-		Host: &benchHost{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: procs,
-			NumCPU:     runtime.NumCPU(),
-		},
-		Topology:   "waxman",
-		Nodes:      experiments.WaxmanScalingNodes,
-		DurationNs: win,
-	}
-	msgs := map[string]uint64{} // "partition@shards" -> Messages
-	bestSpeedup := 0.0
-	for _, part := range []string{"contiguous", "mincut"} {
-		fmt.Printf("-- partition=%s\n", part)
-		rows, err := experiments.ShardScalingRun(experiments.ShardScalingSpec{
-			Shards: shardCountsUpTo(8), Topology: "waxman",
-			Partition: part, DurationNs: win,
-		})
-		if err != nil {
-			fail(err)
-		}
-		printShardRows(rows)
-		rep.Rows = append(rep.Rows, rows...)
-		for _, r := range rows {
-			msgs[fmt.Sprintf("%s@%d", part, r.Shards)] = r.Messages
-			if part == "mincut" && r.Shards > 1 && r.Speedup > bestSpeedup {
-				bestSpeedup = r.Speedup
-			}
-		}
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote multi-core report to %s\n", path)
-
-	cont, minc := msgs["contiguous@4"], msgs["mincut@4"]
-	fmt.Printf("gate: Messages at 4 shards: contiguous=%d mincut=%d\n", cont, minc)
-	if cont == 0 || 10*minc > 7*cont {
-		fail(fmt.Errorf("min-cut did not cut cross-shard messages by >= 30%% at 4 shards (%d vs %d)", minc, cont))
-	}
-	if procs >= 4 {
-		fmt.Printf("gate: best min-cut speedup_vs_1shard = %.2f (GOMAXPROCS=%d)\n", bestSpeedup, procs)
-		if bestSpeedup <= 1 {
-			fail(fmt.Errorf("no multi-shard speedup on a %d-core runner (best %.2fx)", procs, bestSpeedup))
-		}
-	} else {
-		fmt.Printf("note: GOMAXPROCS=%d < 4, skipping the speedup gate (single-core runner)\n", procs)
-	}
-}
-
-// benchHost records where a report's wall-clock numbers came from.
-type benchHost struct {
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
+	fmt.Println()
 }

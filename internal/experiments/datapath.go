@@ -60,7 +60,7 @@ func DatapathBench() ([]DatapathRow, error) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(work, tmpl)
-			if _, err := seg6.ApplyStatic(behaviour, work); err != nil {
+			if _, err := seg6.Apply(behaviour, work); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -128,10 +128,12 @@ func Figure2(durationNs int64) ([]Row, error) {
 	for _, v := range variants {
 		l := newLab1(1)
 		// Table 7 (End.T) forwards S2's prefix like main.
-		l.r.Table(7).Add(&netsim.Route{
+		if err := l.r.Table(7).Add(&netsim.Route{
 			Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward,
 			Nexthops: []netsim.Nexthop{{Iface: l.rToS2}},
-		})
+		}); err != nil {
+			return nil, err
+		}
 		route := &netsim.Route{Prefix: netip.PrefixFrom(rSID, 128), Kind: netsim.RouteSeg6Local}
 		if v.static != nil {
 			route.Behaviour = v.static
@@ -146,7 +148,9 @@ func Figure2(durationNs int64) ([]Row, error) {
 			}
 			route.Behaviour = end.Behaviour()
 		}
-		l.r.AddRoute(route)
+		if err := l.r.AddRoute(route); err != nil {
+			return nil, err
+		}
 		rate := l.offer(rSID, durationNs)
 		rows = append(rows, Row{Name: v.name, KPPS: rate / 1e3, Normalized: rate / baseline})
 	}

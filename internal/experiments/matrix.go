@@ -132,13 +132,6 @@ func matrixFingerprint(sim *netsim.Sim, extra ...string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func mustAddRoute(n *netsim.Node, r *netsim.Route) error {
-	if err := n.AddRoute(r); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	return nil
-}
-
 // matrixL3VPN is the multi-tenant L3VPN scenario: four tenants over a
 // k=4 fat-tree between two PE hosts, each CE pair attached by 10G
 // access links. Tenants A and B use the *same* overlapping IPv4 plan
@@ -191,7 +184,7 @@ func matrixL3VPN(shards int) (string, uint64, error) {
 		}
 		ceIf, peIf := netsim.ConnectSymmetric(ce, pe, access)
 		for _, def := range []string{"::/0", "0.0.0.0/0"} {
-			if err := mustAddRoute(ce, &netsim.Route{
+			if err := ce.AddRoute(&netsim.Route{
 				Prefix:   netip.MustParsePrefix(def),
 				Kind:     netsim.RouteForward,
 				Nexthops: []netsim.Nexthop{{Iface: ceIf}},
@@ -221,13 +214,14 @@ func matrixL3VPN(shards int) (string, uint64, error) {
 	for ti := range tenants {
 		tn := &tenants[ti]
 		var inAddrs, outAddrs []netip.Addr
+		var nets []netip.Prefix // steered at the ingress, delivered at the egress
 		switch tn.name {
 		case "A", "B":
-			inAddrs, outAddrs = []netip.Addr{v4Src}, []netip.Addr{v4Dst}
+			inAddrs, outAddrs, nets = []netip.Addr{v4Src}, []netip.Addr{v4Dst}, []netip.Prefix{v4Net}
 		case "C":
-			inAddrs, outAddrs = []netip.Addr{c1}, []netip.Addr{c9}
+			inAddrs, outAddrs, nets = []netip.Addr{c1}, []netip.Addr{c9}, []netip.Prefix{cNet}
 		case "D":
-			inAddrs, outAddrs = []netip.Addr{d1, v4Src}, []netip.Addr{d9, v4Dst}
+			inAddrs, outAddrs, nets = []netip.Addr{d1, v4Src}, []netip.Addr{d9, v4Dst}, []netip.Prefix{dNet, v4Net}
 		}
 		ceIn, peInIf, err := attach("ce"+tn.name+"1", pe1, inAddrs...)
 		if err != nil {
@@ -256,22 +250,17 @@ func matrixL3VPN(shards int) (string, uint64, error) {
 		// The PE2-side interface of the egress CE link is the last
 		// interface added to pe2 (attach connected it just above).
 		peOutIf := lastIface(pe2)
-		switch tn.name {
-		case "A", "B":
-			ingressTable.Add(&netsim.Route{Prefix: v4Net, Kind: netsim.RouteSeg6Encap, SRH: srh, Mode: mode})
-			egressTable.Add(&netsim.Route{Prefix: v4Net, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: peOutIf}}})
-		case "C":
-			ingressTable.Add(&netsim.Route{Prefix: cNet, Kind: netsim.RouteSeg6Encap, SRH: srh, Mode: mode})
-			egressTable.Add(&netsim.Route{Prefix: cNet, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: peOutIf}}})
-		case "D":
-			ingressTable.Add(&netsim.Route{Prefix: dNet, Kind: netsim.RouteSeg6Encap, SRH: srh, Mode: mode})
-			ingressTable.Add(&netsim.Route{Prefix: v4Net, Kind: netsim.RouteSeg6Encap, SRH: srh, Mode: mode})
-			egressTable.Add(&netsim.Route{Prefix: dNet, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: peOutIf}}})
-			egressTable.Add(&netsim.Route{Prefix: v4Net, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: peOutIf}}})
+		for _, p := range nets {
+			if err := ingressTable.Add(&netsim.Route{Prefix: p, Kind: netsim.RouteSeg6Encap, SRH: srh, Mode: mode}); err != nil {
+				return "", 0, err
+			}
+			if err := egressTable.Add(&netsim.Route{Prefix: p, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: peOutIf}}}); err != nil {
+				return "", 0, err
+			}
 		}
 
 		// Egress: the tenant SID decapsulates into the tenant table.
-		if err := mustAddRoute(pe2, &netsim.Route{
+		if err := pe2.AddRoute(&netsim.Route{
 			Prefix:    netip.PrefixFrom(tn.sid, 128),
 			Kind:      netsim.RouteSeg6Local,
 			Behaviour: &seg6.Behaviour{Action: tn.action, Table: tn.egress},
@@ -323,7 +312,7 @@ func matrixL3VPN(shards int) (string, uint64, error) {
 	}
 
 	// The mid-point End SID for tenant C's reduced 2-segment list.
-	if err := mustAddRoute(mid, &netsim.Route{
+	if err := mid.AddRoute(&netsim.Route{
 		Prefix:    netip.PrefixFrom(midSID, 128),
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd},
@@ -419,10 +408,10 @@ func matrixSFC(shards int) (string, uint64, error) {
 
 	// S steers fd00:2::/48 onto the chain <AS, AM, decap>.
 	chain := packet.NewSRH([]netip.Addr{asSID, amSID, decapSID})
-	if err := mustAddRoute(s, &netsim.Route{Prefix: dsts, Kind: netsim.RouteSeg6Encap, SRH: chain}); err != nil {
+	if err := s.AddRoute(&netsim.Route{Prefix: dsts, Kind: netsim.RouteSeg6Encap, SRH: chain}); err != nil {
 		return "", 0, err
 	}
-	if err := mustAddRoute(s, &netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: sIf}}}); err != nil {
+	if err := s.AddRoute(&netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: sIf}}}); err != nil {
 		return "", 0, err
 	}
 
@@ -433,40 +422,40 @@ func matrixSFC(shards int) (string, uint64, error) {
 		Src:    p1Addr,
 		OIF:    p1vIf,
 	}
-	if err := mustAddRoute(p1, &netsim.Route{Prefix: netip.PrefixFrom(asSID, 128), Kind: netsim.RouteSeg6Local, Behaviour: asB}); err != nil {
+	if err := p1.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(asSID, 128), Kind: netsim.RouteSeg6Local, Behaviour: asB}); err != nil {
 		return "", 0, err
 	}
 	if err := p1.BindProxyReturn(p1vIf, asB); err != nil {
 		return "", 0, err
 	}
 	for _, pfx := range []netip.Prefix{p2net, dsts} {
-		if err := mustAddRoute(p1, &netsim.Route{Prefix: pfx, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: p1p2If}}}); err != nil {
+		if err := p1.AddRoute(&netsim.Route{Prefix: pfx, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: p1p2If}}}); err != nil {
 			return "", 0, err
 		}
 	}
 
 	// P2: End.AM toward VNF2 (masquerade/demasquerade).
 	amB := &seg6.Behaviour{Action: seg6.ActionEndAM, OIF: p2vIf}
-	if err := mustAddRoute(p2, &netsim.Route{Prefix: netip.PrefixFrom(amSID, 128), Kind: netsim.RouteSeg6Local, Behaviour: amB}); err != nil {
+	if err := p2.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(amSID, 128), Kind: netsim.RouteSeg6Local, Behaviour: amB}); err != nil {
 		return "", 0, err
 	}
 	if err := p2.BindProxyReturn(p2vIf, amB); err != nil {
 		return "", 0, err
 	}
-	if err := mustAddRoute(p2, &netsim.Route{Prefix: dsts, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: p2dIf}}}); err != nil {
+	if err := p2.AddRoute(&netsim.Route{Prefix: dsts, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: p2dIf}}}); err != nil {
 		return "", 0, err
 	}
 
 	// The VNFs bounce everything back over their uplink.
-	if err := mustAddRoute(vnf1, &netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: vnf1If}}}); err != nil {
+	if err := vnf1.AddRoute(&netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: vnf1If}}}); err != nil {
 		return "", 0, err
 	}
-	if err := mustAddRoute(vnf2, &netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: vnf2If}}}); err != nil {
+	if err := vnf2.AddRoute(&netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: vnf2If}}}); err != nil {
 		return "", 0, err
 	}
 
 	// D: the chain's last SID decapsulates into the main table.
-	if err := mustAddRoute(d, &netsim.Route{
+	if err := d.AddRoute(&netsim.Route{
 		Prefix:    netip.PrefixFrom(decapSID, 128),
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6},
@@ -539,16 +528,16 @@ func matrixTILFA(shards int) (string, uint64, error) {
 
 	// Ingress: destination traffic rides the binding SID, then the
 	// egress SID d6.
-	if err := mustAddRoute(in, &netsim.Route{Prefix: dstNet, Kind: netsim.RouteSeg6Encap, SRH: packet.NewSRH([]netip.Addr{bsid, d6})}); err != nil {
+	if err := in.AddRoute(&netsim.Route{Prefix: dstNet, Kind: netsim.RouteSeg6Encap, SRH: packet.NewSRH([]netip.Addr{bsid, d6})}); err != nil {
 		return "", 0, err
 	}
-	if err := mustAddRoute(in, &netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: inIf}}}); err != nil {
+	if err := in.AddRoute(&netsim.Route{Prefix: def, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: inIf}}}); err != nil {
 		return "", 0, err
 	}
 
 	// A: the binding SID expands (reduced) to <d7>, and the route
 	// toward B carries the TI-LFA backup through C.
-	if err := mustAddRoute(a, &netsim.Route{
+	if err := a.AddRoute(&netsim.Route{
 		Prefix: netip.PrefixFrom(bsid, 128),
 		Kind:   netsim.RouteSeg6Local,
 		Behaviour: &seg6.Behaviour{
@@ -560,7 +549,7 @@ func matrixTILFA(shards int) (string, uint64, error) {
 	}); err != nil {
 		return "", 0, err
 	}
-	if err := mustAddRoute(a, &netsim.Route{
+	if err := a.AddRoute(&netsim.Route{
 		Prefix:   bNet,
 		Kind:     netsim.RouteForward,
 		Nexthops: []netsim.Nexthop{{Iface: abIf}},
@@ -574,21 +563,21 @@ func matrixTILFA(shards int) (string, uint64, error) {
 
 	// C: the repair segment — plain End with PSP so the repair SRH is
 	// popped before the packet re-enters B.
-	if err := mustAddRoute(c, &netsim.Route{
+	if err := c.AddRoute(&netsim.Route{
 		Prefix:    netip.PrefixFrom(cSID, 128),
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd, Flavors: seg6.FlavorPSP},
 	}); err != nil {
 		return "", 0, err
 	}
-	if err := mustAddRoute(c, &netsim.Route{Prefix: bNet, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: cbIf}}}); err != nil {
+	if err := c.AddRoute(&netsim.Route{Prefix: bNet, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: cbIf}}}); err != nil {
 		return "", 0, err
 	}
 
 	// B: both egress SIDs decapsulate to the main table; the inner
 	// destination then forwards to the attached host.
 	for _, sid := range []netip.Addr{d6, d7} {
-		if err := mustAddRoute(b, &netsim.Route{
+		if err := b.AddRoute(&netsim.Route{
 			Prefix:    netip.PrefixFrom(sid, 128),
 			Kind:      netsim.RouteSeg6Local,
 			Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6},
@@ -596,7 +585,7 @@ func matrixTILFA(shards int) (string, uint64, error) {
 			return "", 0, err
 		}
 	}
-	if err := mustAddRoute(b, &netsim.Route{Prefix: dstNet, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: bdIf}}}); err != nil {
+	if err := b.AddRoute(&netsim.Route{Prefix: dstNet, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: bdIf}}}); err != nil {
 		return "", 0, err
 	}
 

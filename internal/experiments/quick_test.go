@@ -66,7 +66,9 @@ func TestQuickShardScaling(t *testing.T) {
 	// Small instance (k=4 fat-tree, 36 nodes, 5 ms): the point here is
 	// the end-to-end experiment path and its built-in determinism
 	// check, not the scaling numbers.
-	rows, err := ShardScaling([]int{1, 2}, 4, 5*netsim.Millisecond)
+	rows, err := ShardScalingRun(ShardScalingSpec{
+		Shards: []int{1, 2}, Topology: "fattree", K: 4, DurationNs: 5 * netsim.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,37 +31,36 @@ import (
 
 // ShardScalingRow is one shard-count measurement.
 type ShardScalingRow struct {
-	Shards int `json:"shards"`
+	Shards int
 	// Partition names the node→shard assignment strategy
 	// ("contiguous" or "mincut").
-	Partition    string  `json:"partition,omitempty"`
-	Nodes        int     `json:"nodes"`
-	Hosts        int     `json:"hosts"`
-	WallMs       float64 `json:"wall_ms"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Partition    string
+	Nodes        int
+	Hosts        int
+	WallMs       float64
+	Events       uint64
+	EventsPerSec float64
 	// PktsPerSec is delivered packets per wall-second: the figure rows
 	// are ranked by. Events per second is the engine's own rate and
 	// falls when a change removes events from a packet's path while the
-	// simulation gets faster. Reports written before the field existed
-	// read back as 0.
-	PktsPerSec float64 `json:"delivered_pkts_per_sec,omitempty"`
+	// simulation gets faster.
+	PktsPerSec float64
 	// Speedup is PktsPerSec relative to the 1-shard row.
-	Speedup   float64 `json:"speedup_vs_1shard"`
-	Delivered uint64  `json:"delivered_pkts"`
-	Windows   uint64  `json:"windows"`
-	Messages  uint64  `json:"cross_shard_msgs"`
+	Speedup   float64
+	Delivered uint64
+	Windows   uint64
+	Messages  uint64
 	// CutLinks is the partition's static cross-shard link count (each
 	// unordered pair once); Messages is the dynamic price paid for it.
-	CutLinks int `json:"cut_links,omitempty"`
+	CutLinks int
 	// LookaheadNs is the conservative window length the partition
 	// yields (the minimum cross-shard link delay).
-	LookaheadNs int64 `json:"lookahead_ns,omitempty"`
+	LookaheadNs int64
 	// BufGets is how many packet buffers the generators asked of the
 	// shards' free lists, BufReuses how many of those were a dead
 	// packet's (netsim.EngineStats): the rest were allocated.
-	BufGets   uint64 `json:"buf_gets,omitempty"`
-	BufReuses uint64 `json:"buf_reuses,omitempty"`
+	BufGets   uint64
+	BufReuses uint64
 }
 
 // shardScalingSeed fixes the scenario; every shard count replays it.
@@ -98,16 +97,6 @@ type ShardScalingSpec struct {
 	// multi-level KL/FM).
 	Partition  string
 	DurationNs int64
-}
-
-// ShardScaling runs the fat-tree mix once per requested shard count
-// and reports scaling rows — the historical entry point, equivalent to
-// ShardScalingRun with Topology "fattree" and the contiguous partition.
-func ShardScaling(shardCounts []int, k int, durationNs int64) ([]ShardScalingRow, error) {
-	return ShardScalingRun(ShardScalingSpec{
-		Shards: shardCounts, Topology: "fattree", K: k,
-		Partition: "contiguous", DurationNs: durationNs,
-	})
 }
 
 // ShardScalingRun sweeps the spec's shard counts and reports scaling

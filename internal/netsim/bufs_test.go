@@ -465,7 +465,7 @@ func (m movingProgram) RunSeg6Local(n *Node, raw []byte, meta *PacketMeta) (seg6
 		meta.Buf = out
 		out = raw
 	}
-	res, err := seg6.ApplyStatic(&seg6.Behaviour{Action: seg6.ActionEnd}, out)
+	res, err := seg6.Apply(&seg6.Behaviour{Action: seg6.ActionEnd}, out)
 	if err != nil || m.mode == "fails" {
 		return seg6.Result{Verdict: seg6.VerdictDrop}, 0, seg6.ErrNoSRH
 	}

@@ -21,8 +21,8 @@ type CostModel struct {
 	// LocalDeliverNs is the local socket delivery cost.
 	LocalDeliverNs int64
 	// Behaviour is the extra cost of each static seg6local behaviour,
-	// on top of ForwardNs.
-	Behaviour map[seg6.Action]int64
+	// on top of ForwardNs, indexed by action (zero where unset).
+	Behaviour [seg6.NumActions]int64
 	// EncapNs is the extra cost of the seg6 transit behaviours
 	// (T.Encaps / T.Insert) performed by a route.
 	EncapNs int64
@@ -78,7 +78,7 @@ func ServerCostModel() CostModel {
 		ForwardNs:      1548,
 		PerByteNs:      0.6,
 		LocalDeliverNs: 500,
-		Behaviour: map[seg6.Action]int64{
+		Behaviour: [seg6.NumActions]int64{
 			seg6.ActionEnd:        50,
 			seg6.ActionEndX:       60,
 			seg6.ActionEndT:       85,
@@ -115,7 +115,7 @@ func CPECostModel() CostModel {
 		ForwardNs:      6000,
 		PerByteNs:      1.2,
 		LocalDeliverNs: 2000,
-		Behaviour: map[seg6.Action]int64{
+		Behaviour: [seg6.NumActions]int64{
 			seg6.ActionEnd:    200,
 			seg6.ActionEndX:   240,
 			seg6.ActionEndT:   340,
@@ -153,7 +153,6 @@ func HostCostModel() CostModel {
 		ForwardNs:      100,
 		PerByteNs:      0.01,
 		LocalDeliverNs: 50,
-		Behaviour:      map[seg6.Action]int64{},
 		EncapNs:        50,
 		ICMPGenNs:      100,
 		BPFSetupNs:     10,

@@ -80,12 +80,14 @@ func newDropEnv() *dropEnv {
 	return e
 }
 
-// sid installs route under rSID/128 in R's main table, behind
-// AddRoute's back: the bad-configuration reasons exist because
-// Table.Add does not validate.
+// sid installs route under rSID/128 in R's main table. Every route a
+// row installs passes Table.Add: a misconfigured one is refused there
+// (TestInstallRejection), so no drop reason stands for one.
 func (e *dropEnv) sid(route *Route) {
 	route.Prefix = netip.PrefixFrom(rSID, 128)
-	e.r.Table(MainTable).Add(route)
+	if err := e.r.AddRoute(route); err != nil {
+		panic(err)
+	}
 }
 
 func (e *dropEnv) local(b *seg6.Behaviour) {
@@ -107,6 +109,13 @@ func mustPkt(raw []byte, err error) []byte {
 // through segs.
 func udpProbe(dst netip.Addr, hl uint8) []byte {
 	return mustPkt(packet.BuildPacket(aAddr, dst, packet.WithUDP(1, 7), packet.WithHopLimit(hl), packet.WithFlowLabel(0xd09)))
+}
+
+// maxProbe is udpProbe at the largest IPv6 payload there is: no outer
+// header fits in front of it.
+func maxProbe(dst netip.Addr) []byte {
+	return mustPkt(packet.BuildPacket(aAddr, dst, packet.WithUDP(1, 7),
+		packet.WithPayload(make([]byte, 0xffff-packet.UDPHeaderLen)), packet.WithFlowLabel(0xd09)))
 }
 
 func srProbe(hl uint8, segs ...netip.Addr) []byte {
@@ -244,70 +253,38 @@ func dropCases() []dropCase {
 			},
 			extra: func(*CostModel) int64 { return fakeProgNs }, end: 11621},
 
-		{name: "drop_bad_route/kind", why: "drop_bad_route",
-			prep: func(e *dropEnv) []byte {
-				e.sid(&Route{Kind: RouteKind(99)})
-				return udpProbe(rSID, 64)
-			}, end: 11614},
-		{name: "drop_bad_route/no-behaviour", why: "drop_bad_route",
-			prep: func(e *dropEnv) []byte {
-				e.sid(&Route{Kind: RouteSeg6Local})
-				return udpProbe(rSID, 64)
-			}, end: 11614},
-		{name: "drop_bad_route/unknown-action", why: "drop_bad_route",
-			prep: func(e *dropEnv) []byte {
-				e.local(&seg6.Behaviour{Action: seg6.Action(11)})
-				return udpProbe(rSID, 64)
-			}, end: 11614},
-		{name: "drop_bad_route/encap-without-srh", why: "drop_bad_route",
-			prep: func(e *dropEnv) []byte {
-				e.sid(&Route{Kind: RouteSeg6Encap})
-				return udpProbe(rSID, 64)
-			}, end: 11614},
-		{name: "drop_bad_lwt_attachment", why: "drop_bad_lwt_attachment",
-			prep: func(e *dropEnv) []byte {
-				e.sid(&Route{Kind: RouteLWTBPF, BPF: "not a program"})
-				return udpProbe(rSID, 64)
-			}, end: 11614},
-		{name: "drop_bad_seg6local_attachment", why: "drop_bad_seg6local_attachment",
-			prep: func(e *dropEnv) []byte {
-				e.local(&seg6.Behaviour{Action: seg6.ActionEndBPF, BPF: "not a program"})
-				return udpProbe(rSID, 64)
-			}, end: 11614},
-		{name: "drop_bad_oif/foreign-interface", why: "drop_bad_oif",
-			prep: func(e *dropEnv) []byte {
-				e.local(&seg6.Behaviour{Action: seg6.ActionEndAM, OIF: e.aIf})
-				return srProbe(64, rSID, bAddr)
-			},
-			extra: func(c *CostModel) int64 { return c.Behaviour[seg6.ActionEndAM] }, end: 11790},
-		{name: "drop_bad_oif/not-an-interface", why: "drop_bad_oif",
-			prep: func(e *dropEnv) []byte {
-				e.local(&seg6.Behaviour{Action: seg6.ActionEndAM, OIF: "eth9"})
-				return srProbe(64, rSID, bAddr)
-			},
-			extra: func(c *CostModel) int64 { return c.Behaviour[seg6.ActionEndAM] }, end: 11790},
 		{name: "drop_bad_verdict", why: "drop_bad_verdict",
 			prep: func(e *dropEnv) []byte {
 				e.prog(seg6.Result{Verdict: seg6.Verdict(99)}, nil)
 				return udpProbe(rSID, 64)
 			},
 			extra: func(c *CostModel) int64 { return fakeProgNs + c.Behaviour[seg6.ActionEnd] }, end: 11671},
-
-		// EncapNs is charged before the encapsulation is known to work.
-		{name: "drop_encap_error", why: "drop_encap_error",
+		// Only a static behaviour's OIF is checked at install; a program
+		// can ask for one its behaviour does not have.
+		{name: "drop_bad_verdict/oif-without-interface", why: "drop_bad_verdict",
 			prep: func(e *dropEnv) []byte {
-				e.sid(&Route{Kind: RouteSeg6Encap, SRH: &packet.SRH{}})
+				e.prog(seg6.Result{Verdict: seg6.VerdictForwardOIF, Pkt: udpProbe(bAddr, 64)}, nil)
 				return udpProbe(rSID, 64)
 			},
-			extra: func(c *CostModel) int64 { return c.EncapNs }, end: 11874},
+			extra: func(c *CostModel) int64 { return fakeProgNs + c.Behaviour[seg6.ActionEnd] }, end: 11671},
+
+		// The route's segment list is sound (Table.Add checked it); the
+		// packet is too large to carry the outer headers. EncapNs is
+		// charged before the encapsulation is known to work.
+		{name: "drop_encap_error", why: "drop_encap_error",
+			prep: func(e *dropEnv) []byte {
+				e.sid(&Route{Kind: RouteSeg6Encap, SRH: packet.NewSRH([]netip.Addr{cAddr})})
+				return maxProbe(rSID)
+			},
+			extra: func(c *CostModel) int64 { return c.EncapNs }, end: 103613},
 		{name: "drop_backup_encap_error", why: "drop_backup_encap_error",
 			prep: func(e *dropEnv) []byte {
 				e.sid(&Route{Kind: RouteForward, Nexthops: []Nexthop{{Iface: e.rbIf}},
-					Backup: &Backup{Nexthops: []Nexthop{{Iface: e.rcIf}}, SRH: &packet.SRH{}}})
+					Backup: &Backup{Nexthops: []Nexthop{{Iface: e.rcIf}}, SRH: packet.NewSRH([]netip.Addr{cAddr})}})
 				e.rbIf.Fail()
-				return udpProbe(rSID, 64)
+				return maxProbe(rSID)
 			},
-			extra: func(c *CostModel) int64 { return c.EncapNs }, end: 11874},
+			extra: func(c *CostModel) int64 { return c.EncapNs }, end: 103613},
 
 		{name: "l2_no_handler", why: "l2_no_handler",
 			prep: func(e *dropEnv) []byte {
@@ -555,9 +532,7 @@ func TestDropReasonNames(t *testing.T) {
 		"drop_hop_limit", "drop_no_nexthop", "drop_seg6local", "drop_seg6local_error",
 		"drop_lwt_bpf", "drop_lwt_bpf_error", "drop_malformed_local", "drop_link_down",
 		"backup_tx", "udp_delivered", "tcp_delivered", "icmp_delivered",
-		"drop_bad_route", "drop_bad_lwt_attachment", "drop_bad_seg6local_attachment",
-		"drop_bad_proxy_return", "drop_bad_oif", "drop_bad_verdict", "drop_encap_error",
-		"drop_backup_encap_error", "l2_no_handler",
+		"drop_bad_verdict", "drop_encap_error", "drop_backup_encap_error", "l2_no_handler",
 	}
 	got := append([]string(nil), statNames[:]...)
 	seen := map[string]bool{}

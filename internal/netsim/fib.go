@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/netip"
@@ -136,6 +137,9 @@ type Route struct {
 // routes per node, and the per-hop lookup sits on the simulator's
 // hottest path.
 type Table struct {
+	// node is the table's owner, whose interfaces are the only ones its
+	// routes may name; nil in a bare Table, which only tests declare.
+	node *Node
 	// routes is ordered longest prefix first, insertion order within a
 	// length.
 	routes []*Route
@@ -214,10 +218,23 @@ func (lt *lenTable) put(key fibKey, r *Route) (old *Route) {
 	return old
 }
 
-// Add inserts a route, keeping longest-prefix-first order in
-// Routes(). Adding a second route for the same (masked) prefix
-// replaces the first.
-func (t *Table) Add(r *Route) {
+// Add installs a route, keeping longest-prefix-first order in Routes();
+// a second route for the same (masked) prefix replaces the first. It is
+// the only way into a FIB, and where a route is checked — once, like the
+// kernel's build_state for lightweight tunnels: a route whose kind,
+// behaviour, program attachment or segment list the packet path could
+// not act on, or that names another node's interface, is not installed,
+// and the error names the node and the prefix. The packet path takes
+// what passed on trust, so an installed route's fields are not to be
+// changed.
+func (t *Table) Add(r *Route) error {
+	if err := validateRoute(t.node, r); err != nil {
+		owner := "table"
+		if t.node != nil {
+			owner = t.node.Name
+		}
+		return fmt.Errorf("netsim: %s: route %s: %w", owner, r.Prefix, err)
+	}
 	bits := r.Prefix.Bits()
 	// Routes of this length end where the first shorter one begins.
 	end := sort.Search(len(t.routes), func(i int) bool { return t.routes[i].Prefix.Bits() < bits })
@@ -227,7 +244,7 @@ func (t *Table) Add(r *Route) {
 			for i := end - 1; ; i-- {
 				if t.routes[i] == old {
 					t.routes[i] = r
-					return
+					return nil
 				}
 			}
 		}
@@ -235,6 +252,79 @@ func (t *Table) Add(r *Route) {
 	t.routes = append(t.routes, nil)
 	copy(t.routes[end+1:], t.routes[end:])
 	t.routes[end] = r
+	return nil
+}
+
+// validateRoute is the install-time check of Table.Add (and of the
+// pseudo-route BindProxyReturn makes): everything about r that the
+// packet path takes on trust. n is the node r is for; nil skips the
+// rule that every interface r names is one of n's.
+func validateRoute(n *Node, r *Route) error {
+	owns := func(i *Iface) bool { return i == nil || n == nil || i.Node == n }
+	switch r.Kind {
+	case RouteForward, RouteLocal:
+	case RouteSeg6Local:
+		b := r.Behaviour
+		if b == nil {
+			return errors.New("seg6local route has no behaviour")
+		}
+		if err := seg6.Validate(b); err != nil {
+			return err
+		}
+		sp := seg6.Lookup(b.Action)
+		if _, ok := b.BPF.(Seg6LocalProgram); sp.Prog && !ok {
+			return fmt.Errorf("%s: %T is not a seg6local program", sp.Name, b.BPF)
+		}
+		if r.inbound && sp.Inbound == nil {
+			return fmt.Errorf("%s has no inbound step", sp.Name)
+		}
+		if b.OIF != nil {
+			if oif, ok := b.OIF.(*Iface); !ok || oif == nil || !owns(oif) {
+				return fmt.Errorf("%s: OIF %v is not an interface of this node", sp.Name, b.OIF)
+			}
+		}
+	case RouteSeg6Encap:
+		if err := validateSRH(r.SRH); err != nil {
+			return err
+		}
+	case RouteLWTBPF:
+		if _, ok := r.BPF.(LWTProgram); !ok {
+			return fmt.Errorf("%T is not an LWT program", r.BPF)
+		}
+	default:
+		return fmt.Errorf("unknown route kind %d", int(r.Kind))
+	}
+	var backup []Nexthop
+	if r.Backup != nil {
+		if r.Backup.SRH != nil {
+			if err := validateSRH(r.Backup.SRH); err != nil {
+				return fmt.Errorf("backup: %w", err)
+			}
+		}
+		backup = r.Backup.Nexthops
+	}
+	for _, nhs := range [2][]Nexthop{r.Nexthops, backup} {
+		for _, nh := range nhs {
+			if !owns(nh.Iface) {
+				return fmt.Errorf("nexthop %v is not an interface of this node", nh.Iface)
+			}
+		}
+	}
+	return nil
+}
+
+// validateSRH checks what an encapsulation needs of a segment list, so
+// that only the packet can make one fail: it is set, it has an active
+// segment, and it encodes.
+func validateSRH(srh *packet.SRH) error {
+	if srh == nil {
+		return errors.New("no SRH")
+	}
+	if _, err := srh.ActiveSegment(); err != nil {
+		return err
+	}
+	_, err := srh.HdrExtLen()
+	return err
 }
 
 // tableFor returns the index for p's family and length, creating it in

@@ -347,7 +347,7 @@ func TestLongestPrefixWins(t *testing.T) {
 	var tbl Table
 	tbl.Add(&Route{Prefix: pfx("::/0"), Kind: RouteForward})
 	tbl.Add(&Route{Prefix: pfx("2001:db8::/32"), Kind: RouteLocal})
-	tbl.Add(&Route{Prefix: pfx("2001:db8:1::/48"), Kind: RouteSeg6Local})
+	tbl.Add(&Route{Prefix: pfx("2001:db8:1::/48"), Kind: RouteSeg6Local, Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd}})
 	if r := tbl.Lookup(netip.MustParseAddr("2001:db8:1::5")); r.Kind != RouteSeg6Local {
 		t.Errorf("got %v", r.Kind)
 	}

@@ -147,14 +147,10 @@ const (
 	statUDPDelivered
 	statTCPDelivered
 	statICMPDelivered
-	// The stats from here on are configuration errors and the like:
-	// Counters() shows them once they have counted, the ones above from
-	// the start (the fingerprints hash zero-valued keys).
-	statBadRoute
-	statBadLWTAttachment
-	statBadSeg6LocalAttachment
-	statBadProxyReturn
-	statBadOIF
+	// The stats from here on are rarer: Counters() shows them once they
+	// have counted, the ones above from the start (the fingerprints hash
+	// zero-valued keys). No stat counts a configuration error: Table.Add
+	// refuses those.
 	statBadVerdict
 	statEncapError
 	statBackupEncapError
@@ -163,31 +159,26 @@ const (
 )
 
 var statNames = [numStats]string{
-	statRxRingFull:             "rx_ring_full",
-	statMalformed:              "drop_malformed",
-	statNoRoute:                "drop_no_route",
-	statRouteLoop:              "drop_route_loop",
-	statHopLimit:               "drop_hop_limit",
-	statNoNexthop:              "drop_no_nexthop",
-	statSeg6Local:              "drop_seg6local",
-	statSeg6LocalError:         "drop_seg6local_error",
-	statLWTBPF:                 "drop_lwt_bpf",
-	statLWTBPFError:            "drop_lwt_bpf_error",
-	statMalformedLocal:         "drop_malformed_local",
-	statLinkDown:               "drop_link_down",
-	statBackupTx:               "backup_tx",
-	statUDPDelivered:           "udp_delivered",
-	statTCPDelivered:           "tcp_delivered",
-	statICMPDelivered:          "icmp_delivered",
-	statBadRoute:               "drop_bad_route",
-	statBadLWTAttachment:       "drop_bad_lwt_attachment",
-	statBadSeg6LocalAttachment: "drop_bad_seg6local_attachment",
-	statBadProxyReturn:         "drop_bad_proxy_return",
-	statBadOIF:                 "drop_bad_oif",
-	statBadVerdict:             "drop_bad_verdict",
-	statEncapError:             "drop_encap_error",
-	statBackupEncapError:       "drop_backup_encap_error",
-	statL2NoHandler:            "l2_no_handler",
+	statRxRingFull:       "rx_ring_full",
+	statMalformed:        "drop_malformed",
+	statNoRoute:          "drop_no_route",
+	statRouteLoop:        "drop_route_loop",
+	statHopLimit:         "drop_hop_limit",
+	statNoNexthop:        "drop_no_nexthop",
+	statSeg6Local:        "drop_seg6local",
+	statSeg6LocalError:   "drop_seg6local_error",
+	statLWTBPF:           "drop_lwt_bpf",
+	statLWTBPFError:      "drop_lwt_bpf_error",
+	statMalformedLocal:   "drop_malformed_local",
+	statLinkDown:         "drop_link_down",
+	statBackupTx:         "backup_tx",
+	statUDPDelivered:     "udp_delivered",
+	statTCPDelivered:     "tcp_delivered",
+	statICMPDelivered:    "icmp_delivered",
+	statBadVerdict:       "drop_bad_verdict",
+	statEncapError:       "drop_encap_error",
+	statBackupEncapError: "drop_backup_encap_error",
+	statL2NoHandler:      "l2_no_handler",
 }
 
 // maxRouteDepth bounds how many routes one hop may apply after the
@@ -323,6 +314,7 @@ func (s *Sim) AddNode(name string, cost CostModel) *Node {
 		spanIdx:     -1,
 	}
 	n.rng = rand.New(&n.rngSrc)
+	main.node = n
 	if s.obs != nil {
 		s.obs.attachNode(n)
 	}
@@ -473,7 +465,7 @@ func (n *Node) CountersInto(m map[string]uint64) {
 // Count() has been given.
 func (n *Node) eachCounter(f func(name string, v uint64)) {
 	for s, v := range n.stats {
-		if stat(s) < statBadRoute || v != 0 {
+		if stat(s) <= statICMPDelivered || v != 0 {
 			f(statNames[s], v)
 		}
 	}
@@ -492,7 +484,8 @@ func (n *Node) AddAddress(addr netip.Addr) {
 	if !n.primary.IsValid() {
 		n.primary = addr
 	}
-	n.Table(MainTable).Add(&Route{
+	// A local route names nothing that could fail a check.
+	_ = n.mainTbl.Add(&Route{
 		Prefix: netip.PrefixFrom(addr, addr.BitLen()),
 		Kind:   RouteLocal,
 	})
@@ -508,43 +501,17 @@ func (n *Node) IsLocal(addr netip.Addr) bool { return n.local[addr] }
 func (n *Node) Table(id int) *Table {
 	t, ok := n.tables[id]
 	if !ok {
-		t = &Table{}
+		t = &Table{node: n}
 		n.tables[id] = t
 	}
 	return t
 }
 
-// AddRoute validates r and inserts it into the main table. Like the
-// kernel's build_state for lightweight tunnels, behaviour parameters
-// are checked at install time: a seg6local route whose behaviour the
-// registry rejects (missing nexthop, unsupported flavor, no SRH) never
-// makes it into the FIB, instead of silently eating packets later.
-func (n *Node) AddRoute(r *Route) error {
-	if err := validateRoute(r); err != nil {
-		return err
-	}
-	n.Table(MainTable).Add(r)
-	return nil
-}
-
-// validateRoute applies the install-time checks of AddRoute.
-func validateRoute(r *Route) error {
-	switch r.Kind {
-	case RouteSeg6Local:
-		if r.Behaviour == nil {
-			return fmt.Errorf("netsim: seg6local route %s has no behaviour", r.Prefix)
-		}
-		return seg6.Validate(r.Behaviour)
-	case RouteSeg6Encap:
-		if r.SRH == nil {
-			return fmt.Errorf("netsim: seg6 encap route %s has no SRH", r.Prefix)
-		}
-		if _, err := r.SRH.ActiveSegment(); err != nil {
-			return fmt.Errorf("netsim: seg6 encap route %s: %w", r.Prefix, err)
-		}
-	}
-	return nil
-}
+// AddRoute installs r in the main table. Table.Add checks it: a
+// seg6local route whose behaviour the registry rejects (missing
+// nexthop, unsupported flavor, no SRH), or one naming another node's
+// interface, is refused instead of eating packets later.
+func (n *Node) AddRoute(r *Route) error { return n.mainTbl.Add(r) }
 
 // Lookup performs a FIB lookup in the given table.
 func (n *Node) Lookup(dst netip.Addr, table int) *Route {
@@ -573,22 +540,20 @@ func (n *Node) HandleL2(h func(n *Node, frame []byte, meta *PacketMeta)) {
 // BindProxyReturn wires the return leg of an SR proxy: packets
 // arriving on in run b's Inbound step (End.AS re-encapsulation,
 // End.AM de-masquerading) instead of a FIB lookup. b is normally the
-// same Behaviour installed under the proxy's SID.
+// same Behaviour installed under the proxy's SID, and is checked the
+// way Table.Add checks a route.
 func (n *Node) BindProxyReturn(in *Iface, b *seg6.Behaviour) error {
 	if in == nil || in.Node != n {
 		return fmt.Errorf("netsim: BindProxyReturn: interface does not belong to %s", n.Name)
 	}
-	sp := seg6.Lookup(b.Action)
-	if sp == nil || sp.Inbound == nil {
-		return fmt.Errorf("netsim: BindProxyReturn: %v has no inbound step", b.Action)
-	}
-	if err := seg6.Validate(b); err != nil {
-		return err
+	r := &Route{Kind: RouteSeg6Local, Behaviour: b, inbound: true}
+	if err := validateRoute(n, r); err != nil {
+		return fmt.Errorf("netsim: %s: BindProxyReturn on %s: %w", n.Name, in.Name, err)
 	}
 	if n.ifaceInputs == nil {
 		n.ifaceInputs = make(map[*Iface]*Route)
 	}
-	n.ifaceInputs[in] = &Route{Kind: RouteSeg6Local, Behaviour: b, inbound: true}
+	n.ifaceInputs[in] = r
 	return nil
 }
 
@@ -936,10 +901,8 @@ func (n *Node) act(r *Route, h *hop) (*Route, bool) {
 		return n.seg6Local(r, h)
 	case RouteSeg6Encap:
 		return n.seg6Encap(r, h)
-	case RouteLWTBPF:
+	default: // RouteLWTBPF, the one kind left that Table.Add admits
 		return n.lwtBPF(r, h)
-	default:
-		return n.drop(statBadRoute)
 	}
 }
 
@@ -1009,23 +972,15 @@ func (n *Node) forward(r *Route, h *hop) (*Route, bool) {
 // seg6Local runs a seg6local behaviour (static or End.BPF) through the
 // dispatch registry and acts on its verdict. The pseudo-route of an SR
 // proxy's return interface (BindProxyReturn) runs the behaviour's
-// Inbound half the same way.
+// Inbound half the same way. The route passed validateRoute: the action
+// is registered with what the route asks of it, and the attachment and
+// the OIF are what they must be.
 func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
 	if !r.inbound {
 		n.obsRoute("seg6local")
 	}
 	b := r.Behaviour
-	var sp *seg6.Spec
-	if b != nil {
-		sp = seg6.Lookup(b.Action)
-	}
-	switch {
-	case r.inbound && (sp == nil || sp.Inbound == nil):
-		return n.drop(statBadProxyReturn)
-	case sp == nil:
-		return n.drop(statBadRoute)
-	}
-
+	sp := seg6.Lookup(b.Action)
 	var res seg6.Result
 	var cost int64
 	var err error
@@ -1034,12 +989,8 @@ func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
 		res, err = sp.Inbound(b, h.raw)
 		cost = n.Cost.Behaviour[b.Action]
 	case sp.Prog:
-		prog, ok := b.BPF.(Seg6LocalProgram)
-		if !ok {
-			return n.drop(statBadSeg6LocalAttachment)
-		}
 		buf := h.meta.Buf
-		res, cost, err = prog.RunSeg6Local(n, h.raw, &h.meta)
+		res, cost, err = b.BPF.(Seg6LocalProgram).RunSeg6Local(n, h.raw, &h.meta)
 		cost += n.Cost.Behaviour[seg6.ActionEnd] // the endpoint part of End.BPF
 		if moved := h.meta.Buf; len(moved) > 0 && (len(buf) == 0 || &moved[0] != &buf[0]) {
 			// The program says it rebuilt the packet in a buffer from the
@@ -1060,7 +1011,7 @@ func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
 			n.obsBehavior(sp.Name)
 			return nil, false
 		}
-		res, err = seg6.Apply(b, h.raw)
+		res, err = sp.Apply(b, h.raw)
 		cost = n.Cost.Behaviour[b.Action]
 	}
 	h.cost += cost
@@ -1096,14 +1047,14 @@ func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
 		}
 		return n.crossConnect(h, iface)
 	case seg6.VerdictForwardOIF:
-		iface, ok := b.OIF.(*Iface)
-		if !ok || iface == nil || iface.Node != n {
-			return n.drop(statBadOIF)
+		// Static behaviours return it only with an OIF; a program may
+		// return it for a behaviour without one, and that verdict is bad.
+		if iface, ok := b.OIF.(*Iface); ok {
+			if !iface.Up() {
+				return n.drop(statLinkDown)
+			}
+			return n.crossConnect(h, iface)
 		}
-		if !iface.Up() {
-			return n.drop(statLinkDown)
-		}
-		return n.crossConnect(h, iface)
 	case seg6.VerdictDeliverL2:
 		if n.l2Handler == nil {
 			return n.drop(statL2NoHandler)
@@ -1114,9 +1065,8 @@ func (n *Node) seg6Local(r *Route, h *hop) (*Route, bool) {
 		h.op, h.fn = commitFn, func() { handler(n, frame, &meta) }
 		h.cost += n.Cost.LocalDeliverNs
 		return nil, false
-	default:
-		return n.drop(statBadVerdict)
 	}
+	return n.drop(statBadVerdict)
 }
 
 // tunnelHopLimit performs the forwarding-plane hop-limit step at a
@@ -1164,9 +1114,6 @@ func (n *Node) crossConnect(h *hop, iface *Iface) (*Route, bool) {
 // seg6Encap performs the static transit behaviours.
 func (n *Node) seg6Encap(r *Route, h *hop) (*Route, bool) {
 	n.obsRoute("seg6encap")
-	if r.SRH == nil {
-		return n.drop(statBadRoute)
-	}
 	// Inline insertion adds no outer header: the packet stays a transit
 	// packet and the transmit-time decrement applies. The other modes
 	// are tunnel ingresses.
@@ -1201,11 +1148,7 @@ func (n *Node) seg6Encap(r *Route, h *hop) (*Route, bool) {
 func (n *Node) lwtBPF(r *Route, h *hop) (*Route, bool) {
 	n.obsRoute("lwt_bpf")
 	n.obsBehavior("LWT.BPF")
-	prog, ok := r.BPF.(LWTProgram)
-	if !ok {
-		return n.drop(statBadLWTAttachment)
-	}
-	out, verdict, cost, err := prog.RunLWTOut(n, h.raw, &h.meta)
+	out, verdict, cost, err := r.BPF.(LWTProgram).RunLWTOut(n, h.raw, &h.meta)
 	h.cost += cost
 	if err != nil {
 		if n.Trace != nil {

@@ -166,7 +166,7 @@ func (o *simObs) attachNode(n *Node) {
 
 // sizeCells (re)allocates the per-shard histogram cells; called at
 // EnableObs and again whenever SetShards changes the shard count
-// (which also resets the engine's Sharded counters).
+// (which also restarts the engine's counters).
 func (o *simObs) sizeCells(n int) {
 	o.cells = make([]*obsCell, n)
 	o.labels = make([]string, n)
@@ -186,12 +186,13 @@ func (o *simObs) mergedBehavior(action int) *obs.Histogram {
 
 // pushEnginePoint samples the engine's vitals into the ring; called
 // by the coordinator once per synchronisation round.
-func (o *simObs) pushEnginePoint(s *Sim, round int64, virtualNs int64) {
+func (o *simObs) pushEnginePoint(s *Sim, virtualNs int64) {
+	st := s.EngineStats()
 	o.series.Push(obs.EnginePoint{
-		Round:     round,
+		Round:     int64(st.Windows),
 		VirtualNs: virtualNs,
-		Events:    s.engEvents.Total(),
-		Messages:  s.engMsgs.Total(),
+		Events:    st.Events,
+		Messages:  st.Messages,
 	})
 }
 

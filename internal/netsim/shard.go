@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"srv6bpf/internal/stats"
 )
 
 // shard owns a disjoint set of nodes: their event queue, their clock
@@ -38,6 +36,11 @@ type shard struct {
 	// to the coordinator, which re-raises it on the Run caller — the
 	// same propagation a sequential run gives.
 	panicked any
+
+	// The shard's share of EngineStats, which sums them in shard order:
+	// the events it executed, the cross-shard messages it sent, and (on
+	// shard 0 only, counted by the coordinator) the windows run.
+	events, msgs, windows uint64
 
 	// bufs is the shard's free list of dead packet allocations, one
 	// class per capacity (see getBuf); bufGets and bufReuses count what
@@ -146,7 +149,7 @@ func newShard(s *Sim, id int) *shard {
 // straight into the destination queue — outboxes exist for the
 // concurrent case only.
 func (sh *shard) sendCross(m *xmsg) {
-	sh.sim.engMsgs.Inc(sh.id)
+	sh.msgs++
 	dst := m.peer.Node.shard
 	if !sh.sim.running {
 		dst.q.pushDeliver(m)
@@ -168,11 +171,10 @@ func (sh *shard) sendCross(m *xmsg) {
 
 // runTo executes this shard's events with at < end in key order.
 func (sh *shard) runTo(end int64) {
-	ev := &sh.sim.engEvents
 	for sh.q.len() > 0 && sh.q.minAt() < end {
 		e := sh.q.pop()
 		sh.now = e.at
-		ev.Inc(sh.id)
+		sh.events++
 		sh.sim.exec(sh, &e)
 	}
 }
@@ -328,12 +330,9 @@ func (s *Sim) SetShardsPartitioned(n int, assign []int, engine ...Engine) error 
 	s.shards = shards
 	s.lookahead = lookahead
 	s.cutLinks = cutLinks
-	s.engEvents = *stats.NewSharded(n)
-	s.engMsgs = *stats.NewSharded(n)
-	s.engWindows = *stats.NewSharded(n)
 	if s.obs != nil {
 		// Histogram cells are per shard; re-partitioning resets them
-		// the same way it resets the engine's Sharded counters.
+		// the same way the new shards start the engine's counters at 0.
 		s.obs.sizeCells(n)
 	}
 	s.now = now
@@ -380,18 +379,18 @@ type EngineStats struct {
 	BufGets, BufReuses uint64
 }
 
-// EngineStats merges the per-shard accounting cells (in shard order,
-// so the result is deterministic).
+// EngineStats sums the shards' counters (in shard order, so the result
+// is deterministic). Call it only between runs or at a barrier.
 func (s *Sim) EngineStats() EngineStats {
 	st := EngineStats{
 		Shards:    len(s.shards),
 		Lookahead: s.lookahead,
 		CutLinks:  s.cutLinks,
-		Windows:   s.engWindows.Total(),
-		Events:    s.engEvents.Total(),
-		Messages:  s.engMsgs.Total(),
 	}
 	for _, sh := range s.shards {
+		st.Windows += sh.windows
+		st.Events += sh.events
+		st.Messages += sh.msgs
 		st.BufGets += sh.bufGets
 		st.BufReuses += sh.bufReuses
 	}
@@ -452,10 +451,10 @@ func (s *Sim) runWindows(limit int64) {
 				panic(p)
 			}
 		}
-		s.engWindows.Inc(0)
+		s.shards[0].windows++
 		s.flushOutboxes()
 		if s.obs != nil {
-			s.obs.pushEnginePoint(s, int64(s.engWindows.Total()), next)
+			s.obs.pushEnginePoint(s, next)
 		}
 	}
 }

@@ -50,6 +50,15 @@
 // ends without one went through drop, which is the only place a drop
 // is counted and the only writer of a "drop" span verdict.
 //
+// Configuration is checked where a route enters a table, never on the
+// way: Table.Add — under AddRoute, AddAddress and every numbered table —
+// and BindProxyReturn refuse a route of unknown kind, a behaviour the
+// seg6 registry rejects, a program attachment of the wrong hook, a
+// segment list that cannot be pushed, and any interface (nexthop,
+// backup nexthop, OIF) of another node. The stages therefore assert
+// what was checked instead of testing it, and every drop reason is
+// something a packet or a program's return value caused.
+//
 // # Packet buffers
 //
 // A packet is a []byte with one owner at a time: whoever holds it may
@@ -132,11 +141,7 @@
 // TestShardEquivalenceFuzz).
 package netsim
 
-import (
-	"math"
-
-	"srv6bpf/internal/stats"
-)
+import "math"
 
 // exec dispatches one event popped from sh's queue. The payload is
 // read in place in the slab and its slot recycled before the callback
@@ -186,12 +191,6 @@ type Sim struct {
 	// against driver-level mutations from inside parallel events.
 	running bool
 
-	// Engine accounting: one cell per shard, merged deterministically
-	// by EngineStats.
-	engEvents  stats.Sharded
-	engMsgs    stats.Sharded
-	engWindows stats.Sharded
-
 	// obs is the observability plane attached by EnableObs; nil (the
 	// default) keeps every hook to a single pointer compare.
 	obs *simObs
@@ -210,9 +209,6 @@ func New(seed int64) *Sim {
 	s.shards = []*shard{newShard(s, 0)}
 	s.shards[0].out = make([][]xmsg, 1)
 	s.lookahead = math.MaxInt64 / 2
-	s.engEvents = *stats.NewSharded(1)
-	s.engMsgs = *stats.NewSharded(1)
-	s.engWindows = *stats.NewSharded(1)
 	return s
 }
 
@@ -274,7 +270,7 @@ func (s *Sim) Step() bool {
 		}
 		e := sh.q.pop()
 		sh.now = e.at
-		s.engEvents.Inc(0)
+		sh.events++
 		s.exec(sh, &e)
 		return true
 	}
@@ -293,7 +289,7 @@ func (s *Sim) Step() bool {
 	sh := s.shards[best]
 	e := sh.q.pop()
 	sh.now = e.at
-	s.engEvents.Inc(sh.id)
+	sh.events++
 	s.exec(sh, &e)
 	s.flushOutboxes()
 	if e.at > s.now {

@@ -7,7 +7,7 @@ package seg6
 // upper-layer check of the decap family (drop while SegmentsLeft > 0
 // unless USD) is pinned as a regression, and the registry dispatch is
 // compared differentially against a verbatim copy of the legacy
-// ApplyStatic switch it replaced.
+// switch-based dispatch it replaced.
 
 import (
 	"bytes"
@@ -456,11 +456,11 @@ func TestDecapDropsSegmentsLeft(t *testing.T) {
 	}
 }
 
-// legacyApplyStatic is a verbatim copy of the switch-based dispatch
+// legacyApply is a verbatim copy of the switch-based dispatch
 // the registry replaced, kept as the differential oracle. Note the
 // decap cases call DecapInner unconditionally — the SegmentsLeft bug
 // the registry's decapInnerFor fixes.
-func legacyApplyStatic(b *Behaviour, raw []byte) (Result, error) {
+func legacyApply(b *Behaviour, raw []byte) (Result, error) {
 	legacyEnd := func(raw []byte, v Verdict, nh netip.Addr, table int) (Result, error) {
 		if err := Advance(raw); err != nil {
 			return drop(), err
@@ -551,7 +551,7 @@ func TestDifferentialLegacy(t *testing.T) {
 		for _, pk := range packets {
 			name := fmt.Sprintf("%v/%s", b.Action, pk.name)
 			t.Run(name, func(t *testing.T) {
-				oldRes, oldErr := legacyApplyStatic(b, pk.build(t))
+				oldRes, oldErr := legacyApply(b, pk.build(t))
 				newRes, newErr := Apply(b, pk.build(t))
 
 				decap := b.Action == ActionEndDX6 || b.Action == ActionEndDT6

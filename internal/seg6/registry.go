@@ -21,11 +21,12 @@ type Spec struct {
 	// accepts; Validate rejects a Behaviour carrying others.
 	Flavors Flavor
 	// Validate checks install-time parameters (nil when the action
-	// has none). Apply funcs keep their own runtime guards, so a
-	// route installed behind Validate's back still fails closed.
+	// has none).
 	Validate func(b *Behaviour) error
 	// Apply executes the behaviour on raw packet bytes. Nil only for
-	// program-backed actions (Prog below).
+	// program-backed actions (Prog below). It and Inbound take b as
+	// Validate passed it and do not check its parameters again; the
+	// package-level Apply is the entry that validates first.
 	Apply func(b *Behaviour, raw []byte) (Result, error)
 	// Inbound is the return-path half of the SR proxies (End.AS /
 	// End.AM): applied to packets arriving from the proxied VNF's
@@ -83,9 +84,10 @@ func Specs() []*Spec {
 }
 
 // Validate checks a behaviour's parameters against its spec — the
-// install-time half of the dispatch contract. Route installation
-// (netsim's AddRoute, the kernel's build_state) calls it so a
-// misconfigured behaviour is rejected before it can eat packets.
+// install-time half of the dispatch contract, and the only place they
+// are checked. Route installation (netsim's Table.Add, the kernel's
+// build_state) calls it so a misconfigured behaviour is rejected before
+// it can eat packets; the registered Apply and Inbound funcs rely on it.
 func Validate(b *Behaviour) error {
 	sp := Lookup(b.Action)
 	if sp == nil {
@@ -100,14 +102,17 @@ func Validate(b *Behaviour) error {
 	return nil
 }
 
-// Apply dispatches a behaviour through the registry with only the
-// runtime guards (no install-time validation — use Validate at
-// install). Program-backed actions are the hook layer's job.
+// Apply executes a non-BPF behaviour on raw: it validates b, then
+// dispatches through the registry. It is for callers that hold a
+// behaviour nothing has validated (tests, benchmarks); a forwarding
+// engine validates once at install and calls the spec's Apply per
+// packet. End.BPF is the hook layer's (internal/core); passing it here
+// returns an error.
 func Apply(b *Behaviour, raw []byte) (Result, error) {
-	sp := Lookup(b.Action)
-	if sp == nil {
-		return drop(), fmt.Errorf("%w: %v", ErrBadBehaviour, b.Action)
+	if err := Validate(b); err != nil {
+		return drop(), err
 	}
+	sp := registry[b.Action]
 	if sp.Prog {
 		return drop(), fmt.Errorf("%w: %s is handled by the hook layer", ErrBadBehaviour, sp.Name)
 	}
@@ -207,9 +212,6 @@ func init() {
 		Action: ActionEndX, Name: "End.X", Flavors: endFlavors,
 		Validate: needNexthop("End.X"),
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			if !b.Nexthop.IsValid() {
-				return drop(), fmt.Errorf("%w: End.X needs a nexthop", ErrBadBehaviour)
-			}
 			return endAdvance(b, raw, VerdictForwardNexthop, b.Nexthop, 0)
 		},
 	})
@@ -243,9 +245,6 @@ func init() {
 			if err != nil {
 				return drop(), err
 			}
-			if !b.Nexthop.IsValid() {
-				return drop(), fmt.Errorf("%w: End.DX6 needs a nexthop", ErrBadBehaviour)
-			}
 			return Result{Verdict: VerdictForwardNexthop, Pkt: inner, Nexthop: b.Nexthop}, nil
 		},
 	})
@@ -257,9 +256,6 @@ func init() {
 			inner, err := decapInner(raw, isV4, b.Flavors)
 			if err != nil {
 				return drop(), err
-			}
-			if !b.Nexthop.IsValid() {
-				return drop(), fmt.Errorf("%w: End.DX4 needs a nexthop", ErrBadBehaviour)
 			}
 			return Result{Verdict: VerdictForwardNexthop, Pkt: inner, Nexthop: b.Nexthop}, nil
 		},
@@ -307,9 +303,6 @@ func init() {
 			return nil
 		},
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			if b.SRH == nil {
-				return drop(), fmt.Errorf("%w: End.B6 needs an SRH", ErrBadBehaviour)
-			}
 			out, err := InsertSRH(raw, b.SRH)
 			if err != nil {
 				return drop(), err
@@ -323,9 +316,6 @@ func init() {
 		Encapsulates: true,
 		Validate:     needSRHSrc("End.B6.Encaps"),
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			if b.SRH == nil || !b.Src.IsValid() {
-				return drop(), fmt.Errorf("%w: End.B6.Encaps needs an SRH and source", ErrBadBehaviour)
-			}
 			// Advance the original SRH first (we are an endpoint for
 			// the current active segment), then push the policy. Apply
 			// is not told which allocation raw arrived in, so this
@@ -361,9 +351,6 @@ func init() {
 		// encapsulation mid-path is the proxy's whole job; the
 		// configured SRH restores it on return.
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			if b.OIF == nil {
-				return drop(), fmt.Errorf("%w: End.AS needs an outgoing interface", ErrBadBehaviour)
-			}
 			p, err := packet.Parse(raw)
 			if err != nil {
 				return drop(), err
@@ -376,9 +363,6 @@ func init() {
 		// Inbound (from the VNF's interface): re-encapsulate with the
 		// statically configured SRH and continue on the SR path.
 		Inbound: func(b *Behaviour, raw []byte) (Result, error) {
-			if b.SRH == nil || !b.Src.IsValid() {
-				return drop(), fmt.Errorf("%w: End.AS needs an SRH and source", ErrBadBehaviour)
-			}
 			out, err := Encap(raw, b.Src, b.SRH)
 			if err != nil {
 				return drop(), err
@@ -394,9 +378,6 @@ func init() {
 		// destination (wire Segments[0]) instead of a SID, with the
 		// SRH left in place for the return leg.
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			if b.OIF == nil {
-				return drop(), fmt.Errorf("%w: End.AM needs an outgoing interface", ErrBadBehaviour)
-			}
 			info, err := packet.ParseInfo(raw)
 			if err != nil {
 				return drop(), err

@@ -544,20 +544,3 @@ func EncapL2(frame []byte, outerSrc netip.Addr, srh *packet.SRH) ([]byte, error)
 	}
 	return encap(nil, frame, packet.ProtoEthernet, 64, 0, outerSrc, active, srh, nil)
 }
-
-// ApplyStatic executes a non-BPF behaviour on raw through the dispatch
-// registry, validating its parameters first. End.BPF must be handled
-// by the hook layer (internal/core); passing it here returns an error.
-func ApplyStatic(b *Behaviour, raw []byte) (Result, error) {
-	sp := Lookup(b.Action)
-	if sp == nil {
-		return drop(), fmt.Errorf("%w: %v", ErrBadBehaviour, b.Action)
-	}
-	if sp.Prog {
-		return drop(), fmt.Errorf("%w: %s is handled by the hook layer", ErrBadBehaviour, sp.Name)
-	}
-	if err := Validate(b); err != nil {
-		return drop(), err
-	}
-	return sp.Apply(b, raw)
-}

@@ -67,7 +67,7 @@ func TestAdvanceWithoutSRH(t *testing.T) {
 
 func TestEndBehaviour(t *testing.T) {
 	raw := mkSRPacket(t)
-	res, err := ApplyStatic(&Behaviour{Action: ActionEnd}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEnd}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEndDropsExhaustedSRH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ApplyStatic(&Behaviour{Action: ActionEnd}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEnd}, raw)
 	if res.Verdict != VerdictDrop {
 		t.Errorf("verdict = %v, err = %v", res.Verdict, err)
 	}
@@ -95,7 +95,7 @@ func TestEndDropsExhaustedSRH(t *testing.T) {
 
 func TestEndX(t *testing.T) {
 	raw := mkSRPacket(t)
-	res, err := ApplyStatic(&Behaviour{Action: ActionEndX, Nexthop: nh1}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEndX, Nexthop: nh1}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestEndX(t *testing.T) {
 	}
 	// Missing nexthop is a config error.
 	raw2 := mkSRPacket(t)
-	if _, err := ApplyStatic(&Behaviour{Action: ActionEndX}, raw2); !errors.Is(err, ErrBadBehaviour) {
+	if _, err := Apply(&Behaviour{Action: ActionEndX}, raw2); !errors.Is(err, ErrBadBehaviour) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestEndT(t *testing.T) {
 	raw := mkSRPacket(t)
-	res, err := ApplyStatic(&Behaviour{Action: ActionEndT, Table: 7}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEndT, Table: 7}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEncapAndDT6(t *testing.T) {
 	if err := Advance(outer); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ApplyStatic(&Behaviour{Action: ActionEndDT6, Table: 0}, outer)
+	res, err := Apply(&Behaviour{Action: ActionEndDT6, Table: 0}, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestEncapAndDT6(t *testing.T) {
 
 func TestDX6RequiresEncap(t *testing.T) {
 	raw := mkSRPacket(t) // UDP inside, not IPv6-in-IPv6
-	res, err := ApplyStatic(&Behaviour{Action: ActionEndDX6, Nexthop: nh1}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEndDX6, Nexthop: nh1}, raw)
 	if res.Verdict != VerdictDrop || !errors.Is(err, ErrNotEncapsulated) {
 		t.Errorf("res = %+v, err = %v", res, err)
 	}
@@ -199,7 +199,7 @@ func TestInsertSRH(t *testing.T) {
 func TestEndB6(t *testing.T) {
 	raw := mkSRPacket(t)
 	newSRH := packet.NewSRH([]netip.Addr{sid2, sid1})
-	res, err := ApplyStatic(&Behaviour{Action: ActionEndB6, SRH: newSRH}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEndB6, SRH: newSRH}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestEndB6(t *testing.T) {
 func TestEndB6Encaps(t *testing.T) {
 	raw := mkSRPacket(t)
 	newSRH := packet.NewSRH([]netip.Addr{sid2})
-	res, err := ApplyStatic(&Behaviour{Action: ActionEndB6Encap, SRH: newSRH, Src: sid1}, raw)
+	res, err := Apply(&Behaviour{Action: ActionEndB6Encap, SRH: newSRH, Src: sid1}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestEndB6Encaps(t *testing.T) {
 
 func TestEndBPFNotHandledHere(t *testing.T) {
 	raw := mkSRPacket(t)
-	if _, err := ApplyStatic(&Behaviour{Action: ActionEndBPF}, raw); !errors.Is(err, ErrBadBehaviour) {
+	if _, err := Apply(&Behaviour{Action: ActionEndBPF}, raw); !errors.Is(err, ErrBadBehaviour) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -374,7 +374,7 @@ func TestDecapAliasesInput(t *testing.T) {
 		{Behaviour{Action: ActionEndDX2}, encapL2At(t, innerL2(t), 0, sid1)},
 		{Behaviour{Action: ActionEnd, Flavors: FlavorUSD}, encapAt(t, innerV6(t), 0, sid1)},
 	} {
-		res, err := ApplyStatic(&c.b, c.raw)
+		res, err := Apply(&c.b, c.raw)
 		if err != nil || !aliases(res.Pkt, c.raw) {
 			t.Errorf("%v: err %v, result aliases input: %v", c.b.Action, err, aliases(res.Pkt, c.raw))
 		}
@@ -383,7 +383,7 @@ func TestDecapAliasesInput(t *testing.T) {
 	// must hand the VNF a copy.
 	b := Behaviour{Action: ActionEndAS, SRH: packet.NewSRH([]netip.Addr{sid2}), Src: hostA, OIF: struct{}{}}
 	raw = encapAt(t, innerV6(t), 1, sid1, sid2)
-	res, err := ApplyStatic(&b, raw)
+	res, err := Apply(&b, raw)
 	if err != nil || aliases(res.Pkt, raw) {
 		t.Errorf("End.AS: err %v, result aliases input: %v", err, aliases(res.Pkt, raw))
 	}

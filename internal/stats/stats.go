@@ -79,9 +79,8 @@ func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 // Merge folds another accumulator into w (Chan et al.'s parallel
 // variance combination): the merge primitive for shard-local
 // measurement accumulators — merging them in a fixed shard order
-// yields a deterministic result, the same discipline Sharded.Total
-// applies to counters. Experiment harnesses that collect per-shard
-// Welford series combine them with this.
+// yields a deterministic result. Experiment harnesses that collect
+// per-shard Welford series combine them with this.
 func (w *Welford) Merge(o *Welford) {
 	if o.n == 0 {
 		return
@@ -95,60 +94,6 @@ func (w *Welford) Merge(o *Welford) {
 	w.mean += d * float64(o.n) / float64(n)
 	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.n = n
-}
-
-// shardCell is one shard's private counter, padded to a cache line so
-// concurrent shards never false-share.
-type shardCell struct {
-	v uint64
-	_ [7]uint64
-}
-
-// Sharded is a counter split into per-shard cells: each shard
-// increments only its own cell (no atomics, no sharing), and Total
-// sums the cells in shard order — a deterministic merge, because
-// each cell's final value depends only on its shard's deterministic
-// execution. Zero value is unusable; see NewSharded.
-type Sharded struct {
-	cells []shardCell
-}
-
-// NewSharded creates a sharded counter with n cells.
-func NewSharded(n int) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	return &Sharded{cells: make([]shardCell, n)}
-}
-
-// Inc adds one to shard's cell. Only shard's own goroutine may call
-// it for a given index while the simulation runs.
-func (s *Sharded) Inc(shard int) { s.cells[shard].v++ }
-
-// Add adds delta to shard's cell.
-func (s *Sharded) Add(shard int, delta uint64) { s.cells[shard].v += delta }
-
-// Cell reads one shard's private count.
-func (s *Sharded) Cell(shard int) uint64 { return s.cells[shard].v }
-
-// Cells reports the number of cells.
-func (s *Sharded) Cells() int { return len(s.cells) }
-
-// Total merges the cells (deterministically: fixed shard order).
-// Call it only at a barrier or after the run.
-func (s *Sharded) Total() uint64 {
-	var t uint64
-	for i := range s.cells {
-		t += s.cells[i].v
-	}
-	return t
-}
-
-// Reset zeroes every cell.
-func (s *Sharded) Reset() {
-	for i := range s.cells {
-		s.cells[i].v = 0
-	}
 }
 
 // Reservoir keeps up to Cap samples for quantile estimation. Once

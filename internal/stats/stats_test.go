@@ -118,32 +118,6 @@ func TestWelfordMergeEmptySides(t *testing.T) {
 	}
 }
 
-func TestShardedCounter(t *testing.T) {
-	s := NewSharded(4)
-	if s.Cells() != 4 {
-		t.Fatalf("cells = %d", s.Cells())
-	}
-	for shard := 0; shard < 4; shard++ {
-		for i := 0; i <= shard; i++ {
-			s.Inc(shard)
-		}
-	}
-	s.Add(2, 10)
-	if got := s.Cell(2); got != 13 {
-		t.Errorf("cell 2 = %d", got)
-	}
-	if got := s.Total(); got != 1+2+13+4 {
-		t.Errorf("total = %d", got)
-	}
-	s.Reset()
-	if s.Total() != 0 {
-		t.Error("reset failed")
-	}
-	if NewSharded(0).Cells() != 1 {
-		t.Error("NewSharded(0) should clamp to one cell")
-	}
-}
-
 func TestReservoirQuantiles(t *testing.T) {
 	var r Reservoir
 	for i := 1; i <= 100; i++ {
