@@ -95,9 +95,15 @@ test:
 # shard's list and released into another's, on two goroutines, so the
 # race detector has to see one cross a barrier both ways (the TCP arm,
 # poisoned) and one way only (TestBufListBound), next to the tests that a
-# caller's buffer, a copy and a packet in flight are never listed.
+# caller's buffer, a copy and a packet in flight are never listed. And the
+# window barrier itself: the caller runs shard 0 and each other shard has
+# one worker per Run call, so an event's panic on either must reach the
+# caller unchanged with no worker left behind (TestShardWorkerLifecycle),
+# and a barrier that spins without yielding waits out the runtime's 10 ms
+# preemption at nearly every window when shards outnumber the Ps
+# (TestShardFewerProcsThanShards: 2 shards on GOMAXPROCS=1, 4 on 2).
 race-smoke:
-	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason|TestInstallRejection|TestForeignInterfaceRefused|TestBufList' ./internal/netsim
+	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason|TestInstallRejection|TestForeignInterfaceRefused|TestBufList|TestShardWorkerLifecycle|TestShardFewerProcsThanShards' ./internal/netsim
 
 # A second pass of the randomized sequential-vs-sharded equivalence
 # fuzzer at smoke depth: -count 2 re-runs the same seeds and catches

@@ -11,9 +11,11 @@ package netsim_test
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netem"
@@ -296,6 +298,32 @@ func TestShardEquivalenceSmoke(t *testing.T) {
 	base := smokeRun(t, 1)
 	if got := smokeRun(t, 2); got != base {
 		diffReport(t, base, got, 2)
+	}
+}
+
+// TestShardFewerProcsThanShards: a window's waiters spin and then yield,
+// so shards that outnumber the Ps still take turns — 2 shards on one P,
+// 4 on two — and the schedule is still the sequential one.
+//
+// A waiter that never yields is still preempted by the runtime, but only
+// after 10 ms of spinning, at nearly every one of the scenario's ~200
+// windows: about 2 s per arm, against 3 ms (50 ms under the race
+// detector) for one that yields. The 1 s bound tells the two apart.
+func TestShardFewerProcsThanShards(t *testing.T) {
+	base := smokeRun(t, 1)
+	for _, c := range []struct{ procs, shards int }{{1, 2}, {2, 4}} {
+		start := time.Now()
+		got := func() string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			return smokeRun(t, c.shards)
+		}()
+		if got != base {
+			t.Logf("GOMAXPROCS=%d", c.procs)
+			diffReport(t, base, got, c.shards)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%d shards on GOMAXPROCS=%d took %v: do the barrier's waiters yield?", c.shards, c.procs, took)
+		}
 	}
 }
 

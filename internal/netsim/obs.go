@@ -196,7 +196,8 @@ func (o *simObs) pushEnginePoint(s *Sim, virtualNs int64) {
 	})
 }
 
-// obsDo runs a shard worker body, labeled for pprof when asked.
+// obsDo runs the loop that executes sh's windows — a worker's, or the
+// coordinator's for shard 0 — labeled for pprof when asked.
 func (s *Sim) obsDo(sh *shard, body func()) {
 	if s.obs != nil && s.obs.pprofLabels {
 		pprof.Do(context.Background(), pprof.Labels("shard", s.obs.labels[sh.id]),

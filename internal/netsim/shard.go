@@ -3,7 +3,8 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
+	"sync/atomic"
 )
 
 // shard owns a disjoint set of nodes: their event queue, their clock
@@ -22,19 +23,22 @@ type shard struct {
 	q eventQueue
 
 	// out[d] buffers packet deliveries destined for shard d during a
-	// window; the coordinator drains them at the barrier. Only this
-	// shard's worker appends, only the quiescent coordinator drains.
+	// window; the coordinator drains them at the barrier. Only the
+	// goroutine running this shard appends (the caller for shard 0,
+	// the shard's worker otherwise), and only while the window is open;
+	// the coordinator drains once it has closed.
 	out [][]xmsg
 
 	// winEnd is the exclusive end of the window currently executing,
-	// set by the coordinator before workers start. Cross-shard events
-	// must land at or after it — the conservative invariant — and
-	// scheduleFor enforces that at message creation.
+	// set by the coordinator before it opens the window. Cross-shard
+	// events must land at or after it — the conservative invariant —
+	// and sendCross enforces that at message creation.
 	winEnd int64
 
-	// panicked carries an event panic from the worker goroutine back
-	// to the coordinator, which re-raises it on the Run caller — the
-	// same propagation a sequential run gives.
+	// panicked carries an event panic out of the shard's window, on
+	// whichever goroutine ran it, to the coordinator, which re-raises
+	// it on the Run caller once the window has closed — the same
+	// propagation a sequential run gives.
 	panicked any
 
 	// The shard's share of EngineStats, which sums them in shard order:
@@ -414,47 +418,114 @@ func (s *Sim) minNextAt() int64 {
 // next event time, let every shard execute the window
 // [next, next+lookahead) concurrently, exchange cross-shard messages
 // at the barrier, repeat. Events with at <= limit are executed.
+//
+// The caller runs shard 0 and coordinates; every other shard gets one
+// worker goroutine for the length of the call (see barrier).
 func (s *Sim) runWindows(limit int64) {
-	var wg sync.WaitGroup
-	for {
-		next := s.minNextAt()
-		if next > limit || next == math.MaxInt64 {
-			return
-		}
-		end := next + s.lookahead
-		if end < next { // overflow
-			end = math.MaxInt64
-		}
-		if limit < math.MaxInt64 && end > limit+1 {
-			end = limit + 1 // include events at exactly limit
-		}
+	b := &barrier{workers: int32(len(s.shards) - 1)}
+	for _, sh := range s.shards[1:] {
+		go s.shardWorker(sh, b)
+	}
+	defer b.release()
+	s.obsDo(s.shards[0], func() {
+		for next := s.minNextAt(); next <= limit && next != math.MaxInt64; next = s.minNextAt() {
+			end := next + s.lookahead
+			if end < next { // overflow
+				end = math.MaxInt64
+			}
+			if limit < math.MaxInt64 && end > limit+1 {
+				end = limit + 1 // include events at exactly limit
+			}
 
-		s.running = true
-		for _, sh := range s.shards {
-			sh.winEnd = end
-		}
-		for _, sh := range s.shards {
-			sh := sh
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { sh.panicked = recover() }()
-				s.obsDo(sh, func() { sh.runTo(end) })
-			}()
-		}
-		wg.Wait()
-		s.running = false
-		for _, sh := range s.shards {
-			if sh.panicked != nil {
-				p := sh.panicked
-				sh.panicked = nil
-				panic(p)
+			s.running = true
+			for _, sh := range s.shards {
+				sh.winEnd = end
+			}
+			b.open()
+			s.shards[0].runWindow()
+			b.wait()
+			s.running = false
+			for _, sh := range s.shards {
+				if sh.panicked != nil {
+					p := sh.panicked
+					sh.panicked = nil
+					panic(p)
+				}
+			}
+			s.shards[0].windows++
+			s.flushOutboxes()
+			if s.obs != nil {
+				s.obs.pushEnginePoint(s, next)
 			}
 		}
-		s.shards[0].windows++
-		s.flushOutboxes()
-		if s.obs != nil {
-			s.obs.pushEnginePoint(s, next)
+	})
+}
+
+// runWindow executes the shard's events up to winEnd; a panic is kept
+// in panicked for the coordinator to re-raise once the window closes.
+func (sh *shard) runWindow() {
+	defer func() { sh.panicked = recover() }()
+	sh.runTo(sh.winEnd)
+}
+
+// shardWorker runs sh's share of every window b opens until b releases
+// it.
+func (s *Sim) shardWorker(sh *shard, b *barrier) {
+	s.obsDo(sh, func() {
+		for gen := uint32(1); ; gen++ {
+			spinUntil(func() bool { return b.gen.Load() == gen })
+			if b.stop {
+				b.left.Add(-1)
+				return
+			}
+			sh.runWindow()
+			b.left.Add(-1)
+		}
+	})
+}
+
+// barrier is the window handshake between the coordinator and the
+// workers of one runWindows call. The coordinator opens a window by
+// bumping gen, after writing everything the workers read (winEnd,
+// stop); each worker closes its part by decrementing left, after
+// writing everything the coordinator reads (queues, outboxes,
+// panicked). Both sides wait by spinning, so no one sleeps.
+type barrier struct {
+	workers int32
+	gen     atomic.Uint32 // windows opened so far
+	left    atomic.Int32  // workers still inside the open window
+	stop    bool          // the next opening tells workers to return
+}
+
+func (b *barrier) open() {
+	b.left.Store(b.workers)
+	b.gen.Add(1)
+}
+
+func (b *barrier) wait() { spinUntil(func() bool { return b.left.Load() == 0 }) }
+
+// release has every worker return and waits until they have. A window
+// can still be open here — an event on shard 0 that ended the caller's
+// goroutine (t.FailNow does) skips the coordinator's wait — so it lets
+// that one close first.
+func (b *barrier) release() {
+	b.wait()
+	b.stop = true
+	b.open()
+	b.wait()
+}
+
+// spinLoads is how many times a waiter checks the barrier back to back
+// before it starts yielding the processor between checks.
+const spinLoads = 256
+
+// spinUntil returns once done reports true. Past spinLoads checks it
+// yields between them, so the goroutine it waits for gets a processor
+// even when there are fewer Ps than shards.
+func spinUntil(done func() bool) {
+	for i := 0; !done(); i++ {
+		if i >= spinLoads {
+			runtime.Gosched()
 		}
 	}
 }

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"srv6bpf/internal/netem"
 	"srv6bpf/internal/packet"
@@ -213,6 +215,76 @@ func TestRuntimeDelayBelowLookaheadPanics(t *testing.T) {
 		}
 	}()
 	s.Run()
+}
+
+// TestShardWorkerLifecycle: the caller runs shard 0 and each other
+// shard gets one worker per Run/RunUntil call. A panicking event on
+// either kind of shard reaches the caller with its value unchanged,
+// which also proves the window closed around it, and no worker outlives
+// the call that started it, however the call ends.
+func TestShardWorkerLifecycle(t *testing.T) {
+	type boom struct{ shard int }
+	// Both shards are busy: A sends to B every 100 µs for 2 ms.
+	setup := func() (*Sim, *Node, *Node) {
+		s, a, b, _ := shardPairTopo(t, netem.Config{RateBps: 1e10, DelayNs: Millisecond})
+		b.HandleUDP(7, func(n *Node, p *packet.Packet, meta *PacketMeta) {})
+		if err := s.SetShards(2); err != nil {
+			t.Fatal(err)
+		}
+		if a.shard.id != 0 || b.shard.id != 1 {
+			t.Fatalf("A on shard %d, B on shard %d, want 0 and 1", a.shard.id, b.shard.id)
+		}
+		for i := 0; i < 20; i++ {
+			a.Schedule(int64(i)*100*Microsecond, func() { a.Output(udpTo(t, bAddr, 7, "x")) })
+		}
+		return s, a, b
+	}
+	// call runs one Run/RunUntil, returns what it panicked with, and
+	// waits for the goroutine count to come back: a worker that has
+	// signalled its exit may still be a few instructions from gone.
+	call := func(name string, run func()) (r any) {
+		before := runtime.NumGoroutine()
+		defer func() {
+			r = recover()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() != before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines after the call, %d before", name, runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		}()
+		run()
+		return nil
+	}
+
+	s, _, b := setup()
+	if r := call("Run", s.Run); r != nil {
+		t.Fatalf("Run panicked: %v", r)
+	}
+	if got := b.Counters()["udp_delivered"]; got != 20 {
+		t.Errorf("B delivered %d packets, want 20", got)
+	}
+	s, _, b = setup()
+	if r := call("RunUntil", func() { s.RunUntil(Millisecond + 500*Microsecond) }); r != nil {
+		t.Fatalf("RunUntil panicked: %v", r)
+	}
+	// The packets sent at 0 to 400 µs; the one sent at 500 µs arrives
+	// its serialisation time after 1.5 ms.
+	if got := b.Counters()["udp_delivered"]; got != 5 {
+		t.Errorf("B delivered %d packets by 1.5 ms, want 5", got)
+	}
+
+	for _, shard := range []int{0, 1} {
+		s, a, b := setup()
+		on := []*Node{a, b}[shard]
+		want := &boom{shard}
+		on.Schedule(1500*Microsecond, func() { panic(want) })
+		name := fmt.Sprintf("panic on shard %d", shard)
+		if r := call(name, s.Run); r != want {
+			t.Fatalf("%s: Run raised %v, want %v", name, r, want)
+		}
+	}
 }
 
 // TestEngineStatsAccounting: the per-shard cells add up and report

@@ -129,6 +129,17 @@
 // therefore carry a nonzero, jitter-free delay; partition.MinCut keeps
 // zero-delay and jittered links inside one shard.
 //
+// Who executes what: Run and RunUntil's caller runs shard 0 and
+// coordinates — it finds the next window, exchanges the cross-shard
+// messages between windows and re-raises an event's panic — and each
+// other shard has one worker goroutine, started when the call begins
+// and gone when it returns, a panic included. The coordinator opens a
+// window by bumping a generation counter; each worker closes its part
+// by decrementing a count of workers still running, and the window is
+// closed when that reaches zero. Whoever waits spins on the atomic for
+// a while, then yields the processor between checks, so nobody sleeps
+// and any GOMAXPROCS makes progress.
+//
 // Determinism survives sharding because event ordering does not
 // depend on a global sequence counter: every event is keyed by
 // (at, schedAt, src, k) — its execution time, the virtual time at
@@ -187,8 +198,8 @@ type Sim struct {
 	// simK numbers driver-level Schedule calls (src = -1).
 	simK uint64
 
-	// running is true while shard workers execute a window; guards
-	// against driver-level mutations from inside parallel events.
+	// running is true while a window is open; guards against
+	// driver-level mutations from inside parallel events.
 	running bool
 
 	// obs is the observability plane attached by EnableObs; nil (the
@@ -260,7 +271,8 @@ func (s *Sim) After(d int64, fn func()) { s.Schedule(s.Now()+d, fn) }
 
 // Step executes the next event in deterministic order; it reports
 // false when none remain. In sharded mode Step runs the engine
-// sequentially (one event at a time, messages flushed immediately);
+// sequentially (one event at a time; a cross-shard delivery goes
+// straight into its destination queue, see sendCross);
 // Run and RunUntil are the parallel paths.
 func (s *Sim) Step() bool {
 	if len(s.shards) == 1 {
@@ -291,7 +303,6 @@ func (s *Sim) Step() bool {
 	sh.now = e.at
 	sh.events++
 	s.exec(sh, &e)
-	s.flushOutboxes()
 	if e.at > s.now {
 		s.now = e.at
 	}
