@@ -41,7 +41,10 @@
 #                  1/50-scale run of all six workloads against
 #                  benchmark/golden.json, ~4 s): the root `go test
 #                  ./...` does not reach that module
-#   make bench   — wall-clock datapath + figure benchmarks (-benchmem)
+#   make bench   — wall-clock datapath + figure benchmarks (-benchmem),
+#                  then the per-hop rows (BenchmarkHop: one packet
+#                  through one node) and the event queue alone
+#                  (BenchmarkEventQueueHold)
 #   make bench-pairs PARENT=<rev> WORKLOAD=<name|all> [PAIRS=10 SEED=1
 #                  PAIR_SECONDS=15] — the evidence a PR needs, whether it
 #                  claims a gain or claims none: check PARENT out as a
@@ -192,6 +195,7 @@ matrix-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDatapath -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkHop|BenchmarkEventQueueHold' -benchmem ./internal/netsim
 
 # Alternating parent/change pairs of one benchmark workload, or of all.
 bench-pairs:

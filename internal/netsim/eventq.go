@@ -124,17 +124,23 @@ func (q *eventQueue) pushDrainCont(at, schedAt int64, src int32, k, epoch uint64
 	q.insert(at, schedAt, src, k, epoch, noSlot)
 }
 
-// pushDeliver schedules the delivery of m to its receiving link end,
-// in the queue of the shard that owns that end. A failure between
-// transmission and delivery cuts the wire under the packet: both ends'
-// fail epochs advance at the same virtual instants, so the receiving
-// end's epoch is compared against m.epoch at execution, keeping the
-// event inside its own shard's state.
-func (q *eventQueue) pushDeliver(m *xmsg) {
+// pushDeliver schedules the delivery of buf[head:] to its receiving
+// link end peer, in the queue of the shard that owns that end. A
+// failure between transmission and delivery cuts the wire under the
+// packet: both ends' fail epochs advance at the same virtual instants,
+// so at execution the receiving end's epoch is compared against epoch,
+// the sender's at transmission, keeping the event inside its own
+// shard's state.
+func (q *eventQueue) pushDeliver(at, schedAt int64, src int32, k, epoch uint64, peer *Iface, buf []byte, head int32, born bool) {
 	slot := q.alloc()
 	p := &q.slab[slot]
-	p.peer, p.buf, p.head, p.born = m.peer, m.buf, m.head, m.born
-	q.insert(m.at, m.schedAt, m.src, m.k, m.epoch, slot)
+	p.peer, p.buf, p.head, p.born = peer, buf, head, born
+	q.insert(at, schedAt, src, k, epoch, slot)
+}
+
+// pushMsg is pushDeliver for a delivery that crossed shards as m.
+func (q *eventQueue) pushMsg(m *xmsg) {
+	q.pushDeliver(m.at, m.schedAt, m.src, m.k, m.epoch, m.peer, m.buf, m.head, m.born)
 }
 
 // pushFrom moves a copy of event e of queue o, payload included, into

@@ -94,7 +94,7 @@ func TestEventQueueDifferential(t *testing.T) {
 					head := int32(ev.id % 4)
 					m := xmsg{at: ev.key.at, schedAt: ev.key.schedAt, src: ev.key.src, head: head, k: k,
 						peer: peer, epoch: ev.key.epoch, buf: binary.BigEndian.AppendUint64(make([]byte, head), ev.id)}
-					live.q.pushDeliver(&m)
+					live.q.pushMsg(&m)
 				}
 				live.events = append(live.events, ev)
 			default: // pop
@@ -153,8 +153,7 @@ func holdQueue(depth int) (q *eventQueue, hold func() int64) {
 	push := func(at, now int64, deliver bool) {
 		k++
 		if deliver {
-			m := xmsg{at: at, schedAt: now, src: int32(k & 127), k: k, peer: peer, buf: raw}
-			q.pushDeliver(&m)
+			q.pushDeliver(at, now, int32(k&127), k, 0, peer, raw, 0, false)
 		} else {
 			q.pushDrainCont(at, now, int32(k&127), k, 0)
 		}

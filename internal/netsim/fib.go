@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"sort"
 
@@ -157,6 +156,24 @@ type fibKey struct{ hi, lo uint64 }
 func addrKey(a netip.Addr) fibKey {
 	b := a.As16()
 	return fibKey{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+// dstKey is addrKey of what packet.DstAddr would return for the packet
+// b, with its family, read where the address lies: the two words at
+// offsets 24 and 32 of an IPv6 header, or the IPv4-mapped form of the
+// word at offset 16 of an IPv4 one. ok is false where DstAddr fails.
+func dstKey(b []byte) (fam int, key fibKey, ok bool) {
+	switch packet.IPVersion(b) {
+	case 6:
+		if len(b) >= packet.IPv6HeaderLen {
+			return 0, fibKey{binary.BigEndian.Uint64(b[24:32]), binary.BigEndian.Uint64(b[32:40])}, true
+		}
+	case 4:
+		if len(b) >= packet.IPv4HeaderLen {
+			return 1, fibKey{0, 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[16:20]))}, true
+		}
+	}
+	return 0, fibKey{}, false
 }
 
 func (k fibKey) and(m fibKey) fibKey { return fibKey{k.hi & m.hi, k.lo & m.lo} }
@@ -351,11 +368,19 @@ func (t *Table) tableFor(p netip.Prefix) *lenTable {
 
 // Lookup returns the longest-prefix match for addr.
 func (t *Table) Lookup(addr netip.Addr) *Route {
-	if t == nil || !addr.IsValid() {
+	if !addr.IsValid() {
 		return nil
 	}
 	fam, _ := family(addr)
-	key := addrKey(addr)
+	return t.lookup(fam, addrKey(addr))
+}
+
+// lookup is the longest-prefix match behind Lookup and the packet path,
+// which builds key from the packet's bytes (dstKey).
+func (t *Table) lookup(fam int, key fibKey) *Route {
+	if t == nil {
+		return nil
+	}
 	lens := t.lens[fam]
 	for i := range lens {
 		if r := lens[i].slot(key.and(lens[i].mask)).route; r != nil {
@@ -371,22 +396,32 @@ func (t *Table) Routes() []*Route { return t.routes }
 // MainTable is the default routing table ID.
 const MainTable = 0
 
+// FNV-1a, 32 bits: hash/fnv's New32a, computed inline.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
 // ecmpHash computes the flow hash that selects among ECMP nexthops.
 // Like the kernel's flowlabel-based multipath hash, it covers source,
 // destination and flow label, so one flow sticks to one path while
-// different flows spread (RFC 2992 / the paper's reference [30]).
-func ecmpHash(src, dst netip.Addr, flowLabel uint32) uint32 {
-	h := fnv.New32a()
-	a := src.As16()
-	b := dst.As16()
-	h.Write(a[:])
-	h.Write(b[:])
-	var fl [4]byte
-	fl[0] = byte(flowLabel >> 16)
-	fl[1] = byte(flowLabel >> 8)
-	fl[2] = byte(flowLabel)
-	h.Write(fl[:])
-	return h.Sum32()
+// different flows spread (RFC 2992 / the paper's reference [30]). It is
+// FNV-1a over src ‖ dst ‖ [l>>16, l>>8, l, 0]: 16-byte addresses, IPv4
+// in IPv4-mapped form, and a trailing zero byte that every ECMP choice
+// ever made here has hashed. forward hands it an IPv6 packet's addresses
+// where they lie.
+func ecmpHash(src, dst *[16]byte, flowLabel uint32) uint32 {
+	h := uint32(fnvOffset32)
+	for _, c := range src {
+		h = (h ^ uint32(c)) * fnvPrime32
+	}
+	for _, c := range dst {
+		h = (h ^ uint32(c)) * fnvPrime32
+	}
+	for _, c := range [4]byte{byte(flowLabel >> 16), byte(flowLabel >> 8), byte(flowLabel), 0} {
+		h = (h ^ uint32(c)) * fnvPrime32
+	}
+	return h
 }
 
 // SelectNexthop picks the ECMP member for a packet among the primary
@@ -401,6 +436,13 @@ func (r *Route) SelectNexthop(src, dst netip.Addr, flowLabel uint32) *Nexthop {
 // viaBackup reports that protection fired — once every primary is
 // down. It returns nil when nothing usable remains.
 func (r *Route) SelectPath(src, dst netip.Addr, flowLabel uint32) (nh *Nexthop, viaBackup bool) {
+	s, d := src.As16(), dst.As16()
+	return r.selectPath(&s, &d, flowLabel)
+}
+
+// selectPath is SelectPath over the addresses as ecmpHash reads them,
+// which it does only when the choice needs the hash.
+func (r *Route) selectPath(src, dst *[16]byte, flowLabel uint32) (nh *Nexthop, viaBackup bool) {
 	if nh := r.selectPrimary(src, dst, flowLabel); nh != nil {
 		return nh, false
 	}
@@ -418,7 +460,7 @@ func nexthopUp(nh *Nexthop) bool { return nh.Iface != nil && nh.Iface.Up() }
 // selectPrimary is the pre-failure fast path: when every member is up
 // it is the historical ECMP/RR selection, and members with a down
 // interface are skipped otherwise.
-func (r *Route) selectPrimary(src, dst netip.Addr, flowLabel uint32) *Nexthop {
+func (r *Route) selectPrimary(src, dst *[16]byte, flowLabel uint32) *Nexthop {
 	n := len(r.Nexthops)
 	if n == 0 {
 		return nil
@@ -474,7 +516,7 @@ func (r *Route) selectPrimary(src, dst netip.Addr, flowLabel uint32) *Nexthop {
 
 // selectWeighted picks a backup member by flow hash over the weight
 // distribution, skipping down interfaces. weights may be nil (equal).
-func selectWeighted(nhs []Nexthop, weights []uint32, src, dst netip.Addr, flowLabel uint32) *Nexthop {
+func selectWeighted(nhs []Nexthop, weights []uint32, src, dst *[16]byte, flowLabel uint32) *Nexthop {
 	var total uint64
 	for i := range nhs {
 		if !nexthopUp(&nhs[i]) {

@@ -215,19 +215,19 @@ func (i *Iface) transmit(raw, buf []byte, born bool) {
 }
 
 // send routes one admitted packet delivery to the peer, carrying the
-// deterministic event key.
+// deterministic event key. A delivery within the shard is written
+// straight into its queue; only one to another shard becomes an xmsg.
 func (i *Iface) send(buf []byte, head int, born bool, deliverAt, now int64) {
 	n := i.Node
 	n.schedK++
-	m := xmsg{
-		at: deliverAt, schedAt: now, src: n.idx, head: int32(head), k: n.schedK,
-		peer: i.peer, epoch: i.failEpoch, buf: buf, born: born,
-	}
 	if i.peer.Node.shard == n.shard {
-		n.shard.q.pushDeliver(&m)
+		n.shard.q.pushDeliver(deliverAt, now, n.idx, n.schedK, i.failEpoch, i.peer, buf, int32(head), born)
 		return
 	}
-	n.shard.sendCross(&m)
+	n.shard.sendCross(&xmsg{
+		at: deliverAt, schedAt: now, src: n.idx, head: int32(head), k: n.schedK,
+		peer: i.peer, epoch: i.failEpoch, buf: buf, born: born,
+	})
 }
 
 // corruptCopy returns a copy of raw with a burst of flipped bits at a

@@ -381,20 +381,7 @@ func TestRouteReplacementMaskedPrefix(t *testing.T) {
 // set and frequent re-adds.
 func TestTableMatchesLinearOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	randAddr := func() netip.Addr {
-		var b [16]byte
-		// Few distinct values per byte, so prefixes nest and collide.
-		for i := range b {
-			b[i] = byte(rng.Intn(2) * 0xa5)
-		}
-		switch rng.Intn(3) {
-		case 0:
-			return netip.AddrFrom4([4]byte(b[12:]))
-		case 1:
-			copy(b[:12], []byte{10: 0xff, 11: 0xff}) // IPv4-mapped, still an IPv6 address
-		}
-		return netip.AddrFrom16(b)
-	}
+	randAddr := func() netip.Addr { return drawAddr(rng, true) }
 	var tbl Table
 	var oracle []*Route
 	for i := 0; i < 400; i++ {

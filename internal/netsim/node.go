@@ -652,12 +652,13 @@ func (n *Node) drain() {
 	}
 	item := n.rxPop()
 	raw := item.buf[item.head:]
+	// The hop is zeroed where it lies and filled field by field: a
+	// composite literal would be built on the stack and copied in.
 	h := &n.pending
-	*h = hop{
-		raw:  raw,
-		meta: PacketMeta{RxTimestamp: item.rxTimestamp, InIface: item.inIface, Buf: item.buf, born: item.born},
-		cost: n.Cost.PacketCost(len(raw)),
-	}
+	*h = hop{}
+	h.raw = raw
+	h.meta.RxTimestamp, h.meta.InIface, h.meta.Buf, h.meta.born = item.rxTimestamp, item.inIface, item.buf, item.born
+	h.cost = n.Cost.PacketCost(len(raw))
 	if n.obs != nil {
 		n.obsBeginHop(raw, n.Now()-item.rxTimestamp)
 	}
@@ -768,7 +769,9 @@ func (n *Node) output(raw, buf []byte, born bool) {
 		return
 	}
 	h := &n.outPending
-	*h = hop{raw: raw, meta: PacketMeta{RxTimestamp: n.Now(), Local: true, Buf: buf, born: born}}
+	*h = hop{}
+	h.raw = raw
+	h.meta.RxTimestamp, h.meta.Local, h.meta.Buf, h.meta.born = n.Now(), true, buf, born
 	if n.obs != nil {
 		n.obsBeginHop(raw, 0)
 	}
@@ -858,15 +861,15 @@ func (n *Node) ingress(h *hop) (*Route, bool) {
 }
 
 // lookup names the route for the packet's destination in t; no match
-// is a nil route, which act answers. DstAddr is version-dispatching: a
-// decapsulated IPv4 packet (End.DT4/DT46) routes through the same
-// tables.
+// is a nil route, which act answers. The key is read from the header in
+// place, for either version: a decapsulated IPv4 packet (End.DT4/DT46)
+// routes through the same tables.
 func (n *Node) lookup(h *hop, t *Table) (*Route, bool) {
-	dst, err := packet.DstAddr(h.raw)
-	if err != nil {
+	fam, key, ok := dstKey(h.raw)
+	if !ok {
 		return n.drop(statMalformed)
 	}
-	return t.Lookup(dst), true
+	return t.lookup(fam, key), true
 }
 
 // onward sends a packet its route has just rewritten on its way: out
@@ -907,32 +910,43 @@ func (n *Node) act(r *Route, h *hop) (*Route, bool) {
 }
 
 // forward handles hop limit, ECMP and backup-route protection, and
-// leaves the transmission as the verdict.
+// leaves the transmission as the verdict. It reads the header where it
+// lies and drops what packet.DecodeIPv6 or DecodeIPv4 would refuse; an
+// IPv6 packet's addresses are handed to the ECMP hash in place, read
+// only if the choice needs them.
 func (n *Node) forward(r *Route, h *hop) (*Route, bool) {
-	var src, dst netip.Addr
+	raw := h.raw
+	var src, dst *[16]byte
 	var hopLimit uint8
 	var flowLabel uint32
-	if packet.IPVersion(h.raw) == 4 {
+	switch packet.IPVersion(raw) {
+	case 6:
+		if len(raw) < packet.IPv6HeaderLen {
+			return n.drop(statMalformed)
+		}
+		src, dst = (*[16]byte)(raw[8:24]), (*[16]byte)(raw[24:40])
+		hopLimit = raw[7]
+		flowLabel = uint32(raw[1]&0x0f)<<16 | uint32(raw[2])<<8 | uint32(raw[3])
+	case 4:
 		// Decapsulated IPv4 (End.DT4/DT46 towards a CE): same ECMP and
-		// TTL handling, no flow label.
-		hdr, err := packet.DecodeIPv4(h.raw)
-		if err != nil {
+		// TTL handling, no flow label; the hash sees IPv4-mapped
+		// addresses, as it would of netip's.
+		if ihl := int(raw[0]&0x0f) * 4; len(raw) < packet.IPv4HeaderLen || ihl < packet.IPv4HeaderLen || len(raw) < ihl {
 			return n.drop(statMalformed)
 		}
-		src, dst = hdr.Src, hdr.Dst
-		hopLimit, flowLabel = hdr.TTL, 0
-	} else {
-		hdr, err := packet.DecodeIPv6(h.raw)
-		if err != nil {
-			return n.drop(statMalformed)
-		}
-		src, dst = hdr.Src, hdr.Dst
-		hopLimit, flowLabel = hdr.HopLimit, hdr.FlowLabel
+		var s, d [16]byte
+		s[10], s[11], d[10], d[11] = 0xff, 0xff, 0xff, 0xff
+		copy(s[12:], raw[12:16])
+		copy(d[12:], raw[16:20])
+		src, dst = &s, &d
+		hopLimit = raw[8]
+	default:
+		return n.drop(statMalformed)
 	}
 	if n.expired(h, hopLimit) {
 		return nil, false
 	}
-	nh, viaBackup := r.SelectPath(src, dst, flowLabel)
+	nh, viaBackup := r.selectPath(src, dst, flowLabel)
 	if nh == nil || nh.Iface == nil {
 		// Distinguish a failure (interfaces exist but are down, and no
 		// usable backup protects the route) from a route that was

@@ -156,7 +156,7 @@ func (sh *shard) sendCross(m *xmsg) {
 	sh.msgs++
 	dst := m.peer.Node.shard
 	if !sh.sim.running {
-		dst.q.pushDeliver(m)
+		dst.q.pushMsg(m)
 		return
 	}
 	if m.at < sh.winEnd {
@@ -543,7 +543,7 @@ func (s *Sim) flushOutboxes() {
 			}
 			dst := s.shards[d]
 			for i := range msgs {
-				dst.q.pushDeliver(&msgs[i])
+				dst.q.pushMsg(&msgs[i])
 			}
 			src.out[d] = src.out[d][:0]
 		}

@@ -50,6 +50,17 @@
 // ends without one went through drop, which is the only place a drop
 // is counted and the only writer of a "drop" span verdict.
 //
+// The stages read header fields at their fixed offsets in h.raw: the
+// FIB key is built from the destination's bytes, forward reads the
+// version, hop limit and flow label where they lie, and the ECMP hash
+// reads an IPv6 packet's addresses in place, only when the choice needs
+// them. netip.Addr appears only at the API edges — Table.Lookup,
+// Route.SelectNexthop and SelectPath, the handlers' parsed view — each a
+// thin door onto the same body the packet path uses. drain and output
+// start a hop by zeroing it in place and assigning the fields the packet
+// brings; a hop is never assigned from a composite literal, which would
+// be built on the stack and copied in.
+//
 // Configuration is checked where a route enters a table, never on the
 // way: Table.Add — under AddRoute, AddAddress and every numbered table —
 // and BindProxyReturn refuse a route of unknown kind, a behaviour the

@@ -99,8 +99,6 @@ type Network struct {
 	// Hosts lists the traffic endpoints (every node, for line/ring/
 	// Waxman; the leaves, for a fat-tree).
 	Hosts []*netsim.Node
-
-	nbrs map[*netsim.Node][]*netsim.Iface
 }
 
 // HostAddr returns the address traffic for host h must use.
@@ -160,10 +158,7 @@ type builder struct {
 
 func newBuilder(sim *netsim.Sim) *builder {
 	return &builder{
-		nw: &Network{
-			Sim:  sim,
-			nbrs: make(map[*netsim.Node][]*netsim.Iface),
-		},
+		nw:       &Network{Sim: sim},
 		prefixes: make(map[*netsim.Node]netip.Prefix),
 	}
 }
@@ -189,61 +184,70 @@ func (b *builder) addSwitch(name string, cost netsim.CostModel) *netsim.Node {
 	return n
 }
 
-// connect links two nodes symmetrically and records adjacency.
+// connect links two nodes symmetrically.
 func (b *builder) connect(x, y *netsim.Node, l LinkSpec) (*netsim.Iface, *netsim.Iface) {
-	ix, iy := netsim.ConnectSymmetric(x, y, l.config())
-	b.nw.nbrs[x] = append(b.nw.nbrs[x], ix)
-	b.nw.nbrs[y] = append(b.nw.nbrs[y], iy)
-	return ix, iy
+	return netsim.ConnectSymmetric(x, y, l.config())
+}
+
+// link is one of a node's interfaces and the index, in Network.Nodes,
+// of the node at its other end.
+type link struct {
+	iface *netsim.Iface
+	peer  int
 }
 
 // installRoutes runs a BFS from every host and installs, on every
 // other node, an ECMP route for the host's /48 over all shortest
-// paths. Neighbour order is link creation order, so the nexthop sets
-// — and therefore ECMP hashing — are deterministic.
+// paths. Neighbour order is link creation order (the order of
+// Node.Ifaces: connect is the only way the generators link nodes), so
+// the nexthop sets — and therefore ECMP hashing — are deterministic.
+// Nodes are numbered by their place in Network.Nodes once, up front:
+// the searches walk index lists, not pointer-keyed maps.
 func (b *builder) installRoutes() *Network {
 	nodes := b.nw.Nodes
 	index := make(map[*netsim.Node]int, len(nodes))
 	for i, n := range nodes {
 		index[n] = i
 	}
+	adj := make([][]link, len(nodes))
+	for i, n := range nodes {
+		for _, ifc := range n.Ifaces() {
+			adj[i] = append(adj[i], link{ifc, index[ifc.Peer().Node]})
+		}
+	}
 	dist := make([]int, len(nodes))
-	queue := make([]*netsim.Node, 0, len(nodes))
+	queue := make([]int, 0, len(nodes))
 
 	for _, h := range b.nw.Hosts {
-		pfx := b.prefixes[h]
+		pfx, hi := b.prefixes[h], index[h]
 		for i := range dist {
 			dist[i] = -1
 		}
-		queue = queue[:0]
-		dist[index[h]] = 0
-		queue = append(queue, h)
+		dist[hi] = 0
+		queue = append(queue[:0], hi)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
-			dv := dist[index[v]]
-			for _, ifc := range b.nw.nbrs[v] {
-				u := ifc.Peer().Node
-				if dist[index[u]] < 0 {
-					dist[index[u]] = dv + 1
-					queue = append(queue, u)
+			for _, l := range adj[v] {
+				if dist[l.peer] < 0 {
+					dist[l.peer] = dist[v] + 1
+					queue = append(queue, l.peer)
 				}
 			}
 		}
-		for _, v := range nodes {
-			if v == h || dist[index[v]] < 0 {
+		for v, n := range nodes {
+			if v == hi || dist[v] < 0 {
 				continue
 			}
 			var nhs []netsim.Nexthop
-			for _, ifc := range b.nw.nbrs[v] {
-				u := ifc.Peer().Node
-				if dist[index[u]] == dist[index[v]]-1 {
-					nhs = append(nhs, netsim.Nexthop{Iface: ifc})
+			for _, l := range adj[v] {
+				if dist[l.peer] == dist[v]-1 {
+					nhs = append(nhs, netsim.Nexthop{Iface: l.iface})
 				}
 			}
 			if len(nhs) == 0 {
 				continue
 			}
-			v.AddRoute(&netsim.Route{Prefix: pfx, Kind: netsim.RouteForward, Nexthops: nhs})
+			n.AddRoute(&netsim.Route{Prefix: pfx, Kind: netsim.RouteForward, Nexthops: nhs})
 		}
 	}
 	return b.nw
