@@ -2,7 +2,12 @@
 #
 #   make check   — build + vet + full test suite + sharded-engine
 #                  race smoke + equivalence-fuzz smoke + native
-#                  parser-fuzz smoke (the tier-1 gate)
+#                  parser-fuzz smoke + obs smoke + benchmark-module
+#                  smoke (the tier-1 gate). The test suite holds the
+#                  model-time golden (Figures 2-4, the JIT factor and
+#                  the full PDR scan, compared by equality:
+#                  TestModelGolden) and the behaviour-matrix engine
+#                  equivalence (TestMatrixScan)
 #   make fuzz-native [FUZZTIME=5s] — coverage-guided fuzzing of the
 #                  wire parsers (FuzzParseInfo, FuzzValidateSRH) and of
 #                  the packet builders against their oracles
@@ -27,23 +32,15 @@
 #                  variable, not the env var.
 #   make fuzz-deep-race — the same fuzzing under the race detector
 #                  (shallower FUZZ_SCENARIOS recommended; ~10x slower)
-#   make matrix-smoke — behaviour-matrix engine-equivalence gate: the
-#                  committed L3VPN / SFC-proxy / TI-LFA scenarios run
-#                  sequentially and on two shards and must produce
-#                  bit-identical fingerprints
-#   make pdr-smoke — SRPerf-style PDR saturation harness, smoke
-#                  depth: a 2-step binary search of the End behavior
-#                  only, proving the offered-load generator, the
-#                  drop-rate accounting and the bisection converge
-#                  (the full per-behavior scan is srv6bench -pdr, pinned
-#                  by internal/experiments/testdata/model.golden.json)
 #   make bench-smoke — the nested benchmark module's own test (a
 #                  1/50-scale run of all six workloads against
 #                  benchmark/golden.json, ~4 s): the root `go test
 #                  ./...` does not reach that module
-#   make bench   — wall-clock datapath + figure benchmarks (-benchmem),
-#                  then the per-hop rows (BenchmarkHop: one packet
-#                  through one node) and the event queue alone
+#   make bench   — wall-clock datapath benchmarks (-benchmem): the
+#                  eight BenchmarkDatapath rows, the table
+#                  TestDatapathAllocRegression holds to its allocation
+#                  counts, then the per-hop rows (BenchmarkHop: one
+#                  packet through one node) and the event queue alone
 #                  (BenchmarkEventQueueHold)
 #   make bench-pairs PARENT=<rev> WORKLOAD=<name|all> [PAIRS=10 SEED=1
 #                  PAIR_SECONDS=15] — the evidence a PR needs, whether it
@@ -72,9 +69,9 @@ PAIRS ?= 10
 SEED ?= 1
 PAIR_SECONDS ?= 15
 
-.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench-smoke bench bench-pairs fmt
+.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke bench-smoke bench bench-pairs fmt
 
-check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke pdr-smoke matrix-smoke bench-smoke
+check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -161,12 +158,6 @@ fuzz-deep:
 fuzz-deep-race:
 	SRV6BPF_FUZZ_SCENARIOS=$(FUZZ_RACE_SCENARIOS) $(GO) test -race -run 'TestShardEquivalenceFuzz' -timeout 30m ./internal/netsim
 
-# PDR harness smoke: a coarse (2-probe) saturation search of the End
-# behavior. Converging at all exercises the whole harness — generator,
-# full-drain drop accounting, bisection invariants — in under a second.
-pdr-smoke:
-	$(GO) run ./cmd/srv6bench -pdr-smoke
-
 # The wall-clock benchmark is its own Go module (benchmark/go.mod), so
 # neither `build` nor `test` above compiles it; its smoke test does, and
 # checks every workload's model state against the golden fingerprints.
@@ -185,13 +176,6 @@ pdr-smoke:
 # to `< 0` for the two allocation metrics.
 bench-smoke:
 	cd benchmark && { $(GO) test -count 1 ./... || $(GO) test -count 1 ./...; }
-
-# Behaviour-matrix gate: the three committed scenarios (multi-tenant
-# L3VPN over a fat-tree, SFC through End.AS/End.AM proxies, TI-LFA
-# protection behind a binding SID) must be bit-identical sequentially
-# and on two shards.
-matrix-smoke:
-	$(GO) run ./cmd/srv6bench -matrix
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDatapath -benchmem .

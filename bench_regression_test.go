@@ -12,52 +12,35 @@ import (
 	"runtime"
 	"testing"
 
-	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/nf/hybrid"
 	"srv6bpf/internal/tcpsim"
 )
 
-// TestDatapathAllocRegression runs the canonical datapath benchmark
-// (experiments.DatapathBench, measured via testing.Benchmark — the
-// -benchmem figures) and requires 0 allocs/op on every row that must be
-// allocation-free in the steady state: the static End behaviour, the
-// End.BPF hook, and one packet crossing the whole simulated datapath —
-// on one template and on the benchmark's 64-flow mix, with the flight
-// recorder off and on, and from a traffic generator to a sink, whose
-// buffers go round. The Add TLV row allocates: it calls the hook bare,
-// where nothing releases the buffer the program grows the packet into.
+// TestDatapathAllocRegression counts the allocations of every
+// datapathRows row — the rows BenchmarkDatapath times — and requires 0
+// per operation on the seven that must be allocation-free in the steady
+// state: the static End behaviour, the End.BPF hook, and one packet
+// crossing the whole simulated datapath — on one template and on the
+// benchmark's 64-flow mix, with the flight recorder off and on, and
+// from a traffic generator to a sink, whose buffers go round. The Add
+// TLV row allocates: it calls the hook bare, where nothing releases the
+// buffer the program grows the packet into.
 func TestDatapathAllocRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed regression test skipped in -short mode")
-	}
-	rows, err := experiments.DatapathBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroAlloc := map[string]bool{
-		"End-static-go":  true,
-		"EndBPF":         true,
-		"TagInc":         true,
-		"SimUDP-obs-off": true,
-		"SimUDP-obs-on":  true,
-		"SimUDP-64flows": true,
-		// Generator to sink on the 3-node lab: the packet's buffer too.
-		"Lab3-gen-to-sink": true,
-	}
-	seen := 0
-	for _, r := range rows {
-		t.Logf("%-15s %6.0f ns/op  %d allocs/op  %d B/op", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-		if !zeroAlloc[r.Name] {
+	zeroRows := 0
+	for _, row := range datapathRows() {
+		allocs := testing.AllocsPerRun(1000, row.setup(t))
+		t.Logf("%-16s %.0f allocs/op", row.name, allocs)
+		if !row.zeroAlloc {
 			continue
 		}
-		seen++
-		if r.AllocsPerOp != 0 {
-			t.Errorf("%s: %d allocs/op (%d B/op), want 0", r.Name, r.AllocsPerOp, r.BytesPerOp)
+		zeroRows++
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocs/op, want 0", row.name, allocs)
 		}
 	}
-	if seen != len(zeroAlloc) {
-		t.Fatalf("datapath bench reported %d of %d zero-alloc rows", seen, len(zeroAlloc))
+	if zeroRows != 7 {
+		t.Fatalf("%d zero-alloc rows, want the seven the datapath is locked by", zeroRows)
 	}
 }
 

@@ -1,29 +1,26 @@
 package srv6bpf
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (run with `go test -bench=. -benchmem`):
+// Wall-clock benchmarks of this library's own datapath (real, not
+// simulated, time; run with `go test -run '^$' -bench . -benchmem`):
 //
-//	BenchmarkFig2        — §3.2 Figure 2 (endpoint function overhead)
-//	BenchmarkFig3        — §4.1 Figure 3 (delay monitoring overhead)
-//	BenchmarkFig4        — §4.2 Figure 4 (hybrid access UDP goodput)
-//	BenchmarkTCPHybrid   — §4.2 TCP results (collapse & compensation)
-//	BenchmarkJITFactor   — §3.2 JIT-off throughput factor (×1.8)
-//	BenchmarkDatapath    — wall-clock ns/packet of this library's own
-//	                       End.BPF datapath (real, not simulated, time)
-//	BenchmarkLWTOut      — wall-clock ns/packet of the hybrid-access
-//	                       tunnel ingress, with and without headroom
+//	BenchmarkDatapath — one operation of each datapathRows row: the
+//	                    static End behaviour and the End.BPF hook running
+//	                    the Figure 2 programs, then one packet crossing
+//	                    the whole simulated datapath
+//	BenchmarkLWTOut   — the hybrid-access tunnel ingress, with and
+//	                    without headroom
 //
-// Simulation benches report their figures through b.ReportMetric
-// (kpps, normalized ratio, Mbps); ns/op is the wall-clock cost of
-// regenerating the figure and is not itself a result of the paper.
+// TestDatapathAllocRegression holds the same rows to their allocation
+// counts. The paper's figures are model time, not wall time:
+// cmd/srv6bench prints them and internal/experiments pins them.
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 
 	"srv6bpf/internal/bpf"
 	"srv6bpf/internal/core"
-	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/nf/hybrid"
@@ -31,178 +28,230 @@ import (
 	"srv6bpf/internal/packet"
 	"srv6bpf/internal/seg6"
 	"srv6bpf/internal/tcpsim"
+	"srv6bpf/internal/trafgen"
 )
 
-// simWindow is the measured virtual-time window per figure run.
-const simWindow = 50 * netsim.Millisecond
+// datapathRow is one steady-state operation of this library's datapath.
+// setup builds the row's fixture, warms it and returns the operation; a
+// zeroAlloc row must not allocate in it.
+type datapathRow struct {
+	name      string
+	zeroAlloc bool
+	setup     func(tb testing.TB) func()
+}
 
-func BenchmarkFig2(b *testing.B) {
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Figure2(simWindow)
-		if err != nil {
-			b.Fatal(err)
-		}
+var (
+	labSrc = netip.MustParseAddr("2001:db8:1::1")
+	labDst = netip.MustParseAddr("2001:db8:2::1")
+	labSID = netip.MustParseAddr("fc00:1::b")
+)
+
+// datapathRows is the one table BenchmarkDatapath times and
+// TestDatapathAllocRegression counts allocations over.
+func datapathRows() []datapathRow {
+	rows := []datapathRow{{"End-static-go", true, endStaticOp}}
+	for _, p := range []struct {
+		name      string
+		spec      *bpf.ProgramSpec
+		zeroAlloc bool
+	}{
+		{"EndBPF", progs.EndSpec(), true},
+		{"TagInc", progs.TagIncrementSpec(), true},
+		// Add TLV allocates: the hook is called bare, where nothing
+		// releases the buffer the program grows the packet into.
+		{"AddTLV", progs.AddTLVSpec(), false},
+	} {
+		rows = append(rows, datapathRow{p.name, p.zeroAlloc, func(tb testing.TB) func() { return endBPFOp(tb, p.spec) }})
 	}
-	for _, r := range rows {
-		r := r
-		b.Run(r.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(r.KPPS, "kpps")
-			b.ReportMetric(r.Normalized, "normalized")
-		})
+	for _, v := range []struct {
+		name         string
+		obsOn        bool
+		sids, labels int
+	}{
+		{"SimUDP-obs-off", false, 1, 1},
+		{"SimUDP-obs-on", true, 1, 1},
+		// The benchmark's mix: 4 SIDs x 16 flow labels, so consecutive
+		// packets never share a header.
+		{"SimUDP-64flows", false, 4, 16},
+	} {
+		rows = append(rows, datapathRow{v.name, true, func(tb testing.TB) func() { return simUDPOp(tb, v.obsOn, v.sids, v.labels) }})
+	}
+	// Generator to sink on the 3-node lab: the packet's buffer too.
+	return append(rows, datapathRow{"Lab3-gen-to-sink", true, labGenToSinkOp})
+}
+
+// srv6Packet is the rows' packet: 64 bytes of UDP from labSrc behind a
+// 2-segment SRH (sid, then labDst).
+func srv6Packet(tb testing.TB, sid netip.Addr, flowLabel uint32) []byte {
+	raw, err := packet.BuildPacket(labSrc, sid, packet.WithSRH(packet.NewSRH([]netip.Addr{sid, labDst})),
+		packet.WithFlowLabel(flowLabel), packet.WithUDP(1, 2), packet.WithPayload(make([]byte, 64)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// endStaticOp is the static End behaviour in native Go.
+func endStaticOp(tb testing.TB) func() {
+	tmpl := srv6Packet(tb, labSID, 0)
+	work := packet.Clone(tmpl)
+	behaviour := &seg6.Behaviour{Action: seg6.ActionEnd}
+	return func() {
+		copy(work, tmpl)
+		if _, err := seg6.Apply(behaviour, work); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkFig3(b *testing.B) {
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Figure3(simWindow)
-		if err != nil {
-			b.Fatal(err)
-		}
+// endBPFOp is the End.BPF hook running spec, called bare on a router.
+func endBPFOp(tb testing.TB, spec *bpf.ProgramSpec) func() {
+	prog, err := bpf.LoadProgram(spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, r := range rows {
-		r := r
-		b.Run(r.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(r.KPPS, "kpps")
-			b.ReportMetric(r.Normalized, "normalized")
-		})
+	end, err := core.AttachEndBPF(prog)
+	if err != nil {
+		tb.Fatal(err)
 	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	var pts []experiments.Fig4Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure4(simWindow)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		p := p
-		b.Run(p.Config+"/"+itoa(p.Payload), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(p.GoodputMbps, "Mbps")
-		})
-	}
-}
-
-func BenchmarkTCPHybrid(b *testing.B) {
-	var res []experiments.TCPResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.TCPHybrid(20 * netsim.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range res {
-		r := r
-		b.Run(r.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-			}
-			b.ReportMetric(r.GoodputMbps, "Mbps")
-		})
-	}
-}
-
-func BenchmarkJITFactor(b *testing.B) {
-	var f float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		f, err = experiments.JITFactor(simWindow)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(f, "jit-factor")
-}
-
-// BenchmarkDatapath measures the real (wall-clock) per-packet cost of
-// this library's datapath — the engineering numbers behind the
-// simulator's cost model, reported honestly as ns/op: the static End
-// behaviour in native Go versus the End.BPF hook running the empty
-// program, Tag++ and Add TLV.
-func BenchmarkDatapath(b *testing.B) {
-	sid := netip.MustParseAddr("fc00:1::b")
-	dst := netip.MustParseAddr("2001:db8:2::1")
-	src := netip.MustParseAddr("2001:db8:1::1")
-
-	mkPacket := func() []byte {
-		srh := packet.NewSRH([]netip.Addr{sid, dst})
-		raw, err := packet.BuildPacket(src, sid, packet.WithSRH(srh),
-			packet.WithUDP(1, 2), packet.WithPayload(make([]byte, 64)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return raw
-	}
-
 	sim := netsim.New(1)
 	node := sim.AddNode("R", netsim.ServerCostModel())
 	peer := sim.AddNode("P", netsim.HostCostModel())
-	peer.AddAddress(dst)
+	peer.AddAddress(labDst)
 	netsim.ConnectSymmetric(node, peer, netem.Config{RateBps: 1e12})
 
-	b.Run("End-static-go", func(b *testing.B) {
-		tmpl := mkPacket()
-		work := packet.Clone(tmpl)
-		behaviour := &seg6.Behaviour{Action: seg6.ActionEnd}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(work, tmpl)
-			if _, err := seg6.Apply(behaviour, work); err != nil {
-				b.Fatal(err)
-			}
+	tmpl := srv6Packet(tb, labSID, 0)
+	work := packet.Clone(tmpl)
+	meta := &netsim.PacketMeta{}
+	return func() {
+		copy(work, tmpl)
+		work = work[:len(tmpl)]
+		res, _, err := end.RunSeg6Local(node, work, meta)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Verdict == seg6.VerdictDrop {
+			tb.Fatal("unexpected drop")
+		}
+		// Add TLV grows the packet: recover the template size.
+		if len(res.Pkt) != len(tmpl) {
+			work = packet.Clone(tmpl)
+		}
+	}
+}
+
+// labLine builds the line A — R — C of the whole-datapath rows: labSrc
+// on A, labDst on C, default routes at the two ends, and on R C's /48
+// and an End SID per sid.
+func labLine(tb testing.TB, sim *netsim.Sim, link netem.Config, sids ...netip.Addr) (a, c *netsim.Node) {
+	a = sim.AddNode("A", netsim.HostCostModel())
+	r := sim.AddNode("R", netsim.ServerCostModel())
+	c = sim.AddNode("C", netsim.HostCostModel())
+	a.AddAddress(labSrc)
+	c.AddAddress(labDst)
+	aIf, _ := netsim.ConnectSymmetric(a, r, link)
+	rcIf, cIf := netsim.ConnectSymmetric(r, c, link)
+	add := func(n *netsim.Node, route *netsim.Route) {
+		if err := n.AddRoute(route); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	fwd := func(prefix string, via *netsim.Iface) *netsim.Route {
+		return &netsim.Route{Prefix: netip.MustParsePrefix(prefix), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: via}}}
+	}
+	add(a, fwd("::/0", aIf))
+	add(c, fwd("::/0", cIf))
+	add(r, fwd("2001:db8:2::/48", rcIf))
+	for _, sid := range sids {
+		add(r, &netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd}})
+	}
+	return a, c
+}
+
+// simUDPOp is one SRv6 packet traversing the full simulated datapath —
+// source output, links, the router's End behaviour, delivery — cycling
+// through sids x labels distinct headers (one End SID on R per sid,
+// labels flow labels each), with the observability plane off or on
+// (flight recorder sampling every flow: the worst case). The bare
+// End.BPF rows bypass the node's drain loop and so never see the obs
+// hooks.
+func simUDPOp(tb testing.TB, obsOn bool, sids, labels int) func() {
+	sim := netsim.New(1)
+	var sidAddrs []netip.Addr
+	for i := 0; i < sids; i++ {
+		sidAddrs = append(sidAddrs, netip.MustParseAddr(fmt.Sprintf("fc00:1::b%d", i)))
+	}
+	a, c := labLine(tb, sim, netem.Config{RateBps: 1e12}, sidAddrs...)
+	c.HandleUDP(2, func(*netsim.Node, *packet.Packet, *netsim.PacketMeta) {})
+	if obsOn {
+		sim.EnableObs(netsim.ObsOptions{Trace: true, SampleShift: 0})
+	}
+	var tmpls [][]byte
+	for _, sid := range sidAddrs {
+		for fl := 0; fl < labels; fl++ {
+			tmpls = append(tmpls, srv6Packet(tb, sid, uint32(fl)))
+		}
+	}
+
+	work := packet.Clone(tmpls[0])
+	bufs := sim.TraceBufs()
+	next := 0
+	op := func() {
+		copy(work, tmpls[next])
+		next = (next + 1) % len(tmpls)
+		a.Output(work)
+		sim.Run()
+		// Truncate the journals so the recorder's ring cannot grow
+		// without bound across operations (a cheap slice-length reset).
+		for _, b := range bufs {
+			b.RestoreState(0)
+		}
+	}
+	// Warm the event pools so the operation is steady state.
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	return op
+}
+
+// labGenToSinkOp is what the SimUDP rows leave out, the two ends: a
+// trafgen.UDPGen on A, End on R, a trafgen.Sink on C, one packet per
+// operation in steady state. The generator's buffer is the one the sink
+// released a few packets earlier, so the row allocates nothing.
+func labGenToSinkOp(tb testing.TB) func() {
+	sim := netsim.New(1)
+	a, c := labLine(tb, sim, netem.Config{RateBps: 1e10, DelayNs: 10 * netsim.Microsecond}, labSID)
+	sink := trafgen.NewSink(c, 2)
+
+	const gap = 2 * netsim.Microsecond // 500 kpps, below R's capacity
+	gen := &trafgen.UDPGen{
+		Node: a, Src: labSrc, Dst: labSID, SrcPort: 1, DstPort: 2, PayloadLen: 64,
+		SRH: packet.NewSRH([]netip.Addr{labSID, labDst}), RatePPS: 1e9 / float64(gap),
+	}
+	if err := gen.Start(1 << 62); err != nil {
+		tb.Fatal(err)
+	}
+	sim.RunUntil(1000 * gap) // fill the pipe, grow the queues
+	tb.Cleanup(func() {
+		gen.Stop()
+		if sink.Packets == 0 || sink.Packets+100 < gen.Sent() {
+			tb.Errorf("Lab3-gen-to-sink: %d of %d packets delivered", sink.Packets, gen.Sent())
 		}
 	})
+	return func() { sim.RunUntil(sim.Now() + gap) }
+}
 
-	for _, bp := range []struct {
-		name string
-		spec *bpf.ProgramSpec
-	}{
-		{"EndBPF", progs.EndSpec()},
-		{"TagInc", progs.TagIncrementSpec()},
-		{"AddTLV", progs.AddTLVSpec()},
-	} {
-		bp := bp
-		b.Run(bp.name, func(b *testing.B) {
-			prog, err := bpf.LoadProgram(bp.spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			end, err := core.AttachEndBPF(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tmpl := mkPacket()
-			work := packet.Clone(tmpl)
-			meta := &netsim.PacketMeta{}
+// BenchmarkDatapath measures the real (wall-clock) cost of one operation
+// of each datapathRows row — the engineering numbers behind the
+// simulator's cost model, reported honestly as ns/op.
+func BenchmarkDatapath(b *testing.B) {
+	for _, row := range datapathRows() {
+		b.Run(row.name, func(b *testing.B) {
+			op := row.setup(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(work, tmpl)
-				work = work[:len(tmpl)]
-				res, _, err := end.RunSeg6Local(node, work, meta)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Verdict == seg6.VerdictDrop {
-					b.Fatal("unexpected drop")
-				}
-				// Add TLV grows the packet: recover the template size.
-				if len(res.Pkt) != len(tmpl) {
-					work = packet.Clone(tmpl)
-				}
+				op()
 			}
 		})
 	}
@@ -260,18 +309,4 @@ func BenchmarkLWTOut(b *testing.B) {
 			}
 		})
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

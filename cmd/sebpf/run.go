@@ -28,8 +28,12 @@ func runProgram(name string, e entry) error {
 	peer.AddAddress(dst)
 	peer.AddAddress(src)
 	rIf, pIf := netsim.ConnectSymmetric(rtr, peer, netem.Config{RateBps: 1e10})
-	rtr.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rIf}}})
-	peer.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pIf}}})
+	if err := rtr.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rIf}}}); err != nil {
+		return err
+	}
+	if err := peer.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pIf}}}); err != nil {
+		return err
+	}
 
 	avail := demoMaps(name)
 	prog, err := bpf.LoadProgram(e.spec, e.hook, avail, bpf.LoadOptions{})

@@ -51,7 +51,9 @@ func execForStats(name string, e entry, runs int) (core.ProgStats, error) {
 	rtr := sim.AddNode("rtr", netsim.ServerCostModel())
 	rtr.AddAddress(netip.MustParseAddr("2001:db8:10::1"))
 	rIf, _ := netsim.ConnectSymmetric(rtr, sim.AddNode("peer", netsim.HostCostModel()), netem.Config{RateBps: 1e10})
-	rtr.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rIf}}})
+	if err := rtr.AddRoute(&netsim.Route{Prefix: netip.MustParsePrefix("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rIf}}}); err != nil {
+		return core.ProgStats{}, err
+	}
 
 	avail := demoMaps(name)
 	prog, err := bpf.LoadProgram(e.spec, e.hook, avail, bpf.LoadOptions{})

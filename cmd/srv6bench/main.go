@@ -1,12 +1,13 @@
 // Command srv6bench regenerates the tables and figures of the paper's
 // evaluation and prints them in the same form the paper reports:
 // normalized forwarding rates for Figures 2 and 3, the goodput-vs-
-// payload series of Figure 4, the §4.2 TCP goodputs, and the §3.2
-// JIT factor.
+// payload series of Figure 4 and the §4.2 TCP goodputs; -fig 2 ends
+// with the §3.2 JIT factor read off its own rows.
 //
 // Usage:
 //
-//	srv6bench [-fig 2|3|4] [-tcp] [-jit] [-obs] [-all] [-duration 200ms]
+//	srv6bench [-fig 2|3|4] [-tcp] [-frr] [-flapstorm] [-ablation] [-pdr]
+//	          [-matrix] [-shards N] [-all] [-duration 200ms]
 package main
 
 import (
@@ -20,13 +21,11 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (2, 3 or 4)")
+	fig := flag.Int("fig", 0, "figure to regenerate (2, 3 or 4; 2 ends with the §3.2 JIT factor)")
 	tcp := flag.Bool("tcp", false, "run the §4.2 TCP experiment")
-	jit := flag.Bool("jit", false, "report the §3.2 JIT-off factor")
 	frr := flag.Bool("frr", false, "run the fast-reroute recovery experiment")
 	flapstorm := flag.Bool("flapstorm", false, "run the flap-storm damping experiment")
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations")
-	obsProf := flag.Bool("obs", false, "run the observability profile (behavior-cost and queue-delay histograms)")
 	shards := flag.Int("shards", 0,
 		"run the shard-scaling experiment up to this many shards (1,2,4,...) on a 208-node fat-tree")
 	topoK := flag.Int("topo-k", 8, "fat-tree arity for the shard-scaling experiment")
@@ -37,8 +36,6 @@ func main() {
 	shardDuration := flag.Duration("shard-duration", 20*time.Millisecond,
 		"virtual window of the shard-scaling experiment")
 	pdr := flag.Bool("pdr", false, "run the SRPerf-style PDR saturation scan (all behaviors)")
-	pdrSmoke := flag.Bool("pdr-smoke", false,
-		"coarse PDR search (2 bisection steps, End only): the CI smoke gate")
 	matrix := flag.Bool("matrix", false,
 		"run the behaviour-matrix scenarios sequentially and on two shards and compare fingerprints")
 	all := flag.Bool("all", false, "run everything")
@@ -53,19 +50,11 @@ func main() {
 
 	if *all || *pdr {
 		ran = true
-		runPDR(experiments.DefaultPDRConfig())
-	}
-	if *pdrSmoke {
-		ran = true
-		runPDR(experiments.PDRSmokeConfig())
+		runPDR()
 	}
 	if *all || *matrix {
 		ran = true
 		runMatrix()
-	}
-	if *all || *obsProf {
-		ran = true
-		runObs(win)
 	}
 	if *all || *fig == 2 {
 		ran = true
@@ -82,10 +71,6 @@ func main() {
 	if *all || *tcp {
 		ran = true
 		runTCP(tcpDuration.Nanoseconds())
-	}
-	if *all || *jit {
-		ran = true
-		runJITFactor(win)
 	}
 	if *all || *frr {
 		ran = true
@@ -128,7 +113,11 @@ func runFig2(win int64) {
 	for _, r := range rows {
 		fmt.Printf("  %-16s %9.1f kpps   %5.1f%%\n", r.Name, r.KPPS, r.Normalized*100)
 	}
-	fmt.Println()
+	f, err := experiments.JITFactor(rows)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("  whole-router throughput JIT/no-JIT = %.2f (paper: 1.8)\n\n", f)
 }
 
 func runFig3(win int64) {
@@ -183,15 +172,6 @@ func runTCP(win int64) {
 		fmt.Printf("  %-34s %7.1f Mbps\n", r.Name, r.GoodputMbps)
 	}
 	fmt.Println()
-}
-
-func runJITFactor(win int64) {
-	fmt.Println("== §3.2 JIT factor on Add TLV ==")
-	f, err := experiments.JITFactor(win)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("  whole-router throughput JIT/no-JIT = %.2f (paper: 1.8)\n\n", f)
 }
 
 func runFRR() {
@@ -265,11 +245,10 @@ func runAblations(win int64) {
 	fmt.Println()
 }
 
-func runPDR(cfg experiments.PDRConfig) {
+func runPDR() {
 	fmt.Println("== PDR saturation (SRPerf method): max offered load with drops <= 0.5% ==")
-	fmt.Printf("   %d bisection steps, %s window per probe\n",
-		cfg.Iterations, time.Duration(cfg.WindowNs))
-	rows, err := experiments.PDRScan(cfg)
+	fmt.Println("   9 bisection steps, 100ms window per probe") // PDRScan's fixed depth
+	rows, err := experiments.PDRScan()
 	if err != nil {
 		fail(err)
 	}
@@ -302,22 +281,6 @@ func runMatrix() {
 	if bad {
 		fail(fmt.Errorf("behaviour matrix: sequential and sharded runs disagree"))
 	}
-}
-
-func runObs(win int64) {
-	fmt.Println("== Observability profile: what the metrics plane saw ==")
-	fmt.Println("   behavior cost + queue delay from the §3.2 lab (Tag++ End.BPF), virtual ns")
-	rows, err := experiments.ObsProfile(win)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("  %-22s %9s %9s %9s %9s %9s %10s\n",
-		"histogram", "count", "p50", "p90", "p99", "max", "mean")
-	for _, r := range rows {
-		fmt.Printf("  %-22s %9d %9d %9d %9d %9d %10.1f\n",
-			r.Name, r.Count, r.P50, r.P90, r.P99, r.Max, r.Mean)
-	}
-	fmt.Println()
 }
 
 // shardCountsUpTo returns 1, 2, 4, ... up to and including max.

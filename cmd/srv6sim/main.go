@@ -79,10 +79,9 @@ func line(trace bool) (*netsim.Sim, *netsim.Node, *netsim.Node, *netsim.Node) {
 	fast := netem.Config{RateBps: 10_000_000_000, DelayNs: 10 * netsim.Microsecond}
 	aIf, raIf := netsim.ConnectSymmetric(a, r, fast)
 	rbIf, bIf := netsim.ConnectSymmetric(r, b, fast)
-	a.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: aIf}}})
-	b.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: bIf}}})
-	r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: raIf}}})
-	r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rbIf}}})
+	addRoutes(a, fwd("::/0", aIf))
+	addRoutes(b, fwd("::/0", bIf))
+	addRoutes(r, fwd("2001:db8:1::/48", raIf), fwd("2001:db8:2::/48", rbIf))
 	return sim, a, r, b
 }
 
@@ -98,7 +97,7 @@ func runEndBPF(trace bool) {
 	if err != nil {
 		fatal(err)
 	}
-	r.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: end.Behaviour()})
+	addRoutes(r, &netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: end.Behaviour()})
 
 	b.HandleUDP(7, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 		fmt.Printf("  dst received: %s\n", p.Summary())
@@ -139,13 +138,10 @@ func runDelay(trace bool) {
 	htIf, thIf := netsim.ConnectSymmetric(h, t, slow)
 	tbIf, bIf := netsim.ConnectSymmetric(t, b, fast)
 
-	a.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: aIf}}})
-	b.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: bIf}}})
-	h.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: haIf}}})
-	h.AddRoute(&netsim.Route{Prefix: pfx("fc00::/16"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: htIf}}})
-	t.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tbIf}}})
-	t.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: thIf}}})
-	t.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:10::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: thIf}}})
+	addRoutes(a, fwd("::/0", aIf))
+	addRoutes(b, fwd("::/0", bIf))
+	addRoutes(h, fwd("2001:db8:1::/48", haIf), fwd("fc00::/16", htIf))
+	addRoutes(t, fwd("2001:db8:2::/48", tbIf), fwd("2001:db8:1::/48", thIf), fwd("2001:db8:10::/48", thIf))
 
 	dmSID := netip.MustParseAddr("fc00:20::dd")
 	mon, err := delaymon.New(delaymon.Config{
@@ -154,8 +150,12 @@ func runDelay(trace bool) {
 	if err != nil {
 		fatal(err)
 	}
-	mon.AttachHead(h, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: htIf}})
-	mon.AttachTail(t, dmSID)
+	if err := mon.AttachHead(h, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: htIf}}); err != nil {
+		fatal(err)
+	}
+	if err := mon.AttachTail(t, dmSID); err != nil {
+		fatal(err)
+	}
 	daemon := mon.StartDaemon(t, netsim.Millisecond)
 
 	collector := &delaymon.Collector{}
@@ -196,6 +196,21 @@ func runTraceroute(trace bool) {
 	sim.RunUntil(20 * netsim.Second)
 	if !done {
 		fmt.Println("  trace did not complete")
+	}
+}
+
+// fwd is a forwarding route for prefix out of via.
+func fwd(prefix string, via *netsim.Iface) *netsim.Route {
+	return &netsim.Route{Prefix: pfx(prefix), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: via}}}
+}
+
+// addRoutes installs routes on n and exits on a refusal: a scenario
+// missing a route would only count drop_no_route.
+func addRoutes(n *netsim.Node, routes ...*netsim.Route) {
+	for _, r := range routes {
+		if err := n.AddRoute(r); err != nil {
+			fatal(err)
+		}
 	}
 }
 

@@ -50,7 +50,9 @@ func newServeLab(shards int, sampleShift uint) (*serveLab, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: l.end.Behaviour()})
+	if err := r.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: l.end.Behaviour()}); err != nil {
+		return nil, err
+	}
 	b.HandleUDP(7, func(*netsim.Node, *packet.Packet, *netsim.PacketMeta) {})
 
 	// Observability on before any traffic, so every node gets a trace

@@ -40,6 +40,14 @@ func main() {
 	fmt.Println("the BPF datapath measures it passively on live traffic.")
 }
 
+// route installs on n a forwarding route for prefix out of via, and
+// exits if n refuses it.
+func route(n *netsim.Node, prefix string, via *netsim.Iface) {
+	if err := n.AddRoute(&netsim.Route{Prefix: pfx(prefix), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: via}}}); err != nil {
+		log.Fatal(err)
+	}
+}
+
 func run(ratio uint32) (string, uint64) {
 	sim := netsim.New(42)
 	src := sim.AddNode("src", netsim.HostCostModel())
@@ -62,14 +70,14 @@ func run(ratio uint32) (string, uint64) {
 	tailDstIf, dstIf := netsim.ConnectSymmetric(tail, dst, fast)
 	tailCtrlIf, ctrlIf := netsim.ConnectSymmetric(tail, ctrl, fast)
 
-	src.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: srcIf}}})
-	dst.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dstIf}}})
-	ctrl.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: ctrlIf}}})
-	head.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: headSrcIf}}})
-	head.AddRoute(&netsim.Route{Prefix: pfx("fc00:20::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: headTailIf}}})
-	tail.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tailDstIf}}})
-	tail.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:99::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tailCtrlIf}}})
-	tail.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tailHeadIf}}})
+	route(src, "::/0", srcIf)
+	route(dst, "::/0", dstIf)
+	route(ctrl, "::/0", ctrlIf)
+	route(head, "2001:db8:1::/48", headSrcIf)
+	route(head, "fc00:20::/32", headTailIf)
+	route(tail, "2001:db8:2::/48", tailDstIf)
+	route(tail, "2001:db8:99::/48", tailCtrlIf)
+	route(tail, "2001:db8:1::/48", tailHeadIf)
 
 	mon, err := delaymon.New(delaymon.Config{
 		Ratio:          ratio,
@@ -80,8 +88,12 @@ func run(ratio uint32) (string, uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon.AttachHead(head, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: headTailIf}})
-	mon.AttachTail(tail, dmSID)
+	if err := mon.AttachHead(head, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: headTailIf}}); err != nil {
+		log.Fatal(err)
+	}
+	if err := mon.AttachTail(tail, dmSID); err != nil {
+		log.Fatal(err)
+	}
 	daemon := mon.StartDaemon(tail, netsim.Millisecond)
 
 	collector := &delaymon.Collector{}

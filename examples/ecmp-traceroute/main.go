@@ -32,6 +32,18 @@ var (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// route installs on n a forwarding route for prefix over ifaces (ECMP
+// when there are several), and exits if n refuses it.
+func route(n *netsim.Node, prefix string, ifaces ...*netsim.Iface) {
+	r := &netsim.Route{Prefix: pfx(prefix), Kind: netsim.RouteForward}
+	for _, ifc := range ifaces {
+		r.Nexthops = append(r.Nexthops, netsim.Nexthop{Iface: ifc})
+	}
+	if err := n.AddRoute(r); err != nil {
+		log.Fatal(err)
+	}
+}
+
 func main() {
 	sim := netsim.New(33)
 	prober := sim.AddNode("prober", netsim.HostCostModel())
@@ -57,23 +69,21 @@ func main() {
 	bt, tbIf := netsim.ConnectSymmetric(r2b, target, link)
 	ct, tcIf := netsim.ConnectSymmetric(r2c, target, link)
 
-	prober.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pIf}}})
-	target.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward,
-		Nexthops: []netsim.Nexthop{{Iface: taIf}, {Iface: tbIf}, {Iface: tcIf}}})
+	route(prober, "::/0", pIf)
+	route(target, "::/0", taIf, tbIf, tcIf)
 
 	// r1 fans out over three equal-cost paths.
-	r1.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:fff::/48"), Kind: netsim.RouteForward,
-		Nexthops: []netsim.Nexthop{{Iface: r1a}, {Iface: r1b}, {Iface: r1c}}})
-	r1.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:0::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: r1pIf}}})
+	route(r1, "2001:db8:fff::/48", r1a, r1b, r1c)
+	route(r1, "2001:db8:0::/48", r1pIf)
 	// r2a's OAMP SID is reachable through r1 (the IGP would carry it).
-	r1.AddRoute(&netsim.Route{Prefix: pfx("fc00:102::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: r1a}}})
+	route(r1, "fc00:102::/32", r1a)
 
 	for _, hop := range []struct {
 		n        *netsim.Node
 		down, up *netsim.Iface
 	}{{r2a, at, ar1}, {r2b, bt, br1}, {r2c, ct, cr1}} {
-		hop.n.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:fff::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: hop.down}}})
-		hop.n.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: hop.up}}})
+		route(hop.n, "2001:db8:fff::/48", hop.down)
+		route(hop.n, "::/0", hop.up)
 	}
 
 	// The operator publishes End.OAMP on r1 and r2a only.

@@ -56,6 +56,15 @@ const (
 	binNs         = 10 * netsim.Millisecond
 )
 
+// addRoutes installs routes on n and exits if n refuses one.
+func addRoutes(n *netsim.Node, routes ...*netsim.Route) {
+	for _, r := range routes {
+		if err := n.AddRoute(r); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
 func main() {
 	sim := netsim.New(2024)
 	src := sim.AddNode("src", netsim.HostCostModel())
@@ -79,23 +88,20 @@ func main() {
 	bdIf, _ := netsim.ConnectSymmetric(b, d, detour)
 	dtIf, dstIf := netsim.ConnectSymmetric(d, dst, edge)
 
-	src.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: srcIf}}})
-	dst.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dstIf}}})
-	p.AddRoute(&netsim.Route{Prefix: pfx("fc00:20::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pdIf}}})
-	p.AddRoute(&netsim.Route{Prefix: pfx("fc00:30::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pbIf}}})
-	p.AddRoute(&netsim.Route{Prefix: pfx("fc00:21::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pbIf}}})
-	p.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: psIf}}})
-	b.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(detourS, 128), Kind: netsim.RouteSeg6Local,
-		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd}})
-	b.AddRoute(&netsim.Route{Prefix: pfx("fc00:21::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: bdIf}}})
-	d.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(nbrSID, 128), Kind: netsim.RouteSeg6Local,
-		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd}})
-	for _, sid := range []netip.Addr{primSID, bkDecap} {
-		d.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local,
-			Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable}})
+	fwd := func(prefix string, via *netsim.Iface) *netsim.Route {
+		return &netsim.Route{Prefix: pfx(prefix), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: via}}}
 	}
-	d.AddRoute(&netsim.Route{Prefix: pfx("fc00:10::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dpIf}}})
-	d.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dtIf}}})
+	local := func(sid netip.Addr, b seg6.Behaviour) *netsim.Route {
+		return &netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: &b}
+	}
+	end := seg6.Behaviour{Action: seg6.ActionEnd}
+	dt6 := seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable}
+	addRoutes(src, fwd("::/0", srcIf))
+	addRoutes(dst, fwd("::/0", dstIf))
+	addRoutes(p, fwd("fc00:20::/32", pdIf), fwd("fc00:30::/32", pbIf), fwd("fc00:21::/32", pbIf), fwd("2001:db8:1::/48", psIf))
+	addRoutes(b, local(detourS, end), fwd("fc00:21::/32", bdIf))
+	addRoutes(d, local(nbrSID, end), local(primSID, dt6), local(bkDecap, dt6),
+		fwd("fc00:10::/32", dpIf), fwd("2001:db8:2::/48", dtIf))
 
 	// The fast-reroute network function on P.
 	f, err := frr.New(p, frr.Config{

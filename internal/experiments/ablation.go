@@ -18,7 +18,7 @@ func Fig4JITAblation(durationNs int64) (interp, jit []Fig4Point, err error) {
 	run := func(useJIT bool) ([]Fig4Point, error) {
 		var out []Fig4Point
 		for _, payload := range Fig4Payloads {
-			g, err := fig4WRRRun(payload, durationNs, useJIT)
+			g, err := fig4Run("eBPF WRR", payload, durationNs, useJIT)
 			if err != nil {
 				return nil, err
 			}
@@ -37,38 +37,6 @@ func Fig4JITAblation(durationNs int64) (interp, jit []Fig4Point, err error) {
 		return nil, nil, err
 	}
 	return interp, jit, nil
-}
-
-// fig4WRRRun is the upstream WRR measurement with a selectable engine.
-func fig4WRRRun(payload int, durationNs int64, useJIT bool) (float64, error) {
-	sim := netsim.New(4)
-	tb, err := hybrid.NewTestbed(sim, hybrid.Params{
-		Link0:  hybrid.LinkSpec{RateBps: 1_000_000_000},
-		Link1:  hybrid.LinkSpec{RateBps: 1_000_000_000},
-		WRRJIT: useJIT,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := tb.EnableWRRUpstream(); err != nil {
-		return 0, err
-	}
-	sink := trafgen.NewSink(tb.S1, 9999)
-	wire := payload + 8 + 40
-	gen := &trafgen.UDPGen{
-		Node: tb.S2, Src: hybrid.S2Addr, Dst: hybrid.S1Addr,
-		SrcPort: 1000, DstPort: 9999,
-		PayloadLen: payload,
-		RatePPS:    1e9 / float64(wire*8),
-	}
-	if err := gen.Start(sim.Now() + durationNs); err != nil {
-		return 0, err
-	}
-	sim.RunUntil(sim.Now() + durationNs/10)
-	sink.Reset()
-	sim.RunUntil(sim.Now() + durationNs)
-	gen.Stop()
-	return sink.GoodputBps(), nil
 }
 
 // WeightRow is one row of the WRR weight ablation.

@@ -1,12 +1,13 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation. Each function builds the corresponding lab
 // setup in the simulator, runs the workload, and returns the same
-// rows/series the paper reports. bench_test.go and cmd/srv6bench are
-// thin wrappers around this package; EXPERIMENTS.md records the
+// rows/series the paper reports. cmd/srv6bench prints them,
+// testdata/model.golden.json pins them, and EXPERIMENTS.md records the
 // outputs next to the paper's numbers.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 
@@ -31,6 +32,42 @@ var (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// fwd is a plain forwarding route for prefix out of via.
+func fwd(prefix string, via *netsim.Iface) *netsim.Route {
+	return &netsim.Route{Prefix: pfx(prefix), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: via}}}
+}
+
+// local is a seg6local route binding b to sid.
+func local(sid netip.Addr, b *seg6.Behaviour) *netsim.Route {
+	return &netsim.Route{Prefix: netip.PrefixFrom(sid, 128), Kind: netsim.RouteSeg6Local, Behaviour: b}
+}
+
+// generator is a trafgen source: UDPGen or RawGen.
+type generator interface {
+	Start(until int64) error
+	Stop()
+}
+
+// window is the one measurement window of Figures 2, 3 and 4: start
+// gens to stop durationNs from now, run the first 10 % as warm-up,
+// reset the sink, run durationNs more and stop the generators. The sink
+// then holds what the window delivered.
+func window(sim *netsim.Sim, sink *trafgen.Sink, durationNs int64, gens ...generator) error {
+	until := sim.Now() + durationNs
+	for _, g := range gens {
+		if err := g.Start(until); err != nil {
+			return err
+		}
+	}
+	sim.RunUntil(sim.Now() + durationNs/10)
+	sink.Reset()
+	sim.RunUntil(sim.Now() + durationNs)
+	for _, g := range gens {
+		g.Stop()
+	}
+	return nil
+}
+
 // lab1 is the §3.2 measurement lab: 10 Gbps links, the router R
 // limited by its single core, a generator and a sink.
 type lab1 struct {
@@ -40,7 +77,7 @@ type lab1 struct {
 	sink      *trafgen.Sink
 }
 
-func newLab1(seed int64) *lab1 {
+func newLab1(seed int64) (*lab1, error) {
 	sim := netsim.New(seed)
 	l := &lab1{
 		sim: sim,
@@ -57,38 +94,45 @@ func newLab1(seed int64) *lab1 {
 	rs2If, s2If := netsim.ConnectSymmetric(l.r, l.s2, tenG)
 	l.rToS2 = rs2If
 
-	l.s1.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: s1If}}})
-	l.s2.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: s2If}}})
-	l.r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rs1If}}})
-	l.r.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rs2If}}})
-	l.r.AddRoute(&netsim.Route{Prefix: pfx("fc00:2::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: rs2If}}})
-
+	if err := errors.Join(
+		l.s1.AddRoute(fwd("::/0", s1If)),
+		l.s2.AddRoute(fwd("::/0", s2If)),
+		l.r.AddRoute(fwd("2001:db8:1::/48", rs1If)),
+		l.r.AddRoute(fwd("2001:db8:2::/48", rs2If)),
+		l.r.AddRoute(fwd("fc00:2::/32", rs2If)),
+	); err != nil {
+		return nil, err
+	}
 	l.sink = trafgen.NewSink(l.s2, 9999)
-	return l
+	return l, nil
 }
 
-// offer runs the §3.2 workload: 64-byte UDP payloads inside a
-// 2-segment SRH, offered at 3 Mpps ("the source sent 3 million
-// packets per second"), for the given duration. dst selects the first
-// segment (R's SID for endpoint tests, S2 for raw forwarding).
-func (l *lab1) offer(firstSeg netip.Addr, durationNs int64) float64 {
-	srh := packet.NewSRH([]netip.Addr{firstSeg, s2Addr})
-	gen := &trafgen.UDPGen{
-		Node: l.s1, Src: s1Addr, Dst: firstSeg,
+// offeredPPS is the §3.2 offered load: "the source sent 3 million
+// packets per second".
+const offeredPPS = 3_000_000
+
+// udp is S1's generator of 64-byte UDP payloads towards dst at ratePPS,
+// inside a 2-segment SRH (dst, then S2) when withSRH is set.
+func (l *lab1) udp(dst netip.Addr, withSRH bool, ratePPS float64) *trafgen.UDPGen {
+	var srh *packet.SRH
+	if withSRH {
+		srh = packet.NewSRH([]netip.Addr{dst, s2Addr})
+	}
+	return &trafgen.UDPGen{
+		Node: l.s1, Src: s1Addr, Dst: dst,
 		SrcPort: 1000, DstPort: 9999,
 		PayloadLen: 64,
 		SRH:        srh,
-		RatePPS:    3_000_000,
+		RatePPS:    ratePPS,
 	}
-	if err := gen.Start(l.sim.Now() + durationNs); err != nil {
-		panic(err)
+}
+
+// offer runs one window of gens and returns the rate S2's sink received.
+func (l *lab1) offer(durationNs int64, gens ...generator) (float64, error) {
+	if err := window(l.sim, l.sink, durationNs, gens...); err != nil {
+		return 0, err
 	}
-	// Warm up 10% of the window, then measure.
-	l.sim.RunUntil(l.sim.Now() + durationNs/10)
-	l.sink.Reset()
-	l.sim.RunUntil(l.sim.Now() + durationNs)
-	gen.Stop()
-	return l.sink.RatePPS()
+	return l.sink.RatePPS(), nil
 }
 
 // Row is one bar/point of a reproduced figure.
@@ -98,7 +142,7 @@ type Row struct {
 	Normalized float64 `json:"normalized"` // relative to the raw-forwarding baseline
 }
 
-// Figure2Config selects the endpoint function variants of Figure 2.
+// fig2Variant is one endpoint function variant of Figure 2.
 type fig2Variant struct {
 	name   string
 	static *seg6.Behaviour
@@ -121,23 +165,27 @@ func Figure2(durationNs int64) ([]Row, error) {
 	}
 
 	// Baseline: raw IPv6 forwarding of the same packets.
-	base := newLab1(1)
-	baseline := base.offer(s2Addr, durationNs)
+	base, err := newLab1(1)
+	if err != nil {
+		return nil, err
+	}
+	baseline, err := base.offer(durationNs, base.udp(s2Addr, true, offeredPPS))
+	if err != nil {
+		return nil, err
+	}
 
 	rows := []Row{{Name: "IPv6 forward", KPPS: baseline / 1e3, Normalized: 1.0}}
 	for _, v := range variants {
-		l := newLab1(1)
-		// Table 7 (End.T) forwards S2's prefix like main.
-		if err := l.r.Table(7).Add(&netsim.Route{
-			Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward,
-			Nexthops: []netsim.Nexthop{{Iface: l.rToS2}},
-		}); err != nil {
+		l, err := newLab1(1)
+		if err != nil {
 			return nil, err
 		}
-		route := &netsim.Route{Prefix: netip.PrefixFrom(rSID, 128), Kind: netsim.RouteSeg6Local}
-		if v.static != nil {
-			route.Behaviour = v.static
-		} else {
+		// Table 7 (End.T) forwards S2's prefix like main.
+		if err := l.r.Table(7).Add(fwd("2001:db8:2::/48", l.rToS2)); err != nil {
+			return nil, err
+		}
+		b := v.static
+		if b == nil {
 			prog, err := bpf.LoadProgram(v.spec, core.Seg6LocalHook(), nil, bpf.LoadOptions{JIT: &v.jit})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s: %w", v.name, err)
@@ -146,33 +194,37 @@ func Figure2(durationNs int64) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			route.Behaviour = end.Behaviour()
+			b = end.Behaviour()
 		}
-		if err := l.r.AddRoute(route); err != nil {
+		if err := l.r.AddRoute(local(rSID, b)); err != nil {
 			return nil, err
 		}
-		rate := l.offer(rSID, durationNs)
+		rate, err := l.offer(durationNs, l.udp(rSID, true, offeredPPS))
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Row{Name: v.name, KPPS: rate / 1e3, Normalized: rate / baseline})
 	}
 	return rows, nil
 }
 
-// offerPlain measures forwarding of SRH-less IPv6 traffic (the
-// pktgen workload of §4.1).
-func (l *lab1) offerPlain(durationNs int64) float64 {
-	gen := &trafgen.UDPGen{
-		Node: l.s1, Src: s1Addr, Dst: s2Addr,
-		SrcPort: 1000, DstPort: 9999, PayloadLen: 64,
-		RatePPS: 3_000_000,
+// JITFactor reproduces the §3.2 observation that disabling the JIT
+// divides the Add TLV throughput by 1.8: the ratio of the JIT to the
+// interpreter whole-router forwarding rate in Figure 2's rows.
+func JITFactor(fig2 []Row) (float64, error) {
+	var jit, nojit float64
+	for _, r := range fig2 {
+		switch r.Name {
+		case "Add TLV BPF":
+			jit = r.KPPS
+		case "Add TLV no JIT":
+			nojit = r.KPPS
+		}
 	}
-	if err := gen.Start(l.sim.Now() + durationNs); err != nil {
-		panic(err)
+	if nojit == 0 {
+		return 0, fmt.Errorf("experiments: missing no-JIT row")
 	}
-	l.sim.RunUntil(l.sim.Now() + durationNs/10)
-	l.sink.Reset()
-	l.sim.RunUntil(l.sim.Now() + durationNs)
-	gen.Stop()
-	return l.sink.RatePPS()
+	return jit / nojit, nil
 }
 
 // Figure3 reproduces §4.1 Figure 3: the impact of the delay
@@ -183,13 +235,22 @@ func (l *lab1) offerPlain(durationNs int64) float64 {
 // The baseline is plain (SRH-less) IPv6 forwarding, matching the
 // pktgen workload the programs see.
 func Figure3(durationNs int64) ([]Row, error) {
-	baselineLab := newLab1(2)
-	baseline := baselineLab.offerPlain(durationNs)
+	baselineLab, err := newLab1(2)
+	if err != nil {
+		return nil, err
+	}
+	baseline, err := baselineLab.offer(durationNs, baselineLab.udp(s2Addr, false, offeredPPS))
+	if err != nil {
+		return nil, err
+	}
 	rows := []Row{{Name: "IPv6 forward", KPPS: baseline / 1e3, Normalized: 1.0}}
 
 	for _, ratio := range []uint32{10000, 100} {
 		// (a) Transit encapsulation on R for all traffic towards S2.
-		l := newLab1(2)
+		l, err := newLab1(2)
+		if err != nil {
+			return nil, err
+		}
 		conf := mustDMConf(ratio)
 		events := mustDMEvents()
 		avail := mapsOf(conf, events)
@@ -201,10 +262,6 @@ func Figure3(durationNs int64) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.r.AddRoute(&netsim.Route{
-			Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteLWTBPF, BPF: lwt,
-			Nexthops: []netsim.Nexthop{{Iface: l.rToS2}},
-		})
 		// S2 hosts the End.DM SID so sampled probes still reach the sink.
 		dmProg, err := bpf.LoadProgram(progs.EndDMSpec(), core.Seg6LocalHook(), avail, bpf.LoadOptions{})
 		if err != nil {
@@ -214,29 +271,27 @@ func Figure3(durationNs int64) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.s2.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(dmSID, 128), Kind: netsim.RouteSeg6Local, Behaviour: endDM.Behaviour()})
-
-		gen := &trafgen.UDPGen{
-			Node: l.s1, Src: s1Addr, Dst: s2Addr,
-			SrcPort: 1000, DstPort: 9999, PayloadLen: 64,
-			RatePPS: 3_000_000,
+		transit := &netsim.Route{
+			Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteLWTBPF, BPF: lwt,
+			Nexthops: []netsim.Nexthop{{Iface: l.rToS2}},
 		}
-		if err := gen.Start(l.sim.Now() + durationNs); err != nil {
+		if err := errors.Join(l.r.AddRoute(transit), l.s2.AddRoute(local(dmSID, endDM.Behaviour()))); err != nil {
 			return nil, err
 		}
-		l.sim.RunUntil(l.sim.Now() + durationNs/10)
-		l.sink.Reset()
-		l.sim.RunUntil(l.sim.Now() + durationNs)
-		gen.Stop()
-		rate := l.sink.RatePPS()
+		rate, err := l.offer(durationNs, l.udp(s2Addr, false, offeredPPS))
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Row{
 			Name: fmt.Sprintf("Encap 1:%d", ratio), KPPS: rate / 1e3, Normalized: rate / baseline,
 		})
 
 		// (b) End.DM on R: a mix of plain packets and DM probes.
-		l2 := newLab1(3)
-		events2 := mustDMEvents()
-		dmProg2, err := bpf.LoadProgram(progs.EndDMSpec(), core.Seg6LocalHook(), mapsOf(nil, events2), bpf.LoadOptions{})
+		l2, err := newLab1(3)
+		if err != nil {
+			return nil, err
+		}
+		dmProg2, err := bpf.LoadProgram(progs.EndDMSpec(), core.Seg6LocalHook(), mapsOf(nil, mustDMEvents()), bpf.LoadOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -245,28 +300,15 @@ func Figure3(durationNs int64) ([]Row, error) {
 			return nil, err
 		}
 		rDMSID := netip.MustParseAddr("fc00:10::dd")
-		l2.r.AddRoute(&netsim.Route{Prefix: netip.PrefixFrom(rDMSID, 128), Kind: netsim.RouteSeg6Local, Behaviour: endDM2.Behaviour()})
-
-		plainRate := 3_000_000.0 * (1.0 - 1.0/float64(ratio))
-		probeRate := 3_000_000.0 / float64(ratio)
-		plain := &trafgen.UDPGen{
-			Node: l2.s1, Src: s1Addr, Dst: s2Addr,
-			SrcPort: 1000, DstPort: 9999, PayloadLen: 64,
-			RatePPS: plainRate,
-		}
-		probe := &trafgen.RawGen{Node: l2.s1, Template: dmProbe(rDMSID), RatePPS: probeRate}
-		if err := plain.Start(l2.sim.Now() + durationNs); err != nil {
+		if err := l2.r.AddRoute(local(rDMSID, endDM2.Behaviour())); err != nil {
 			return nil, err
 		}
-		if err := probe.Start(l2.sim.Now() + durationNs); err != nil {
+		plain := l2.udp(s2Addr, false, offeredPPS*(1.0-1.0/float64(ratio)))
+		probe := &trafgen.RawGen{Node: l2.s1, Template: dmProbe(rDMSID), RatePPS: offeredPPS / float64(ratio)}
+		rate2, err := l2.offer(durationNs, plain, probe)
+		if err != nil {
 			return nil, err
 		}
-		l2.sim.RunUntil(l2.sim.Now() + durationNs/10)
-		l2.sink.Reset()
-		l2.sim.RunUntil(l2.sim.Now() + durationNs)
-		plain.Stop()
-		probe.Stop()
-		rate2 := l2.sink.RatePPS()
 		rows = append(rows, Row{
 			Name: fmt.Sprintf("End.DM 1:%d", ratio), KPPS: rate2 / 1e3, Normalized: rate2 / baseline,
 		})

@@ -33,7 +33,7 @@ func Figure4(durationNs int64) ([]Fig4Point, error) {
 	var out []Fig4Point
 	for _, cfg := range fig4Configs {
 		for _, payload := range Fig4Payloads {
-			g, err := fig4Run(cfg, payload, durationNs)
+			g, err := fig4Run(cfg, payload, durationNs, false)
 			if err != nil {
 				return nil, err
 			}
@@ -43,12 +43,15 @@ func Figure4(durationNs int64) ([]Fig4Point, error) {
 	return out, nil
 }
 
-func fig4Run(cfg string, payload int, durationNs int64) (float64, error) {
+// fig4Run measures one point of a Figure 4 curve; jit runs the WRR
+// scheduler with the JIT (the ablation of Fig4JITAblation).
+func fig4Run(cfg string, payload int, durationNs int64, jit bool) (float64, error) {
 	sim := netsim.New(4)
 	// Figure 4's lab has no netem shaping: both access links at 1 Gbps.
 	tb, err := hybrid.NewTestbed(sim, hybrid.Params{
-		Link0: hybrid.LinkSpec{RateBps: 1_000_000_000},
-		Link1: hybrid.LinkSpec{RateBps: 1_000_000_000},
+		Link0:  hybrid.LinkSpec{RateBps: 1_000_000_000},
+		Link1:  hybrid.LinkSpec{RateBps: 1_000_000_000},
+		WRRJIT: jit,
 	})
 	if err != nil {
 		return 0, err
@@ -63,15 +66,16 @@ func fig4Run(cfg string, payload int, durationNs int64) (float64, error) {
 	case "IPv6 forward.":
 		// Base topology: downstream rides link 0 unencapsulated.
 	case "Kernel decap.":
-		tb.EnableStaticEncapDownstream()
+		err = tb.EnableStaticEncapDownstream()
 	case "eBPF WRR":
-		if err := tb.EnableWRRUpstream(); err != nil {
-			return 0, err
-		}
+		err = tb.EnableWRRUpstream()
 		src, dst = hybrid.S2Addr, hybrid.S1Addr
 		genNode, sinkNode = tb.S2, tb.S1
 	default:
-		return 0, fmt.Errorf("experiments: unknown Figure 4 config %q", cfg)
+		err = fmt.Errorf("experiments: unknown Figure 4 config %q", cfg)
+	}
+	if err != nil {
+		return 0, err
 	}
 
 	sink := trafgen.NewSink(sinkNode, 9999)
@@ -82,13 +86,9 @@ func fig4Run(cfg string, payload int, durationNs int64) (float64, error) {
 		PayloadLen: payload,
 		RatePPS:    1e9 / float64(wire*8), // 1 Gbps offered
 	}
-	if err := gen.Start(sim.Now() + durationNs); err != nil {
+	if err := window(sim, sink, durationNs, gen); err != nil {
 		return 0, err
 	}
-	sim.RunUntil(sim.Now() + durationNs/10)
-	sink.Reset()
-	sim.RunUntil(sim.Now() + durationNs)
-	gen.Stop()
 	return sink.GoodputBps(), nil
 }
 
@@ -175,27 +175,4 @@ func TCPHybrid(durationNs int64) ([]TCPResult, error) {
 		out = append(out, TCPResult{Name: c.name, GoodputMbps: g / 1e6})
 	}
 	return out, nil
-}
-
-// JITFactor reproduces the §3.2 observation that disabling the JIT
-// divides the Add TLV throughput by 1.8: it returns the ratio of
-// JIT to interpreter whole-router forwarding rates.
-func JITFactor(durationNs int64) (float64, error) {
-	rows, err := Figure2(durationNs)
-	if err != nil {
-		return 0, err
-	}
-	var jit, nojit float64
-	for _, r := range rows {
-		switch r.Name {
-		case "Add TLV BPF":
-			jit = r.KPPS
-		case "Add TLV no JIT":
-			nojit = r.KPPS
-		}
-	}
-	if nojit == 0 {
-		return 0, fmt.Errorf("experiments: missing no-JIT row")
-	}
-	return jit / nojit, nil
 }

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/netsim/chaos"
-	"srv6bpf/internal/nf/frr"
 )
 
 // FlapStormRow is one arm of the flap-storm experiment.
@@ -45,29 +43,14 @@ func FRRFlapStorm() ([]FlapStormRow, error) {
 
 	var rows []FlapStormRow
 	for _, damping := range []bool{false, true} {
-		l := newFRRLab(7)
-		f, err := frr.New(l.p, frr.Config{
-			TrackSID:      frrTrack,
-			ProbeInterval: interval,
-			Misses:        k,
-			JIT:           true,
-			Damping:       damping,
-		})
+		l, err := newFRRLab(7)
 		if err != nil {
 			return nil, err
 		}
-		if err := f.AddNeighbor(frr.Neighbor{ID: 1, ProbeAddr: frrProbeTo, SID: frrNbrSID, Iface: l.pdIf}); err != nil {
+		f, err := l.protect(interval, k, damping)
+		if err != nil {
 			return nil, err
 		}
-		if err := f.Protect(frr.Protection{
-			Prefix:     pfx("2001:db8:2::/48"),
-			NeighborID: 1,
-			PrimarySID: frrPrim,
-			Backup:     []netip.Addr{frrDetour, frrBkDecap},
-		}); err != nil {
-			return nil, err
-		}
-		f.Start()
 
 		offered := l.offer(gap, until)
 		ch := chaos.New(l.sim, 7)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 
@@ -68,7 +69,7 @@ type frrLab struct {
 // primary link plus scheduling/serialisation slack.
 const frrProbeRTTNs = 2 * (100*netsim.Microsecond + 20*netsim.Microsecond)
 
-func newFRRLab(seed int64) *frrLab {
+func newFRRLab(seed int64) (*frrLab, error) {
 	sim := netsim.New(seed)
 	l := &frrLab{
 		sim: sim,
@@ -95,35 +96,28 @@ func newFRRLab(seed int64) *frrLab {
 	dtIf, tIf := netsim.ConnectSymmetric(l.d, l.t, edge)
 	l.pdIf, l.pbIf, l.psIf = pdIf, pbIf, psIf
 
-	l.s.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: sIf}}})
-	l.t.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tIf}}})
+	end := func() *seg6.Behaviour { return &seg6.Behaviour{Action: seg6.ActionEnd} }
+	dt6 := func() *seg6.Behaviour { return &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable} }
+	if err := errors.Join(
+		l.s.AddRoute(fwd("::/0", sIf)),
+		l.t.AddRoute(fwd("::/0", tIf)),
 
-	l.p.AddRoute(&netsim.Route{Prefix: pfx("fc00:20::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pdIf}}})
-	l.p.AddRoute(&netsim.Route{Prefix: pfx("fc00:30::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pbIf}}})
-	l.p.AddRoute(&netsim.Route{Prefix: pfx("fc00:21::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: pbIf}}})
-	l.p.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: psIf}}})
+		l.p.AddRoute(fwd("fc00:20::/32", pdIf)),
+		l.p.AddRoute(fwd("fc00:30::/32", pbIf)),
+		l.p.AddRoute(fwd("fc00:21::/32", pbIf)),
+		l.p.AddRoute(fwd("2001:db8:1::/48", psIf)),
 
-	l.b.AddRoute(&netsim.Route{
-		Prefix:    netip.PrefixFrom(frrDetour, 128),
-		Kind:      netsim.RouteSeg6Local,
-		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd},
-	})
-	l.b.AddRoute(&netsim.Route{Prefix: pfx("fc00:21::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: bdIf}}})
+		l.b.AddRoute(local(frrDetour, end())),
+		l.b.AddRoute(fwd("fc00:21::/32", bdIf)),
 
-	l.d.AddRoute(&netsim.Route{
-		Prefix:    netip.PrefixFrom(frrNbrSID, 128),
-		Kind:      netsim.RouteSeg6Local,
-		Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd},
-	})
-	for _, sid := range []netip.Addr{frrPrim, frrBkDecap} {
-		l.d.AddRoute(&netsim.Route{
-			Prefix:    netip.PrefixFrom(sid, 128),
-			Kind:      netsim.RouteSeg6Local,
-			Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable},
-		})
+		l.d.AddRoute(local(frrNbrSID, end())),
+		l.d.AddRoute(local(frrPrim, dt6())),
+		l.d.AddRoute(local(frrBkDecap, dt6())),
+		l.d.AddRoute(fwd("fc00:10::/32", dpIf)),
+		l.d.AddRoute(fwd("2001:db8:2::/48", dtIf)),
+	); err != nil {
+		return nil, err
 	}
-	l.d.AddRoute(&netsim.Route{Prefix: pfx("fc00:10::/32"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dpIf}}})
-	l.d.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: dtIf}}})
 
 	l.t.HandleUDP(9999, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
 		l.delivered = append(l.delivered, meta.RxTimestamp)
@@ -137,7 +131,36 @@ func newFRRLab(seed int64) *frrLab {
 			l.firstBackupTx = l.sim.Now()
 		}
 	}
-	return l
+	return l, nil
+}
+
+// protect starts P's eBPF detector (JIT on) probing D over the primary
+// link every interval, and steers S2's prefix onto the primary SID with
+// the detour through B as its backup.
+func (l *frrLab) protect(interval int64, misses int, damping bool) (*frr.FRR, error) {
+	f, err := frr.New(l.p, frr.Config{
+		TrackSID:      frrTrack,
+		ProbeInterval: interval,
+		Misses:        misses,
+		JIT:           true,
+		Damping:       damping,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := f.AddNeighbor(frr.Neighbor{ID: 1, ProbeAddr: frrProbeTo, SID: frrNbrSID, Iface: l.pdIf}); err != nil {
+		return nil, err
+	}
+	if err := f.Protect(frr.Protection{
+		Prefix:     pfx("2001:db8:2::/48"),
+		NeighborID: 1,
+		PrimarySID: frrPrim,
+		Backup:     []netip.Addr{frrDetour, frrBkDecap},
+	}); err != nil {
+		return nil, err
+	}
+	f.Start()
+	return f, nil
 }
 
 // offer schedules constant-rate UDP traffic S -> T and returns the
@@ -189,29 +212,14 @@ func FRRRecovery() ([]FRRRow, error) {
 
 	for _, intervalMs := range []int64{1, 2, 5, 10} {
 		interval := intervalMs * netsim.Millisecond
-		l := newFRRLab(100 + intervalMs)
-
-		f, err := frr.New(l.p, frr.Config{
-			TrackSID:      frrTrack,
-			ProbeInterval: interval,
-			Misses:        k,
-			JIT:           true,
-		})
+		l, err := newFRRLab(100 + intervalMs)
 		if err != nil {
 			return nil, err
 		}
-		if err := f.AddNeighbor(frr.Neighbor{ID: 1, ProbeAddr: frrProbeTo, SID: frrNbrSID, Iface: l.pdIf}); err != nil {
+		f, err := l.protect(interval, k, false)
+		if err != nil {
 			return nil, err
 		}
-		if err := f.Protect(frr.Protection{
-			Prefix:     pfx("2001:db8:2::/48"),
-			NeighborID: 1,
-			PrimarySID: frrPrim,
-			Backup:     []netip.Addr{frrDetour, frrBkDecap},
-		}); err != nil {
-			return nil, err
-		}
-		f.Start()
 
 		// Fail just before the probe tick at 10 intervals; run long
 		// enough for detection plus margin.
@@ -240,8 +248,11 @@ func FRRRecovery() ([]FRRRow, error) {
 	}
 
 	// Floor: netsim's FIB backup with oracle (link-state) detection.
-	l := newFRRLab(99)
-	l.p.AddRoute(&netsim.Route{
+	l, err := newFRRLab(99)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.p.AddRoute(&netsim.Route{
 		Prefix:   pfx("2001:db8:2::/48"),
 		Kind:     netsim.RouteForward,
 		Nexthops: []netsim.Nexthop{{Iface: l.pdIf}},
@@ -249,7 +260,9 @@ func FRRRecovery() ([]FRRRow, error) {
 			Nexthops: []netsim.Nexthop{{Iface: l.pbIf}},
 			SRH:      packet.NewSRH([]netip.Addr{frrBkDecap}),
 		},
-	})
+	}); err != nil {
+		return nil, err
+	}
 	failAt := 10 * netsim.Millisecond
 	until := failAt + 10*netsim.Millisecond
 	offered := l.offer(gap, until)

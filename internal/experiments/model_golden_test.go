@@ -47,7 +47,7 @@ func TestModelGolden(t *testing.T) {
 	if got.Fig4, err = Figure4(window); err != nil {
 		t.Fatal(err)
 	}
-	if got.JITFactor, err = JITFactor(window); err != nil {
+	if got.JITFactor, err = JITFactor(got.Fig2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,7 +67,7 @@ func TestModelGolden(t *testing.T) {
 	}
 
 	if !testing.Short() {
-		if got.PDR, err = PDRScan(DefaultPDRConfig()); err != nil {
+		if got.PDR, err = PDRScan(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,13 +11,13 @@ package experiments
 // boundary correction beyond the ring's one-time absorption.
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 
 	"srv6bpf/internal/bpf"
 	"srv6bpf/internal/core"
 	"srv6bpf/internal/netsim"
-	"srv6bpf/internal/nf/frr"
 	"srv6bpf/internal/nf/progs"
 	"srv6bpf/internal/packet"
 	"srv6bpf/internal/seg6"
@@ -55,33 +55,13 @@ type PDRRow struct {
 	Iterations int `json:"iterations"`
 }
 
-// PDRConfig controls the saturation search.
-type PDRConfig struct {
-	// WindowNs is the virtual length of one constant-rate probe.
-	WindowNs int64
-	// Iterations is the number of bisection steps after the bracket
-	// check; the rate resolution is (hi-lo) / 2^Iterations.
-	Iterations int
-	// Behaviors selects a subset by name; nil means all.
-	Behaviors []string
-}
-
-// DefaultPDRConfig is the full scan of srv6bench -pdr, the one
-// testdata/model.golden.json pins.
-func DefaultPDRConfig() PDRConfig {
-	return PDRConfig{WindowNs: 100 * netsim.Millisecond, Iterations: 9}
-}
-
-// PDRSmokeConfig is the coarse CI gate: two bisection steps on one
-// behavior — enough to prove the harness converges onto a sane
-// saturation point without spending the full scan's budget.
-func PDRSmokeConfig() PDRConfig {
-	return PDRConfig{
-		WindowNs:   10 * netsim.Millisecond,
-		Iterations: 2,
-		Behaviors:  []string{"End"},
-	}
-}
+// The scan's depth: each probe offers a constant rate for a 100 ms
+// virtual window, and nine bisection steps follow the bracket check, so
+// the rate resolution is (hi-lo) / 2^9.
+const (
+	pdrWindowNs   = 100 * netsim.Millisecond
+	pdrIterations = 9
+)
 
 // pdrProbe offers ratePPS for windowNs of virtual time and reports
 // (offered, delivered) after the simulation fully drained.
@@ -92,23 +72,14 @@ type pdrProbe func(ratePPS float64, windowNs int64) (offered, delivered uint64, 
 // dst (with an optional SRH) and counted at the S2 sink.
 func pdrLabProbe(setup func(l *lab1) error, dst netip.Addr, withSRH bool) pdrProbe {
 	return func(ratePPS float64, windowNs int64) (uint64, uint64, error) {
-		l := newLab1(8)
-		if setup != nil {
-			if err := setup(l); err != nil {
-				return 0, 0, err
-			}
+		l, err := newLab1(8)
+		if err != nil {
+			return 0, 0, err
 		}
-		var srh *packet.SRH
-		if withSRH {
-			srh = packet.NewSRH([]netip.Addr{dst, s2Addr})
+		if err := setup(l); err != nil {
+			return 0, 0, err
 		}
-		gen := &trafgen.UDPGen{
-			Node: l.s1, Src: s1Addr, Dst: dst,
-			SrcPort: 1000, DstPort: 9999,
-			PayloadLen: 64,
-			SRH:        srh,
-			RatePPS:    ratePPS,
-		}
+		gen := l.udp(dst, withSRH, ratePPS)
 		if err := gen.Start(l.sim.Now() + windowNs); err != nil {
 			return 0, 0, err
 		}
@@ -129,11 +100,7 @@ func pdrEndBPFSetup(jit bool) func(l *lab1) error {
 		if err != nil {
 			return err
 		}
-		l.r.AddRoute(&netsim.Route{
-			Prefix: netip.PrefixFrom(rSID, 128), Kind: netsim.RouteSeg6Local,
-			Behaviour: end.Behaviour(),
-		})
-		return nil
+		return l.r.AddRoute(local(rSID, end.Behaviour()))
 	}
 }
 
@@ -143,28 +110,14 @@ func pdrEndBPFSetup(jit bool) func(l *lab1) error {
 // at T. Probes keep running, so the window ends with RunUntil plus a
 // drain margin before the detector is stopped.
 func pdrFRRProbe(ratePPS float64, windowNs int64) (uint64, uint64, error) {
-	l := newFRRLab(8)
-	f, err := frr.New(l.p, frr.Config{
-		TrackSID:      frrTrack,
-		ProbeInterval: 10 * netsim.Millisecond,
-		Misses:        3,
-		JIT:           true,
-	})
+	l, err := newFRRLab(8)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := f.AddNeighbor(frr.Neighbor{ID: 1, ProbeAddr: frrProbeTo, SID: frrNbrSID, Iface: l.pdIf}); err != nil {
+	f, err := l.protect(10*netsim.Millisecond, 3, false)
+	if err != nil {
 		return 0, 0, err
 	}
-	if err := f.Protect(frr.Protection{
-		Prefix:     pfx("2001:db8:2::/48"),
-		NeighborID: 1,
-		PrimarySID: frrPrim,
-		Backup:     []netip.Addr{frrDetour, frrBkDecap},
-	}); err != nil {
-		return 0, 0, err
-	}
-	f.Start()
 	gen := &trafgen.UDPGen{
 		Node: l.s, Src: frrSrc, Dst: frrDst,
 		SrcPort: 5000, DstPort: 9999,
@@ -192,11 +145,7 @@ func pdrBehaviors() []struct {
 		probe pdrProbe
 	}{
 		{"End", pdrLabProbe(func(l *lab1) error {
-			l.r.AddRoute(&netsim.Route{
-				Prefix: netip.PrefixFrom(rSID, 128), Kind: netsim.RouteSeg6Local,
-				Behaviour: &seg6.Behaviour{Action: seg6.ActionEnd},
-			})
-			return nil
+			return l.r.AddRoute(local(rSID, &seg6.Behaviour{Action: seg6.ActionEnd}))
 		}, rSID, true)},
 		{"End.BPF-interp", pdrLabProbe(pdrEndBPFSetup(false), rSID, true)},
 		{"End.BPF-jit", pdrLabProbe(pdrEndBPFSetup(true), rSID, true)},
@@ -204,10 +153,7 @@ func pdrBehaviors() []struct {
 			// Cross-connect: R advances the SRH and forwards straight
 			// out the resolved nexthop, skipping the FIB lookup the
 			// plain End verdict pays.
-			return l.r.AddRoute(&netsim.Route{
-				Prefix: netip.PrefixFrom(rSID, 128), Kind: netsim.RouteSeg6Local,
-				Behaviour: &seg6.Behaviour{Action: seg6.ActionEndX, Nexthop: s2Addr},
-			})
+			return l.r.AddRoute(local(rSID, &seg6.Behaviour{Action: seg6.ActionEndX, Nexthop: s2Addr}))
 		}, rSID, true)},
 		{"End.DT6", pdrLabProbe(func(l *lab1) error {
 			// S1 pre-encapsulates toward R's decap SID; R decapsulates
@@ -219,50 +165,29 @@ func pdrBehaviors() []struct {
 			}); err != nil {
 				return err
 			}
-			return l.r.AddRoute(&netsim.Route{
-				Prefix: netip.PrefixFrom(rDT6SID, 128), Kind: netsim.RouteSeg6Local,
-				Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable},
-			})
+			return l.r.AddRoute(local(rDT6SID, &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable}))
 		}, s2Addr, false)},
 		{"T.Encaps", pdrLabProbe(func(l *lab1) error {
 			// R encapsulates everything towards S2 with the decap SID;
 			// S2 runs End.DT6 and the inner packet reaches the sink.
-			l.r.AddRoute(&netsim.Route{
+			encap := &netsim.Route{
 				Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteSeg6Encap,
 				SRH: packet.NewSRH([]netip.Addr{tEncapsDecapSID}),
-			})
-			l.s2.AddRoute(&netsim.Route{
-				Prefix: netip.PrefixFrom(tEncapsDecapSID, 128), Kind: netsim.RouteSeg6Local,
-				Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable},
-			})
-			return nil
+			}
+			return errors.Join(
+				l.r.AddRoute(encap),
+				l.s2.AddRoute(local(tEncapsDecapSID, &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable})),
+			)
 		}, s2Addr, false)},
 		{"FRR-steer", pdrFRRProbe},
 	}
 }
 
-// PDRScan runs the saturation search for each selected behavior.
-func PDRScan(cfg PDRConfig) ([]PDRRow, error) {
-	if cfg.WindowNs <= 0 || cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("experiments: PDR scan needs a positive window and iteration count")
-	}
-	want := func(name string) bool {
-		if len(cfg.Behaviors) == 0 {
-			return true
-		}
-		for _, b := range cfg.Behaviors {
-			if b == name {
-				return true
-			}
-		}
-		return false
-	}
+// PDRScan runs the saturation search for every behavior.
+func PDRScan() ([]PDRRow, error) {
 	var rows []PDRRow
 	for _, b := range pdrBehaviors() {
-		if !want(b.name) {
-			continue
-		}
-		row, err := pdrSearch(b.name, b.probe, cfg)
+		row, err := pdrSearch(b.name, b.probe)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: PDR %s: %w", b.name, err)
 		}
@@ -282,7 +207,7 @@ const (
 // threshold, hi fails it. The bracket edges are probed first so a
 // behavior outside the expected range is reported instead of
 // silently clamped.
-func pdrSearch(name string, probe pdrProbe, cfg PDRConfig) (PDRRow, error) {
+func pdrSearch(name string, probe pdrProbe) (PDRRow, error) {
 	row := PDRRow{
 		Name:      name,
 		Threshold: PDRThreshold,
@@ -291,7 +216,7 @@ func pdrSearch(name string, probe pdrProbe, cfg PDRConfig) (PDRRow, error) {
 	}
 	measure := func(rate float64) (float64, error) {
 		row.Iterations++
-		offered, delivered, err := probe(rate, cfg.WindowNs)
+		offered, delivered, err := probe(rate, pdrWindowNs)
 		if err != nil {
 			return 0, err
 		}
@@ -320,7 +245,7 @@ func pdrSearch(name string, probe pdrProbe, cfg PDRConfig) (PDRRow, error) {
 		row.PDRKPPS, row.DropRate = hi/1e3, dropAtHi
 		return row, nil
 	}
-	for i := 0; i < cfg.Iterations; i++ {
+	for i := 0; i < pdrIterations; i++ {
 		mid := (lo + hi) / 2
 		drop, err := measure(mid)
 		if err != nil {

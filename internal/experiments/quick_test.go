@@ -7,36 +7,6 @@ import (
 	"srv6bpf/internal/netsim"
 )
 
-func TestQuickFig2(t *testing.T) {
-	rows, err := Figure2(50 * netsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-16s %8.1f kpps  %.3f", r.Name, r.KPPS, r.Normalized)
-	}
-}
-
-func TestQuickFig3(t *testing.T) {
-	rows, err := Figure3(50 * netsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-16s %8.1f kpps  %.3f", r.Name, r.KPPS, r.Normalized)
-	}
-}
-
-func TestQuickFig4(t *testing.T) {
-	pts, err := Figure4(50 * netsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		t.Logf("%-14s payload=%4d  %7.1f Mbps", p.Config, p.Payload, p.GoodputMbps)
-	}
-}
-
 func TestQuickFRRRecovery(t *testing.T) {
 	rows, err := FRRRecovery()
 	if err != nil {

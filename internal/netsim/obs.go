@@ -125,34 +125,6 @@ func (s *Sim) EngineSeries() []obs.EnginePoint {
 	return s.obs.series.Points()
 }
 
-// BehaviorHists returns the merged per-behavior execution-cost
-// histograms, keyed by behavior name; only observed behaviors appear.
-func (s *Sim) BehaviorHists() map[string]*obs.Histogram {
-	if s.obs == nil {
-		return nil
-	}
-	out := map[string]*obs.Histogram{}
-	for a := range s.obs.cells[0].behavior {
-		h := s.obs.mergedBehavior(a)
-		if h.Count() > 0 {
-			out[seg6.Action(a).String()] = h
-		}
-	}
-	return out
-}
-
-// QueueDelayHist returns the merged per-hop queue-delay histogram.
-func (s *Sim) QueueDelayHist() *obs.Histogram {
-	if s.obs == nil {
-		return nil
-	}
-	m := &obs.Histogram{}
-	for _, c := range s.obs.cells {
-		m.Merge(&c.queueDelay)
-	}
-	return m
-}
-
 // attachNode wires a node into the plane (called for existing nodes
 // at EnableObs and for nodes added afterwards).
 func (o *simObs) attachNode(n *Node) {

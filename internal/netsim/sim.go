@@ -240,8 +240,8 @@ func (s *Sim) Seed() int64 { return s.seed }
 // SetBurst does nothing.
 //
 // Deprecated: the burst caches it used to switch on are gone (no
-// traffic the benchmark sends ever hit them; PERFORMANCE.md has the
-// counters). The method remains only because the frozen
+// traffic the benchmark sends ever hit them; the commit that deleted
+// them has the counters). The method remains only because the frozen
 // benchmark/workloads.go calls it, and goes when that directory is
 // unfrozen.
 func (s *Sim) SetBurst(int) {}

@@ -56,5 +56,5 @@ func FatTree(sim *netsim.Sim, k int, opts Opts) (*Network, error) {
 			b.connect(core, aggs[p][a], opts.Link)
 		}
 	}
-	return b.installRoutes(), nil
+	return b.installRoutes()
 }

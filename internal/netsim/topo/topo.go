@@ -203,7 +203,7 @@ type link struct {
 // the nexthop sets — and therefore ECMP hashing — are deterministic.
 // Nodes are numbered by their place in Network.Nodes once, up front:
 // the searches walk index lists, not pointer-keyed maps.
-func (b *builder) installRoutes() *Network {
+func (b *builder) installRoutes() (*Network, error) {
 	nodes := b.nw.Nodes
 	index := make(map[*netsim.Node]int, len(nodes))
 	for i, n := range nodes {
@@ -247,10 +247,12 @@ func (b *builder) installRoutes() *Network {
 			if len(nhs) == 0 {
 				continue
 			}
-			n.AddRoute(&netsim.Route{Prefix: pfx, Kind: netsim.RouteForward, Nexthops: nhs})
+			if err := n.AddRoute(&netsim.Route{Prefix: pfx, Kind: netsim.RouteForward, Nexthops: nhs}); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return b.nw
+	return b.nw, nil
 }
 
 // Line builds a chain of n hosts: H0 - H1 - ... - Hn-1. Every node
@@ -268,7 +270,7 @@ func Line(sim *netsim.Sim, n int, opts Opts) (*Network, error) {
 	for i := 0; i+1 < n; i++ {
 		b.connect(b.nw.Nodes[i], b.nw.Nodes[i+1], opts.Link)
 	}
-	return b.installRoutes(), nil
+	return b.installRoutes()
 }
 
 // Ring builds a cycle of n hosts; antipodal traffic ECMPs over both
@@ -285,5 +287,5 @@ func Ring(sim *netsim.Sim, n int, opts Opts) (*Network, error) {
 	for i := 0; i < n; i++ {
 		b.connect(b.nw.Nodes[i], b.nw.Nodes[(i+1)%n], opts.Link)
 	}
-	return b.installRoutes(), nil
+	return b.installRoutes()
 }

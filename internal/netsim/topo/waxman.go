@@ -108,5 +108,5 @@ func Waxman(sim *netsim.Sim, n int, p WaxmanParams, opts Opts) (*Network, error)
 		b.connect(b.nw.Nodes[i], b.nw.Nodes[best], linkSpec(bestD))
 		union(i, best)
 	}
-	return b.installRoutes(), nil
+	return b.installRoutes()
 }

@@ -128,9 +128,10 @@ func New(cfg Config, jit bool) (*Monitor, error) {
 }
 
 // AttachHead installs the transit program on node for traffic
-// matching prefix, egressing via nexthops.
-func (m *Monitor) AttachHead(node *netsim.Node, prefix netip.Prefix, nexthops []netsim.Nexthop) {
-	node.AddRoute(&netsim.Route{
+// matching prefix, egressing via nexthops. It returns the node's refusal
+// of the route, e.g. a nexthop on another node's interface.
+func (m *Monitor) AttachHead(node *netsim.Node, prefix netip.Prefix, nexthops []netsim.Nexthop) error {
+	return node.AddRoute(&netsim.Route{
 		Prefix:   prefix,
 		Kind:     netsim.RouteLWTBPF,
 		BPF:      m.encap,
@@ -138,9 +139,10 @@ func (m *Monitor) AttachHead(node *netsim.Node, prefix netip.Prefix, nexthops []
 	})
 }
 
-// AttachTail installs the End.DM SID on node.
-func (m *Monitor) AttachTail(node *netsim.Node, sid netip.Addr) {
-	node.AddRoute(&netsim.Route{
+// AttachTail installs the End.DM SID on node, or returns the node's
+// refusal of the route.
+func (m *Monitor) AttachTail(node *netsim.Node, sid netip.Addr) error {
+	return node.AddRoute(&netsim.Route{
 		Prefix:    netip.PrefixFrom(sid, 128),
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: m.endDM.Behaviour(),

@@ -84,8 +84,12 @@ func newTestbed(t *testing.T, ratio uint32) *testbed {
 		t.Fatal(err)
 	}
 	tb.monitor = mon
-	mon.AttachHead(tb.h, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: htIf}})
-	mon.AttachTail(tb.t, dmSID)
+	if err := mon.AttachHead(tb.h, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: htIf}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.AttachTail(tb.t, dmSID); err != nil {
+		t.Fatal(err)
+	}
 	tb.daemon = mon.StartDaemon(tb.t, netsim.Millisecond)
 
 	tb.collector = &Collector{}
@@ -113,6 +117,28 @@ func (tb *testbed) sendTraffic(t *testing.T, n int, gapNs int64) {
 			}
 			tb.s1.Output(raw)
 		})
+	}
+}
+
+// TestAttachHeadRefusesForeignNexthop: a transit route whose nexthop is
+// another node's interface is refused at install, and AttachHead says
+// so instead of leaving a head that counts drop_no_route.
+func TestAttachHeadRefusesForeignNexthop(t *testing.T) {
+	sim := netsim.New(1)
+	h := sim.AddNode("H", netsim.ServerCostModel())
+	x := sim.AddNode("X", netsim.ServerCostModel())
+	y := sim.AddNode("Y", netsim.HostCostModel())
+	netsim.ConnectSymmetric(h, y, netem.Config{RateBps: 1e10})
+	xIf, _ := netsim.ConnectSymmetric(x, y, netem.Config{RateBps: 1e10})
+	mon, err := New(Config{Ratio: 1, Controller: ctrlAddr, ControllerPort: 7788, SID: dmSID}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.AttachHead(h, pfx("2001:db8:2::/48"), []netsim.Nexthop{{Iface: xIf}}); err == nil {
+		t.Fatal("AttachHead accepted a nexthop on another node's interface")
+	}
+	if r := h.Lookup(s2Addr, netsim.MainTable); r != nil {
+		t.Fatalf("refused route installed anyway: %+v", r)
 	}
 }
 

@@ -204,11 +204,13 @@ func New(node *netsim.Node, cfg Config) (*FRR, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.AddRoute(&netsim.Route{
+	if err := node.AddRoute(&netsim.Route{
 		Prefix:    netip.PrefixFrom(cfg.TrackSID, 128),
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: track.Behaviour(),
-	})
+	}); err != nil {
+		return nil, err
+	}
 	f := &FRR{
 		node:     node,
 		cfg:      cfg,
@@ -247,12 +249,14 @@ func (f *FRR) AddNeighbor(nb Neighbor) error {
 	if err != nil {
 		return err
 	}
-	f.node.AddRoute(&netsim.Route{
+	if err := f.node.AddRoute(&netsim.Route{
 		Prefix:   netip.PrefixFrom(nb.ProbeAddr, 128),
 		Kind:     netsim.RouteLWTBPF,
 		BPF:      lwt,
 		Nexthops: []netsim.Nexthop{{Iface: nb.Iface}},
-	})
+	}); err != nil {
+		return err
+	}
 	probe, err := packet.BuildPacket(f.node.PrimaryAddress(), nb.ProbeAddr,
 		packet.WithUDP(probePort, probePort),
 		packet.WithPayload([]byte("frr-probe")))
@@ -302,12 +306,11 @@ func (f *FRR) Protect(p Protection) error {
 	if err != nil {
 		return err
 	}
-	f.node.AddRoute(&netsim.Route{
+	return f.node.AddRoute(&netsim.Route{
 		Prefix: p.Prefix,
 		Kind:   netsim.RouteLWTBPF,
 		BPF:    lwt,
 	})
-	return nil
 }
 
 // Start seeds the detector (every neighbour assumed up, as a BFD

@@ -140,45 +140,54 @@ func NewTestbed(sim *netsim.Sim, params Params) (*Testbed, error) {
 	tb.AggLink[0], tb.CPELink[0] = netsim.ConnectSymmetric(tb.Agg, tb.CPE, mk(params.Link0))
 	tb.AggLink[1], tb.CPELink[1] = netsim.ConnectSymmetric(tb.Agg, tb.CPE, mk(params.Link1))
 
-	// Hosts default towards their gateways.
-	tb.S1.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: s1If}}})
-	tb.S2.AddRoute(&netsim.Route{Prefix: pfx("::/0"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: s2If}}})
-
-	// Aggregation box routing.
-	tb.Agg.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: aggS1If}}})
-	tb.Agg.AddRoute(&netsim.Route{Prefix: sidPfx(SIDCPELink0), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.AggLink[0]}}})
-	tb.Agg.AddRoute(&netsim.Route{Prefix: sidPfx(SIDCPELink1), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.AggLink[1]}}})
-	tb.Agg.AddRoute(&netsim.Route{Prefix: sidPfx(SIDDMLink0), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.AggLink[0]}}})
-	tb.Agg.AddRoute(&netsim.Route{Prefix: sidPfx(SIDDMLink1), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.AggLink[1]}}})
-	// Without WRR, downstream takes link 0 only.
-	tb.Agg.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.AggLink[0]}}})
-	tb.Agg.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:c::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.AggLink[0]}}})
-
-	// CPE routing.
-	tb.CPE.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:2::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: cpeS2If}}})
-	tb.CPE.AddRoute(&netsim.Route{Prefix: sidPfx(SIDAggLink0), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.CPELink[0]}}})
-	tb.CPE.AddRoute(&netsim.Route{Prefix: sidPfx(SIDAggLink1), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.CPELink[1]}}})
-	tb.CPE.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:1::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.CPELink[0]}}})
-	tb.CPE.AddRoute(&netsim.Route{Prefix: pfx("2001:db8:a::/48"), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.CPELink[0]}}})
-	// TWD probe replies are pinned to the probed link.
-	tb.CPE.AddRoute(&netsim.Route{Prefix: sidPfx(AggAddrLink0), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.CPELink[0]}}})
-	tb.CPE.AddRoute(&netsim.Route{Prefix: sidPfx(AggAddrLink1), Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: tb.CPELink[1]}}})
-
+	fwd := func(p netip.Prefix, via *netsim.Iface) *netsim.Route {
+		return &netsim.Route{Prefix: p, Kind: netsim.RouteForward, Nexthops: []netsim.Nexthop{{Iface: via}}}
+	}
 	// Native decapsulation SIDs (the kernel's static End.DT6): CPE for
 	// downstream, aggregation box for upstream.
-	for _, sid := range []netip.Addr{SIDCPELink0, SIDCPELink1} {
-		tb.CPE.AddRoute(&netsim.Route{
-			Prefix:    netip.PrefixFrom(sid, 128),
+	dt6 := func(sid netip.Addr) *netsim.Route {
+		return &netsim.Route{
+			Prefix:    sidPfx(sid),
 			Kind:      netsim.RouteSeg6Local,
 			Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable},
-		})
+		}
 	}
-	for _, sid := range []netip.Addr{SIDAggLink0, SIDAggLink1} {
-		tb.Agg.AddRoute(&netsim.Route{
-			Prefix:    netip.PrefixFrom(sid, 128),
-			Kind:      netsim.RouteSeg6Local,
-			Behaviour: &seg6.Behaviour{Action: seg6.ActionEndDT6, Table: netsim.MainTable},
-		})
+	for _, in := range []struct {
+		node  *netsim.Node
+		route *netsim.Route
+	}{
+		// Hosts default towards their gateways.
+		{tb.S1, fwd(pfx("::/0"), s1If)},
+		{tb.S2, fwd(pfx("::/0"), s2If)},
+
+		// Aggregation box routing.
+		{tb.Agg, fwd(pfx("2001:db8:1::/48"), aggS1If)},
+		{tb.Agg, fwd(sidPfx(SIDCPELink0), tb.AggLink[0])},
+		{tb.Agg, fwd(sidPfx(SIDCPELink1), tb.AggLink[1])},
+		{tb.Agg, fwd(sidPfx(SIDDMLink0), tb.AggLink[0])},
+		{tb.Agg, fwd(sidPfx(SIDDMLink1), tb.AggLink[1])},
+		// Without WRR, downstream takes link 0 only.
+		{tb.Agg, fwd(pfx("2001:db8:2::/48"), tb.AggLink[0])},
+		{tb.Agg, fwd(pfx("2001:db8:c::/48"), tb.AggLink[0])},
+
+		// CPE routing.
+		{tb.CPE, fwd(pfx("2001:db8:2::/48"), cpeS2If)},
+		{tb.CPE, fwd(sidPfx(SIDAggLink0), tb.CPELink[0])},
+		{tb.CPE, fwd(sidPfx(SIDAggLink1), tb.CPELink[1])},
+		{tb.CPE, fwd(pfx("2001:db8:1::/48"), tb.CPELink[0])},
+		{tb.CPE, fwd(pfx("2001:db8:a::/48"), tb.CPELink[0])},
+		// TWD probe replies are pinned to the probed link.
+		{tb.CPE, fwd(sidPfx(AggAddrLink0), tb.CPELink[0])},
+		{tb.CPE, fwd(sidPfx(AggAddrLink1), tb.CPELink[1])},
+
+		{tb.CPE, dt6(SIDCPELink0)},
+		{tb.CPE, dt6(SIDCPELink1)},
+		{tb.Agg, dt6(SIDAggLink0)},
+		{tb.Agg, dt6(SIDAggLink1)},
+	} {
+		if err := in.node.AddRoute(in.route); err != nil {
+			return nil, err
+		}
 	}
 	return tb, nil
 }
@@ -228,14 +237,13 @@ func attachWRR(node *netsim.Node, prefix netip.Prefix, conf, state *maps.Map, ji
 	if err != nil {
 		return err
 	}
-	node.AddRoute(&netsim.Route{
+	return node.AddRoute(&netsim.Route{
 		Prefix: prefix,
 		Kind:   netsim.RouteLWTBPF,
 		BPF:    lwt,
 		// No nexthops: the encapsulated packet is re-routed towards
 		// the SID the scheduler chose.
 	})
-	return nil
 }
 
 // EnableWRRDownstream installs the scheduler on the aggregation box
@@ -263,8 +271,8 @@ func (tb *Testbed) EnableWRRUpstream() error {
 // EnableStaticEncapDownstream is the "kernel decap" configuration of
 // Figure 4: the aggregation box applies a fixed (non-BPF) T.Encaps
 // over link 0 and the CPE decapsulates — measuring pure decap cost.
-func (tb *Testbed) EnableStaticEncapDownstream() {
-	tb.Agg.AddRoute(&netsim.Route{
+func (tb *Testbed) EnableStaticEncapDownstream() error {
+	return tb.Agg.AddRoute(&netsim.Route{
 		Prefix:   pfx("2001:db8:2::/48"),
 		Kind:     netsim.RouteSeg6Encap,
 		SRH:      packet.NewSRH([]netip.Addr{SIDCPELink0}),

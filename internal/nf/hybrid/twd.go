@@ -79,11 +79,13 @@ func (tb *Testbed) DeployEndDM(jit bool) error {
 		if err != nil {
 			return err
 		}
-		tb.CPE.AddRoute(&netsim.Route{
+		if err := tb.CPE.AddRoute(&netsim.Route{
 			Prefix:    netip.PrefixFrom(sid, 128),
 			Kind:      netsim.RouteSeg6Local,
 			Behaviour: end.Behaviour(),
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -31,12 +31,11 @@ func Deploy(node *netsim.Node, sid netip.Addr, jit bool) error {
 	if err != nil {
 		return err
 	}
-	node.AddRoute(&netsim.Route{
+	return node.AddRoute(&netsim.Route{
 		Prefix:    netip.PrefixFrom(sid, 128),
 		Kind:      netsim.RouteSeg6Local,
 		Behaviour: end.Behaviour(),
 	})
-	return nil
 }
 
 // Hop is the result for one TTL.

@@ -60,8 +60,9 @@ func (b *TraceBuf) Len() int { return len(b.spans) }
 func (b *TraceBuf) Spans() []Span { return b.spans }
 
 // RestoreState truncates the journal to its first v.(int) spans,
-// keeping the storage: harnesses that reuse one sim across measured
-// passes call RestoreState(0) between them.
+// keeping the storage. Outside tests only the frozen benchmark calls it:
+// it reuses one sim across measured passes and calls RestoreState(0)
+// between them.
 func (b *TraceBuf) RestoreState(v any) { b.spans = b.spans[:v.(int)] }
 
 // Lines renders every span as a compact deterministic string —

@@ -316,21 +316,20 @@ func init() {
 		Encapsulates: true,
 		Validate:     needSRHSrc("End.B6.Encaps"),
 		Apply: func(b *Behaviour, raw []byte) (Result, error) {
-			// Advance the original SRH first (we are an endpoint for
-			// the current active segment), then push the policy. Apply
-			// is not told which allocation raw arrived in, so this
-			// static form always encapsulates into a fresh buffer; the
-			// End.BPF helper form, which is told, pushes into headroom
-			// (EncapWireIn).
-			work := packet.Clone(raw)
-			if err := Advance(work); err != nil {
+			// Advance the original SRH in place first (we are an
+			// endpoint for the current active segment, and the hop owns
+			// raw), then push the policy. Apply is not told which
+			// allocation raw arrived in, so this static form always
+			// encapsulates into a fresh buffer; the End.BPF helper form,
+			// which is told, pushes into headroom (EncapWireIn).
+			if err := Advance(raw); err != nil {
 				return drop(), err
 			}
 			encap := Encap
 			if b.Reduced {
 				encap = EncapRed
 			}
-			out, err := encap(work, b.Src, b.SRH)
+			out, err := encap(raw, b.Src, b.SRH)
 			if err != nil {
 				return drop(), err
 			}

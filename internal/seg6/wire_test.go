@@ -411,6 +411,23 @@ func hotPathCalls(tb testing.TB) []struct {
 		tb.Fatal(err)
 	}
 	dt6 := &Behaviour{Action: ActionEndDT6, Table: 254}
+	// End.B6.Encaps advances the packet in place, so each call starts
+	// from a fresh copy of an SRv6 packet with a segment left.
+	srv6, err := packet.BuildPacket(hostA, sid1, packet.WithSRH(packet.NewSRH([]netip.Addr{sid1, sid2})),
+		packet.WithUDP(1, 2), packet.WithPayload(make([]byte, 64)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	work := make([]byte, len(srv6))
+	b6 := func(reduced bool) func() error {
+		b := &Behaviour{Action: ActionEndB6Encap, SRH: packet.NewSRH([]netip.Addr{sid2}), Src: hostA, Reduced: reduced}
+		return func() error {
+			copy(work, srv6)
+			res, err := Apply(b, work)
+			sinkBytes = res.Pkt
+			return err
+		}
+	}
 	reserve := packet.IPv6HeaderLen + len(wire)
 	reserved := append(make([]byte, reserve), inner...)
 	return []struct {
@@ -431,6 +448,8 @@ func hotPathCalls(tb testing.TB) []struct {
 			sinkBytes = res.Pkt
 			return err
 		}},
+		{"End.B6.Encaps", 1, b6(false)},
+		{"End.B6.Encaps.Red", 1, b6(true)},
 	}
 }
 

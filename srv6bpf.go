@@ -25,8 +25,8 @@
 //
 // See the examples directory for runnable end-to-end scenarios,
 // EXPERIMENTS.md for the reproduction of every figure in the paper's
-// evaluation, PERFORMANCE.md for the wall-clock cost of the
-// library's own End.BPF datapath (zero allocations per packet in the
+// evaluation, PERFORMANCE.md for what one simulated packet costs on the
+// wall clock and how to measure it (zero allocations per packet in the
 // steady state; the paper's JIT factor is model time, a bool the cost
 // model reads), and OBSERVABILITY.md for the metrics plane:
 // the registry, the packet flight recorder,
