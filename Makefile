@@ -6,8 +6,11 @@
 #                  smoke (the tier-1 gate). The test suite holds the
 #                  model-time golden (Figures 2-4, the JIT factor and
 #                  the full PDR scan, compared by equality:
-#                  TestModelGolden) and the behaviour-matrix engine
-#                  equivalence (TestMatrixScan)
+#                  TestModelGolden), the §4.2 TCP rows against the
+#                  paper (TestTCPHybrid) and the behaviour-matrix engine
+#                  equivalence (TestMatrixScan), and it runs every
+#                  example (each pins its output) and a smoke test of
+#                  each command
 #   make fuzz-native [FUZZTIME=5s] — coverage-guided fuzzing of the
 #                  wire parsers (FuzzParseInfo, FuzzValidateSRH) and of
 #                  the packet builders against their oracles
@@ -17,7 +20,7 @@
 #                  tests, crash/impairment tests, chaos-heavy
 #                  equivalence slice (the CI chaos job)
 #   make obs-smoke — observability gate: obs package tests, the
-#                  netsim recorder tests, and a headless serve run
+#                  netsim recorder tests, and a headless srv6sim run
 #                  writing the three artifacts (Prometheus text, JSON
 #                  snapshot, trace_event dump) to OBS_DUMP_DIR on two
 #                  shards
@@ -138,13 +141,13 @@ chaos-smoke:
 
 # Observability gate: the obs package's own tests, the simulator-side
 # recorder tests (shard equivalence, alloc parity), and a headless
-# 2-shard serve run that must produce the three non-empty artifacts
+# 2-shard srv6sim run that must produce the three non-empty artifacts
 # (the CI bench job uploads them).
 obs-smoke:
 	$(GO) test -count 1 ./internal/obs
 	$(GO) test -count 1 -run 'TestObs|TestProgStats' ./internal/netsim ./internal/core
 	rm -rf $(OBS_DUMP_DIR)
-	$(GO) run ./cmd/srv6sim -scenario serve -shards 2 -obs-dump $(OBS_DUMP_DIR)
+	$(GO) run ./cmd/srv6sim -shards 2 -obs-dump $(OBS_DUMP_DIR)
 	test -s $(OBS_DUMP_DIR)/metrics.prom
 	test -s $(OBS_DUMP_DIR)/stats.json
 	test -s $(OBS_DUMP_DIR)/trace.json

@@ -64,10 +64,7 @@ func TestHybridTCPAllocsPerSegment(t *testing.T) {
 		t.Skip("multi-second hybrid-access run skipped in -short mode")
 	}
 	sim := netsim.New(1)
-	tb, err := hybrid.NewTestbed(sim, hybrid.Params{
-		Link0: hybrid.LinkSpec{RateBps: 50_000_000, OneWayDelay: 15 * netsim.Millisecond, OneWayJitter: 2_500_000, QueueLimit: 300},
-		Link1: hybrid.LinkSpec{RateBps: 30_000_000, OneWayDelay: 2_500_000, OneWayJitter: 1_000_000, QueueLimit: 300},
-	})
+	tb, err := hybrid.NewTestbed(sim, hybrid.PaperParams())
 	if err != nil {
 		t.Fatal(err)
 	}

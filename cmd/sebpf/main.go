@@ -19,7 +19,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -52,12 +54,28 @@ func registry() map[string]entry {
 	}
 }
 
+// errUsage reports a command line sebpf does not understand; run has
+// printed the usage line.
+var errUsage = errors.New("usage")
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "sebpf:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes one sebpf subcommand, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) < 1 {
+		return usage()
 	}
 	reg := registry()
-	switch os.Args[1] {
+	switch args[0] {
 	case "list":
 		names := make([]string, 0, len(reg))
 		for n := range reg {
@@ -68,106 +86,109 @@ func main() {
 			e := reg[n]
 			asmd, err := e.spec.Instructions.Assemble()
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%-10s %-14s %4d insns   %s\n", n, e.hook.Name, asmd.WireLen(), e.desc)
+			fmt.Fprintf(stdout, "%-10s %-14s %4d insns   %s\n", n, e.hook.Name, asmd.WireLen(), e.desc)
 		}
+		return nil
 	case "asm":
-		if len(os.Args) < 3 {
-			usage()
+		if len(args) < 2 {
+			return usage()
 		}
-		src, err := os.ReadFile(os.Args[2])
+		src, err := os.ReadFile(args[1])
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		hook := core.Seg6LocalHook()
-		if len(os.Args) > 3 && os.Args[3] == "lwt" {
+		if len(args) > 2 && args[2] == "lwt" {
 			hook = core.LWTOutHook()
 		}
 		insns, err := asm.Parse(string(src))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		asmd, err := insns.Assemble()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := verifier.Verify(asmd, hook.Verifier); err != nil {
-			fatal(err)
+			return err
 		}
 		wire, err := asmd.Bytes()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s: assembled and verified for hook %s: %d wire slots (%d bytes)\n",
-			os.Args[2], hook.Name, asmd.WireLen(), len(wire))
-		fmt.Print(asmd.String())
+		fmt.Fprintf(stdout, "%s: assembled and verified for hook %s: %d wire slots (%d bytes)\n",
+			args[1], hook.Name, asmd.WireLen(), len(wire))
+		fmt.Fprint(stdout, asmd.String())
+		return nil
 	case "run":
-		if len(os.Args) < 3 {
-			usage()
+		if len(args) < 2 {
+			return usage()
 		}
-		e, ok := reg[os.Args[2]]
-		if !ok {
-			fatal(fmt.Errorf("unknown program %q (try `sebpf list`)", os.Args[2]))
-		}
-		if err := runProgram(os.Args[2], e); err != nil {
-			fatal(err)
-		}
-	case "prog":
-		if len(os.Args) < 3 || os.Args[2] != "show" {
-			usage()
-		}
-		sel, runs, err := parseRuns(os.Args[3:])
+		e, err := lookup(reg, args[1])
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := progShow(reg, sel, runs); err != nil {
-			fatal(err)
+		return runProgram(stdout, args[1], e)
+	case "prog":
+		if len(args) < 2 || args[1] != "show" {
+			return usage()
 		}
+		sel, runs, err := parseRuns(args[2:])
+		if err != nil {
+			return err
+		}
+		return progShow(stdout, reg, sel, runs)
 	case "dump", "verify":
-		if len(os.Args) < 3 {
-			usage()
+		if len(args) < 2 {
+			return usage()
 		}
-		e, ok := reg[os.Args[2]]
-		if !ok {
-			fatal(fmt.Errorf("unknown program %q (try `sebpf list`)", os.Args[2]))
+		e, err := lookup(reg, args[1])
+		if err != nil {
+			return err
 		}
 		asmd, err := e.spec.Instructions.Assemble()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if os.Args[1] == "dump" {
+		if args[0] == "dump" {
 			// Round-trip through the wire format to prove the encoder
 			// and disassembler agree.
 			wire, err := asmd.Bytes()
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			back, err := asm.Disassemble(wire)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("; %s — hook %s, %d wire slots (%d bytes)\n",
+			fmt.Fprintf(stdout, "; %s — hook %s, %d wire slots (%d bytes)\n",
 				e.spec.Name, e.hook.Name, back.WireLen(), len(wire))
-			fmt.Print(asmd.String())
-			return
+			fmt.Fprint(stdout, asmd.String())
+			return nil
 		}
 		if err := verifier.Verify(asmd, e.hook.Verifier); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s: verification OK for hook %s (%d wire slots)\n",
+		fmt.Fprintf(stdout, "%s: verification OK for hook %s (%d wire slots)\n",
 			e.spec.Name, e.hook.Name, asmd.WireLen())
+		return nil
 	default:
-		usage()
+		return usage()
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sebpf list | dump <prog> | verify <prog> | run <prog> | prog show [prog] [runs] | asm <file> [seg6local|lwt]")
-	os.Exit(2)
+// lookup finds a bundled program by name.
+func lookup(reg map[string]entry, name string) (entry, error) {
+	e, ok := reg[name]
+	if !ok {
+		return entry{}, fmt.Errorf("unknown program %q (try `sebpf list`)", name)
+	}
+	return e, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sebpf:", err)
-	os.Exit(1)
+func usage() error {
+	fmt.Fprintln(os.Stderr, "usage: sebpf list | dump <prog> | verify <prog> | run <prog> | prog show [prog] [runs] | asm <file> [seg6local|lwt]")
+	return errUsage
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net/netip"
 
 	"srv6bpf/internal/bpf"
@@ -15,8 +16,8 @@ import (
 )
 
 // runProgram executes a bundled program on a synthetic probe inside a
-// two-node rig and prints what happened to the packet.
-func runProgram(name string, e entry) error {
+// two-node rig and prints to w what happened to the packet.
+func runProgram(w io.Writer, name string, e entry) error {
 	src := netip.MustParseAddr("2001:db8:1::1")
 	dst := netip.MustParseAddr("2001:db8:2::1")
 	sid := netip.MustParseAddr("fc00:10::1")
@@ -49,7 +50,7 @@ func runProgram(name string, e entry) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("in:  %s\n", before.Summary())
+	fmt.Fprintf(w, "in:  %s\n", before.Summary())
 
 	meta := &netsim.PacketMeta{RxTimestamp: sim.Now()}
 	switch e.hook.Name {
@@ -62,10 +63,10 @@ func runProgram(name string, e entry) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("verdict: %v (modelled cost %d ns)\n", res.Verdict, cost)
+		fmt.Fprintf(w, "verdict: %v (modelled cost %d ns)\n", res.Verdict, cost)
 		if res.Pkt != nil {
 			if after, perr := packet.Parse(res.Pkt); perr == nil {
-				fmt.Printf("out: %s\n", after.Summary())
+				fmt.Fprintf(w, "out: %s\n", after.Summary())
 			}
 		}
 	case "lwt_out":
@@ -77,16 +78,16 @@ func runProgram(name string, e entry) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("verdict: %d (modelled cost %d ns)\n", verdict, cost)
+		fmt.Fprintf(w, "verdict: %d (modelled cost %d ns)\n", verdict, cost)
 		if out != nil {
 			if after, perr := packet.Parse(out); perr == nil {
-				fmt.Printf("out: %s\n", after.Summary())
+				fmt.Fprintf(w, "out: %s\n", after.Summary())
 			}
 		}
 	default:
 		return fmt.Errorf("hook %s not runnable", e.hook.Name)
 	}
-	drainPerf(avail)
+	drainPerf(w, avail)
 	return nil
 }
 
@@ -150,12 +151,12 @@ func demoMaps(name string) map[string]*maps.Map {
 }
 
 // drainPerf prints any perf samples the run produced.
-func drainPerf(avail map[string]*maps.Map) {
+func drainPerf(w io.Writer, avail map[string]*maps.Map) {
 	m, ok := avail[progs.DMEventsMap]
 	if !ok {
 		return
 	}
 	for _, s := range m.DrainSamples(0) {
-		fmt.Printf("perf event (%d bytes): % x\n", len(s.Data), s.Data)
+		fmt.Fprintf(w, "perf event (%d bytes): % x\n", len(s.Data), s.Data)
 	}
 }

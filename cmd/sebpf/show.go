@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
 	"sort"
 	"strconv"
@@ -17,7 +18,7 @@ import (
 // and prints the bpftool-style statistics the attachment layer keeps —
 // run_cnt, retired instructions, helper-call histogram, verdict
 // breakdown and quarantine state.
-func progShow(reg map[string]entry, sel string, runs int) error {
+func progShow(w io.Writer, reg map[string]entry, sel string, runs int) error {
 	names := make([]string, 0, len(reg))
 	for n := range reg {
 		if sel != "" && n != sel {
@@ -35,7 +36,7 @@ func progShow(reg map[string]entry, sel string, runs int) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		printProgStats(i, stats)
+		printProgStats(w, i, stats)
 	}
 	return nil
 }
@@ -98,7 +99,7 @@ func execForStats(name string, e entry, runs int) (core.ProgStats, error) {
 
 // printProgStats renders one attachment in the layout of
 // `bpftool prog show` with the kernel's BPF_ENABLE_STATS counters.
-func printProgStats(id int, s core.ProgStats) {
+func printProgStats(w io.Writer, id int, s core.ProgStats) {
 	mode := "interpreted"
 	if s.JIT {
 		mode = "jited"
@@ -107,15 +108,15 @@ func printProgStats(id int, s core.ProgStats) {
 	if s.Quarantined {
 		quar = "  QUARANTINED"
 	}
-	fmt.Printf("%d: %s  name %s  %s%s\n", id, s.Hook, s.Name, mode, quar)
-	fmt.Printf("\tinsns %d  run_cnt %d  insn_executed %d  mean_insns %.1f  helper_calls %d  faults %d\n",
+	fmt.Fprintf(w, "%d: %s  name %s  %s%s\n", id, s.Hook, s.Name, mode, quar)
+	fmt.Fprintf(w, "\tinsns %d  run_cnt %d  insn_executed %d  mean_insns %.1f  helper_calls %d  faults %d\n",
 		s.Insns, s.RunCnt, s.InsnExecuted, s.MeanInsns(), s.HelperCalls, s.Faults)
 	if len(s.Helpers) > 0 {
-		fmt.Printf("\thelpers:")
+		fmt.Fprintf(w, "\thelpers:")
 		for _, name := range s.HelperNames() {
-			fmt.Printf(" %s=%d", name, s.Helpers[name])
+			fmt.Fprintf(w, " %s=%d", name, s.Helpers[name])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(s.Verdicts) > 0 {
 		names := make([]string, 0, len(s.Verdicts))
@@ -123,11 +124,11 @@ func printProgStats(id int, s core.ProgStats) {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Printf("\tverdicts:")
+		fmt.Fprintf(w, "\tverdicts:")
 		for _, n := range names {
-			fmt.Printf(" %s=%d", n, s.Verdicts[n])
+			fmt.Fprintf(w, " %s=%d", n, s.Verdicts[n])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 

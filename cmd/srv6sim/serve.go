@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"net/netip"
@@ -39,7 +41,10 @@ type serveLab struct {
 }
 
 func newServeLab(shards int, sampleShift uint) (*serveLab, error) {
-	sim, a, r, b := line(false)
+	sim, a, r, b, err := line()
+	if err != nil {
+		return nil, err
+	}
 	l := &serveLab{sim: sim, a: a, b: b}
 
 	prog, err := bpf.LoadProgram(progs.TagIncrementSpec(), core.Seg6LocalHook(), nil, bpf.LoadOptions{})
@@ -139,13 +144,13 @@ func (l *serveLab) handler() http.Handler {
 	return mux
 }
 
-// runServe drives the lab forever (or until durationNs of virtual
-// time with -obs-dump), pacing virtual chunks against the wall clock
-// so the endpoint shows a live, slowly-evolving system.
-func runServe(httpAddr string, shards int, dump string) {
+// serve drives the lab forever (or, with a dump directory, for 100 ms
+// of virtual time), pacing virtual chunks against the wall clock so the
+// endpoint shows a live, slowly-evolving system.
+func serve(stdout io.Writer, httpAddr string, shards int, dump string) error {
 	l, err := newServeLab(shards, 2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if dump != "" {
@@ -156,19 +161,25 @@ func runServe(httpAddr string, shards int, dump string) {
 			l.advance(10 * netsim.Millisecond)
 		}
 		if err := l.writeDump(dump); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("observability artifacts written to %s\n", dump)
-		return
+		fmt.Fprintf(stdout, "observability artifacts written to %s\n", dump)
+		return nil
 	}
 
-	go func() {
-		fmt.Printf("serving on http://%s — /metrics /stats.json /trace /debug/pprof/\n", httpAddr)
-		if err := http.ListenAndServe(httpAddr, l.handler()); err != nil {
-			fatal(err)
-		}
-	}()
+	ln, err := net.Listen("tcp", httpAddr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "serving on http://%s — /metrics /stats.json /trace /debug/pprof/\n", ln.Addr())
+	failed := make(chan error, 1)
+	go func() { failed <- http.Serve(ln, l.handler()) }()
 	for {
+		select {
+		case err := <-failed:
+			return err
+		default:
+		}
 		l.advance(10 * netsim.Millisecond)
 		time.Sleep(100 * time.Millisecond)
 	}

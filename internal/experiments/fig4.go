@@ -105,10 +105,7 @@ type TCPResult struct {
 func TCPHybrid(durationNs int64) ([]TCPResult, error) {
 	run := func(compensate bool, flows int, seed int64) (float64, error) {
 		sim := netsim.New(seed)
-		tb, err := hybrid.NewTestbed(sim, hybrid.Params{
-			Link0: hybrid.LinkSpec{RateBps: 50_000_000, OneWayDelay: 15 * netsim.Millisecond, OneWayJitter: 2_500_000, QueueLimit: 300},
-			Link1: hybrid.LinkSpec{RateBps: 30_000_000, OneWayDelay: 2_500_000, OneWayJitter: 1_000_000, QueueLimit: 300},
-		})
+		tb, err := hybrid.NewTestbed(sim, hybrid.PaperParams())
 		if err != nil {
 			return 0, err
 		}

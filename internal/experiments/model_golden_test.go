@@ -31,9 +31,11 @@ type modelGolden struct {
 // TestModelGolden pins the Fig 2 / Fig 3 / Fig 4 rows at the 50 ms
 // window, the JIT factor and the seven PDR saturation points against the
 // committed golden file, and holds Figure 2 to the ratios the paper
-// reports (§3.2). The PDR scan (≈ 4 s) is skipped under -short.
+// reports (§3.2). The PDR scan (≈ 4 s) is skipped under -short. It runs
+// in parallel with TestTCPHybrid.
 // Regenerate with: go test ./internal/experiments -run TestModelGolden -update
 func TestModelGolden(t *testing.T) {
+	t.Parallel()
 	const windowMs = 50
 	window := int64(windowMs) * netsim.Millisecond
 	got := modelGolden{WindowMs: windowMs}

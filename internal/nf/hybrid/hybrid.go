@@ -77,6 +77,16 @@ type Params struct {
 	Weights [2]uint32
 }
 
+// PaperParams is the paper's §4.2 TCP testbed: a 50 Mbps link with an
+// RTT of 30±5 ms and a 30 Mbps link with an RTT of 5±2 ms (one-way
+// values are halved), each queue holding 300 packets.
+func PaperParams() Params {
+	return Params{
+		Link0: LinkSpec{RateBps: 50_000_000, OneWayDelay: 15 * netsim.Millisecond, OneWayJitter: 2_500_000, QueueLimit: 300},
+		Link1: LinkSpec{RateBps: 30_000_000, OneWayDelay: 2_500_000, OneWayJitter: 1_000_000, QueueLimit: 300},
+	}
+}
+
 func (p *Params) setDefaults() {
 	if p.AccessRate == 0 {
 		p.AccessRate = 1_000_000_000

@@ -6,17 +6,7 @@ import (
 
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/packet"
-	"srv6bpf/internal/tcpsim"
 )
-
-// tcpParams is the §4.2 TCP testbed: 50 Mbps / RTT 30±5 ms and
-// 30 Mbps / RTT 5±2 ms (one-way values are halved).
-func tcpParams() Params {
-	return Params{
-		Link0: LinkSpec{RateBps: 50_000_000, OneWayDelay: 15 * netsim.Millisecond, OneWayJitter: 2_500_000, QueueLimit: 300},
-		Link1: LinkSpec{RateBps: 30_000_000, OneWayDelay: 2_500_000, OneWayJitter: 1_000_000, QueueLimit: 300},
-	}
-}
 
 func TestWRRSplitMatchesWeights(t *testing.T) {
 	sim := netsim.New(3)
@@ -110,7 +100,7 @@ func TestWRRUpstream(t *testing.T) {
 // the configured link delays and its netem action.
 func TestTWDCompensatorMeasuresSkew(t *testing.T) {
 	sim := netsim.New(5)
-	tb, err := NewTestbed(sim, tcpParams())
+	tb, err := NewTestbed(sim, PaperParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,125 +129,5 @@ func TestTWDCompensatorMeasuresSkew(t *testing.T) {
 	}
 	if comp.Applied[0] != 0 {
 		t.Errorf("slow link also delayed by %d", comp.Applied[0])
-	}
-}
-
-// runTCP launches a bulk transfer S1 -> S2 for the given duration and
-// returns the achieved goodput in bit/s.
-func runTCP(t *testing.T, tb *Testbed, duration int64, flows int) float64 {
-	t.Helper()
-	s1 := tcpsim.NewStack(tb.S1)
-	s2 := tcpsim.NewStack(tb.S2)
-	var rcvs []*tcpsim.Receiver
-	var snds []*tcpsim.Sender
-	for i := 0; i < flows; i++ {
-		snd, rcv, err := tcpsim.NewTransfer(s1, s2, S1Addr, S2Addr,
-			uint16(41000+i), uint16(5001+i), tcpsim.Config{FlowLabel: uint32(100 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snds = append(snds, snd)
-		rcvs = append(rcvs, rcv)
-	}
-	for _, snd := range snds {
-		snd.Start()
-	}
-	tb.Sim.RunUntil(tb.Sim.Now() + duration)
-	for _, snd := range snds {
-		snd.Stop()
-	}
-	tb.Sim.RunUntil(tb.Sim.Now() + netsim.Second)
-	var total float64
-	for _, rcv := range rcvs {
-		total += rcv.GoodputBps()
-	}
-	return total
-}
-
-// TestTCPCollapseWithoutCompensation reproduces the paper's
-// "disaster": per-packet WRR over links with a 25 ms RTT skew
-// collapses a single Reno flow to a few Mbps despite 80 Mbps of
-// aggregate capacity.
-func TestTCPCollapseWithoutCompensation(t *testing.T) {
-	sim := netsim.New(11)
-	tb, err := NewTestbed(sim, tcpParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableWRRDownstream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableWRRUpstream(); err != nil {
-		t.Fatal(err)
-	}
-	got := runTCP(t, tb, 15*netsim.Second, 1)
-	t.Logf("uncompensated goodput: %.2f Mbps", got/1e6)
-	if got > 10e6 {
-		t.Errorf("goodput %.1f Mbps; expected collapse below 10 Mbps (paper: 3.8)", got/1e6)
-	}
-	if got < 0.5e6 {
-		t.Errorf("goodput %.1f Mbps; even collapsed TCP should make some progress", got/1e6)
-	}
-}
-
-// TestTCPWithCompensation reproduces the rescue: with the TWD daemon
-// delaying the fast link, a single connection reaches the tens of
-// Mbps (paper: 68 Mbps of the 80 available).
-func TestTCPWithCompensation(t *testing.T) {
-	sim := netsim.New(12)
-	tb, err := NewTestbed(sim, tcpParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableWRRDownstream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableWRRUpstream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.DeployEndDM(true); err != nil {
-		t.Fatal(err)
-	}
-	comp := tb.StartCompensator(100 * netsim.Millisecond)
-	// Let the daemon converge before starting the transfer.
-	sim.RunUntil(2 * netsim.Second)
-
-	got := runTCP(t, tb, 60*netsim.Second, 1)
-	comp.Stop()
-	t.Logf("compensated goodput: %.2f Mbps (rtt0=%.1fms rtt1=%.1fms applied=%.1fms)",
-		got/1e6, comp.RTT(0)/1e6, comp.RTT(1)/1e6, float64(comp.Applied[1])/1e6)
-	if got < 40e6 {
-		t.Errorf("goodput %.1f Mbps; want ≥40 (paper: 68 of 80)", got/1e6)
-	}
-	if got > 80e6 {
-		t.Errorf("goodput %.1f Mbps exceeds aggregate capacity", got/1e6)
-	}
-}
-
-// TestTCPFourParallelConnections mirrors the paper's four-connection
-// result (70 Mbps aggregated).
-func TestTCPFourParallelConnections(t *testing.T) {
-	sim := netsim.New(13)
-	tb, err := NewTestbed(sim, tcpParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableWRRDownstream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableWRRUpstream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.DeployEndDM(true); err != nil {
-		t.Fatal(err)
-	}
-	comp := tb.StartCompensator(100 * netsim.Millisecond)
-	sim.RunUntil(2 * netsim.Second)
-
-	got := runTCP(t, tb, 60*netsim.Second, 4)
-	comp.Stop()
-	t.Logf("4-connection aggregated goodput: %.2f Mbps", got/1e6)
-	if got < 45e6 {
-		t.Errorf("aggregated goodput %.1f Mbps; want ≥45 (paper: 70 of 80)", got/1e6)
 	}
 }
