@@ -1,8 +1,8 @@
 # Tier-1 verification and benchmark entry points.
 #
 #   make check   — build + vet + full test suite + sharded-engine
-#                  race smoke + equivalence-fuzz smoke + native
-#                  parser-fuzz smoke + obs smoke + benchmark-module
+#                  race smoke + equivalence-corpus smoke + native
+#                  fuzz smoke + obs smoke + benchmark-module
 #                  smoke (the tier-1 gate). The test suite holds the
 #                  model-time golden (Figures 2-4, the JIT factor and
 #                  the full PDR scan, compared by equality:
@@ -12,13 +12,15 @@
 #                  example (each pins its output) and a smoke test of
 #                  each command
 #   make fuzz-native [FUZZTIME=5s] — coverage-guided fuzzing of the
-#                  wire parsers (FuzzParseInfo, FuzzValidateSRH) and of
+#                  wire parsers (FuzzParseInfo, FuzzValidateSRH), of
 #                  the packet builders against their oracles
 #                  (FuzzBuildPacketMatchesReference, FuzzEncapWire,
-#                  FuzzEncapInPlace)
+#                  FuzzEncapInPlace) and of the sharded engine against
+#                  the sequential one (FuzzScenario); FUZZTIME is the
+#                  only fuzz knob, per target
 #   make chaos-smoke — chaos-injection determinism gate: chaos unit
-#                  tests, crash/impairment tests, chaos-heavy
-#                  equivalence slice (the CI chaos job)
+#                  tests, crash/impairment tests and FuzzScenario's
+#                  corpus, half of it chaos campaigns (the CI chaos job)
 #   make obs-smoke — observability gate: obs package tests, the
 #                  netsim recorder tests, and a headless srv6sim run
 #                  writing the three artifacts (Prometheus text, JSON
@@ -26,15 +28,6 @@
 #                  shards
 #   make race    — full test suite under the race detector (CI job;
 #                  the parallel simulation engine must be race-clean)
-#   make fuzz-deep — full-depth randomized equivalence fuzzing of the
-#                  sharded engine against the sequential one (the
-#                  scheduled CI job). FUZZ_SCENARIOS is the single
-#                  depth knob for fuzz-deep and fuzz-deep-race: the
-#                  Makefile translates it to the SRV6BPF_FUZZ_SCENARIOS
-#                  environment variable the test reads — set the make
-#                  variable, not the env var.
-#   make fuzz-deep-race — the same fuzzing under the race detector
-#                  (shallower FUZZ_SCENARIOS recommended; ~10x slower)
 #   make bench-smoke — the nested benchmark module's own test (a
 #                  1/50-scale run of all six workloads against
 #                  benchmark/golden.json, ~4 s): the root `go test
@@ -64,15 +57,13 @@
 #   make fmt     — gofmt the tree
 
 GO ?= go
-FUZZ_SCENARIOS ?= 150
-FUZZ_RACE_SCENARIOS ?= 60
 FUZZTIME ?= 5s
 OBS_DUMP_DIR ?= obs-artifacts
 PAIRS ?= 10
 SEED ?= 1
 PAIR_SECONDS ?= 15
 
-.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke bench-smoke bench bench-pairs fmt
+.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native chaos-smoke obs-smoke bench-smoke bench bench-pairs fmt
 
 check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke bench-smoke
 
@@ -108,36 +99,37 @@ test:
 race-smoke:
 	$(GO) test -race -run 'TestShardEquivalenceSmoke|TestShardEquivalenceTCPEncap|TestCrossShardInFlightFailure|TestEventsPerHop|TestDropReason|TestInstallRejection|TestForeignInterfaceRefused|TestBufList|TestShardWorkerLifecycle|TestShardFewerProcsThanShards' ./internal/netsim
 
-# A second pass of the randomized sequential-vs-sharded equivalence
-# fuzzer at smoke depth: -count 2 re-runs the same seeds and catches
+# A second pass of the sequential-vs-sharded equivalence fuzzer's seed
+# corpus: -count 2 re-runs the same scenarios and catches
 # nondeterminism across process runs. The in-place encapsulation
 # target's seed corpus rides along the same way: its verdict depends on
 # where the runtime put two buffers, which must never show.
 fuzz-smoke:
-	$(GO) test -run 'TestShardEquivalenceFuzz' -count 2 ./internal/netsim
+	$(GO) test -run 'FuzzScenario' -count 2 ./internal/netsim
 	$(GO) test -run 'FuzzEncapInPlace' -count 2 ./internal/seg6
 
-# Coverage-guided mutation of the wire parsers and of the packet
-# builders (single-buffer BuildPacket against the multi-buffer
-# reference, wire-level encapsulation against its contract and the
-# struct path, encapsulation into headroom against the allocating
-# path), native go fuzzing bounded by FUZZTIME per target — the
-# smoke setting keeps `make check` fast; the nightly CI job runs the
-# same targets longer.
+# Coverage-guided mutation of the wire parsers, of the packet builders
+# (single-buffer BuildPacket against the multi-buffer reference,
+# wire-level encapsulation against its contract and the struct path,
+# encapsulation into headroom against the allocating path) and of the
+# equivalence scenarios (sequential against 2, 4 and 8 shards), native
+# go fuzzing bounded by FUZZTIME per target — the smoke setting keeps
+# `make check` fast; the nightly CI job runs the same targets longer.
 fuzz-native:
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzParseInfo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzValidateSRH -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzBuildPacketMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/seg6 -run '^$$' -fuzz FuzzEncapWire -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/seg6 -run '^$$' -fuzz FuzzEncapInPlace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netsim -run '^$$' -fuzz FuzzScenario -fuzztime $(FUZZTIME)
 
 # Chaos determinism gate: the chaos package's own tests plus the
-# crash/impairment tests and a chaos-heavy slice of the equivalence
-# fuzzer (roughly half the derived scenarios carry a fault campaign).
+# crash/impairment tests and the equivalence fuzzer's seed corpus (half
+# its scenarios carry a fault campaign).
 chaos-smoke:
 	$(GO) test -count 1 ./internal/netsim/chaos
 	$(GO) test -count 1 -run 'TestNodeCrash|TestCrash|TestCorruption|TestDuplication|TestReorder' ./internal/netsim
-	SRV6BPF_FUZZ_SCENARIOS=16 $(GO) test -count 1 -run 'TestShardEquivalenceFuzz' ./internal/netsim
+	$(GO) test -count 1 -run 'FuzzScenario' ./internal/netsim
 
 # Observability gate: the obs package's own tests, the simulator-side
 # recorder tests (shard equivalence, alloc parity), and a headless
@@ -154,12 +146,6 @@ obs-smoke:
 
 race:
 	$(GO) test -race ./...
-
-fuzz-deep:
-	SRV6BPF_FUZZ_SCENARIOS=$(FUZZ_SCENARIOS) $(GO) test -run 'TestShardEquivalenceFuzz' -timeout 30m -v ./internal/netsim
-
-fuzz-deep-race:
-	SRV6BPF_FUZZ_SCENARIOS=$(FUZZ_RACE_SCENARIOS) $(GO) test -race -run 'TestShardEquivalenceFuzz' -timeout 30m ./internal/netsim
 
 # The wall-clock benchmark is its own Go module (benchmark/go.mod), so
 # neither `build` nor `test` above compiles it; its smoke test does, and

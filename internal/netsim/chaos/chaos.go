@@ -16,7 +16,7 @@
 // private RNG stream, gated on the knob being nonzero, so a chaos-free
 // run consumes bit-identical random streams whether or not this
 // package is linked in. The equivalence fuzz matrix (netsim's
-// TestShardEquivalenceFuzz chaos arm) locks all of this down: one
+// FuzzScenario chaos arm) locks all of this down: one
 // seed, one fingerprint, every shard count.
 package chaos
 

@@ -3,10 +3,11 @@ package netsim_test
 // Sequential-vs-parallel equivalence: the acceptance surface of the
 // sharded engine. The same seed must produce bit-identical per-node
 // counters and delivery traces whether the simulation runs on one
-// event heap or is partitioned across 2 or 4 shards — on both a
-// control-plane-heavy scenario (FRR failover: link failures, probe
-// timers, map updates) and a 200+ node generated fat-tree running an
-// ECMP-spread permutation traffic mix.
+// event heap or is partitioned across shards — on a control-plane-heavy
+// scenario (FRR failover: link failures, probe timers, map updates), a
+// TCP transfer through a tunnel, and the generated topologies of
+// fuzz_equiv_test.go's scenario runner, among them a 200+ node fat-tree
+// running an ECMP-spread permutation traffic mix.
 
 import (
 	"fmt"
@@ -20,12 +21,10 @@ import (
 	"srv6bpf/internal/experiments"
 	"srv6bpf/internal/netem"
 	"srv6bpf/internal/netsim"
-	"srv6bpf/internal/netsim/topo"
 	"srv6bpf/internal/nf/frr"
 	"srv6bpf/internal/packet"
 	"srv6bpf/internal/seg6"
 	"srv6bpf/internal/tcpsim"
-	"srv6bpf/internal/trafgen"
 )
 
 func endBehaviour() *seg6.Behaviour { return &seg6.Behaviour{Action: seg6.ActionEnd} }
@@ -64,75 +63,18 @@ func fingerprint(sim *netsim.Sim, extra []string) string {
 	return b.String()
 }
 
-// fatTreeRun executes the 208-node fat-tree traffic mix under the
-// given shard count and returns its fingerprint.
-func fatTreeRun(t *testing.T, shards int) (string, netsim.EngineStats) {
-	t.Helper()
-	sim := netsim.New(7)
-	nw, err := topo.FatTree(sim, 8, topo.Opts{
-		Link: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nw.Nodes) != 208 {
+// TestShardEquivalenceFatTree: the 208-node k=8 fat-tree running an
+// ECMP-spread permutation mix for 4 ms on 2, 4 and 8 contiguous shards,
+// every host receiving and every split exchanging cross-shard messages.
+func TestShardEquivalenceFatTree(t *testing.T) {
+	sc := scenario{seed: 7, kind: "fattree", k: 8, link: tenGig, duration: 4 * netsim.Millisecond,
+		rate: 20_000, pairs: 99, flowMod: 16}
+	if nw := buildTopo(t, netsim.New(sc.seed), sc); len(nw.Nodes) != 208 {
 		t.Fatalf("fat-tree k=8 has %d nodes, want 208", len(nw.Nodes))
 	}
-
-	// Per-host delivery traces: (rx time, source, flow label) of every
-	// arrival, recorded on the receiving shard.
-	journals := make([]*netsim.Journal, len(nw.Hosts))
-	for i, h := range nw.Hosts {
-		j := netsim.NewJournal()
-		journals[i] = j
-		h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
-			j.Addf("%d:%s:%d", meta.RxTimestamp, p.IPv6.Src, p.IPv6.FlowLabel)
-		})
-	}
-
-	pairs := nw.PermutationPairs(99)
-	gens := make([]*trafgen.UDPGen, len(pairs))
-	for i, pr := range pairs {
-		gens[i] = &trafgen.UDPGen{
-			Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
-			SrcPort: 1000, DstPort: 9, PayloadLen: 64,
-			// Vary the flow label so packets ECMP-spread across the
-			// aggregation and core layers.
-			FlowLabel: func(k uint64) uint32 { return uint32(k % 16) },
-			RatePPS:   20_000,
-		}
-	}
-
-	if err := sim.SetShards(shards); err != nil {
-		t.Fatal(err)
-	}
-	const until = 4 * netsim.Millisecond
-	for i, g := range gens {
-		g := g
-		// Staggered starts, scheduled on each source's own shard.
-		g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
-			if err := g.Start(until); err != nil {
-				panic(err)
-			}
-		})
-	}
-	sim.RunUntil(until)
-	for _, g := range gens {
-		g.Stop()
-	}
-	sim.Run()
-
-	extra := make([]string, 0, len(journals)+1)
-	for i, j := range journals {
-		extra = append(extra, fmt.Sprintf("trace[%s]=%s", nw.Hosts[i].Name, strings.Join(j.Lines(), ",")))
-	}
-	st := sim.EngineStats()
-	return fingerprint(sim, extra), st
-}
-
-func TestShardEquivalenceFatTree(t *testing.T) {
-	base, st1 := fatTreeRun(t, 1)
-	if st1.Events == 0 {
+	counts := []int{2, 4, 8}
+	base, stats := equivalent(t, sc, counts...)
+	if stats[0].Events == 0 {
 		t.Fatal("no events executed")
 	}
 	// Sanity: traffic actually flowed to every host.
@@ -141,11 +83,8 @@ func TestShardEquivalenceFatTree(t *testing.T) {
 			t.Fatalf("no deliveries at %s", line)
 		}
 	}
-	for _, shards := range []int{2, 4, 8} {
-		got, st := fatTreeRun(t, shards)
-		if got != base {
-			diffReport(t, base, got, shards)
-		}
+	for i, shards := range counts {
+		st := stats[i+1]
 		if st.Shards != shards {
 			t.Errorf("engine ran with %d shards, want %d", st.Shards, shards)
 		}
@@ -291,14 +230,15 @@ func TestShardEquivalenceFRR(t *testing.T) {
 	}
 }
 
+// smoke is TestShardEquivalenceSmoke's scenario: a trimmed fat-tree
+// (k=4, 36 nodes) for 1 ms, about 200 windows on 2 shards.
+var smoke = scenario{seed: 3, kind: "fattree", k: 4, link: tenGig, duration: netsim.Millisecond,
+	rate: 50_000, pairs: 5, flowMod: 8}
+
 // TestShardEquivalenceSmoke is the quick 2-shard determinism gate
-// that `make check` runs under the race detector: a trimmed fat-tree
-// (k=4, 36 nodes) against the sequential schedule.
+// that `make check` runs under the race detector.
 func TestShardEquivalenceSmoke(t *testing.T) {
-	base := smokeRun(t, 1)
-	if got := smokeRun(t, 2); got != base {
-		diffReport(t, base, got, 2)
-	}
+	equivalent(t, smoke, 2)
 }
 
 // TestShardFewerProcsThanShards: a window's waiters spin and then yield,
@@ -306,16 +246,17 @@ func TestShardEquivalenceSmoke(t *testing.T) {
 // 4 on two — and the schedule is still the sequential one.
 //
 // A waiter that never yields is still preempted by the runtime, but only
-// after 10 ms of spinning, at nearly every one of the scenario's ~200
-// windows: about 2 s per arm, against 3 ms (50 ms under the race
+// after 10 ms of spinning, at nearly every one of the smoke scenario's
+// ~200 windows: about 2 s per arm, against 3 ms (50 ms under the race
 // detector) for one that yields. The 1 s bound tells the two apart.
 func TestShardFewerProcsThanShards(t *testing.T) {
-	base := smokeRun(t, 1)
+	base, _ := runScenario(t, smoke, 1)
 	for _, c := range []struct{ procs, shards int }{{1, 2}, {2, 4}} {
 		start := time.Now()
 		got := func() string {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
-			return smokeRun(t, c.shards)
+			fp, _ := runScenario(t, smoke, c.shards)
+			return fp
 		}()
 		if got != base {
 			t.Logf("GOMAXPROCS=%d", c.procs)
@@ -325,63 +266,6 @@ func TestShardFewerProcsThanShards(t *testing.T) {
 			t.Errorf("%d shards on GOMAXPROCS=%d took %v: do the barrier's waiters yield?", c.shards, c.procs, took)
 		}
 	}
-}
-
-// smokeRun is TestShardEquivalenceSmoke's scenario on the given number
-// of shards. Its hosts release what they have journalled, so the
-// generators' buffers go round.
-func smokeRun(t *testing.T, shards int) string {
-	sim := netsim.New(3)
-	nw, err := topo.FatTree(sim, 4, topo.Opts{
-		Link: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-host traces: each journal is appended only by its
-	// owner's shard.
-	journals := make([]*netsim.Journal, len(nw.Hosts))
-	for i, h := range nw.Hosts {
-		j := netsim.NewJournal()
-		journals[i] = j
-		name := h.Name
-		h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
-			j.Addf("%s<-%s@%d", name, p.IPv6.Src, meta.RxTimestamp)
-			n.Release(meta)
-		})
-	}
-	pairs := nw.PermutationPairs(5)
-	gens := make([]*trafgen.UDPGen, len(pairs))
-	for i, pr := range pairs {
-		gens[i] = &trafgen.UDPGen{
-			Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
-			SrcPort: 1000, DstPort: 9, PayloadLen: 64,
-			FlowLabel: func(k uint64) uint32 { return uint32(k % 8) },
-			RatePPS:   50_000,
-		}
-	}
-	if err := sim.SetShards(shards); err != nil {
-		t.Fatal(err)
-	}
-	const until = netsim.Millisecond
-	for i, g := range gens {
-		g := g
-		g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
-			if err := g.Start(until); err != nil {
-				panic(err)
-			}
-		})
-	}
-	sim.RunUntil(until)
-	for _, g := range gens {
-		g.Stop()
-	}
-	sim.Run()
-	var order []string
-	for _, j := range journals {
-		order = append(order, j.Lines()...)
-	}
-	return fingerprint(sim, order)
 }
 
 // tcpTunnelRun is a TCP transfer S → T through a tunnel A ⇄ M (static
@@ -490,20 +374,22 @@ func TestShardEquivalenceTCPEncap(t *testing.T) {
 // TestBufListPoisonChangesNothing: with every released buffer
 // overwritten, the fat-tree smoke, the TCP transfer through a tunnel (on
 // one shard and split, so that buffers born in one shard are released in
-// the other, both ways), the first eight scenarios of the equivalence
-// fuzzer (crashes, corruption, duplication, PSP and reduced
-// encapsulation among them) and the behaviour matrix produce the
-// fingerprints they produce without — a byte read after its release, or a
-// buffer released while someone still holds it, changes a counter or a
-// trace.
+// the other, both ways), FuzzScenario's corpus at 2 shards (crashes,
+// corruption, duplication, PSP and reduced encapsulation among them) and
+// the behaviour matrix produce the fingerprints they produce without — a
+// byte read after its release, or a buffer released while someone still
+// holds it, changes a counter or a trace.
 func TestBufListPoisonChangesNothing(t *testing.T) {
 	type arm struct {
 		name string
 		run  func() string
 	}
+	scenarioArm := func(name string, sc scenario, shards int) arm {
+		return arm{name, func() string { fp, _ := runScenario(t, sc, shards); return fp }}
+	}
 	arms := []arm{
-		{"smoke, 1 shard", func() string { return smokeRun(t, 1) }},
-		{"smoke, 2 shards", func() string { return smokeRun(t, 2) }},
+		scenarioArm("smoke, 1 shard", smoke, 1),
+		scenarioArm("smoke, 2 shards", smoke, 2),
 		{"tcp through a tunnel, 1 shard", func() string { return tcpTunnelRun(t, nil) }},
 		{"tcp through a tunnel, 2 shards", func() string { return tcpTunnelRun(t, []int{0, 1, 1, 0}) }},
 		{"behaviour matrix", func() string {
@@ -514,9 +400,9 @@ func TestBufListPoisonChangesNothing(t *testing.T) {
 			return fmt.Sprint(rows)
 		}},
 	}
-	for i := 0; i < 8; i++ {
-		sc := deriveScenario(int64(7777 + 131*i))
-		arms = append(arms, arm{fmt.Sprintf("fuzz scenario %d (%s), 2 shards", i, sc.kind), func() string { return fuzzRun(t, sc, 2) }})
+	for i, c := range scenarioCorpus {
+		sc := fuzzScenario(c.switches, c.seed)
+		arms = append(arms, scenarioArm(fmt.Sprintf("corpus entry %d (%s), 2 shards", i, sc.kind), sc, 2))
 	}
 	clean := make([]string, len(arms))
 	for i, a := range arms {

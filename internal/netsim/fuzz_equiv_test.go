@@ -1,22 +1,24 @@
 package netsim_test
 
-// Randomized equivalence fuzzing: the lock that makes sharded
-// execution trustworthy. Each seeded scenario generates a topology
+// Sequential-vs-sharded equivalence, one scenario at a time: the lock
+// that makes sharded execution trustworthy. A scenario is a topology
 // (Waxman, fat-tree, ring — some with zero-delay links only a
-// topology-aware placement can shard), a random UDP traffic mix, TCP
-// bulk transfers riding on it and a random link failure/restore
-// schedule, then replays the identical scenario sequentially and on 2,
-// 4 and 8 shards and requires bit-identical per-node counters,
-// delivery traces and transfer statistics from every arm.
+// topology-aware placement can shard), a UDP permutation mix over its
+// hosts and, optionally, TCP bulk transfers, an SRv6 detour, a chaos
+// campaign and a link failure/restore schedule on top. runScenario
+// replays it on a given shard count and fingerprints the final state;
+// every equivalence test in this package requires the sharded
+// fingerprints to equal the sequential one.
 //
-// Depth scales with SRV6BPF_FUZZ_SCENARIOS (the scheduled CI job runs
-// the full depth; `make check` runs the default smoke).
+// FuzzScenario is the coverage-guided form: its first argument switches
+// the scenario's features, its second seeds the continuous parameters.
+// `go test` replays the seed corpus below; `go test -run '^$' -fuzz
+// FuzzScenario ./internal/netsim` mutates it (`make fuzz-native`).
 
 import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,95 +33,134 @@ import (
 	"srv6bpf/internal/trafgen"
 )
 
-// fuzzScenario is the deterministic description derived from a seed.
-type fuzzScenario struct {
-	seed      int64
-	kind      string
-	zeroDelay bool // zero-delay pod links present: shards via min-cut
-	duration  int64
-	rate      float64
-	pairs     int64 // PermutationPairs seed
-	flowMod   uint64
-	fails     int
+// scenario is one deterministic run description: every arm built from
+// it builds the identical network and traffic.
+type scenario struct {
+	seed     int64  // the simulator's seed; the run-time draws derive from it too
+	kind     string // "waxman", "fattree", "ring" or "fattree-zerodelay"
+	k        int    // fat-tree arity
+	n        int    // Waxman or ring node count
+	waxman   topo.WaxmanParams
+	link     topo.LinkSpec
+	duration int64
+	rate     float64
+	pairs    int64 // seed of the host permutation
+	flowMod  uint64
+	// fails is the number of random link failures, each restored or not.
+	fails int
 	// tcp is the number of TCP bulk transfers riding on the scenario.
 	tcp int
-	// chaos adds a randomized fault campaign (node crash/restart,
-	// link flapping, packet corruption/duplication/reordering windows)
-	// on top of the scenario: fault events and impairment draws must
-	// replay bit-identically at every shard count.
-	chaos bool
+	// chaos is the number of crash/restart cycles and of flap bursts in
+	// a fault campaign that also opens corruption, duplication and
+	// reordering windows (0: no campaign). Fault events and impairment
+	// draws must replay bit-identically at every shard count.
+	chaos int
 	// srv6 overlays a segment-routed detour on one traffic pair: a
 	// reduced encap at the source, a (possibly PSP-flavored) End SID
 	// on a transit host and a DT6/DT46 decap SID at the destination,
 	// so the registry-dispatched behaviours run at every shard count.
 	srv6 bool
-	// mincut shards the scenario with the topology-aware min-cut
-	// partitioner instead of the contiguous block: the bit-identical
-	// replay guarantee must hold under any node placement.
-	mincut bool
+	// mincut shards with partition.MinCut seeded by cutSeed instead of
+	// the contiguous block: zero-delay pod links need it, and the
+	// bit-identical replay must hold under any placement.
+	mincut  bool
+	cutSeed int64
 }
 
-func deriveScenario(seed int64) fuzzScenario {
+// tenGig is the link of the hand-written fat-tree scenarios.
+var tenGig = topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond}
+
+// FuzzScenario's switches: two bits pick the topology, the next three
+// turn chaos, the SRv6 overlay and the min-cut placement on, two more
+// count the TCP transfers (3 counts as 2) and the last doubles the
+// chaos campaign.
+const (
+	waxman        = 0
+	fattree       = 1
+	ring          = 2
+	zeroDelayPods = 3
+	withChaos     = 1 << 2
+	withSRv6      = 1 << 3
+	withMinCut    = 1 << 4
+	tcp1          = 1 << 5
+	tcp2          = 2 << 5
+	tcp3          = 3 << 5
+	doubleChaos   = 1 << 7
+)
+
+var kinds = [4]string{waxman: "waxman", fattree: "fattree", ring: "ring", zeroDelayPods: "fattree-zerodelay"}
+
+// fuzzScenario reads the features off switches and draws the
+// continuous parameters from seed.
+func fuzzScenario(switches uint8, seed int64) scenario {
 	rng := rand.New(rand.NewSource(seed))
-	sc := fuzzScenario{seed: seed}
+	sc := scenario{
+		seed:    seed,
+		kind:    kinds[switches&3],
+		k:       4,
+		tcp:     min(int(switches>>5&3), 2),
+		srv6:    switches&withSRv6 != 0,
+		mincut:  switches&withMinCut != 0 || switches&3 == zeroDelayPods,
+		cutSeed: seed,
+	}
+	if switches&withChaos != 0 {
+		sc.chaos = 1 + int(switches>>7)
+	}
 	sc.duration = (1 + rng.Int63n(2)) * netsim.Millisecond
-	// Three draws feed nothing (this one, the Intn(2) after the topology
-	// kind and the Intn(6) after chaos): they once picked knobs of
-	// mechanisms since deleted, and stay so that every seed keeps
-	// deriving the scenario it always derived.
-	rng.Int63n(180)
 	sc.rate = float64(5000 + rng.Intn(45000))
 	sc.pairs = rng.Int63n(1 << 30)
 	sc.flowMod = uint64(4 + rng.Intn(12))
 	sc.fails = rng.Intn(4)
-	switch rng.Intn(4) {
-	case 0:
-		sc.kind = "waxman"
-	case 1:
-		sc.kind = "fattree"
-	case 2:
-		sc.kind = "ring"
-	case 3:
-		sc.kind = "fattree-zerodelay"
-		sc.zeroDelay = true
-	}
-	rng.Intn(2)
-	sc.tcp = rng.Intn(3)
-	// Drawn last so earlier fields derive identically to older seeds.
-	sc.chaos = rng.Intn(2) == 0
-	rng.Intn(6)
-	sc.srv6 = rng.Intn(2) == 0
-	sc.mincut = rng.Intn(2) == 0
+	sc.link = topo.LinkSpec{RateBps: int64(1+rng.Intn(10)) * 1_000_000_000, DelayNs: (5 + rng.Int63n(45)) * netsim.Microsecond}
+	sc.n = 8 + rng.Intn(20)
+	sc.waxman = topo.WaxmanParams{Alpha: 0.4 + 0.5*rng.Float64(), Beta: 0.3 + 0.5*rng.Float64(), Seed: rng.Int63()}
 	return sc
 }
 
-// buildFuzzTopo constructs the scenario's network; all construction
-// randomness comes from a fresh rng over the scenario seed, so every
-// arm builds the identical network.
-func buildFuzzTopo(t *testing.T, sim *netsim.Sim, sc fuzzScenario) *topo.Network {
+// scenarioCorpus is FuzzScenario's seed corpus, which `go test` replays,
+// and the scenario list of TestBufListPoisonChangesNothing. It covers
+// every switch value at least once; half its entries carry a chaos
+// campaign (`make chaos-smoke`).
+var scenarioCorpus = []struct {
+	switches uint8
+	seed     int64
+}{
+	{zeroDelayPods | withChaos, 7777},
+	{waxman | withChaos | doubleChaos, 7908},
+	{zeroDelayPods | withChaos | withMinCut, 8039},
+	{ring | tcp1, 8170},
+	{fattree | tcp1 | withSRv6 | withMinCut, 8302},
+	{zeroDelayPods | withChaos | doubleChaos | withSRv6, 8432},
+	{waxman | withMinCut, 8563},
+	{waxman | tcp1 | withSRv6, 8694},
+	{ring | tcp1 | withSRv6, 8827},
+	{waxman, 8956},
+	{waxman | tcp2 | withSRv6 | withMinCut, 9087},
+	{ring | tcp1 | withChaos | doubleChaos | withSRv6, 9218},
+	{waxman | tcp3 | withChaos, 9349},
+	{zeroDelayPods | tcp2 | withMinCut, 9480},
+	{fattree | tcp1 | withChaos | doubleChaos, 9611},
+	{waxman | withChaos | withMinCut, 9742},
+}
+
+// buildTopo constructs the scenario's network.
+func buildTopo(t *testing.T, sim *netsim.Sim, sc scenario) *topo.Network {
 	t.Helper()
-	rng := rand.New(rand.NewSource(sc.seed ^ 0x746f706f)) // "topo"
-	delay := (5 + rng.Int63n(45)) * netsim.Microsecond
-	link := topo.LinkSpec{RateBps: int64(1+rng.Intn(10)) * 1_000_000_000, DelayNs: delay}
+	opts := topo.Opts{Link: sc.link}
 	var nw *topo.Network
 	var err error
 	switch sc.kind {
 	case "waxman":
-		n := 12 + rng.Intn(16)
-		nw, err = topo.Waxman(sim, n, topo.WaxmanParams{
-			Alpha: 0.4 + 0.5*rng.Float64(),
-			Beta:  0.3 + 0.5*rng.Float64(),
-			Seed:  rng.Int63(),
-		}, topo.Opts{Link: link})
+		nw, err = topo.Waxman(sim, sc.n, sc.waxman, opts)
 	case "fattree":
-		nw, err = topo.FatTree(sim, 4, topo.Opts{Link: link})
+		nw, err = topo.FatTree(sim, sc.k, opts)
 	case "fattree-zerodelay":
-		nw, err = topo.FatTree(sim, 4, topo.Opts{
-			Link:    link,
-			PodLink: topo.LinkSpec{RateBps: link.RateBps, DelayNs: -1}, // true zero delay
-		})
+		opts.PodLink = topo.LinkSpec{RateBps: sc.link.RateBps, DelayNs: -1} // true zero delay
+		nw, err = topo.FatTree(sim, sc.k, opts)
 	case "ring":
-		nw, err = topo.Ring(sim, 8+rng.Intn(12), topo.Opts{Link: link})
+		nw, err = topo.Ring(sim, sc.n, opts)
+	default:
+		t.Fatalf("unknown topology %q", sc.kind)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -127,19 +168,21 @@ func buildFuzzTopo(t *testing.T, sim *netsim.Sim, sc fuzzScenario) *topo.Network
 	return nw
 }
 
-// fuzzRun replays the scenario on the given shard count and
+// runScenario replays the scenario on the given shard count and
 // fingerprints the final state: every node's counters, every host's
-// delivery trace, and the per-link failure accounting.
-func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
+// delivery trace, the SRv6 detour's deliveries, the per-link failure
+// accounting, the TCP transfers' statistics and the recorded spans.
+func runScenario(t *testing.T, sc scenario, shards int) (string, netsim.EngineStats) {
 	t.Helper()
 	sim := netsim.New(sc.seed)
-	nw := buildFuzzTopo(t, sim, sc)
-
+	nw := buildTopo(t, sim, sc)
 	// Flight recorder on in every arm, sampling half the flows: the
-	// span streams join the fingerprint below, so traces must replay
+	// span streams join the fingerprint, so traces must replay
 	// bit-identically across shard counts.
 	sim.EnableObs(netsim.ObsOptions{Trace: true, SampleShift: 1})
 
+	// Per-host delivery traces: (rx time, source, flow label) of every
+	// arrival, each journal appended only by its owner's shard.
 	journals := make([]*netsim.Journal, len(nw.Hosts))
 	for i, h := range nw.Hosts {
 		j := netsim.NewJournal()
@@ -155,6 +198,7 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 		gens[i] = &trafgen.UDPGen{
 			Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
 			SrcPort: 1000, DstPort: 9, PayloadLen: 64,
+			// Vary the flow label so packets ECMP-spread.
 			FlowLabel: func(k uint64) uint32 { return uint32(k % sc.flowMod) },
 			RatePPS:   sc.rate,
 		}
@@ -252,10 +296,8 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 	}
 
 	if shards > 1 {
-		// Zero-delay pod links must stay inside one shard, which only the
-		// topology-aware placement guarantees.
-		if sc.mincut || sc.zeroDelay {
-			assign, err := partition.MinCut(partition.FromSim(sim), shards, sc.seed)
+		if sc.mincut {
+			assign, err := partition.MinCut(partition.FromSim(sim), shards, sc.cutSeed)
 			if err != nil {
 				t.Fatalf("MinCut(%d): %v", shards, err)
 			}
@@ -271,14 +313,14 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 	// windows drawn from the campaign's own seed. Planned identically
 	// in every arm; the injected events carry deterministic keys, so
 	// the schedule is independent of the shard count.
-	if sc.chaos {
+	if sc.chaos > 0 {
 		ch := chaos.New(sim, sc.seed^0x63686173) // "chas"
 		ch.Apply(chaos.Campaign{
 			Start:       sc.duration / 8,
 			End:         sc.duration * 7 / 8,
-			Crashes:     1 + int(sc.seed%2),
+			Crashes:     sc.chaos,
 			CrashDown:   [2]int64{50 * netsim.Microsecond, sc.duration / 3},
-			Flaps:       1 + int(sc.seed%2),
+			Flaps:       sc.chaos,
 			FlapPeriod:  [2]int64{40 * netsim.Microsecond, 200 * netsim.Microsecond},
 			FlapCycles:  [2]int{2, 5},
 			Impairments: 2,
@@ -309,6 +351,7 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 
 	for i, g := range gens {
 		g := g
+		// Staggered starts, scheduled on each source's own shard.
 		g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
 			if err := g.Start(sc.duration); err != nil {
 				panic(err)
@@ -328,12 +371,8 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 	for i, j := range journals {
 		fmt.Fprintf(&b, "trace[%s]=%s\n", nw.Hosts[i].Name, strings.Join(j.Lines(), ","))
 	}
-	// The srv6-detoured flow's deliveries join the fingerprint by
-	// name: a vacuous overlay (broken steering dropping every packet)
-	// would still fingerprint identically across arms, so pin the
-	// count explicitly. Chaos campaigns and link failures may
-	// legitimately push it to zero in some scenarios; the point is
-	// every arm must agree on the number.
+	// The srv6-detoured flow's deliveries join the fingerprint by name,
+	// so a test can require the overlay to deliver (srv6Delivered).
 	if srv6Dst != nil {
 		srv6N := 0
 		for i, j := range journals {
@@ -348,7 +387,6 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 			}
 		}
 		fmt.Fprintf(&b, "srv6_delivered=%d\n", srv6N)
-		t.Logf("srv6 overlay: %d detoured deliveries", srv6N)
 	}
 	for _, n := range nw.Nodes {
 		for _, ifc := range n.Ifaces() {
@@ -365,25 +403,58 @@ func fuzzRun(t *testing.T, sc fuzzScenario, shards int) string {
 			fmt.Fprintf(&b, "spans[%s]=%s\n", tb.Node(), strings.Join(tb.Lines(), ","))
 		}
 	}
-	return fingerprint(sim, []string{b.String()})
+	return fingerprint(sim, []string{b.String()}), sim.EngineStats()
 }
 
-// fuzzDepth reports how many seeded scenarios to run: the
-// SRV6BPF_FUZZ_SCENARIOS environment variable (scheduled CI runs the
-// full depth), a trimmed default under -short, and a moderate default
-// otherwise.
-func fuzzDepth(t *testing.T) int {
-	if v := os.Getenv("SRV6BPF_FUZZ_SCENARIOS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("bad SRV6BPF_FUZZ_SCENARIOS=%q", v)
+// equivalent runs sc sequentially and then on each of shards, requires
+// every sharded fingerprint to equal the sequential one, and returns
+// the sequential fingerprint and the engine stats of every run, the
+// sequential one first.
+func equivalent(t *testing.T, sc scenario, shards ...int) (string, []netsim.EngineStats) {
+	t.Helper()
+	base, st := runScenario(t, sc, 1)
+	stats := []netsim.EngineStats{st}
+	for _, n := range shards {
+		got, st := runScenario(t, sc, n)
+		if got != base {
+			diffReport(t, base, got, n)
 		}
-		return n
+		stats = append(stats, st)
 	}
-	if testing.Short() {
-		return 2
+	return base, stats
+}
+
+// srv6Delivered reads the SRv6 detour's delivery count off a
+// fingerprint (-1 without the overlay).
+func srv6Delivered(fp string) int {
+	_, rest, ok := strings.Cut(fp, "srv6_delivered=")
+	if !ok {
+		return -1
 	}
-	return 6
+	n, _ := strconv.Atoi(rest[:strings.IndexByte(rest, '\n')])
+	return n
+}
+
+// FuzzScenario: a scenario must not panic, must deliver, and must
+// replay on 2, 4 and 8 shards exactly as it runs sequentially. An SRv6
+// detour that nothing disturbs — no link failure, no chaos — must also
+// carry packets, or the overlay would pass by dropping them in every
+// arm alike.
+func FuzzScenario(f *testing.F) {
+	for _, c := range scenarioCorpus {
+		f.Add(c.switches, c.seed)
+	}
+	f.Fuzz(func(t *testing.T, switches uint8, seed int64) {
+		sc := fuzzScenario(switches, seed)
+		t.Logf("%+v", sc)
+		base, _ := equivalent(t, sc, 2, 4, 8)
+		if !strings.Contains(base, "udp_delivered") {
+			t.Fatal("scenario delivered nothing")
+		}
+		if sc.srv6 && sc.fails == 0 && sc.chaos == 0 && srv6Delivered(base) <= 0 {
+			t.Fatalf("undisturbed SRv6 detour delivered %d packets", srv6Delivered(base))
+		}
+	})
 }
 
 // TestZeroDelayPodsUnderMinCut is the configuration the contiguous
@@ -395,117 +466,26 @@ func fuzzDepth(t *testing.T) int {
 // 2-, 4- and 8-shard runs must reproduce the sequential delivery trace
 // bit for bit.
 func TestZeroDelayPodsUnderMinCut(t *testing.T) {
-	build := func(sim *netsim.Sim) *topo.Network {
-		nw, err := topo.FatTree(sim, 8, topo.Opts{
-			Link:    topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: 25 * netsim.Microsecond},
-			PodLink: topo.LinkSpec{RateBps: 10_000_000_000, DelayNs: -1}, // true zero delay
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nw.Nodes) != 208 {
-			t.Fatalf("fat-tree k=8 has %d nodes, want 208", len(nw.Nodes))
-		}
-		return nw
+	sc := scenario{seed: 7, kind: "fattree-zerodelay", k: 8, link: tenGig, duration: netsim.Millisecond,
+		rate: 20_000, pairs: 99, flowMod: 16, mincut: true, cutSeed: 1}
+	rej := netsim.New(sc.seed)
+	if nw := buildTopo(t, rej, sc); len(nw.Nodes) != 208 {
+		t.Fatalf("fat-tree k=8 has %d nodes, want 208", len(nw.Nodes))
 	}
-	rej := netsim.New(7)
-	build(rej)
 	err := rej.SetShards(4)
 	if err == nil || !strings.Contains(err.Error(), "zero propagation delay") ||
 		!strings.Contains(err.Error(), "netsim: link p") {
 		t.Fatalf("contiguous SetShards on zero-delay pods: err = %v, want a rejection naming the pod link", err)
 	}
 
-	run := func(shards int) (string, netsim.EngineStats) {
-		sim := netsim.New(7)
-		nw := build(sim)
-		journals := make([]*netsim.Journal, len(nw.Hosts))
-		for i, h := range nw.Hosts {
-			j := netsim.NewJournal()
-			journals[i] = j
-			h.HandleUDP(9, func(n *netsim.Node, p *packet.Packet, meta *netsim.PacketMeta) {
-				j.Addf("%d:%s:%d", meta.RxTimestamp, p.IPv6.Src, p.IPv6.FlowLabel)
-			})
-		}
-		pairs := nw.PermutationPairs(99)
-		gens := make([]*trafgen.UDPGen, len(pairs))
-		for i, pr := range pairs {
-			gens[i] = &trafgen.UDPGen{
-				Node: pr[0], Src: nw.HostAddr(pr[0]), Dst: nw.HostAddr(pr[1]),
-				SrcPort: 1000, DstPort: 9, PayloadLen: 64,
-				FlowLabel: func(k uint64) uint32 { return uint32(k % 16) },
-				RatePPS:   20_000,
-			}
-		}
-		if shards > 1 {
-			assign, err := partition.MinCut(partition.FromSim(sim), shards, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.SetShardsPartitioned(shards, assign); err != nil {
-				t.Fatalf("min-cut placement at %d shards: %v", shards, err)
-			}
-		}
-		const until = netsim.Millisecond
-		for i, g := range gens {
-			g := g
-			g.Node.Schedule(int64(i)*netsim.Microsecond, func() {
-				if err := g.Start(until); err != nil {
-					panic(err)
-				}
-			})
-		}
-		sim.RunUntil(until)
-		for _, g := range gens {
-			g.Stop()
-		}
-		sim.Run()
-		extra := make([]string, 0, len(journals))
-		for i, j := range journals {
-			extra = append(extra, fmt.Sprintf("trace[%s]=%s", nw.Hosts[i].Name, strings.Join(j.Lines(), ",")))
-		}
-		return fingerprint(sim, extra), sim.EngineStats()
-	}
-	base, _ := run(1)
+	base, stats := equivalent(t, sc, 2, 4, 8)
 	if !strings.Contains(base, "udp_delivered=") {
 		t.Fatal("no deliveries in the sequential run")
 	}
-	for _, shards := range []int{2, 4, 8} {
-		got, st := run(shards)
-		if got != base {
-			diffReport(t, base, got, shards)
-		}
+	for _, st := range stats[1:] {
 		if st.Messages == 0 {
-			t.Errorf("%d shards exchanged no cross-shard messages", shards)
+			t.Errorf("%d shards exchanged no cross-shard messages", st.Shards)
 		}
-		t.Logf("shards=%d events=%d windows=%d cut=%d msgs=%d", shards, st.Events, st.Windows, st.CutLinks, st.Messages)
-	}
-}
-
-func TestShardEquivalenceFuzz(t *testing.T) {
-	depth := fuzzDepth(t)
-	for i := 0; i < depth; i++ {
-		sc := deriveScenario(int64(7777 + 131*i))
-		name := fmt.Sprintf("s%02d-%s", i, sc.kind)
-		if sc.chaos {
-			name += "-chaos"
-		}
-		if sc.srv6 {
-			name += "-srv6"
-		}
-		if sc.mincut {
-			name += "-mincut"
-		}
-		t.Run(name, func(t *testing.T) {
-			base := fuzzRun(t, sc, 1)
-			if !strings.Contains(base, "udp_delivered") {
-				t.Fatal("scenario delivered nothing")
-			}
-			for _, shards := range []int{2, 4, 8} {
-				if got := fuzzRun(t, sc, shards); got != base {
-					diffReport(t, base, got, shards)
-				}
-			}
-		})
+		t.Logf("shards=%d events=%d windows=%d cut=%d msgs=%d", st.Shards, st.Events, st.Windows, st.CutLinks, st.Messages)
 	}
 }

@@ -240,16 +240,18 @@ func TestShardWorkerLifecycle(t *testing.T) {
 		return s, a, b
 	}
 	// call runs one Run/RunUntil, returns what it panicked with, and
-	// waits for the goroutine count to come back: a worker that has
-	// signalled its exit may still be a few instructions from gone.
+	// waits for the shard workers to come back to their count before the
+	// call: a worker that has signalled its exit may still be a few
+	// instructions from gone. Only workers are counted, so a goroutine of
+	// the test binary that ends meanwhile does not fail the test.
 	call := func(name string, run func()) (r any) {
-		before := runtime.NumGoroutine()
+		before := shardWorkers()
 		defer func() {
 			r = recover()
 			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() != before {
+			for shardWorkers() != before {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s: %d goroutines after the call, %d before", name, runtime.NumGoroutine(), before)
+					t.Fatalf("%s: %d shard workers after the call, %d before", name, shardWorkers(), before)
 				}
 				runtime.Gosched()
 			}
@@ -284,6 +286,17 @@ func TestShardWorkerLifecycle(t *testing.T) {
 		if r := call(name, s.Run); r != want {
 			t.Fatalf("%s: Run raised %v, want %v", name, r, want)
 		}
+	}
+}
+
+// shardWorkers counts the goroutines running (*Sim).shardWorker.
+func shardWorkers() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), ".(*Sim).shardWorker(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

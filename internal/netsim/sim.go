@@ -159,8 +159,8 @@
 // by the scheduling shard yet totally ordered globally, so the
 // parallel schedule is the sequential schedule: the same seed yields
 // identical per-node counters and delivery traces for any shard count
-// and placement (locked by TestShardEquivalence* and the randomized
-// TestShardEquivalenceFuzz).
+// and placement (locked by TestShardEquivalence* and the fuzz target
+// FuzzScenario).
 package netsim
 
 import "math"
