@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"srv6bpf/internal/experiments"
@@ -74,6 +75,9 @@ func run(args []string, stdout io.Writer) error {
 	if *all && *shards == 0 {
 		*shards = 4
 	}
+	// Figure 4 runs once: the JIT ablation reads its interpreted WRR
+	// curve off the same points.
+	figure4 := sync.OnceValues(func() ([]experiments.Fig4Point, error) { return experiments.Figure4(win) })
 	steps := []struct {
 		on  bool
 		run func(io.Writer) error
@@ -82,11 +86,11 @@ func run(args []string, stdout io.Writer) error {
 		{*all || *matrix, runMatrix},
 		{*all || *fig == 2, func(w io.Writer) error { return runFig2(w, win) }},
 		{*all || *fig == 3, func(w io.Writer) error { return runFig3(w, win) }},
-		{*all || *fig == 4, func(w io.Writer) error { return runFig4(w, win) }},
+		{*all || *fig == 4, func(w io.Writer) error { return runFig4(w, figure4) }},
 		{*all || *tcp, func(w io.Writer) error { return runTCP(w, tcpDuration.Nanoseconds()) }},
 		{*all || *frr, runFRR},
 		{*all || *flapstorm, runFlapStorm},
-		{*all || *ablation, func(w io.Writer) error { return runAblations(w, win) }},
+		{*all || *ablation, func(w io.Writer) error { return runAblations(w, win, figure4) }},
 		{*shards > 0, func(w io.Writer) error {
 			return runShards(w, *shards, *topoK, *topology, *partitionName, shardDuration.Nanoseconds())
 		}},
@@ -141,10 +145,10 @@ func runFig3(w io.Writer, win int64) error {
 	return nil
 }
 
-func runFig4(w io.Writer, win int64) error {
+func runFig4(w io.Writer, figure4 func() ([]experiments.Fig4Point, error)) error {
 	fmt.Fprintln(w, "== Figure 4: aggregated UDP goodput through the CPE (§4.2) ==")
 	fmt.Fprintln(w, "   paper: decap ≈ -10%; interpreted WRR lowest, near baseline at 1400B")
-	pts, err := experiments.Figure4(win)
+	pts, err := figure4()
 	if err != nil {
 		return err
 	}
@@ -221,10 +225,14 @@ func runFlapStorm(w io.Writer) error {
 	return nil
 }
 
-func runAblations(w io.Writer, win int64) error {
+func runAblations(w io.Writer, win int64, figure4 func() ([]experiments.Fig4Point, error)) error {
 	fmt.Fprintln(w, "== Ablation: Figure 4 WRR with a working CPE JIT ==")
 	fmt.Fprintln(w, "   (the paper's hypothesis: the 1.8x JIT speedup would lift the WRR curve)")
-	interp, jit, err := experiments.Fig4JITAblation(win)
+	fig4, err := figure4()
+	if err != nil {
+		return err
+	}
+	interp, jit, err := experiments.Fig4JITAblation(fig4, win)
 	if err != nil {
 		return err
 	}
@@ -260,14 +268,14 @@ func runAblations(w io.Writer, win int64) error {
 
 func runPDR(w io.Writer) error {
 	fmt.Fprintln(w, "== PDR saturation (SRPerf method): max offered load with drops <= 0.5% ==")
-	fmt.Fprintln(w, "   9 bisection steps, 100ms window per probe") // PDRScan's fixed depth
+	fmt.Fprintln(w, "   fixed point from a 3 Mpps overload probe, checked 0.2% either side; 100ms window per probe")
 	rows, err := experiments.PDRScan()
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-16s PDR %9.1f kpps   drop %.3f%% (threshold %.1f%%)  bracket %.0f..%.0f kpps, %d probes\n",
-			r.Name, r.PDRKPPS, r.DropRate*100, r.Threshold*100, r.LoKPPS, r.HiKPPS, r.Iterations)
+		fmt.Fprintf(w, "  %-16s PDR %9.1f kpps   drop %.3f%% (threshold %.1f%%)  %d probes\n",
+			r.Name, r.PDRKPPS, r.DropRate*100, r.Threshold*100, r.Iterations)
 	}
 	fmt.Fprintln(w)
 	return nil

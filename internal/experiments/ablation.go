@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"srv6bpf/internal/netsim"
 	"srv6bpf/internal/nf/hybrid"
 	"srv6bpf/internal/trafgen"
@@ -9,32 +11,26 @@ import (
 // This file holds the ablations DESIGN.md calls out: design choices
 // the paper names but could not (or did not) evaluate.
 
-// Fig4JITAblation answers the paper's own hypothetical: "the 1.8×
+// Fig4JITAblation answers the paper's own hypothesis: "the 1.8×
 // speedup factor provided by the JIT compiler ... could be leveraged
-// here with a functioning ARM32 implementation" (§4.2). It reruns the
-// Figure 4 WRR sweep with the JIT enabled on the CPE and returns both
-// curves for comparison.
-func Fig4JITAblation(durationNs int64) (interp, jit []Fig4Point, err error) {
-	run := func(useJIT bool) ([]Fig4Point, error) {
-		var out []Fig4Point
-		for _, payload := range Fig4Payloads {
-			g, err := fig4Run("eBPF WRR", payload, durationNs, useJIT)
-			if err != nil {
-				return nil, err
-			}
-			name := "eBPF WRR"
-			if useJIT {
-				name = "eBPF WRR (JIT)"
-			}
-			out = append(out, Fig4Point{Payload: payload, Config: name, GoodputMbps: g / 1e6})
+// here with a functioning ARM32 implementation" (§4.2). It reads the
+// interpreted WRR curve off fig4, Figure4's points at the same window
+// (as JITFactor reads Figure 2's rows), reruns only that curve's
+// payloads with the JIT enabled on the CPE, and returns both curves.
+func Fig4JITAblation(fig4 []Fig4Point, durationNs int64) (interp, jit []Fig4Point, err error) {
+	for _, p := range fig4 {
+		if p.Config != "eBPF WRR" {
+			continue
 		}
-		return out, nil
+		g, err := fig4Run(p.Config, p.Payload, durationNs, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		interp = append(interp, p)
+		jit = append(jit, Fig4Point{Payload: p.Payload, Config: "eBPF WRR (JIT)", GoodputMbps: g / 1e6})
 	}
-	if interp, err = run(false); err != nil {
-		return nil, nil, err
-	}
-	if jit, err = run(true); err != nil {
-		return nil, nil, err
+	if len(interp) == 0 {
+		return nil, nil, fmt.Errorf("experiments: missing eBPF WRR points")
 	}
 	return interp, jit, nil
 }

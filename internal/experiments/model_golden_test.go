@@ -30,9 +30,9 @@ type modelGolden struct {
 
 // TestModelGolden pins the Fig 2 / Fig 3 / Fig 4 rows at the 50 ms
 // window, the JIT factor and the seven PDR saturation points against the
-// committed golden file, and holds Figure 2 to the ratios the paper
-// reports (§3.2). The PDR scan (≈ 4 s) is skipped under -short. It runs
-// in parallel with TestTCPHybrid.
+// committed golden file, holds Figure 2 to the ratios the paper reports
+// (§3.2), and Figure 4's JIT ablation to a curve never below the
+// interpreted one (§4.2). It runs in parallel with TestTCPHybrid.
 // Regenerate with: go test ./internal/experiments -run TestModelGolden -update
 func TestModelGolden(t *testing.T) {
 	t.Parallel()
@@ -52,6 +52,15 @@ func TestModelGolden(t *testing.T) {
 	if got.JITFactor, err = JITFactor(got.Fig2); err != nil {
 		t.Fatal(err)
 	}
+	interp, jit, err := Fig4JITAblation(got.Fig4, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range interp {
+		if jit[i].GoodputMbps < interp[i].GoodputMbps {
+			t.Errorf("Fig 4 JIT ablation: JIT %.1f Mbps slower than interpreter %.1f at %d B", jit[i].GoodputMbps, interp[i].GoodputMbps, interp[i].Payload)
+		}
+	}
 
 	kpps := make(map[string]float64, len(got.Fig2))
 	for _, r := range got.Fig2 {
@@ -68,15 +77,10 @@ func TestModelGolden(t *testing.T) {
 		t.Errorf("JIT factor %.3f, paper: 1.8 ± 0.1", got.JITFactor)
 	}
 
-	if !testing.Short() {
-		if got.PDR, err = PDRScan(); err != nil {
-			t.Fatal(err)
-		}
+	if got.PDR, err = PDRScan(); err != nil {
+		t.Fatal(err)
 	}
 	if *update {
-		if testing.Short() {
-			t.Fatal("-update needs the PDR rows: run without -short")
-		}
 		if err := os.WriteFile(modelGoldenPath, marshalGolden(t, got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -85,13 +89,6 @@ func TestModelGolden(t *testing.T) {
 	file, err := os.ReadFile(modelGoldenPath)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if testing.Short() {
-		var want modelGolden
-		if err := json.Unmarshal(file, &want); err != nil {
-			t.Fatalf("%s: %v", modelGoldenPath, err)
-		}
-		got.PDR = want.PDR
 	}
 	if out := marshalGolden(t, got); !bytes.Equal(out, file) {
 		t.Errorf("model-time figures differ from %s (regenerate with -update only when cost.go or a datapath decision changed on purpose)\ngot:\n%s", modelGoldenPath, out)

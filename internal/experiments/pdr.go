@@ -1,18 +1,15 @@
 package experiments
 
-// SRPerf-style PDR saturation: for each SRv6 behavior, find the
-// highest offered load whose drop rate stays within the Partial Drop
-// Rate threshold (SRPerf uses 0.5%), by bisecting the offered rate.
-// The simulator makes the measurement exact where hardware SRPerf has
-// to average: a probe offers a constant-rate flow for a virtual
-// window, then runs the simulation to full drain, so every offered
-// packet is either delivered or was dropped at the router's rx ring
-// (the only loss point below line rate) and the drop rate needs no
-// boundary correction beyond the ring's one-time absorption.
+// SRPerf-style PDR saturation: for each SRv6 behavior, the highest
+// offered load whose drop rate stays within the Partial Drop Rate
+// threshold (SRPerf uses 0.5%). A probe offers a constant-rate flow for
+// a virtual window and then drains the simulation, so every offered
+// packet was either delivered or dropped: no averaging, no boundary.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 
 	"srv6bpf/internal/bpf"
@@ -48,19 +45,17 @@ type PDRRow struct {
 	// DropRate is the drop rate measured at PDRKPPS.
 	DropRate  float64 `json:"drop_rate"`
 	Threshold float64 `json:"threshold"`
-	// LoKPPS/HiKPPS is the initial search bracket.
-	LoKPPS float64 `json:"lo_kpps"`
-	HiKPPS float64 `json:"hi_kpps"`
-	// Iterations counts the probes spent (bracket check included).
+	// Iterations counts the probes spent (the two checks included).
 	Iterations int `json:"iterations"`
 }
 
-// The scan's depth: each probe offers a constant rate for a 100 ms
-// virtual window, and nine bisection steps follow the bracket check, so
-// the rate resolution is (hi-lo) / 2^9.
+// Each probe offers a 100 ms virtual window; the first overloads the
+// router at the §3.2 offered load.
 const (
-	pdrWindowNs   = 100 * netsim.Millisecond
-	pdrIterations = 9
+	pdrWindowNs    = 100 * netsim.Millisecond
+	pdrOverloadPPS = 3_000_000.0
+	pdrTolerance   = 0.002 // fixed-point agreement and check offset
+	pdrMaxProbes   = 8     // before the fixed point must have settled
 )
 
 // pdrProbe offers ratePPS for windowNs of virtual time and reports
@@ -135,12 +130,11 @@ func pdrFRRProbe(ratePPS float64, windowNs int64) (uint64, uint64, error) {
 	return gen.Sent(), uint64(len(l.delivered)), nil
 }
 
-// pdrBehaviors is the scanned behavior set, in report order.
-func pdrBehaviors() []struct {
-	name  string
-	probe pdrProbe
-} {
-	return []struct {
+// PDRScan finds the saturation point of every behavior, in report
+// order.
+func PDRScan() ([]PDRRow, error) {
+	var rows []PDRRow
+	for _, b := range []struct {
 		name  string
 		probe pdrProbe
 	}{
@@ -150,9 +144,10 @@ func pdrBehaviors() []struct {
 		{"End.BPF-interp", pdrLabProbe(pdrEndBPFSetup(false), rSID, true)},
 		{"End.BPF-jit", pdrLabProbe(pdrEndBPFSetup(true), rSID, true)},
 		{"End.X", pdrLabProbe(func(l *lab1) error {
-			// Cross-connect: R advances the SRH and forwards straight
-			// out the resolved nexthop, skipping the FIB lookup the
-			// plain End verdict pays.
+			// Cross-connect: R advances the SRH and forwards out the
+			// configured nexthop. The model charges End.X 60 ns against
+			// End's 50 on top of the same per-packet forwarding cost,
+			// so its row sits just under End's.
 			return l.r.AddRoute(local(rSID, &seg6.Behaviour{Action: seg6.ActionEndX, Nexthop: s2Addr}))
 		}, rSID, true)},
 		{"End.DT6", pdrLabProbe(func(l *lab1) error {
@@ -180,83 +175,78 @@ func pdrBehaviors() []struct {
 			)
 		}, s2Addr, false)},
 		{"FRR-steer", pdrFRRProbe},
-	}
-}
-
-// PDRScan runs the saturation search for every behavior.
-func PDRScan() ([]PDRRow, error) {
-	var rows []PDRRow
-	for _, b := range pdrBehaviors() {
-		row, err := pdrSearch(b.name, b.probe)
+	} {
+		row, err := pdrFixedPoint(b.name, b.probe)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: PDR %s: %w", b.name, err)
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// PDR search bracket: every behavior saturates well under 3 Mpps (the
-// §3.2 offered load) and well over 50 kpps on the calibrated router.
-const (
-	pdrBracketLoPPS = 50_000.0
-	pdrBracketHiPPS = 3_000_000.0
-)
-
-// pdrSearch bisects the offered rate. Invariant: lo passes the
-// threshold, hi fails it. The bracket edges are probed first so a
-// behavior outside the expected range is reported instead of
-// silently clamped.
-func pdrSearch(name string, probe pdrProbe) (PDRRow, error) {
-	row := PDRRow{
-		Name:      name,
-		Threshold: PDRThreshold,
-		LoKPPS:    pdrBracketLoPPS / 1e3,
-		HiKPPS:    pdrBracketHiPPS / 1e3,
-	}
-	measure := func(rate float64) (float64, error) {
+// pdrFixedPoint measures one behavior's PDR without a search. It
+// relies on two conditions of the simulated router: below line rate
+// its rx ring is the only loss point, and a dropped packet costs it no
+// CPU. A window T at rate λ then delivers D = min(λT, μT + R) for
+// service rate μ and ring size R, and the PDR is the λ* with
+// D(λ*) = (1 − θ)·λ*·T, which any overloading probe predicts as
+// D/((1 − θ)T) whatever μ is. A second stage that drains into the
+// bottleneck after the window makes that step overshoot, so it is
+// repeated until two rates agree within pdrTolerance. The prediction
+// becomes a measurement through two checks pdrTolerance either side:
+// the lower must pass θ and is the row, the upper must fail it.
+func pdrFixedPoint(name string, probe pdrProbe) (row PDRRow, err error) {
+	defer func() {
+		if err != nil {
+			row, err = PDRRow{}, fmt.Errorf("experiments: PDR %s: %w", name, err)
+		}
+	}()
+	row = PDRRow{Name: name, Threshold: PDRThreshold}
+	// measure returns the drop rate at rate and the PDR its delivered
+	// count predicts.
+	measure := func(rate float64) (drop, next float64, err error) {
 		row.Iterations++
 		offered, delivered, err := probe(rate, pdrWindowNs)
-		if err != nil {
-			return 0, err
+		switch {
+		case err != nil:
+			return 0, 0, err
+		case offered == 0:
+			return 0, 0, fmt.Errorf("probe at %.0f pps offered nothing", rate)
+		case delivered > offered:
+			return 0, 0, fmt.Errorf("probe at %.0f pps delivered %d of %d offered", rate, delivered, offered)
 		}
-		if offered == 0 {
-			return 0, fmt.Errorf("probe at %.0f pps offered nothing", rate)
-		}
-		if delivered > offered {
-			return 0, fmt.Errorf("probe at %.0f pps delivered %d of %d offered", rate, delivered, offered)
-		}
-		return 1 - float64(delivered)/float64(offered), nil
+		return 1 - float64(delivered)/float64(offered), float64(delivered) / ((1 - PDRThreshold) * float64(pdrWindowNs) / 1e9), nil
 	}
-	lo, hi := pdrBracketLoPPS, pdrBracketHiPPS
-	dropAtLo, err := measure(lo)
+
+	rate := pdrOverloadPPS
+	drop, next, err := measure(rate)
 	if err != nil {
-		return PDRRow{}, err
+		return row, err
 	}
-	if dropAtLo > PDRThreshold {
-		return PDRRow{}, fmt.Errorf("drops %.2f%% already at the %.0f kpps bracket floor", dropAtLo*100, lo/1e3)
+	if drop <= PDRThreshold {
+		return row, fmt.Errorf("%.3f%% dropped at the %.0f kpps overload probe: the router does not saturate", drop*100, rate/1e3)
 	}
-	dropAtHi, err := measure(hi)
-	if err != nil {
-		return PDRRow{}, err
-	}
-	if dropAtHi <= PDRThreshold {
-		// Saturation is above the bracket; report the ceiling honestly.
-		row.PDRKPPS, row.DropRate = hi/1e3, dropAtHi
-		return row, nil
-	}
-	for i := 0; i < pdrIterations; i++ {
-		mid := (lo + hi) / 2
-		drop, err := measure(mid)
-		if err != nil {
-			return PDRRow{}, err
+	for math.Abs(next-rate) > pdrTolerance*rate {
+		if row.Iterations == pdrMaxProbes {
+			return row, fmt.Errorf("no fixed point in %d probes: %.2f kpps predicts %.2f", pdrMaxProbes, rate/1e3, next/1e3)
 		}
-		if drop <= PDRThreshold {
-			lo, dropAtLo = mid, drop
-		} else {
-			hi = mid
+		rate = next
+		if _, next, err = measure(rate); err != nil {
+			return row, err
 		}
 	}
-	row.PDRKPPS, row.DropRate = lo/1e3, dropAtLo
+	for _, side := range []float64{-1, 1} {
+		check := next * (1 + side*pdrTolerance)
+		if drop, _, err = measure(check); err != nil {
+			return row, err
+		}
+		if (drop > PDRThreshold) != (side > 0) {
+			return row, fmt.Errorf("check at %.2f kpps dropped %.3f%%, the wrong side of %.1f%%", check/1e3, drop*100, PDRThreshold*100)
+		}
+		if side < 0 {
+			row.PDRKPPS, row.DropRate = check/1e3, drop
+		}
+	}
 	return row, nil
 }

@@ -62,16 +62,6 @@ func TestQuickShardScaling(t *testing.T) {
 }
 
 func TestQuickAblations(t *testing.T) {
-	interp, jit, err := Fig4JITAblation(50 * netsim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range interp {
-		t.Logf("payload=%4d  interp %7.1f Mbps   jit %7.1f Mbps", interp[i].Payload, interp[i].GoodputMbps, jit[i].GoodputMbps)
-		if jit[i].GoodputMbps < interp[i].GoodputMbps {
-			t.Errorf("JIT slower than interpreter at %dB", interp[i].Payload)
-		}
-	}
 	rows, err := WRRWeightAblation(200 * netsim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
